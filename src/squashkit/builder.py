@@ -226,8 +226,7 @@ def verify_squash(
     """
     if f.in_dim != p.dim:
         raise DimensionMismatch(f"map dim {f.in_dim} vs POVM dim {p.dim}")
-    m_z = p.element("z", 0) - p.element("z", 1)
-    m_x = p.element("x", 0) - p.element("x", 1)
+    m_z, m_x = p.difference("z"), p.difference("x")
     residual_z = linalg.frob(f.adjoint(linalg.PAULI_Z) - m_z)
     residual_x = linalg.frob(f.adjoint(linalg.PAULI_X) - m_x)
     residual_tp = linalg.frob(f.adjoint(np.eye(2, dtype=complex)) - np.eye(p.dim))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -20,6 +21,21 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
 
+#: Largest dimension accepted from outside input: a sector's prod(n_i + 1),
+#: or the dimension of a measurement-set file.
+MAX_INPUT_DIM = 256
+
+
+def _require_dim(dim: int, what: str) -> None:
+    if dim > MAX_INPUT_DIM:
+        raise SquashkitError(f"{what} has dimension {dim}, above the supported {MAX_INPUT_DIM}")
+
+
+def _require_tol(value: float, name: str) -> float:
+    if not 0 < value < math.inf:
+        raise SquashkitError(f"{name} must be positive and finite")
+    return value
+
 
 def _env_tol(default: float) -> float:
     raw = os.environ.get("SQUASHKIT_TOL")
@@ -29,13 +45,21 @@ def _env_tol(default: float) -> float:
         value = float(raw)
     except ValueError as exc:
         raise SquashkitError(f"SQUASHKIT_TOL={raw!r} is not a number") from exc
-    if value <= 0:
-        raise SquashkitError("SQUASHKIT_TOL must be positive")
-    return value
+    return _require_tol(value, "SQUASHKIT_TOL")
+
+
+def _check_ranges(args) -> None:
+    """Reject out-of-range numeric flags before any work starts."""
+    for name, low in (("max_iter", 1), ("k", 1), ("trials", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise SquashkitError(f"--{name.replace('_', '-')} must be at least {low}")
+    if getattr(args, "tol", None) is not None:
+        _require_tol(args.tol, "--tol")
 
 
 def _write_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
         return
@@ -62,6 +86,8 @@ def _parse_sector(text: str) -> fock.FockSector:
         photons = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise SquashkitError(f"cannot parse sector {text!r}") from exc
+    if min(photons) >= 0:  # negative counts are rejected by fock_sector
+        _require_dim(math.prod(n + 1 for n in photons), f"sector {text!r}")
     return fock.fock_sector(photons)
 
 
@@ -88,6 +114,7 @@ def _load_action(path: str | None, group_name: str) -> groups.LabelAction:
 
 def _load_povm(path: str) -> povm.Bb84Povm:
     p = povm.povm_from_json(_load_json(path))
+    _require_dim(p.dim, path)
     if not povm.validate(p).passed:
         raise SquashkitError(f"{path} is not a valid measurement set")
     return p
@@ -215,6 +242,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except (ConstructionError, TildeNotVerified) as exc:
         print(f"squashkit: {exc}", file=sys.stderr)

@@ -13,10 +13,6 @@ class NotHermitian(SquashkitError):
     pass
 
 
-class NoConvergence(SquashkitError):
-    pass
-
-
 class NotUnitary(SquashkitError):
     pass
 

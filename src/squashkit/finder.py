@@ -83,61 +83,24 @@ def squash_from_choi(c: ChoiMatrix, psd_tol: float = 1e-8, tp_tol: float = 1e-6)
 # ---------------------------------------------------------------------------
 # Affine constraint set
 
-class AffineConstraints:
-    """Orthonormalized Hermitian constraint functionals Tr(J B_k) = t_k."""
+def project_affine(j: np.ndarray, m_z: np.ndarray, m_x: np.ndarray) -> np.ndarray:
+    """Nearest Hermitian matrix, in Frobenius norm, on the affine constraint set.
 
-    def __init__(self, d: int, m_z: np.ndarray, m_x: np.ndarray):
-        self.d = d
-        raw, targets = [], []
-        eye2 = np.eye(2, dtype=complex)
-        pairs = [
-            (eye2, np.eye(d, dtype=complex)),
-            (linalg.PAULI_Z, m_z),
-            (linalg.PAULI_X, m_x),
-        ]
-        for pauli, goal in pairs:
-            for i in range(d):
-                for j in range(i, d):
-                    e = np.zeros((d, d), dtype=complex)
-                    e[i, j] = 1.0
-                    a = linalg.kron(e, pauli)
-                    if i == j:
-                        raw.append(a)
-                        targets.append(goal[i, i].real)
-                    else:
-                        raw.append(a + linalg.dagger(a))
-                        targets.append(2.0 * goal[i, j].real)
-                        raw.append(1j * (a - linalg.dagger(a)))
-                        targets.append(-2.0 * goal[i, j].imag)
-        # Gram-Schmidt in the Hilbert-Schmidt inner product; the constraints
-        # are independent by construction, but dependent directions would be
-        # dropped here after a consistency check.
-        self.basis, self.targets = [], []
-        for mat, tgt in zip(raw, targets):
-            w, t = mat.astype(complex), float(tgt)
-            for b, tb in zip(self.basis, self.targets):
-                coeff = np.real(np.vdot(b, w))
-                w = w - coeff * b
-                t = t - coeff * tb
-            norm = np.sqrt(np.real(np.vdot(w, w)))
-            if norm < 1e-12:
-                if abs(t) > 1e-9:
-                    raise NotTracePreserving(
-                        "constraint set is inconsistent; the POVM admits no channel"
-                    )
-                continue
-            self.basis.append(w / norm)
-            self.targets.append(t / norm)
-
-    def project(self, j: np.ndarray) -> np.ndarray:
-        out = j.copy()
-        for b, t in zip(self.basis, self.targets):
-            out = out + (t - np.real(np.vdot(b, out))) * b
-        return out
-
-    def residual(self, j: np.ndarray) -> float:
-        devs = [np.real(np.vdot(b, j)) - t for b, t in zip(self.basis, self.targets)]
-        return float(np.sqrt(np.sum(np.square(devs))))
+    A Choi matrix meets the constraints exactly when it has the form
+    J = (1^T x 1 + M_z^T x sigma_z + M_x^T x sigma_x + Y^T x sigma_y) / 2
+    for a Hermitian d x d matrix Y: the 2x2 block of input pair (a, b) has
+    its 1, sigma_z and sigma_x components pinned, and only its sigma_y
+    component Tr(J_ab sigma_y) = Y^T[a, b] is free. The projection keeps
+    that component and rebuilds the rest.
+    """
+    d = m_z.shape[0]
+    y_t = np.einsum("apbq,qp->ab", j.reshape(d, 2, d, 2), linalg.PAULI_Y)
+    return 0.5 * (
+        np.eye(2 * d, dtype=complex)
+        + linalg.kron(m_z.T, linalg.PAULI_Z)
+        + linalg.kron(m_x.T, linalg.PAULI_X)
+        + linalg.kron(y_t, linalg.PAULI_Y)
+    )
 
 
 def project_psd(j: np.ndarray) -> np.ndarray:
@@ -150,9 +113,8 @@ def project_psd(j: np.ndarray) -> np.ndarray:
 
 def affine_residual(c: ChoiMatrix, p: povm.Bb84Povm) -> float:
     """Distance of a Choi matrix from the constraint set of a measurement set."""
-    m_z = p.element("z", 0) - p.element("z", 1)
-    m_x = p.element("x", 0) - p.element("x", 1)
-    return AffineConstraints(p.dim, m_z, m_x).residual(c.j)
+    m_z, m_x = p.difference("z"), p.difference("x")
+    return linalg.frob(project_affine(c.j, m_z, m_x) - c.j)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +150,9 @@ def bloch_witness(
         return _top_eigenpair(np.cos(theta) * mz + np.sin(theta) * mx)[0]
 
     thetas = 2.0 * np.pi * np.arange(grid) / grid
-    values = np.array([top(t) for t in thetas])
+    # one batched solve; tensordot builds the (grid, d, d) stack as its only temporary
+    directions = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    values = np.linalg.eigvalsh(np.tensordot(directions, np.stack([mz, mx]), axes=1))[:, -1]
     best = values.max()
     # earliest near-tie keeps the reported angle deterministic
     pick = int(np.nonzero(values >= best - 1e-9 * max(1.0, abs(best)))[0][0])
@@ -237,8 +201,7 @@ def find_squash(
     extracted from the converged Choi matrix and verified at 1e-6) or the
     iteration budget runs out (UNDECIDED).
     """
-    m_z = p.element("z", 0) - p.element("z", 1)
-    m_x = p.element("x", 0) - p.element("x", 1)
+    m_z, m_x = p.difference("z"), p.difference("x")
     witness = bloch_witness(
         povm.Observable("z", m_z), povm.Observable("x", m_x)
     )
@@ -252,12 +215,11 @@ def find_squash(
             verdict="INFEASIBLE", squash=None, witness=witness, gap=0.0, iterations=0
         )
 
-    constraints = AffineConstraints(p.dim, m_z, m_x)
-    j = constraints.project(np.eye(2 * p.dim, dtype=complex) / 2.0)
+    j = project_affine(np.eye(2 * p.dim, dtype=complex) / 2.0, m_z, m_x)
     gap = float("inf")
     for iteration in range(1, max_iter + 1):
         psd = project_psd(j)
-        j = constraints.project(psd)
+        j = project_affine(psd, m_z, m_x)
         gap = linalg.frob(j - psd)
         if gap <= tol:
             squash = squash_from_choi(ChoiMatrix(d=p.dim, j=j))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial, sqrt
+from math import comb, sqrt
 
 import numpy as np
 
@@ -56,13 +56,8 @@ def fock_sector(photons) -> FockSector:
 
 def _x_mode_amplitude(n: int, j: int, b: int) -> float:
     """Weight of the j-photons-in-z0 configuration inside an n-photon x state."""
-    return (
-        2 ** (-n / 2.0)
-        * comb(n, j)
-        * (-1.0) ** (b * (n - j))
-        * sqrt(factorial(j) * factorial(n - j))
-        / sqrt(factorial(n))
-    )
+    # int / int division is correctly rounded and never turns a huge factorial into a float
+    return (-1.0) ** (b * (n - j)) * sqrt(comb(n, j) / 2**n)
 
 
 def state_nrb(sector: FockSector, r: str, b: int) -> np.ndarray:

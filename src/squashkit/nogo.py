@@ -76,8 +76,7 @@ def verify_trace_identity(
         rho = linalg.random_density_matrix(s.base.dim, rng)
         lifted = linalg.kron(rho, ancilla)
         for r in ("z", "x"):
-            m = s.base.element(r, 0) - s.base.element(r, 1)
-            mt = s.tilde.element(r, 0) - s.tilde.element(r, 1)
+            m, mt = s.base.difference(r), s.tilde.difference(r)
             dev = abs(np.trace(m @ rho).real - np.trace(mt @ lifted).real)
             worst = max(worst, dev)
     return TraceIdentityReport(samples=samples, max_deviation=worst)

@@ -32,6 +32,10 @@ class Bb84Povm:
     def element(self, r: str, b: int) -> np.ndarray:
         return self.elements[label(r, b)]
 
+    def difference(self, r: str) -> np.ndarray:
+        """Observable matrix M_r = M_(r,0) - M_(r,1) of basis r."""
+        return self.element(r, 0) - self.element(r, 1)
+
     def l_element(self, c: int) -> np.ndarray:
         """Element at cyclic position c (z0, x0, z1, x1)."""
         return self.elements[LABELS[c % 4]]
@@ -110,8 +114,7 @@ def observable(p: Bb84Povm, r: str, tol: float = 1e-9) -> Observable:
     report = validate(p, tol)
     if not report.passed:
         raise InvalidPovm(f"measurement set fails validation at tol={tol}")
-    m = p.element(r, 0) - p.element(r, 1)
-    return Observable(r=r, matrix=m)
+    return Observable(r=r, matrix=p.difference(r))
 
 
 def _require_state(rho: np.ndarray, dim: int, tol: float) -> np.ndarray:

@@ -24,6 +24,16 @@ def m0_file(tmp_path):
 
 
 @pytest.fixture
+def big_file(tmp_path):
+    """A valid measurement set one dimension above the command-line limit."""
+    eye, zero = np.eye(257), np.zeros((257, 257))
+    big = povm.make_povm({"z0": eye, "z1": zero, "x0": eye, "x1": zero})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(povm.povm_to_json(big)))
+    return path
+
+
+@pytest.fixture
 def ideal_file(tmp_path):
     path = tmp_path / "ideal.json"
     path.write_text(json.dumps(povm.povm_to_json(povm.ideal_qubit_povm())))
@@ -197,3 +207,34 @@ def test_global_tolerance_env(ideal_file, tmp_path, monkeypatch):
 def test_bad_tolerance_env(ideal_file, monkeypatch):
     monkeypatch.setenv("SQUASHKIT_TOL", "banana")
     assert main(["squash", "find", "--povm", str(ideal_file)]) == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON value {name}")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["detector", "--N", "200"], 0),
+        (["detector", "--N", "300"], 2),
+        (["detector", "--N", "20,20"], 2),
+        (["squash", "find", "--povm", "{big}"], 2),
+        (["squash", "find", "--povm", "{ideal}", "--max-iter", "0"], 2),
+        (["squash", "find", "--povm", "{ideal}", "--tol", "-1"], 2),
+        (["nogo", "attack", "--povm", "{m0}", "--trials", "-5"], 2),
+        (["squash", "construct", "--sector", "2", "--k", "0"], 2),
+    ],
+)
+def test_input_range_checks(argv, expected, request, tmp_path, capsys):
+    names = {a[1:-1] for a in argv if a.startswith("{")}
+    files = {name: request.getfixturevalue(f"{name}_file") for name in names}
+    out = tmp_path / "out.json"
+    argv = [a.format(**files) for a in argv] + ["--out", str(out)]
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if expected == 0:
+        json.loads(out.read_text(), parse_constant=_reject_constant)
+    else:
+        assert err.startswith("squashkit: ") and not out.exists()

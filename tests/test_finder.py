@@ -5,6 +5,8 @@ from squashkit import builder, finder, fock, linalg, povm
 from squashkit.errors import NotPsd, NotTracePreserving
 from squashkit.nogo import counterexample_m0
 
+from helpers import random_hermitian
+
 
 def theorem1_squash(photons):
     model = fock.build_detector(fock.fock_sector(photons))
@@ -82,15 +84,27 @@ def test_choi_extraction_guards():
 def test_projections_idempotent():
     rng = np.random.default_rng(21)
     p = povm.ideal_qubit_povm()
-    m_z = p.element("z", 0) - p.element("z", 1)
-    m_x = p.element("x", 0) - p.element("x", 1)
-    constraints = finder.AffineConstraints(2, m_z, m_x)
+    m_z, m_x = p.difference("z"), p.difference("x")
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     herm = (x + x.conj().T) / 2
-    once = constraints.project(herm)
-    assert linalg.frob(constraints.project(once) - once) <= 1e-10
+    once = finder.project_affine(herm, m_z, m_x)
+    assert linalg.frob(finder.project_affine(once, m_z, m_x) - once) <= 1e-10
     psd_once = finder.project_psd(herm)
     assert linalg.frob(finder.project_psd(psd_once) - psd_once) <= 1e-10
+
+
+@pytest.mark.parametrize("photons", [(1,), (2,), (2, 1), (2, 2)])
+def test_project_affine_is_orthogonal_projection(photons):
+    p = fock.build_detector(fock.fock_sector(photons)).povm
+    m_z, m_x = p.difference("z"), p.difference("x")
+    rng = np.random.default_rng(sum(photons))
+    j, k = (random_hermitian(2 * p.dim, rng) for _ in range(2))
+    pj = finder.project_affine(j, m_z, m_x)
+    pk = finder.project_affine(k, m_z, m_x)
+    assert finder.affine_residual(finder.ChoiMatrix(d=p.dim, j=pj), p) <= 1e-12
+    assert linalg.frob(pj - linalg.dagger(pj)) <= 1e-12
+    # the displacement is normal to every direction inside the affine set
+    assert abs(np.vdot(j - pj, pk - pj).real) <= 1e-10 * linalg.frob(j) * linalg.frob(k)
 
 
 def test_witness_on_m0():

@@ -1,7 +1,8 @@
 """Command-line surface: batch workflows over JSON files.
 
 Exit codes: 0 success, 1 negative scientific verdict (no squash, or a map
-failed verification), 2 malformed input, 3 feasibility undecided.
+failed verification), 2 malformed input or a failed internal self-check,
+3 feasibility undecided.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ import argparse
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 
 from . import builder, finder, fock, groups, linalg, nogo, povm
 from .errors import ConstructionError, SquashkitError, TildeNotVerified
@@ -65,7 +66,9 @@ def _write_json(obj: dict, out: str | None) -> None:
         return
     directory = os.path.dirname(os.path.abspath(out))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # mode 0o666 under O_EXCL lets the umask set the permissions, as open() does
+    tmp = os.path.join(directory, f".squashkit-{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

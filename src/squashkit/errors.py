@@ -69,6 +69,10 @@ class TildeNotVerified(SquashkitError):
     pass
 
 
+class SelfCheckFailed(SquashkitError):
+    """An engine's independent recheck of its own result did not hold."""
+
+
 class ConstructionError(SquashkitError):
     """Failure inside the analytic construction pipeline, tagged with the stage."""
 

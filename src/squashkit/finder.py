@@ -8,6 +8,10 @@ the form Tr(J * (E_ij x P)) = target with P one of identity, sigma_z,
 sigma_x. Feasibility is then the intersection of that affine set with the
 positive semidefinite cone, searched by alternating projections.
 
+The constraints pin every 2x2 block's identity, sigma_z and sigma_x components, so
+the search builds that pinned part once and each step costs one ``eigh``
+plus a copy of it carrying the iterate's free sigma_y components.
+
 A cheap necessary condition runs first: the output Bloch vector of a qubit
 has norm at most one, so max over angles of the top eigenvalue of
 cos(t) M_z + sin(t) M_x above one certifies that no squash exists.
@@ -21,9 +25,11 @@ import numpy as np
 
 from . import linalg, povm
 from .builder import SquashMap, verify_squash
-from .errors import NotPsd, NotTracePreserving
+from .errors import NotPsd, NotTracePreserving, SelfCheckFailed
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+#: Angles per batched eigensolve in the witness grid scan.
+WITNESS_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,21 @@ def squash_from_choi(c: ChoiMatrix, psd_tol: float = 1e-8, tp_tol: float = 1e-6)
 # ---------------------------------------------------------------------------
 # Affine constraint set
 
+def _affine_pinned(m_z: np.ndarray, m_x: np.ndarray) -> np.ndarray:
+    """The pinned part (1^T x 1 + M_z^T x sigma_z + M_x^T x sigma_x) / 2."""
+    eye = np.eye(2 * m_z.shape[0], dtype=complex)
+    return 0.5 * (eye + linalg.kron(m_z.T, linalg.PAULI_Z) + linalg.kron(m_x.T, linalg.PAULI_X))
+
+
+def _with_sigma_y(pinned: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Pinned part plus Y^T x sigma_y / 2, with Y^T[a, b] = Tr(J_ab sigma_y) read off ``j``."""
+    y_t = 1j * (j[0::2, 1::2] - j[1::2, 0::2])
+    out = pinned.copy()
+    out[0::2, 1::2] += -0.5j * y_t
+    out[1::2, 0::2] += 0.5j * y_t
+    return out
+
+
 def project_affine(j: np.ndarray, m_z: np.ndarray, m_x: np.ndarray) -> np.ndarray:
     """Nearest Hermitian matrix, in Frobenius norm, on the affine constraint set.
 
@@ -93,22 +114,15 @@ def project_affine(j: np.ndarray, m_z: np.ndarray, m_x: np.ndarray) -> np.ndarra
     component Tr(J_ab sigma_y) = Y^T[a, b] is free. The projection keeps
     that component and rebuilds the rest.
     """
-    d = m_z.shape[0]
-    y_t = np.einsum("apbq,qp->ab", j.reshape(d, 2, d, 2), linalg.PAULI_Y)
-    return 0.5 * (
-        np.eye(2 * d, dtype=complex)
-        + linalg.kron(m_z.T, linalg.PAULI_Z)
-        + linalg.kron(m_x.T, linalg.PAULI_X)
-        + linalg.kron(y_t, linalg.PAULI_Y)
-    )
+    return _with_sigma_y(_affine_pinned(m_z, m_x), j)
 
 
 def project_psd(j: np.ndarray) -> np.ndarray:
     """Nearest positive semidefinite matrix in Frobenius norm."""
-    sym = (j + linalg.dagger(j)) / 2.0
-    eig = linalg.hermitian_eig(sym)
-    clipped = np.clip(eig.eigenvalues, 0.0, None)
-    return (eig.eigenvectors * clipped) @ linalg.dagger(eig.eigenvectors)
+    m = linalg.as_matrix(j)
+    # (m + m+) / 2 is exactly Hermitian, so it goes to LAPACK unchecked
+    values, vectors = np.linalg.eigh((m + linalg.dagger(m)) / 2.0)
+    return (vectors * np.clip(values, 0.0, None)) @ linalg.dagger(vectors)
 
 
 def affine_residual(c: ChoiMatrix, p: povm.Bb84Povm) -> float:
@@ -132,6 +146,17 @@ def _top_eigenpair(m: np.ndarray):
     return float(eig.eigenvalues[-1]), eig.eigenvectors[:, -1]
 
 
+def _grid_tops(mz: np.ndarray, mx: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of cos(t) M_z + sin(t) M_x at each angle t, one chunk at a time."""
+    pair = np.stack([mz, mx])
+    directions = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    # each (chunk, d, d) stack is a temporary, freed before the next is built
+    return np.concatenate([
+        np.linalg.eigvalsh(np.tensordot(directions[k:k + WITNESS_CHUNK], pair, axes=1))[:, -1]
+        for k in range(0, len(thetas), WITNESS_CHUNK)
+    ])
+
+
 def bloch_witness(
     m_z: povm.Observable, m_x: povm.Observable, grid: int = 720
 ) -> BlochWitness:
@@ -150,9 +175,7 @@ def bloch_witness(
         return _top_eigenpair(np.cos(theta) * mz + np.sin(theta) * mx)[0]
 
     thetas = 2.0 * np.pi * np.arange(grid) / grid
-    # one batched solve; tensordot builds the (grid, d, d) stack as its only temporary
-    directions = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    values = np.linalg.eigvalsh(np.tensordot(directions, np.stack([mz, mx]), axes=1))[:, -1]
+    values = _grid_tops(mz, mx, thetas)
     best = values.max()
     # earliest near-tie keeps the reported angle deterministic
     pick = int(np.nonzero(values >= best - 1e-9 * max(1.0, abs(best)))[0][0])
@@ -202,30 +225,29 @@ def find_squash(
     iteration budget runs out (UNDECIDED).
     """
     m_z, m_x = p.difference("z"), p.difference("x")
-    witness = bloch_witness(
-        povm.Observable("z", m_z), povm.Observable("x", m_x)
-    )
+    witness = bloch_witness(povm.Observable("z", m_z), povm.Observable("x", m_x))
     if witness.value > 1.0 + 1e-9:
         check = np.trace(
             witness.state @ (np.cos(witness.theta) * m_z + np.sin(witness.theta) * m_x)
         ).real
         if check <= 1.0 + 1e-9:
-            raise RuntimeError("witness value failed its independent recomputation")
+            raise SelfCheckFailed("witness value failed its independent recomputation")
         return FeasibilityReport(
             verdict="INFEASIBLE", squash=None, witness=witness, gap=0.0, iterations=0
         )
 
-    j = project_affine(np.eye(2 * p.dim, dtype=complex) / 2.0, m_z, m_x)
+    pinned = _affine_pinned(m_z, m_x)
+    j = _with_sigma_y(pinned, np.eye(2 * p.dim, dtype=complex) / 2.0)
     gap = float("inf")
     for iteration in range(1, max_iter + 1):
         psd = project_psd(j)
-        j = project_affine(psd, m_z, m_x)
+        j = _with_sigma_y(pinned, psd)
         gap = linalg.frob(j - psd)
         if gap <= tol:
             squash = squash_from_choi(ChoiMatrix(d=p.dim, j=j))
             report = verify_squash(squash, p, tol=1e-6)
             if not report.passed:
-                raise RuntimeError(
+                raise SelfCheckFailed(
                     "converged Choi matrix produced a map that fails verification"
                 )
             return FeasibilityReport(

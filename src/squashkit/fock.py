@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import comb, prod, sqrt
 
 import numpy as np
 
@@ -70,10 +70,7 @@ def state_nrb(sector: FockSector, r: str, b: int) -> np.ndarray:
         v[sector.index(target)] = 1.0
         return v
     for idx, cfg in enumerate(sector.basis):
-        amp = 1.0
-        for n, j in zip(sector.photons, cfg):
-            amp *= _x_mode_amplitude(n, j, b)
-        v[idx] = amp
+        v[idx] = prod(_x_mode_amplitude(n, j, b) for n, j in zip(sector.photons, cfg))
     return v / np.linalg.norm(v)
 
 

@@ -58,13 +58,10 @@ def make_group(cayley, identity: int | None = None) -> FiniteGroup:
         for b in range(n):
             if not np.array_equal(table[table[a, b]], table[a][table[b]]):
                 raise InvalidGroup(f"associativity fails at pair ({a}, {b})")
-    ident = None
-    for e in range(n):
-        if np.array_equal(table[e], full) and np.array_equal(table[:, e], full):
-            ident = e
-            break
-    if ident is None:
+    neutral = [e for e in range(n) if np.array_equal(table[e], full)]
+    if not neutral or not np.array_equal(table[:, neutral[0]], full):
         raise InvalidGroup("no identity element")
+    ident = neutral[0]
     if identity is not None and identity != ident:
         raise InvalidGroup(f"declared identity {identity} but found {ident}")
     return FiniteGroup(order=n, cayley=table, identity=ident)
@@ -131,14 +128,9 @@ def c2_basis_swap_action() -> LabelAction:
 
 def regular_representation(group: FiniteGroup) -> dict:
     """Permutation matrices R(g) with R(g)|h> = |gh>, exact 0/1 entries."""
-    reps = {}
-    n = group.order
-    for g in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        for h in range(n):
-            m[group.mult(g, h), h] = 1.0
-        reps[g] = m
-    return reps
+    eye = np.eye(group.order, dtype=complex)
+    # column h of R(g) is the basis vector |gh>
+    return {g: eye[:, group.cayley[g]] for g in range(group.order)}
 
 
 @dataclass(frozen=True)
@@ -195,11 +187,10 @@ def phase_normalize(sym: C4Symmetry) -> C4Symmetry:
 
     Conjugation relations are untouched: A -> U A U+ is blind to global
     phases. When U^4 is not scalar the symmetry is returned unchanged.
+    Unitarity was checked when ``sym`` was built.
     """
     u = linalg.as_matrix(sym.u)
     d = u.shape[0]
-    if linalg.frob(linalg.dagger(u) @ u - np.eye(d)) > 1e-9:
-        raise NotUnitary("U is not unitary within 1e-9")
     u4 = np.linalg.matrix_power(u, 4)
     eta = np.trace(u4) / d
     if linalg.frob(u4 - eta * np.eye(d)) > 1e-8:
@@ -222,11 +213,9 @@ def c4_eigenprojectors(sym: C4Symmetry) -> list:
     powers = [np.eye(d, dtype=complex)]
     for _ in range(3):
         powers.append(powers[-1] @ u)
-    projectors = []
-    for c in range(4):
-        coeff = [(-1j) ** ((c * j) % 4) for j in range(4)]
-        projectors.append(sum(co * pw for co, pw in zip(coeff, powers)) / 4.0)
-    return projectors
+    return [
+        sum((-1j) ** ((c * j) % 4) * pw for j, pw in enumerate(powers)) / 4.0 for c in range(4)
+    ]
 
 
 def check_definition2(

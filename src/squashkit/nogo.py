@@ -16,7 +16,7 @@ import numpy as np
 
 from . import groups, linalg, povm
 from .builder import SquashMap, verify_squash
-from .errors import DimensionMismatch, TildeNotVerified
+from .errors import DimensionMismatch, InvalidPovm, SelfCheckFailed, TildeNotVerified
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,10 @@ def symmetrize(
     eye = np.eye(p.dim, dtype=complex)
     rep = {g: linalg.kron(eye, regular[g]) for g in range(n)}
     if not povm.validate(tilde).passed:
-        raise DimensionMismatch("symmetrized set fails POVM validation")
+        raise InvalidPovm("symmetrized set fails POVM validation")
     report = groups.check_definition2(rep, action, tilde, tol=1e-9)
     if not report.passed:
-        raise DimensionMismatch(
+        raise SelfCheckFailed(
             f"symmetrized set is not group-symmetric, residual {report.max_residual}"
         )
     return SymmetrizedPovm(base=p, group=group, action=action, tilde=tilde, rep=rep)
@@ -105,6 +105,10 @@ def counterexample_m0() -> povm.Bb84Povm:
     return povm.make_povm({"z0": plus, "z1": minus, "x0": plus, "x1": minus})
 
 
+#: Attack rounds drawn per block; a fixed block keeps memory flat in ``trials``.
+ATTACK_BLOCK = 1 << 14
+
+
 @dataclass(frozen=True)
 class AttackResult:
     qber: float
@@ -123,14 +127,15 @@ def bbm92_attack(p: povm.Bb84Povm, trials: int, seed: int = 0) -> AttackResult:
 
     Alice measures the ideal qubit set, Bob measures ``p``; only z-basis
     rounds are kept. Eve picks each round's bit, so her accuracy is the
-    fraction of rounds where the sifted key equals her choice.
+    fraction of rounds where the sifted key equals her choice. Rounds are
+    sampled as arrays, one block of ``ATTACK_BLOCK`` at a time.
     """
     if p.dim != 2:
         raise DimensionMismatch(f"attack needs a qubit POVM, got dim {p.dim}")
     alice = povm.ideal_qubit_povm()
     basis_states = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-    p_alice0 = [povm.outcome_probability(rho, alice, "z", 0) for rho in basis_states]
-    p_bob0 = [povm.outcome_probability(rho, p, "z", 0) for rho in basis_states]
+    p_alice0 = np.array([povm.outcome_probability(rho, alice, "z", 0) for rho in basis_states])
+    p_bob0 = np.array([povm.outcome_probability(rho, p, "z", 0) for rho in basis_states])
 
     analytic_qber = 0.5 * sum(
         p_alice0[b] * (1.0 - p_bob0[b]) + (1.0 - p_alice0[b]) * p_bob0[b]
@@ -141,22 +146,17 @@ def bbm92_attack(p: povm.Bb84Povm, trials: int, seed: int = 0) -> AttackResult:
     rng = np.random.default_rng(seed)
     errors = 0
     eve_hits = 0
-    for _ in range(trials):
-        b = int(rng.integers(0, 2))
-        a_out = 0 if rng.random() < p_alice0[b] else 1
-        b_out = 0 if rng.random() < p_bob0[b] else 1
-        if a_out != b_out:
-            errors += 1
-        if a_out == b:
-            eve_hits += 1
-    if trials == 0:
-        qber, eve_accuracy = 0.0, 1.0
-    else:
-        qber = errors / trials
-        eve_accuracy = eve_hits / trials
+    for start in range(0, trials, ATTACK_BLOCK):
+        n = min(ATTACK_BLOCK, trials - start)
+        bits = rng.integers(0, 2, size=n)
+        # an outcome is 1 (True) where the uniform draw lands at or above P(0)
+        a_out = rng.random(n) >= p_alice0[bits]
+        b_out = rng.random(n) >= p_bob0[bits]
+        errors += int(np.count_nonzero(a_out != b_out))
+        eve_hits += int(np.count_nonzero(a_out == bits))
     return AttackResult(
-        qber=qber,
-        eve_accuracy=eve_accuracy,
+        qber=errors / trials if trials else 0.0,
+        eve_accuracy=eve_hits / trials if trials else 1.0,
         trials=trials,
         analytic_qber=float(analytic_qber),
         analytic_eve_accuracy=float(analytic_eve),

@@ -81,23 +81,13 @@ class ValidationReport:
 def validate(p: Bb84Povm, tol: float = 1e-9) -> ValidationReport:
     """Check positivity of every element and per-basis completeness."""
     margins = {}
-    residuals = {}
-    ok = True
-    eye = np.eye(p.dim, dtype=complex)
     for key in LABELS:
         m = p.elements[key]
-        if not linalg.is_hermitian(m):
-            margins[key] = float("-inf")
-            ok = False
-            continue
-        margins[key] = linalg.min_eigenvalue((m + linalg.dagger(m)) / 2)
-        if margins[key] < -tol:
-            ok = False
-    for r in ("z", "x"):
-        res = linalg.frob(p.element(r, 0) + p.element(r, 1) - eye)
-        residuals[r] = res
-        if res > tol:
-            ok = False
+        hermitian = linalg.is_hermitian(m)
+        margins[key] = linalg.min_eigenvalue((m + linalg.dagger(m)) / 2) if hermitian else -np.inf
+    eye = np.eye(p.dim, dtype=complex)
+    residuals = {r: linalg.frob(p.element(r, 0) + p.element(r, 1) - eye) for r in ("z", "x")}
+    ok = min(margins.values()) >= -tol and max(residuals.values()) <= tol
     return ValidationReport(
         psd_margins=margins, completeness_residuals=residuals, tol=tol, passed=ok
     )
@@ -135,16 +125,10 @@ def outcome_probability(
 ) -> float:
     """Born-rule probability Tr(rho * M_(r,b)), clamped to [0, 1] near the edges."""
     m = _require_state(rho, p.dim, tol)
-    prob = np.trace(m @ p.element(r, b)).real
-    if prob < 0.0:
-        if prob < -tol:
-            raise NotAState(f"probability {prob} outside [0,1] beyond tolerance")
-        prob = 0.0
-    if prob > 1.0:
-        if prob > 1.0 + tol:
-            raise NotAState(f"probability {prob} outside [0,1] beyond tolerance")
-        prob = 1.0
-    return float(prob)
+    prob = float(np.trace(m @ p.element(r, b)).real)
+    if prob < -tol or prob > 1.0 + tol:
+        raise NotAState(f"probability {prob} outside [0,1] beyond tolerance")
+    return min(max(prob, 0.0), 1.0)
 
 
 def povm_to_json(p: Bb84Povm) -> dict:

@@ -1,9 +1,12 @@
 import json
+import os
+import stat
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from squashkit import builder, povm
+from squashkit import builder, finder, povm
 from squashkit.cli import main
 
 
@@ -238,3 +241,23 @@ def test_input_range_checks(argv, expected, request, tmp_path, capsys):
         json.loads(out.read_text(), parse_constant=_reject_constant)
     else:
         assert err.startswith("squashkit: ") and not out.exists()
+
+
+def test_out_file_mode_follows_umask(tmp_path):
+    out = tmp_path / "det.json"
+    old = os.umask(0o022)
+    try:
+        assert main(["detector", "--N", "1", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
+    assert [p.name for p in tmp_path.iterdir()] == ["det.json"]
+
+
+def test_self_check_failure_is_a_one_line_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(finder, "verify_squash", lambda *a, **k: SimpleNamespace(passed=False))
+    out = tmp_path / "report.json"
+    assert main(["squash", "find", "--sector", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("squashkit: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()

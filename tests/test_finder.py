@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,53 @@ def test_projections_idempotent():
     assert linalg.frob(finder.project_psd(psd_once) - psd_once) <= 1e-10
 
 
+def _einsum_project_affine(j, m_z, m_x):
+    """Affine projection as first written: an einsum sigma_y read and three krons."""
+    d = m_z.shape[0]
+    y_t = np.einsum("apbq,qp->ab", j.reshape(d, 2, d, 2), linalg.PAULI_Y)
+    return 0.5 * (
+        np.eye(2 * d, dtype=complex)
+        + linalg.kron(m_z.T, linalg.PAULI_Z)
+        + linalg.kron(m_x.T, linalg.PAULI_X)
+        + linalg.kron(y_t, linalg.PAULI_Y)
+    )
+
+
+def _checked_project_psd(j):
+    """PSD projection through the checked eigensolver on the symmetrized iterate."""
+    eig = linalg.hermitian_eig((j + linalg.dagger(j)) / 2.0)
+    clipped = np.clip(eig.eigenvalues, 0.0, None)
+    return (eig.eigenvectors * clipped) @ linalg.dagger(eig.eigenvectors)
+
+
+@pytest.mark.parametrize("photons", [(1,), (2,), (2, 1)])
+def test_find_squash_iterates_match_reference_loop(photons):
+    p = fock.build_detector(fock.fock_sector(photons)).povm
+    m_z, m_x = p.difference("z"), p.difference("x")
+    j = _einsum_project_affine(np.eye(2 * p.dim, dtype=complex) / 2.0, m_z, m_x)
+    for iteration in range(1, 20001):
+        psd = _checked_project_psd(j)
+        j = _einsum_project_affine(psd, m_z, m_x)
+        gap = linalg.frob(j - psd)
+        if gap <= 1e-8:
+            break
+    report = finder.find_squash(p)
+    assert report.verdict == "FEASIBLE"
+    assert report.iterations == iteration
+    assert report.gap == gap
+
+
+@pytest.mark.parametrize("photons", [(1,), (2, 1), (2, 2)])
+def test_project_affine_matches_reference_bitwise(photons):
+    p = fock.build_detector(fock.fock_sector(photons)).povm
+    m_z, m_x = p.difference("z"), p.difference("x")
+    rng = np.random.default_rng(len(photons))
+    j = random_hermitian(2 * p.dim, rng)
+    assert np.array_equal(
+        finder.project_affine(j, m_z, m_x), _einsum_project_affine(j, m_z, m_x)
+    )
+
+
 @pytest.mark.parametrize("photons", [(1,), (2,), (2, 1), (2, 2)])
 def test_project_affine_is_orthogonal_projection(photons):
     p = fock.build_detector(fock.fock_sector(photons)).povm
@@ -128,6 +177,31 @@ def test_witness_small_sectors_within_unit_ball():
         model = fock.build_detector(sector)
         witness = finder.bloch_witness(model.m_z, model.m_x)
         assert witness.value <= 1.0 + 1e-9
+
+
+def test_witness_grid_scan_matches_one_shot_stack():
+    rng = np.random.default_rng(5)
+    d = 17
+    mz, mx = random_hermitian(d, rng), random_hermitian(d, rng)
+    thetas = 2.0 * np.pi * np.arange(720) / 720
+    assert len(thetas) > 3 * finder.WITNESS_CHUNK
+    directions = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    stack = np.tensordot(directions, np.stack([mz, mx]), axes=1)
+    reference = np.linalg.eigvalsh(stack)[:, -1]
+    assert np.array_equal(finder._grid_tops(mz, mx, thetas), reference)
+
+
+def test_witness_memory_is_flat_in_the_grid():
+    rng = np.random.default_rng(6)
+    obs = [povm.Observable(r, random_hermitian(64, rng)) for r in ("z", "x")]
+    tracemalloc.start()
+    try:
+        finder.bloch_witness(*obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 720-angle stack at d = 64 would be 47 MB
+    assert peak < 8e6
 
 
 def test_witness_needs_a_grid():

@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from squashkit import builder, finder, fock, groups, linalg, nogo, povm
-from squashkit.errors import DimensionMismatch, TildeNotVerified
+from squashkit.errors import DimensionMismatch, InvalidPovm, SelfCheckFailed, TildeNotVerified
 
 
 def c4_setup(p):
@@ -157,8 +159,8 @@ def test_attack_requires_qubit_povm():
         nogo.bbm92_attack(p, trials=10, seed=0)
 
 
-def test_attack_is_seed_reproducible():
-    noisy = povm.make_povm(
+def noisy_qubit_set():
+    return povm.make_povm(
         {
             "z0": np.diag([0.9, 0.2]).astype(complex),
             "z1": np.diag([0.1, 0.8]).astype(complex),
@@ -166,10 +168,39 @@ def test_attack_is_seed_reproducible():
             "x1": np.eye(2, dtype=complex) / 2,
         }
     )
+
+
+def test_attack_is_seed_reproducible():
+    noisy = noisy_qubit_set()
     first = nogo.bbm92_attack(noisy, trials=5000, seed=42)
     second = nogo.bbm92_attack(noisy, trials=5000, seed=42)
     assert first == second
     assert 0.0 < first.qber < 1.0
+
+
+@pytest.mark.parametrize("trials", [1000, nogo.ATTACK_BLOCK + 1, 100000])
+def test_attack_samples_match_analytic_qber(trials):
+    result = nogo.bbm92_attack(noisy_qubit_set(), trials=trials, seed=5)
+    q = result.analytic_qber
+    assert q == pytest.approx(0.15, abs=1e-12)
+    assert abs(result.qber - q) <= 5.0 * np.sqrt(q * (1.0 - q) / trials)
+    assert result.eve_accuracy == 1.0  # Alice's ideal z measurement always returns Eve's bit
+
+
+def test_symmetrize_reports_invalid_povm(monkeypatch):
+    monkeypatch.setattr(nogo.povm, "validate", lambda p: SimpleNamespace(passed=False))
+    with pytest.raises(InvalidPovm):
+        c4_setup(nogo.counterexample_m0())
+
+
+def test_symmetrize_reports_failed_symmetry_check(monkeypatch):
+    monkeypatch.setattr(
+        nogo.groups,
+        "check_definition2",
+        lambda *args, **kwargs: SimpleNamespace(passed=False, max_residual=1.0),
+    )
+    with pytest.raises(SelfCheckFailed):
+        c4_setup(nogo.counterexample_m0())
 
 
 def test_symmetrize_then_find_then_pull_back():

@@ -22,7 +22,6 @@ from .builder import (
 )
 from .finder import (
     BlochWitness,
-    ChoiMatrix,
     FeasibilityReport,
     bloch_witness,
     choi_from_squash,
@@ -62,6 +61,6 @@ from .nogo import (
     symmetrize,
     verify_trace_identity,
 )
-from .povm import Bb84Povm, Observable, ideal_qubit_povm, make_povm, observable, outcome_probability, validate
+from .povm import Bb84Povm, ideal_qubit_povm, make_povm, outcome_probability, validate
 
 __version__ = "0.1.0"

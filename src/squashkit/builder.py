@@ -20,8 +20,8 @@ from .errors import (
     ConstructionError,
     DeficiencyNotPsd,
     DimensionMismatch,
+    InvalidPovm,
     InvalidSquash,
-    KNotOne,
     RankNotTwo,
     SpectrumAsymmetric,
     SquashkitError,
@@ -73,14 +73,12 @@ class MuDecomposition:
     mu: np.ndarray  # four nonnegative weights
 
 
-def extract_rank2(
-    m_z: povm.Observable, sym: groups.C4Symmetry, tol: float = 1e-9
-) -> tuple:
+def extract_rank2(m_z: np.ndarray, sym: groups.C4Symmetry, tol: float = 1e-9) -> tuple:
     """Largest eigenvalue and eigenvector of a rank-two +/-lambda observable."""
-    mat = m_z.matrix
-    if linalg.rank_tol(mat) != 2:
-        raise RankNotTwo(f"observable rank is {linalg.rank_tol(mat)}, need 2")
-    eig = linalg.hermitian_eig(mat)
+    rank = linalg.rank_tol(m_z)
+    if rank != 2:
+        raise RankNotTwo(f"observable rank is {rank}, need 2")
+    eig = linalg.hermitian_eig(m_z)
     lam = float(eig.eigenvalues[-1])
     if not 0.0 < lam <= 1.0 + tol:
         raise SpectrumAsymmetric(f"leading eigenvalue {lam} outside (0, 1]")
@@ -91,7 +89,7 @@ def extract_rank2(
     v = eig.eigenvectors[:, -1]
     u2 = sym.u @ sym.u
     flipped = u2 @ np.outer(v, v.conj()) @ linalg.dagger(u2)
-    residual = linalg.frob(mat - lam * (np.outer(v, v.conj()) - flipped))
+    residual = linalg.frob(m_z - lam * (np.outer(v, v.conj()) - flipped))
     if residual > tol:
         raise SpectrumAsymmetric(
             f"rank-two reconstruction residual {residual} exceeds {tol}"
@@ -170,23 +168,25 @@ def construct_theorem1(
 ) -> SquashMap:
     """Full analytic pipeline; raises ConstructionError tagged with the stage."""
     try:
-        sym = groups.phase_normalize(sym)
+        normalized = groups.phase_normalize(sym)
     except SquashkitError as exc:
         raise ConstructionError("phase-normalize", str(exc)) from exc
-    if sym.k != 1:
+    if normalized is sym:  # returned unchanged: U^4 is not scalar
         raise ConstructionError(
             "phase-normalize",
             "U^4 is not scalar, so the order cannot be reduced to one; "
             "use the feasibility finder for this input",
         )
+    sym = normalized
     report = groups.check_definition1(sym, p, tol)
     if not report.passed:
         raise ConstructionError(
             "symmetry", f"four-cycle relations fail, max residual {report.max_residual}"
         )
     try:
-        m_z = povm.observable(p, "z", tol)
-        lam, v = extract_rank2(m_z, sym, tol)
+        if not povm.validate(p, tol).passed:
+            raise InvalidPovm(f"measurement set fails validation at tol={tol}")
+        lam, v = extract_rank2(p.difference("z"), sym, tol)
         dec = mu_decompose(v, sym, lam, tol)
     except SquashkitError as exc:
         raise ConstructionError("rank-extraction", str(exc)) from exc

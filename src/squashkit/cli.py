@@ -51,7 +51,7 @@ def _env_tol(default: float) -> float:
 
 def _check_ranges(args) -> None:
     """Reject out-of-range numeric flags before any work starts."""
-    for name, low in (("max_iter", 1), ("k", 1), ("trials", 0)):
+    for name, low in (("max_iter", 1), ("trials", 0)):
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise SquashkitError(f"--{name.replace('_', '-')} must be at least {low}")
@@ -152,7 +152,7 @@ def _squash_inputs(args):
     sym = None
     if args.unitary is not None:
         u = linalg.matrix_from_json(_load_json(args.unitary))
-        sym = groups.C4Symmetry(u=u, k=args.k)
+        sym = groups.C4Symmetry(u=u)
     return p, sym
 
 
@@ -219,8 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     squ.add_argument("mode", choices=["construct", "find"])
     squ.add_argument("--sector", help="photon numbers per mode, e.g. 2 or 2,1")
     squ.add_argument("--povm", help="measurement-set JSON file")
-    squ.add_argument("--unitary", help="cycling-unitary JSON file (construct mode)")
-    squ.add_argument("--k", type=int, default=1, help="order divisor, U^(4k) = identity")
+    squ.add_argument(
+        "--unitary", help="cycling-unitary JSON file, any global phase (construct mode)"
+    )
     squ.add_argument("--tol", type=float)
     squ.add_argument("--max-iter", type=int, default=20000)
     squ.add_argument("--out")

@@ -32,12 +32,6 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 WITNESS_CHUNK = 64
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
-    d: int  # input dimension; the matrix lives on dimension 2d
-    j: np.ndarray
-
-
 def _vec(f: np.ndarray) -> np.ndarray:
     # column stacking: entry (a, b) of a 2 x d matrix lands at index b*2 + a
     return f.T.reshape(-1)
@@ -47,15 +41,16 @@ def _unvec(v: np.ndarray, d: int) -> np.ndarray:
     return v.reshape(d, 2).T
 
 
-def choi_from_squash(f: SquashMap) -> ChoiMatrix:
+def choi_from_squash(f: SquashMap) -> np.ndarray:
+    """Choi matrix of a map to a qubit; it lives on dimension 2 * in_dim."""
     j = np.zeros((2 * f.in_dim, 2 * f.in_dim), dtype=complex)
     for k in f.kraus:
         vk = _vec(k)
         j += np.outer(vk, vk.conj())
-    return ChoiMatrix(d=f.in_dim, j=j)
+    return j
 
 
-def squash_from_choi(c: ChoiMatrix, psd_tol: float = 1e-8, tp_tol: float = 1e-6) -> SquashMap:
+def squash_from_choi(j: np.ndarray, psd_tol: float = 1e-8, tp_tol: float = 1e-6) -> SquashMap:
     """Kraus operators from the spectral decomposition of a Choi matrix.
 
     Eigenvalue clipping can leave the recovered family preserving trace only
@@ -64,18 +59,19 @@ def squash_from_choi(c: ChoiMatrix, psd_tol: float = 1e-8, tp_tol: float = 1e-6)
     the inverse square root of its sum; that keeps trace preservation exact
     and moves the channel by at most the marginal defect.
     """
-    eig = linalg.hermitian_eig(c.j)
+    d = j.shape[0] // 2  # an odd dimension fails in partial_trace
+    eig = linalg.hermitian_eig(j)
     if eig.eigenvalues[0] < -psd_tol:
         raise NotPsd(f"Choi matrix has eigenvalue {eig.eigenvalues[0]}")
-    marginal = linalg.partial_trace(c.j, (c.d, 2), keep="first")
-    if linalg.frob(marginal - np.eye(c.d)) > tp_tol:
+    marginal = linalg.partial_trace(j, (d, 2), keep="first")
+    if linalg.frob(marginal - np.eye(d)) > tp_tol:
         raise NotTracePreserving("input marginal of the Choi matrix is not the identity")
     kraus = []
     for lam, u in zip(eig.eigenvalues, eig.eigenvectors.T):
         if lam >= 1e-10:
-            kraus.append(np.sqrt(lam) * _unvec(u, c.d))
+            kraus.append(np.sqrt(lam) * _unvec(u, d))
     total = sum(linalg.dagger(f) @ f for f in kraus)
-    if linalg.frob(total - np.eye(c.d)) > 1e-10:
+    if linalg.frob(total - np.eye(d)) > 1e-10:
         teig = linalg.hermitian_eig(total)
         if teig.eigenvalues[0] <= 0.0:
             raise NotTracePreserving("Kraus sum is singular; cannot renormalize")
@@ -83,7 +79,7 @@ def squash_from_choi(c: ChoiMatrix, psd_tol: float = 1e-8, tp_tol: float = 1e-6)
             teig.eigenvectors
         )
         kraus = [f @ inv_root for f in kraus]
-    return SquashMap(in_dim=c.d, kraus=tuple(kraus))
+    return SquashMap(in_dim=d, kraus=tuple(kraus))
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +121,9 @@ def project_psd(j: np.ndarray) -> np.ndarray:
     return (vectors * np.clip(values, 0.0, None)) @ linalg.dagger(vectors)
 
 
-def affine_residual(c: ChoiMatrix, p: povm.Bb84Povm) -> float:
+def affine_residual(j: np.ndarray, p: povm.Bb84Povm) -> float:
     """Distance of a Choi matrix from the constraint set of a measurement set."""
-    m_z, m_x = p.difference("z"), p.difference("x")
-    return linalg.frob(project_affine(c.j, m_z, m_x) - c.j)
+    return linalg.frob(project_affine(j, p.difference("z"), p.difference("x")) - j)
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +143,17 @@ def _top_eigenpair(m: np.ndarray):
 
 def _grid_tops(mz: np.ndarray, mx: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Top eigenvalue of cos(t) M_z + sin(t) M_x at each angle t, one chunk at a time."""
-    pair = np.stack([mz, mx])
+    d = mz.shape[0]
+    pair = np.stack([mz, mx]).reshape(2, -1)
     directions = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     # each (chunk, d, d) stack is a temporary, freed before the next is built
     return np.concatenate([
-        np.linalg.eigvalsh(np.tensordot(directions[k:k + WITNESS_CHUNK], pair, axes=1))[:, -1]
+        np.linalg.eigvalsh(np.dot(directions[k:k + WITNESS_CHUNK], pair).reshape(-1, d, d))[:, -1]
         for k in range(0, len(thetas), WITNESS_CHUNK)
     ])
 
 
-def bloch_witness(
-    m_z: povm.Observable, m_x: povm.Observable, grid: int = 720
-) -> BlochWitness:
+def bloch_witness(m_z: np.ndarray, m_x: np.ndarray, grid: int = 720) -> BlochWitness:
     """Maximize the top eigenvalue of cos(t) M_z + sin(t) M_x over directions.
 
     Scans a uniform angle grid, takes the earliest angle attaining the
@@ -169,13 +163,12 @@ def bloch_witness(
     """
     if grid < 8:
         raise ValueError(f"grid must be at least 8, got {grid}")
-    mz, mx = m_z.matrix, m_x.matrix
 
     def top(theta: float) -> float:
-        return _top_eigenpair(np.cos(theta) * mz + np.sin(theta) * mx)[0]
+        return _top_eigenpair(np.cos(theta) * m_z + np.sin(theta) * m_x)[0]
 
     thetas = 2.0 * np.pi * np.arange(grid) / grid
-    values = _grid_tops(mz, mx, thetas)
+    values = _grid_tops(m_z, m_x, thetas)
     best = values.max()
     # earliest near-tie keeps the reported angle deterministic
     pick = int(np.nonzero(values >= best - 1e-9 * max(1.0, abs(best)))[0][0])
@@ -194,7 +187,7 @@ def bloch_witness(
             a = hi - GOLDEN * (hi - lo)
             fa = top(a)
     theta = (lo + hi) / 2.0
-    value, vector = _top_eigenpair(np.cos(theta) * mz + np.sin(theta) * mx)
+    value, vector = _top_eigenpair(np.cos(theta) * m_z + np.sin(theta) * m_x)
     return BlochWitness(
         theta=float(theta), state=np.outer(vector, vector.conj()), value=value
     )
@@ -225,7 +218,7 @@ def find_squash(
     iteration budget runs out (UNDECIDED).
     """
     m_z, m_x = p.difference("z"), p.difference("x")
-    witness = bloch_witness(povm.Observable("z", m_z), povm.Observable("x", m_x))
+    witness = bloch_witness(m_z, m_x)
     if witness.value > 1.0 + 1e-9:
         check = np.trace(
             witness.state @ (np.cos(witness.theta) * m_z + np.sin(witness.theta) * m_x)
@@ -244,7 +237,7 @@ def find_squash(
         j = _with_sigma_y(pinned, psd)
         gap = linalg.frob(j - psd)
         if gap <= tol:
-            squash = squash_from_choi(ChoiMatrix(d=p.dim, j=j))
+            squash = squash_from_choi(j)
             report = verify_squash(squash, p, tol=1e-6)
             if not report.passed:
                 raise SelfCheckFailed(

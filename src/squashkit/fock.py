@@ -21,7 +21,7 @@ from math import comb, prod, sqrt
 import numpy as np
 
 from . import groups, linalg, povm
-from .errors import InvalidSector
+from .errors import InvalidPovm, InvalidSector
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,6 @@ def state_nrb(sector: FockSector, r: str, b: int) -> np.ndarray:
 class DetectorModel:
     sector: FockSector
     povm: povm.Bb84Povm
-    m_z: povm.Observable
-    m_x: povm.Observable
     u_n: np.ndarray
     states: dict  # label -> state vector
 
@@ -98,14 +96,9 @@ def build_detector(sector: FockSector) -> DetectorModel:
         elements[f"{r}0"] = p0 + double
         elements[f"{r}1"] = p1 + double
     p = povm.make_povm(elements)
-    return DetectorModel(
-        sector=sector,
-        povm=p,
-        m_z=povm.observable(p, "z"),
-        m_x=povm.observable(p, "x"),
-        u_n=build_u_n(sector),
-        states=states,
-    )
+    if not povm.validate(p).passed:
+        raise InvalidPovm(f"detector set for sector {sector.photons} fails validation")
+    return DetectorModel(sector=sector, povm=p, u_n=build_u_n(sector), states=states)
 
 
 def _rotation_generator(sector: FockSector) -> np.ndarray:
@@ -143,9 +136,12 @@ def build_u_n(sector: FockSector) -> np.ndarray:
 
 
 def sector_symmetry(model: DetectorModel) -> groups.C4Symmetry:
-    """The four-cycle symmetry of a detector model; k follows photon parity."""
-    k = 1 if sum(model.sector.photons) % 2 == 0 else 2
-    return groups.C4Symmetry(u=model.u_n, k=k)
+    """The sector rotation U_N as the four-cycle symmetry of a detector model.
+
+    U_N^4 is -1 for an odd photon number and +1 for an even one; that global
+    phase is free, and :func:`groups.phase_normalize` divides it out.
+    """
+    return groups.C4Symmetry(u=model.u_n)
 
 
 def verify_sector_symmetry(model: DetectorModel, tol: float = 1e-9) -> groups.SymmetryReport:

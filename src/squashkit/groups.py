@@ -135,21 +135,14 @@ def regular_representation(group: FiniteGroup) -> dict:
 
 @dataclass(frozen=True)
 class C4Symmetry:
-    """A unitary U with U^(4k) = identity, cycling the four outcome labels."""
+    """A unitary cycling the four labels; its global phase is free."""
 
     u: np.ndarray
-    k: int
 
     def __post_init__(self):
         m = linalg.as_matrix(self.u)
-        d = m.shape[0]
-        if linalg.frob(linalg.dagger(m) @ m - np.eye(d)) > 1e-9:
+        if linalg.frob(linalg.dagger(m) @ m - np.eye(m.shape[0])) > 1e-9:
             raise NotUnitary("U is not unitary within 1e-9")
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
-        power = np.linalg.matrix_power(m, 4 * self.k)
-        if linalg.frob(power - np.eye(d)) > 1e-8:
-            raise NotUnitary(f"U^{4 * self.k} is not the identity within 1e-8")
 
 
 @dataclass(frozen=True)
@@ -197,14 +190,14 @@ def phase_normalize(sym: C4Symmetry) -> C4Symmetry:
         return sym
     eta = eta / abs(eta)
     root = np.exp(1j * np.angle(eta) / 4.0)  # principal fourth root
-    return C4Symmetry(u=u / root, k=1)
+    return C4Symmetry(u=u / root)
 
 
 def c4_eigenprojectors(sym: C4Symmetry) -> list:
     """Spectral projectors P_c onto the i^c eigenspaces of U, c = 0..3.
 
-    Requires U^4 = identity; run :func:`phase_normalize` first when the
-    symmetry was declared with k > 1.
+    Requires U^4 = identity; run :func:`phase_normalize` first to divide
+    out the global phase.
     """
     u = sym.u
     d = u.shape[0]

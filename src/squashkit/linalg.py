@@ -42,13 +42,6 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_RTOL) -> bool:
     return frob(a - dagger(a)) <= tol * max(1.0, frob(a))
 
 
-def _require_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
-    m = as_matrix(a)
-    if frob(m - dagger(m)) > tol * max(1.0, frob(m)):
-        raise NotHermitian(f"matrix is not Hermitian within tol={tol}")
-    return m
-
-
 @dataclass(frozen=True)
 class HermitianEig:
     """Eigenvalues ascending; eigenvectors as the columns of a unitary matrix."""
@@ -67,7 +60,9 @@ def hermitian_eig(a: np.ndarray, tol: float = DEFAULT_RTOL) -> HermitianEig:
     ------
     NotHermitian : ``a`` is not Hermitian within ``tol`` (relative Frobenius).
     """
-    m = _require_hermitian(a, tol)
+    m = as_matrix(a)
+    if not is_hermitian(m, tol):
+        raise NotHermitian(f"matrix is not Hermitian within tol={tol}")
     return HermitianEig(*np.linalg.eigh((m + dagger(m)) / 2.0))
 
 
@@ -105,10 +100,10 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray
 
 def rank_tol(a: np.ndarray, tol: float | None = None) -> int:
     """Number of eigenvalues of a Hermitian matrix with magnitude above tol."""
-    m = _require_hermitian(a, DEFAULT_RTOL)
+    m = as_matrix(a)
+    eig = hermitian_eig(m)  # raises NotHermitian
     if tol is None:
         tol = 1e-9 * max(1.0, frob(m))
-    eig = hermitian_eig(m)
     return int(np.count_nonzero(np.abs(eig.eigenvalues) > tol))
 
 
@@ -126,44 +121,37 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON wire format: {"dim": d, "entries": [[re, im], ...]} row-major.
 
+def _encode(values: np.ndarray) -> list:
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
+def _decode(entries: list, rows: int, cols: int, shape_name: str) -> np.ndarray:
+    if len(entries) != rows * cols:
+        raise DimensionMismatch(
+            f"expected {rows * cols} entries for {shape_name}, got {len(entries)}"
+        )
+    return np.array([complex(re, im) for re, im in entries], dtype=complex).reshape(rows, cols)
+
+
 def matrix_to_json(a: np.ndarray) -> dict:
     m = as_matrix(a)
-    return {
-        "dim": int(m.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.ravel()],
-    }
+    return {"dim": int(m.shape[0]), "entries": _encode(m.ravel())}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     dim = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != dim * dim:
-        raise DimensionMismatch(
-            f"expected {dim * dim} entries for dim {dim}, got {len(entries)}"
-        )
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    return as_matrix(flat.reshape(dim, dim))
+    return as_matrix(_decode(obj["entries"], dim, dim, f"dim {dim}"))
 
 
 def matrix_rect_to_json(a: np.ndarray) -> dict:
     m = np.asarray(a, dtype=complex)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.ravel()],
-    }
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": _encode(m.ravel())}
 
 
 def matrix_rect_from_json(obj: dict) -> np.ndarray:
     rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = obj["entries"]
-    if len(entries) != rows * cols:
-        raise DimensionMismatch(
-            f"expected {rows * cols} entries for {rows}x{cols}, got {len(entries)}"
-        )
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    return flat.reshape(rows, cols)
+    return _decode(obj["entries"], rows, cols, f"{rows}x{cols}")
 
 
 def vector_to_json(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+    return _encode(np.asarray(v, dtype=complex))

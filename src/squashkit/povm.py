@@ -2,7 +2,9 @@
 
 A measurement set has four elements indexed by basis r in {z, x} and bit
 b in {0, 1}, each basis pair summing to the identity. The cyclic view
-L_0..L_3 orders them as z0, x0, z1, x1.
+L_0..L_3 orders them as z0, x0, z1, x1. The observable of basis r is the
+plain matrix ``Bb84Povm.difference(r)``; it is not validated on access, so
+callers that need a valid set run :func:`validate` once themselves.
 """
 
 from __future__ import annotations
@@ -91,20 +93,6 @@ def validate(p: Bb84Povm, tol: float = 1e-9) -> ValidationReport:
     return ValidationReport(
         psd_margins=margins, completeness_residuals=residuals, tol=tol, passed=ok
     )
-
-
-@dataclass(frozen=True)
-class Observable:
-    r: str
-    matrix: np.ndarray
-
-
-def observable(p: Bb84Povm, r: str, tol: float = 1e-9) -> Observable:
-    """Difference of the two outcome elements of one basis."""
-    report = validate(p, tol)
-    if not report.passed:
-        raise InvalidPovm(f"measurement set fails validation at tol={tol}")
-    return Observable(r=r, matrix=p.difference(r))
 
 
 def _require_state(rho: np.ndarray, dim: int, tol: float) -> np.ndarray:

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from squashkit import builder, finder, fock, groups, linalg, nogo, povm
+from squashkit import builder, finder, fock, groups, linalg, nogo
 
 from helpers import acceptance_sectors, random_hermitian
 from test_nogo import blockwise_tilde_squash
@@ -43,7 +43,7 @@ def test_criterion_2_decomposition_internals():
     for sector in acceptance_sectors():
         model = fock.build_detector(sector)
         sym = groups.phase_normalize(fock.sector_symmetry(model))
-        lam, v = builder.extract_rank2(model.m_z, sym)
+        lam, v = builder.extract_rank2(model.povm.difference("z"), sym)
         worst_overlap = max(worst_overlap, abs(np.vdot(v, sym.u @ sym.u @ v)))
         dec = builder.mu_decompose(v, sym, lam)
         worst_circle = max(
@@ -61,7 +61,7 @@ def test_criterion_2_decomposition_internals():
             (1j**c) * powers[c] @ np.outer(v, v.conj()) @ linalg.dagger(powers[c])
             for c in range(4)
         )
-        combined = model.m_z.matrix + 1j * model.m_x.matrix
+        combined = model.povm.difference("z") + 1j * model.povm.difference("x")
         worst_identity = max(
             worst_identity,
             linalg.frob(adjacent - orbit),
@@ -95,7 +95,7 @@ def test_criterion_3_symmetry_sweep():
 
 def test_criterion_4_counterexample():
     m0 = nogo.counterexample_m0()
-    witness = finder.bloch_witness(povm.observable(m0, "z"), povm.observable(m0, "x"))
+    witness = finder.bloch_witness(m0.difference("z"), m0.difference("x"))
     verdict = finder.find_squash(m0)
     ok = (
         abs(witness.value - np.sqrt(2.0)) <= 1e-9

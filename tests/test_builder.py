@@ -20,43 +20,43 @@ def detector_with_symmetry(photons):
 
 def test_extract_single_photon():
     model, sym = detector_with_symmetry((1,))
-    lam, v = builder.extract_rank2(model.m_z, sym)
+    lam, v = builder.extract_rank2(model.povm.difference("z"), sym)
     assert lam == pytest.approx(1.0, abs=1e-12)
     assert abs(v[0]) == pytest.approx(1.0, abs=1e-12)  # all photons in z0
 
 
 def test_extract_two_photon():
     model, sym = detector_with_symmetry((2,))
-    lam, v = builder.extract_rank2(model.m_z, sym)
+    lam, v = builder.extract_rank2(model.povm.difference("z"), sym)
     assert lam == pytest.approx(1.0, abs=1e-12)
     assert abs(v[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_extract_scaled_observable():
     u = linalg.unitary_from_generator(linalg.PAULI_Y, -np.pi / 4)
-    sym = groups.phase_normalize(groups.C4Symmetry(u=u, k=2))
-    obs = povm.Observable("z", 0.7 * linalg.PAULI_Z)
+    sym = groups.phase_normalize(groups.C4Symmetry(u=u))
+    obs = 0.7 * linalg.PAULI_Z
     lam, _ = builder.extract_rank2(obs, sym)
     assert lam == pytest.approx(0.7, abs=1e-12)
 
 
 def test_extract_rejects_wrong_rank():
-    sym = groups.C4Symmetry(u=np.eye(4, dtype=complex), k=1)
-    obs = povm.Observable("z", np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex))
+    sym = groups.C4Symmetry(u=np.eye(4, dtype=complex))
+    obs = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
     with pytest.raises(RankNotTwo):
         builder.extract_rank2(obs, sym)
 
 
 def test_extract_rejects_unpaired_spectrum():
-    sym = groups.C4Symmetry(u=np.eye(2, dtype=complex), k=1)
-    obs = povm.Observable("z", np.diag([1.0, -0.5]).astype(complex))
+    sym = groups.C4Symmetry(u=np.eye(2, dtype=complex))
+    obs = np.diag([1.0, -0.5]).astype(complex)
     with pytest.raises(SpectrumAsymmetric):
         builder.extract_rank2(obs, sym)
 
 
 def test_decompose_rejects_rotation_eigenvector():
     u = np.diag([1.0, 1.0j, -1.0, -1.0j]).astype(complex)
-    sym = groups.C4Symmetry(u=u, k=1)
+    sym = groups.C4Symmetry(u=u)
     v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     with pytest.raises(SpectrumAsymmetric):
         builder.mu_decompose(v, sym)
@@ -64,7 +64,7 @@ def test_decompose_rejects_rotation_eigenvector():
 
 def test_single_photon_weights():
     model, sym = detector_with_symmetry((1,))
-    lam, v = builder.extract_rank2(model.m_z, sym)
+    lam, v = builder.extract_rank2(model.povm.difference("z"), sym)
     dec = builder.mu_decompose(v, sym, lam)
     # two-dimensional space: exactly two adjacent components, each 1/sqrt(2)
     assert np.allclose(sorted(dec.mu), [0.0, 0.0, np.sqrt(0.5), np.sqrt(0.5)], atol=1e-10)
@@ -74,7 +74,7 @@ def test_single_photon_weights():
 
 def test_two_photon_weights():
     model, sym = detector_with_symmetry((2,))
-    lam, v = builder.extract_rank2(model.m_z, sym)
+    lam, v = builder.extract_rank2(model.povm.difference("z"), sym)
     dec = builder.mu_decompose(v, sym, lam)
     assert dec.mu[0] ** 2 + dec.mu[2] ** 2 == pytest.approx(0.5, abs=1e-10)
     assert dec.mu[1] ** 2 + dec.mu[3] ** 2 == pytest.approx(0.5, abs=1e-10)
@@ -116,7 +116,7 @@ def test_core_empty_when_weights_alternate():
 
 def test_completion_leaves_complete_core_alone():
     model, sym = detector_with_symmetry((1,))
-    lam, v = builder.extract_rank2(model.m_z, sym)
+    lam, v = builder.extract_rank2(model.povm.difference("z"), sym)
     core = builder.kraus_core(builder.mu_decompose(v, sym, lam))
     squash = builder.complete_trace_preserving(core, 2)
     assert len(squash.kraus) == len(core)
@@ -135,7 +135,7 @@ def test_completion_of_empty_core():
 
 def test_completion_does_not_move_observables():
     model, sym = detector_with_symmetry((2,))
-    lam, v = builder.extract_rank2(model.m_z, sym)
+    lam, v = builder.extract_rank2(model.povm.difference("z"), sym)
     core = builder.kraus_core(builder.mu_decompose(v, sym, lam))
     completed = builder.complete_trace_preserving(core, 3)
     for sigma in (linalg.PAULI_Z, linalg.PAULI_X):
@@ -160,8 +160,27 @@ def test_construct_multi_mode():
 def test_construct_rejects_m0_at_symmetry_stage():
     m0 = counterexample_m0()
     with pytest.raises(ConstructionError) as err:
-        builder.construct_theorem1(m0, groups.C4Symmetry(u=np.eye(2, dtype=complex), k=1))
+        builder.construct_theorem1(m0, groups.C4Symmetry(u=np.eye(2, dtype=complex)))
     assert err.value.stage == "symmetry"
+
+
+def test_construct_rejects_invalid_set_at_rank_extraction():
+    # four identities are symmetric under U = 1 but each basis sums to 2
+    eye = np.eye(2, dtype=complex)
+    doubled = povm.make_povm({key: eye for key in povm.LABELS})
+    with pytest.raises(ConstructionError, match="fails validation at tol=1e-09") as err:
+        builder.construct_theorem1(doubled, groups.C4Symmetry(u=eye))
+    assert err.value.stage == "rank-extraction"
+
+
+def test_sector_construction_validates_the_set_once_per_stage(monkeypatch):
+    calls = []
+    validate = povm.validate
+    monkeypatch.setattr(povm, "validate", lambda *a: calls.append(a) or validate(*a))
+    model = fock.build_detector(fock.fock_sector((2, 1)))
+    assert len(calls) == 1  # the detector's self-check
+    builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
+    assert len(calls) == 2  # plus the constructor's rank-extraction stage
 
 
 def test_verify_identity_map_against_ideal():
@@ -188,7 +207,7 @@ def test_verify_across_small_sectors():
 def test_core_reproduces_combined_observables():
     for photons in ((2,), (3,), (2, 1)):
         model, sym = detector_with_symmetry(photons)
-        lam, v = builder.extract_rank2(model.m_z, sym)
+        lam, v = builder.extract_rank2(model.povm.difference("z"), sym)
         dec = builder.mu_decompose(v, sym, lam)
         adjacent = 4 * lam * sum(
             dec.mu[c] * dec.mu[(c + 1) % 4] * np.outer(dec.v_c[c], dec.v_c[(c + 1) % 4].conj())
@@ -199,7 +218,7 @@ def test_core_reproduces_combined_observables():
             (1j**c) * powers[c] @ np.outer(v, v.conj()) @ linalg.dagger(powers[c])
             for c in range(4)
         )
-        combined = model.m_z.matrix + 1j * model.m_x.matrix
+        combined = model.povm.difference("z") + 1j * model.povm.difference("x")
         assert linalg.frob(adjacent - orbit) <= 1e-9
         assert linalg.frob(orbit - combined) <= 1e-9
 
@@ -214,7 +233,7 @@ def test_adjoint_from_conjugate_pair():
 
 def test_gauge_phase_invariance():
     model, sym = detector_with_symmetry((2,))
-    lam, v = builder.extract_rank2(model.m_z, sym)
+    lam, v = builder.extract_rank2(model.povm.difference("z"), sym)
     reference = None
     rng = np.random.default_rng(17)
     for phi in rng.uniform(0, 2 * np.pi, size=10):

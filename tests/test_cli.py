@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import stat
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from squashkit import builder, finder, povm
+from squashkit import builder, finder, fock, linalg, povm
 from squashkit.cli import main
 
 
@@ -89,9 +94,36 @@ def test_squash_construct_m0_fails_scientifically(m0_file, tmp_path):
     )
     code = main(
         ["squash", "construct", "--povm", str(m0_file), "--unitary", str(unitary),
-         "--k", "1", "--out", str(tmp_path / "s.json")]
+         "--out", str(tmp_path / "s.json")]
     )
     assert code == 1
+
+
+def construct_from_files(tmp_path, p, u):
+    """Run ``squash construct --povm --unitary`` on in-memory inputs."""
+    povm_file, unitary_file = tmp_path / "p.json", tmp_path / "u.json"
+    povm_file.write_text(json.dumps(povm.povm_to_json(p)))
+    unitary_file.write_text(json.dumps(linalg.matrix_to_json(u)))
+    out = tmp_path / "s.json"
+    argv = ["squash", "construct", "--povm", povm_file, "--unitary", unitary_file, "--out", out]
+    return main([str(a) for a in argv]), out
+
+
+@pytest.mark.parametrize("photons, phase", [((3,), 1.0), ((2,), np.exp(0.3j))])
+def test_squash_construct_accepts_any_global_phase(photons, phase, tmp_path):
+    # U_N of (3,) has U^4 = -1; the second input carries an arbitrary phase
+    model = fock.build_detector(fock.fock_sector(photons))
+    code, out = construct_from_files(tmp_path, model.povm, phase * model.u_n)
+    assert code == 0
+    loaded = builder.squash_from_json(read(out))
+    assert builder.verify_squash(loaded, model.povm, tol=1e-9).passed
+
+
+def test_squash_construct_non_scalar_fourth_power_is_negative(tmp_path, capsys):
+    u = np.diag([1.0, np.exp(1j * np.pi / 8)]).astype(complex)
+    code, out = construct_from_files(tmp_path, povm.ideal_qubit_povm(), u)
+    assert code == 1
+    assert "[phase-normalize]" in capsys.readouterr().err and not out.exists()
 
 
 def test_squash_find_m0(m0_file, tmp_path):
@@ -226,7 +258,6 @@ def _reject_constant(name):
         (["squash", "find", "--povm", "{ideal}", "--max-iter", "0"], 2),
         (["squash", "find", "--povm", "{ideal}", "--tol", "-1"], 2),
         (["nogo", "attack", "--povm", "{m0}", "--trials", "-5"], 2),
-        (["squash", "construct", "--sector", "2", "--k", "0"], 2),
     ],
 )
 def test_input_range_checks(argv, expected, request, tmp_path, capsys):
@@ -261,3 +292,59 @@ def test_self_check_failure_is_a_one_line_error(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("squashkit: ") and err.count("\n") == 1
     assert "Traceback" not in err and not out.exists()
+
+
+def _argv(*parts):
+    """Argument-vector strategy: plain strings are fixed, strategies are drawn."""
+    return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts))
+
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+SECTORS = st.one_of(
+    st.lists(st.sampled_from(["-1", "0", "1", "2", "300"]), min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["two", "", "1,,2", "20,20"]),
+)
+TOLS = st.sampled_from(["1e-9", "1e-6", "1e-14", "1", "0", "-1", "nan", "inf", "abc"])
+ARGVS = st.one_of(
+    _argv("detector", "--N", SECTORS),
+    # in-range bounds 3..8 write up to 216 files each and are left out for time
+    _argv("detector", "--sweep-max", st.sampled_from(["-1", "0", "1", "2", "9", "10"])),
+    _argv("squash", "construct", "--sector", SECTORS, "--tol", TOLS),
+    # --max-iter is always drawn small: the default budget of 20000 steps is slow
+    _argv("squash", "find", "--sector", SECTORS, "--tol", TOLS, "--max-iter", _ints(-2, 20)),
+    _argv(
+        "nogo", "attack", "--povm", "{m0}", "--trials", _ints(-5, 3000), "--seed", _ints(-2, 9)
+    ),
+)
+
+
+def _strict_json_files(path):
+    """Parse ``path``, or every file in it when it is a directory, as strict JSON."""
+    paths = [os.path.join(path, n) for n in os.listdir(path)] if os.path.isdir(path) else [path]
+    for name in paths:
+        with open(name) as handle:
+            json.load(handle, parse_constant=_reject_constant)
+    return paths
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=ARGVS)
+def test_cli_exit_contract_holds_for_drawn_arguments(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        m0 = os.path.join(tmp, "m0.json")
+        out = os.path.join(tmp, "out")
+        argv = [a.replace("{m0}", m0) for a in argv] + ["--out", out]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["nogo", "m0", "--out", m0]) == 0
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a flag value
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert _strict_json_files(out)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from squashkit import builder, finder, fock, linalg, povm
-from squashkit.errors import NotPsd, NotTracePreserving
+from squashkit.errors import DimensionMismatch, NotPsd, NotTracePreserving
 from squashkit.nogo import counterexample_m0
 
 from helpers import random_hermitian
@@ -20,8 +20,8 @@ def test_choi_of_identity_channel():
     choi = finder.choi_from_squash(squash)
     omega = np.zeros(4, dtype=complex)
     omega[0] = omega[3] = 1.0  # |00> + |11> on (input x output)
-    assert np.allclose(choi.j, np.outer(omega, omega.conj()))
-    assert np.trace(choi.j).real == pytest.approx(2.0)
+    assert np.allclose(choi, np.outer(omega, omega.conj()))
+    assert np.trace(choi).real == pytest.approx(2.0)
 
 
 def test_choi_of_constant_output_channel():
@@ -31,14 +31,14 @@ def test_choi_of_constant_output_channel():
     squash = builder.SquashMap(in_dim=3, kraus=kraus)
     choi = finder.choi_from_squash(squash)
     proj = np.outer(builder.KET_0Y, builder.KET_0Y.conj())
-    assert np.allclose(choi.j, linalg.kron(np.eye(3), proj), atol=1e-12)
+    assert np.allclose(choi, linalg.kron(np.eye(3), proj), atol=1e-12)
 
 
 def test_theorem1_choi_satisfies_constraints():
     model, squash = theorem1_squash((2,))
     choi = finder.choi_from_squash(squash)
     assert finder.affine_residual(choi, model.povm) <= 1e-9
-    marginal = linalg.partial_trace(choi.j, (3, 2), keep="first")
+    marginal = linalg.partial_trace(choi, (3, 2), keep="first")
     assert linalg.frob(marginal - np.eye(3)) <= 1e-9
 
 
@@ -54,7 +54,7 @@ def test_choi_round_trip():
     choi = finder.choi_from_squash(squash)
     recovered = finder.squash_from_choi(choi)
     again = finder.choi_from_squash(recovered)
-    assert linalg.frob(again.j - choi.j) <= 1e-8
+    assert linalg.frob(again - choi) <= 1e-8
 
 
 def test_identity_recovery_acts_like_identity():
@@ -75,12 +75,14 @@ def test_rank_deficient_choi_yields_few_kraus():
 
 
 def test_choi_extraction_guards():
-    bad = finder.ChoiMatrix(d=2, j=-np.eye(4, dtype=complex))
+    bad = -np.eye(4, dtype=complex)
     with pytest.raises(NotPsd):
         finder.squash_from_choi(bad)
-    not_tp = finder.ChoiMatrix(d=2, j=np.eye(4, dtype=complex))
+    not_tp = np.eye(4, dtype=complex)
     with pytest.raises(NotTracePreserving):
         finder.squash_from_choi(not_tp)
+    with pytest.raises(DimensionMismatch):  # no (d x 2) factorization
+        finder.squash_from_choi(np.eye(3, dtype=complex))
 
 
 def test_projections_idempotent():
@@ -150,7 +152,7 @@ def test_project_affine_is_orthogonal_projection(photons):
     j, k = (random_hermitian(2 * p.dim, rng) for _ in range(2))
     pj = finder.project_affine(j, m_z, m_x)
     pk = finder.project_affine(k, m_z, m_x)
-    assert finder.affine_residual(finder.ChoiMatrix(d=p.dim, j=pj), p) <= 1e-12
+    assert finder.affine_residual(pj, p) <= 1e-12
     assert linalg.frob(pj - linalg.dagger(pj)) <= 1e-12
     # the displacement is normal to every direction inside the affine set
     assert abs(np.vdot(j - pj, pk - pj).real) <= 1e-10 * linalg.frob(j) * linalg.frob(k)
@@ -158,8 +160,8 @@ def test_project_affine_is_orthogonal_projection(photons):
 
 def test_witness_on_m0():
     m0 = counterexample_m0()
-    obs_z = povm.observable(m0, "z")
-    obs_x = povm.observable(m0, "x")
+    obs_z = m0.difference("z")
+    obs_x = m0.difference("x")
     witness = finder.bloch_witness(obs_z, obs_x)
     assert witness.value == pytest.approx(np.sqrt(2.0), abs=1e-9)
     assert witness.theta == pytest.approx(np.pi / 4, abs=1e-3)
@@ -168,14 +170,14 @@ def test_witness_on_m0():
 
 def test_witness_on_ideal_set():
     p = povm.ideal_qubit_povm()
-    witness = finder.bloch_witness(povm.observable(p, "z"), povm.observable(p, "x"))
+    witness = finder.bloch_witness(p.difference("z"), p.difference("x"))
     assert witness.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_witness_small_sectors_within_unit_ball():
     for sector in fock.enumerate_sectors(4, max_modes=2):
         model = fock.build_detector(sector)
-        witness = finder.bloch_witness(model.m_z, model.m_x)
+        witness = finder.bloch_witness(model.povm.difference("z"), model.povm.difference("x"))
         assert witness.value <= 1.0 + 1e-9
 
 
@@ -193,7 +195,7 @@ def test_witness_grid_scan_matches_one_shot_stack():
 
 def test_witness_memory_is_flat_in_the_grid():
     rng = np.random.default_rng(6)
-    obs = [povm.Observable(r, random_hermitian(64, rng)) for r in ("z", "x")]
+    obs = [random_hermitian(64, rng) for _ in ("z", "x")]
     tracemalloc.start()
     try:
         finder.bloch_witness(*obs)
@@ -207,7 +209,7 @@ def test_witness_memory_is_flat_in_the_grid():
 def test_witness_needs_a_grid():
     p = povm.ideal_qubit_povm()
     with pytest.raises(ValueError):
-        finder.bloch_witness(povm.observable(p, "z"), povm.observable(p, "x"), grid=4)
+        finder.bloch_witness(p.difference("z"), p.difference("x"), grid=4)
 
 
 def test_find_on_ideal_set():

@@ -67,13 +67,13 @@ def test_click_states_orthogonal():
 
 def test_single_photon_detector():
     model = fock.build_detector(fock.fock_sector((1,)))
-    assert np.allclose(model.m_z.matrix, np.diag([1.0, -1.0]))
-    assert np.allclose(model.m_x.matrix, linalg.PAULI_X, atol=1e-12)
+    assert np.allclose(model.povm.difference("z"), np.diag([1.0, -1.0]))
+    assert np.allclose(model.povm.difference("x"), linalg.PAULI_X, atol=1e-12)
 
 
 def test_two_photon_observable():
     model = fock.build_detector(fock.fock_sector((2,)))
-    assert np.allclose(model.m_z.matrix, np.diag([1.0, 0.0, -1.0]), atol=1e-12)
+    assert np.allclose(model.povm.difference("z"), np.diag([1.0, 0.0, -1.0]), atol=1e-12)
 
 
 def test_detector_completeness_exact():
@@ -87,12 +87,12 @@ def test_detector_completeness_exact():
 def test_observables_built_from_click_states():
     for sector in acceptance_sectors():
         model = fock.build_detector(sector)
-        for obs, r in ((model.m_z, "z"), (model.m_x, "x")):
+        for obs, r in ((model.povm.difference("z"), "z"), (model.povm.difference("x"), "x")):
             v0 = model.states[f"{r}0"]
             v1 = model.states[f"{r}1"]
             direct = np.outer(v0, v0.conj()) - np.outer(v1, v1.conj())
-            assert linalg.frob(obs.matrix - direct) <= 1e-12
-            assert linalg.rank_tol(obs.matrix) == 2
+            assert linalg.frob(obs - direct) <= 1e-12
+            assert linalg.rank_tol(obs) == 2
 
 
 def test_rotation_is_unitary():
@@ -127,8 +127,8 @@ def test_rotation_cycles_click_states():
 def test_single_photon_rotation_conjugates_observables():
     model = fock.build_detector(fock.fock_sector((1,)))
     u = model.u_n
-    rotated = u @ model.m_z.matrix @ linalg.dagger(u)
-    assert linalg.frob(rotated - model.m_x.matrix) <= 1e-10
+    rotated = u @ model.povm.difference("z") @ linalg.dagger(u)
+    assert linalg.frob(rotated - model.povm.difference("x")) <= 1e-10
 
 
 def test_sector_symmetry_report():

@@ -69,11 +69,11 @@ def test_regular_representation_s3_homomorphism():
 
 def test_c4_symmetry_validation():
     with pytest.raises(NotUnitary):
-        groups.C4Symmetry(u=np.diag([1.0, 2.0]).astype(complex), k=1)
-    with pytest.raises(NotUnitary):
-        # unitary but of order eight, so k=1 is wrong
-        groups.C4Symmetry(u=linalg.unitary_from_generator(linalg.PAULI_Y, np.pi / 4), k=1)
-    groups.C4Symmetry(u=linalg.unitary_from_generator(linalg.PAULI_Y, np.pi / 4), k=2)
+        groups.C4Symmetry(u=np.diag([1.0, 2.0]).astype(complex))
+    # the global phase is free: an order-eight unitary and a phase-shifted one are accepted
+    u = linalg.unitary_from_generator(linalg.PAULI_Y, np.pi / 4)
+    groups.C4Symmetry(u=u)
+    groups.C4Symmetry(u=np.exp(0.3j) * u)
 
 
 def uniform_povm():
@@ -82,14 +82,14 @@ def uniform_povm():
 
 
 def test_definition1_uniform_set_trivial_unitary():
-    sym = groups.C4Symmetry(u=np.eye(2, dtype=complex), k=1)
+    sym = groups.C4Symmetry(u=np.eye(2, dtype=complex))
     report = groups.check_definition1(sym, uniform_povm())
     assert report.passed and report.max_residual <= 1e-12
 
 
 def test_definition1_ideal_set_with_quarter_rotation():
     u = linalg.unitary_from_generator(linalg.PAULI_Y, -np.pi / 4)
-    sym = groups.C4Symmetry(u=u, k=2)
+    sym = groups.C4Symmetry(u=u)
     report = groups.check_definition1(sym, povm.ideal_qubit_povm())
     assert report.passed, report.residuals
 
@@ -115,22 +115,20 @@ def test_definition1_m0_fails_for_every_candidate():
     for _ in range(50):
         candidates.append(random_order_eight_unitary(rng))
     for u in candidates:
-        report = groups.check_definition1(groups.C4Symmetry(u=u, k=2), m0)
+        report = groups.check_definition1(groups.C4Symmetry(u=u), m0)
         assert not report.passed
         assert report.max_residual >= 0.5
 
 
 def test_phase_normalize_fixed_point():
     u = np.diag([1.0, 1.0j, -1.0, -1.0j]).astype(complex)
-    sym = groups.phase_normalize(groups.C4Symmetry(u=u, k=1))
-    assert sym.k == 1
+    sym = groups.phase_normalize(groups.C4Symmetry(u=u))
     assert np.allclose(sym.u, u, atol=1e-12)
 
 
 def test_phase_normalize_eighth_root():
     u = linalg.unitary_from_generator(linalg.PAULI_Y, np.pi / 4)
-    sym = groups.phase_normalize(groups.C4Symmetry(u=u, k=2))
-    assert sym.k == 1
+    sym = groups.phase_normalize(groups.C4Symmetry(u=u))
     assert linalg.frob(np.linalg.matrix_power(sym.u, 4) - np.eye(2)) <= 1e-10
 
 
@@ -138,16 +136,15 @@ def test_phase_normalize_odd_sector_rotation():
     model = fock.build_detector(fock.fock_sector((3,)))
     u4 = np.linalg.matrix_power(model.u_n, 4)
     assert linalg.frob(u4 + np.eye(4)) <= 1e-8
-    sym = groups.phase_normalize(groups.C4Symmetry(u=model.u_n, k=2))
-    assert sym.k == 1
+    sym = groups.phase_normalize(groups.C4Symmetry(u=model.u_n))
     assert linalg.frob(np.linalg.matrix_power(sym.u, 4) - np.eye(4)) <= 1e-8
 
 
 def test_phase_normalize_leaves_residuals_alone():
     model = fock.build_detector(fock.fock_sector((3,)))
-    before = groups.check_definition1(groups.C4Symmetry(u=model.u_n, k=2), model.povm)
+    before = groups.check_definition1(groups.C4Symmetry(u=model.u_n), model.povm)
     after = groups.check_definition1(
-        groups.phase_normalize(groups.C4Symmetry(u=model.u_n, k=2)), model.povm
+        groups.phase_normalize(groups.C4Symmetry(u=model.u_n)), model.povm
     )
     for key in before.residuals:
         assert abs(before.residuals[key] - after.residuals[key]) <= 1e-12
@@ -155,12 +152,12 @@ def test_phase_normalize_leaves_residuals_alone():
 
 def test_phase_normalize_keeps_non_scalar_fourth_power():
     u = np.diag([1.0, np.exp(1j * np.pi / 8)]).astype(complex)  # u^4 not scalar
-    sym = groups.C4Symmetry(u=u, k=4)
+    sym = groups.C4Symmetry(u=u)
     assert groups.phase_normalize(sym) is sym
 
 
 def test_eigenprojectors_identity():
-    projectors = groups.c4_eigenprojectors(groups.C4Symmetry(u=np.eye(3, dtype=complex), k=1))
+    projectors = groups.c4_eigenprojectors(groups.C4Symmetry(u=np.eye(3, dtype=complex)))
     assert np.allclose(projectors[0], np.eye(3))
     for c in (1, 2, 3):
         assert np.allclose(projectors[c], 0.0, atol=1e-12)
@@ -168,7 +165,7 @@ def test_eigenprojectors_identity():
 
 def test_eigenprojectors_diagonal():
     u = np.diag([1.0, 1.0j, -1.0, -1.0j]).astype(complex)
-    projectors = groups.c4_eigenprojectors(groups.C4Symmetry(u=u, k=1))
+    projectors = groups.c4_eigenprojectors(groups.C4Symmetry(u=u))
     for c in range(4):
         expected = np.zeros((4, 4), dtype=complex)
         expected[c, c] = 1.0
@@ -181,7 +178,7 @@ def test_eigenprojector_identities_random_unitary():
     basis = linalg.hermitian_eig((h + h.conj().T) / 2).eigenvectors
     phases = np.array([1, 1j, -1, -1j, 1j, -1])
     u = (basis * phases) @ linalg.dagger(basis)
-    projectors = groups.c4_eigenprojectors(groups.C4Symmetry(u=u, k=1))
+    projectors = groups.c4_eigenprojectors(groups.C4Symmetry(u=u))
     total = sum(projectors)
     assert linalg.frob(total - np.eye(6)) <= 1e-9
     for c in range(4):
@@ -194,7 +191,7 @@ def test_eigenprojector_identities_random_unitary():
 def test_eigenprojectors_need_order_four():
     u = linalg.unitary_from_generator(linalg.PAULI_Y, np.pi / 4)  # order eight
     with pytest.raises(KNotOne):
-        groups.c4_eigenprojectors(groups.C4Symmetry(u=u, k=2))
+        groups.c4_eigenprojectors(groups.C4Symmetry(u=u))
 
 
 def test_definition2_trivial_group():

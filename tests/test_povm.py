@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from squashkit import fock, linalg, povm
-from squashkit.errors import DimensionMismatch, InvalidPovm, NotAState
+from squashkit.errors import DimensionMismatch, NotAState
 
 
 def uniform_povm(dim=2):
@@ -43,35 +43,35 @@ def test_two_photon_detector_set_validates():
 
 
 def test_observable_ideal_z():
-    obs = povm.observable(povm.ideal_qubit_povm(), "z")
-    assert np.allclose(obs.matrix, linalg.PAULI_Z)
+    assert np.allclose(povm.ideal_qubit_povm().difference("z"), linalg.PAULI_Z)
 
 
 def test_observable_uniform_set_is_zero():
-    obs = povm.observable(uniform_povm(), "x")
-    assert np.allclose(obs.matrix, 0.0)
+    assert np.allclose(uniform_povm().difference("x"), 0.0)
 
 
 def test_observable_two_photon_sector():
     model = fock.build_detector(fock.fock_sector((2,)))
-    obs = povm.observable(model.povm, "z")
-    assert np.allclose(obs.matrix, np.diag([1.0, 0.0, -1.0]), atol=1e-12)
+    assert np.allclose(model.povm.difference("z"), np.diag([1.0, 0.0, -1.0]), atol=1e-12)
 
 
 def test_observable_rejects_invalid_set():
+    # the observable itself is not validated; validate() is the one check
     eye = np.eye(2, dtype=complex)
     bad = povm.make_povm({"z0": eye, "z1": eye, "x0": eye / 2, "x1": eye / 2})
-    with pytest.raises(InvalidPovm):
-        povm.observable(bad, "z")
+    assert np.allclose(bad.difference("z"), 0.0)
+    report = povm.validate(bad)
+    assert not report.passed
+    assert report.completeness_residuals["z"] == pytest.approx(np.sqrt(2.0))
 
 
 def test_observable_matches_completeness_consequence():
     # M_r = 2 M_(r,0) - identity for any complete set
     for p in (povm.ideal_qubit_povm(), fock.build_detector(fock.fock_sector((2, 1))).povm):
         for r in ("z", "x"):
-            obs = povm.observable(p, r)
+            assert povm.validate(p).passed
             expected = 2 * p.element(r, 0) - np.eye(p.dim)
-            assert linalg.frob(obs.matrix - expected) <= 1e-9
+            assert linalg.frob(p.difference(r) - expected) <= 1e-9
 
 
 def test_outcome_probability_z_eigenstate():

@@ -4,7 +4,8 @@ Core surfaces: dense complex linear algebra (:mod:`squashkit.linalg`),
 BB84 measurement sets (:mod:`squashkit.povm`), finite-group symmetry
 machinery (:mod:`squashkit.groups`), photon-number-sector detector models
 (:mod:`squashkit.fock`), the analytic squash constructor
-(:mod:`squashkit.builder`), the convex feasibility finder
+(:mod:`squashkit.builder`), the feasibility finder, which decides exactly
+by the numerical-radius witness and builds the map by a doubling solve
 (:mod:`squashkit.finder`), and the symmetrization/no-go lab
 (:mod:`squashkit.nogo`).
 """

@@ -38,7 +38,10 @@ def _require_tol(value: float, name: str) -> float:
     return value
 
 
-def _env_tol(default: float) -> float:
+def _tol(args, default: float) -> float:
+    """The tolerance in force: ``--tol``, else ``SQUASHKIT_TOL``, else ``default``."""
+    if args.tol is not None:
+        return args.tol
     raw = os.environ.get("SQUASHKIT_TOL")
     if raw is None:
         return default
@@ -115,11 +118,11 @@ def _load_action(path: str | None, group_name: str) -> groups.LabelAction:
     raise SquashkitError(f"no default label action for group {group_name!r}; pass --action")
 
 
-def _load_povm(path: str) -> povm.Bb84Povm:
+def _load_povm(path: str, tol: float) -> povm.Bb84Povm:
     p = povm.povm_from_json(_load_json(path))
     _require_dim(p.dim, path)
-    if not povm.validate(p).passed:
-        raise SquashkitError(f"{path} is not a valid measurement set")
+    if not povm.validate(p, tol).passed:
+        raise SquashkitError(f"{path} is not a valid measurement set at tol={tol}")
     return p
 
 
@@ -142,13 +145,13 @@ def cmd_detector(args) -> int:
     return EXIT_OK
 
 
-def _squash_inputs(args):
+def _squash_inputs(args, tol: float):
     if args.sector is not None:
         model = fock.build_detector(_parse_sector(args.sector))
         return model.povm, fock.sector_symmetry(model)
     if args.povm is None:
         raise SquashkitError("pass --sector or --povm")
-    p = _load_povm(args.povm)
+    p = _load_povm(args.povm, tol)
     sym = None
     if args.unitary is not None:
         u = linalg.matrix_from_json(_load_json(args.unitary))
@@ -157,15 +160,14 @@ def _squash_inputs(args):
 
 
 def cmd_squash(args) -> int:
-    p, sym = _squash_inputs(args)
+    tol = _tol(args, 1e-9 if args.mode == "construct" else 1e-8)
+    p, sym = _squash_inputs(args, tol)
     if args.mode == "construct":
         if sym is None:
             raise SquashkitError("construct needs --sector, or --povm with --unitary")
-        tol = args.tol if args.tol is not None else _env_tol(1e-9)
         squash = builder.construct_theorem1(p, sym, tol)
         _write_json(builder.squash_to_json(squash), args.out)
         return EXIT_OK
-    tol = args.tol if args.tol is not None else _env_tol(1e-8)
     report = finder.find_squash(p, max_iter=args.max_iter, tol=tol)
     _write_json(finder.report_to_json(report), args.out)
     if report.verdict == "FEASIBLE":
@@ -179,14 +181,15 @@ def cmd_nogo(args) -> int:
     if args.submode == "m0":
         _write_json(povm.povm_to_json(nogo.counterexample_m0()), args.out)
         return EXIT_OK
+    tol = _tol(args, 1e-8 if args.submode == "pullback" else 1e-9)
     if args.submode == "attack":
-        p = _load_povm(args.povm)
+        p = _load_povm(args.povm, tol)
         result = nogo.bbm92_attack(p, trials=args.trials, seed=args.seed)
         _write_json(nogo.attack_to_json(result), args.out)
         return EXIT_OK
     group = _load_group(args.group)
     action = _load_action(args.action, args.group)
-    base = _load_povm(args.povm)
+    base = _load_povm(args.povm, tol)
     symmetrized = nogo.symmetrize(base, group, action)
     if args.submode == "symmetrize":
         _write_json(povm.povm_to_json(symmetrized.tilde), args.out)
@@ -196,7 +199,6 @@ def cmd_nogo(args) -> int:
     if "kraus" not in blob and blob.get("squash"):
         blob = blob["squash"]
     f_tilde = builder.squash_from_json(blob)
-    tol = args.tol if args.tol is not None else _env_tol(1e-8)
     pulled = nogo.pullback_squash(symmetrized, f_tilde, tol)
     _write_json(builder.squash_to_json(pulled), args.out)
     return EXIT_OK

@@ -1,20 +1,20 @@
-"""Squash existence as convex feasibility over the Choi matrix.
+"""Squash existence decided exactly, and the squash built, on the Choi matrix.
 
 A channel from dimension d to a qubit is encoded as its Choi matrix
 J = sum_c vec(F_c) vec(F_c)+ with column-stacked vec, so J lives on the
 composite (input x output) space of dimension 2d. Trace preservation and
-the reproduction of both observables are affine constraints on J, each of
-the form Tr(J * (E_ij x P)) = target with P one of identity, sigma_z,
-sigma_x. Feasibility is then the intersection of that affine set with the
-positive semidefinite cone, searched by alternating projections.
+the reproduction of both observables pin every 2x2 block's identity,
+sigma_z and sigma_x components, which leaves
+J = (1^T x 1 + M_z^T x sigma_z + M_x^T x sigma_x + Z x sigma_y) / 2
+with only the Hermitian d x d matrix Z free.
 
-The constraints pin every 2x2 block's identity, sigma_z and sigma_x components, so
-the search builds that pinned part once and each step costs one ``eigh``
-plus a copy of it carrying the iterate's free sigma_y components.
-
-A cheap necessary condition runs first: the output Bloch vector of a qubit
-has norm at most one, so max over angles of the top eigenvalue of
-cos(t) M_z + sin(t) M_x above one certifies that no squash exists.
+Rotating the output qubit turns J >= 0 into [[1+Z, T], [T+, 1-Z]] >= 0
+with T = M_z^T - i M_x^T. By Ando's theorem such a Z exists exactly when
+the numerical radius w(T) is at most one, and w(T) is the Bloch-norm
+witness: the maximum over angles of the top eigenvalue of
+cos(t) M_z + sin(t) M_x. Above one it certifies that no squash exists;
+otherwise Z = 2X - 1, with X the maximal solution of X + A+ X^-1 A = 1 for
+A = T / 2, comes from a structure-preserving doubling iteration.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from .errors import NotPsd, NotTracePreserving, SelfCheckFailed
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 #: Angles per batched eigensolve in the witness grid scan.
 WITNESS_CHUNK = 64
+#: A is shrunk by this relative amount, so that w(2A) < 1 on the boundary w(T) = 1.
+DOUBLING_SHRINK = 1e-12
+#: The doubling iterate is stationary once a step moves it by this much, relative.
+STATIONARY_STEP = 64 * np.finfo(float).eps
 
 
 def _vec(f: np.ndarray) -> np.ndarray:
@@ -91,34 +95,18 @@ def _affine_pinned(m_z: np.ndarray, m_x: np.ndarray) -> np.ndarray:
     return 0.5 * (eye + linalg.kron(m_z.T, linalg.PAULI_Z) + linalg.kron(m_x.T, linalg.PAULI_X))
 
 
-def _with_sigma_y(pinned: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Pinned part plus Y^T x sigma_y / 2, with Y^T[a, b] = Tr(J_ab sigma_y) read off ``j``."""
-    y_t = 1j * (j[0::2, 1::2] - j[1::2, 0::2])
-    out = pinned.copy()
-    out[0::2, 1::2] += -0.5j * y_t
-    out[1::2, 0::2] += 0.5j * y_t
-    return out
-
-
 def project_affine(j: np.ndarray, m_z: np.ndarray, m_x: np.ndarray) -> np.ndarray:
     """Nearest Hermitian matrix, in Frobenius norm, on the affine constraint set.
 
-    A Choi matrix meets the constraints exactly when it has the form
-    J = (1^T x 1 + M_z^T x sigma_z + M_x^T x sigma_x + Y^T x sigma_y) / 2
-    for a Hermitian d x d matrix Y: the 2x2 block of input pair (a, b) has
-    its 1, sigma_z and sigma_x components pinned, and only its sigma_y
-    component Tr(J_ab sigma_y) = Y^T[a, b] is free. The projection keeps
-    that component and rebuilds the rest.
+    The 2x2 block of input pair (a, b) has its 1, sigma_z and sigma_x
+    components pinned, and only its sigma_y component Tr(J_ab sigma_y) =
+    Z[a, b] is free. The projection keeps that component and rebuilds the rest.
     """
-    return _with_sigma_y(_affine_pinned(m_z, m_x), j)
-
-
-def project_psd(j: np.ndarray) -> np.ndarray:
-    """Nearest positive semidefinite matrix in Frobenius norm."""
-    m = linalg.as_matrix(j)
-    # (m + m+) / 2 is exactly Hermitian, so it goes to LAPACK unchecked
-    values, vectors = np.linalg.eigh((m + linalg.dagger(m)) / 2.0)
-    return (vectors * np.clip(values, 0.0, None)) @ linalg.dagger(vectors)
+    z = 1j * (j[0::2, 1::2] - j[1::2, 0::2])
+    out = _affine_pinned(m_z, m_x)
+    out[0::2, 1::2] += -0.5j * z
+    out[1::2, 0::2] += 0.5j * z
+    return out
 
 
 def affine_residual(j: np.ndarray, p: povm.Bb84Povm) -> float:
@@ -208,14 +196,15 @@ class FeasibilityReport:
 def find_squash(
     p: povm.Bb84Povm, max_iter: int = 20000, tol: float = 1e-8
 ) -> FeasibilityReport:
-    """Decide squash existence for a measurement set by alternating projections.
+    """Decide squash existence for a measurement set exactly, then build the map.
 
     Runs the Bloch-norm witness first; a value above 1 + 1e-9 settles the
-    question as INFEASIBLE. Otherwise alternates projections between the
-    affine constraint set and the PSD cone until the gap between the two
-    projection iterates drops below ``tol`` (FEASIBLE, with the squash
-    extracted from the converged Choi matrix and verified at 1e-6) or the
-    iteration budget runs out (UNDECIDED).
+    question as INFEASIBLE. At or below one a squash exists by Ando's
+    theorem; at most ``max_iter`` doubling steps solve for its sigma_y part.
+    Once the iterate is stationary, ``gap`` is the resulting Choi matrix's
+    Frobenius distance from the PSD cone; at most ``tol`` gives FEASIBLE,
+    with the map extracted and verified at 1e-6. A budget that runs out, a
+    gap above ``tol`` or a breakdown of the doubling gives UNDECIDED.
     """
     m_z, m_x = p.difference("z"), p.difference("x")
     witness = bloch_witness(m_z, m_x)
@@ -229,29 +218,37 @@ def find_squash(
             verdict="INFEASIBLE", squash=None, witness=witness, gap=0.0, iterations=0
         )
 
-    pinned = _affine_pinned(m_z, m_x)
-    j = _with_sigma_y(pinned, np.eye(2 * p.dim, dtype=complex) / 2.0)
-    gap = float("inf")
-    for iteration in range(1, max_iter + 1):
-        psd = project_psd(j)
-        j = _with_sigma_y(pinned, psd)
-        gap = linalg.frob(j - psd)
-        if gap <= tol:
-            squash = squash_from_choi(j)
-            report = verify_squash(squash, p, tol=1e-6)
-            if not report.passed:
-                raise SelfCheckFailed(
-                    "converged Choi matrix produced a map that fails verification"
-                )
-            return FeasibilityReport(
-                verdict="FEASIBLE",
-                squash=squash,
-                witness=witness,
-                gap=gap,
-                iterations=iteration,
-            )
+    # doubling (Lin & Xu): Q converges to the maximal solution X of X + A+ X^-1 A = 1
+    a = (1.0 - DOUBLING_SHRINK) * (m_z.T - 1j * m_x.T) / 2.0
+    q = np.eye(p.dim, dtype=complex)
+    s = np.zeros_like(q)
+    steps, stationary = 0, False
+    while steps < max_iter and not stationary:
+        try:  # W = Q - P stays positive definite unless the doubling disagrees with the witness
+            low = np.linalg.cholesky(q - s)
+        except np.linalg.LinAlgError:
+            break
+        # with W = L L+, each update is a product of L^-1 A and L^-1 A+
+        l_a, l_ad = np.split(np.linalg.solve(low, np.hstack([a, linalg.dagger(a)])), 2, axis=1)
+        step = linalg.dagger(l_a) @ l_a  # A+ W^-1 A
+        s = s + linalg.dagger(l_ad) @ l_ad
+        a = linalg.dagger(l_ad) @ l_a
+        q = q - step
+        steps += 1
+        stationary = linalg.frob(step) <= STATIONARY_STEP * linalg.frob(q)
+
+    z = 2.0 * q - np.eye(p.dim)
+    j = _affine_pinned(m_z, m_x) + 0.5 * linalg.kron((z + linalg.dagger(z)) / 2.0, linalg.PAULI_Y)
+    gap = float(np.linalg.norm(np.minimum(np.linalg.eigvalsh(j), 0.0)))
+    if not (stationary and gap <= tol):
+        return FeasibilityReport(
+            verdict="UNDECIDED", squash=None, witness=witness, gap=gap, iterations=steps
+        )
+    squash = squash_from_choi(j)
+    if not verify_squash(squash, p, tol=1e-6).passed:
+        raise SelfCheckFailed("doubling-built Choi matrix produced a map that fails verification")
     return FeasibilityReport(
-        verdict="UNDECIDED", squash=None, witness=witness, gap=gap, iterations=max_iter
+        verdict="FEASIBLE", squash=squash, witness=witness, gap=gap, iterations=steps
     )
 
 

@@ -119,6 +119,20 @@ def test_squash_construct_accepts_any_global_phase(photons, phase, tmp_path):
     assert builder.verify_squash(loaded, model.povm, tol=1e-9).passed
 
 
+def test_squash_construct_validates_povm_at_the_tolerance_in_force(tmp_path):
+    # completeness is off by 1e-8 per basis: inside 1e-6, outside the default 1e-9
+    model = fock.build_detector(fock.fock_sector((2,)))
+    elements = {key: (1 - 1e-8) * m for key, m in model.povm.elements.items()}
+    shrunk = povm.make_povm(elements)
+    code, out = construct_from_files(tmp_path, shrunk, model.u_n)
+    assert code == 2 and not out.exists()
+    code = run(tmp_path, "squash", "construct", "--povm", tmp_path / "p.json",
+               "--unitary", tmp_path / "u.json", "--tol", "1e-6", "--out", out)
+    assert code == 0
+    loaded = builder.squash_from_json(read(out))
+    assert builder.verify_squash(loaded, shrunk, tol=1e-6).passed
+
+
 def test_squash_construct_non_scalar_fourth_power_is_negative(tmp_path, capsys):
     u = np.diag([1.0, np.exp(1j * np.pi / 8)]).astype(complex)
     code, out = construct_from_files(tmp_path, povm.ideal_qubit_povm(), u)
@@ -148,6 +162,19 @@ def test_squash_find_undecided_budget(ideal_file, tmp_path):
     )
     assert code == 3
     assert read(out)["verdict"] == "UNDECIDED"
+
+
+def test_squash_find_loose_tolerance_still_extracts_a_verified_map(tmp_path):
+    out = tmp_path / "report.json"
+    code = main(
+        ["squash", "find", "--sector", "2", "--tol", "1", "--max-iter", "5", "--out", str(out)]
+    )
+    assert code == 0
+    report = read(out)
+    assert report["verdict"] == "FEASIBLE"
+    model = fock.build_detector(fock.fock_sector((2,)))
+    found = builder.squash_from_json(report["squash"])
+    assert builder.verify_squash(found, model.povm, tol=1e-6).passed
 
 
 def test_squash_find_sector_shortcut(tmp_path):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from squashkit import builder, finder, fock, linalg, povm
+from squashkit import builder, finder, fock, groups, linalg, nogo, povm
 from squashkit.errors import DimensionMismatch, NotPsd, NotTracePreserving
 from squashkit.nogo import counterexample_m0
 
@@ -93,8 +93,8 @@ def test_projections_idempotent():
     herm = (x + x.conj().T) / 2
     once = finder.project_affine(herm, m_z, m_x)
     assert linalg.frob(finder.project_affine(once, m_z, m_x) - once) <= 1e-10
-    psd_once = finder.project_psd(herm)
-    assert linalg.frob(finder.project_psd(psd_once) - psd_once) <= 1e-10
+    psd_once = _checked_project_psd(herm)
+    assert linalg.frob(_checked_project_psd(psd_once) - psd_once) <= 1e-10
 
 
 def _einsum_project_affine(j, m_z, m_x):
@@ -116,21 +116,39 @@ def _checked_project_psd(j):
     return (eig.eigenvectors * clipped) @ linalg.dagger(eig.eigenvectors)
 
 
-@pytest.mark.parametrize("photons", [(1,), (2,), (2, 1)])
-def test_find_squash_iterates_match_reference_loop(photons):
-    p = fock.build_detector(fock.fock_sector(photons)).povm
+def _alternating_projections(p, max_iter=20000, tol=1e-8):
+    """The search the doubling solve replaced: from J = 1/2, alternate between
+    the affine constraint set and the PSD cone until the two iterates meet."""
     m_z, m_x = p.difference("z"), p.difference("x")
     j = _einsum_project_affine(np.eye(2 * p.dim, dtype=complex) / 2.0, m_z, m_x)
-    for iteration in range(1, 20001):
+    for _ in range(max_iter):
         psd = _checked_project_psd(j)
         j = _einsum_project_affine(psd, m_z, m_x)
-        gap = linalg.frob(j - psd)
-        if gap <= 1e-8:
-            break
+        if linalg.frob(j - psd) <= tol:
+            return "FEASIBLE", finder.squash_from_choi(j)
+    return "UNDECIDED", None
+
+
+def _cross_check_set(name):
+    """A detector sector's set, the ideal set, or the (1,) set symmetrized over C2 or C4."""
+    if name == "ideal":
+        return povm.ideal_qubit_povm()
+    if name in ("c2", "c4"):
+        base = fock.build_detector(fock.fock_sector((1,))).povm
+        group = groups.cyclic_group(int(name[1]))
+        action = groups.c2_basis_swap_action() if name == "c2" else groups.canonical_c4_action()
+        return nogo.symmetrize(base, group, action).tilde
+    return fock.build_detector(fock.fock_sector(name)).povm
+
+
+@pytest.mark.parametrize("photons", [(1,), (2,), (2, 1), "ideal", "c2", "c4"])
+def test_find_squash_iterates_match_reference_loop(photons):
+    p = _cross_check_set(photons)
+    verdict, reference = _alternating_projections(p)
     report = finder.find_squash(p)
-    assert report.verdict == "FEASIBLE"
-    assert report.iterations == iteration
-    assert report.gap == gap
+    assert report.verdict == verdict == "FEASIBLE"
+    for squash in (report.squash, reference):
+        assert builder.verify_squash(squash, p, tol=1e-6).passed
 
 
 @pytest.mark.parametrize("photons", [(1,), (2, 1), (2, 2)])
@@ -245,6 +263,43 @@ def test_find_never_infeasible_when_a_squash_exists():
         model, _ = theorem1_squash(photons)
         report = finder.find_squash(model.povm)
         assert report.verdict != "INFEASIBLE"
+
+
+def _visibility_set(m_z, m_x, v):
+    """The set (1 +/- v M_r) / 2 of the observables M_r at visibility v."""
+    eye = np.eye(m_z.shape[0])
+    return povm.make_povm({
+        f"{r}{b}": (eye + (1 - 2 * b) * v * m) / 2
+        for r, m in (("z", m_z), ("x", m_x)) for b in (0, 1)
+    })
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_verdict_flips_at_inverse_witness(d):
+    rng = np.random.default_rng(d)
+    m_z, m_x = (
+        h / np.abs(np.linalg.eigvalsh(h)).max()
+        for h in (random_hermitian(d, rng) for _ in "zx")
+    )
+    w = finder.bloch_witness(m_z, m_x).value
+    for margin, verdict in ((-1e-3, "FEASIBLE"), (1e-3, "INFEASIBLE")):
+        p = _visibility_set(m_z, m_x, (1 + margin) / w)
+        assert povm.validate(p).passed
+        report = finder.find_squash(p)
+        assert report.verdict == verdict
+        if verdict == "FEASIBLE":
+            assert builder.verify_squash(report.squash, p, tol=1e-6).passed
+        else:
+            assert report.witness.value == pytest.approx(1 + margin, abs=1e-9)
+
+
+def test_doubling_steps_stay_few_on_every_small_sector():
+    # the doubling converges quadratically, or linearly on the boundary w = 1;
+    # losing either shows up here as a step count, without any timing
+    for sector in fock.enumerate_sectors(3):
+        report = finder.find_squash(fock.build_detector(sector).povm)
+        assert report.verdict == "FEASIBLE"
+        assert report.iterations <= 30, (sector.photons, report.iterations)
 
 
 def test_undecided_on_tiny_budget():

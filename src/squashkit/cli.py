@@ -8,6 +8,7 @@ failed verification), 2 malformed input or a failed internal self-check,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -204,6 +205,7 @@ def cmd_nogo(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first call, not at import, and reused after
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="squashkit",
@@ -245,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_ranges(args)
         return args.func(args)

@@ -36,22 +36,10 @@ DOUBLING_SHRINK = 1e-12
 STATIONARY_STEP = 64 * np.finfo(float).eps
 
 
-def _vec(f: np.ndarray) -> np.ndarray:
-    # column stacking: entry (a, b) of a 2 x d matrix lands at index b*2 + a
-    return f.T.reshape(-1)
-
-
-def _unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return v.reshape(d, 2).T
-
-
 def choi_from_squash(f: SquashMap) -> np.ndarray:
     """Choi matrix of a map to a qubit; it lives on dimension 2 * in_dim."""
-    j = np.zeros((2 * f.in_dim, 2 * f.in_dim), dtype=complex)
-    for k in f.kraus:
-        vk = _vec(k)
-        j += np.outer(vk, vk.conj())
-    return j
+    # column-stacked vec: entry (a, i) of a 2 x d operator lands at index i*2 + a
+    return f.choi().transpose(1, 0, 3, 2).reshape(2 * f.in_dim, 2 * f.in_dim)
 
 
 def squash_from_choi(j: np.ndarray, psd_tol: float = 1e-8, tp_tol: float = 1e-6) -> SquashMap:
@@ -70,10 +58,10 @@ def squash_from_choi(j: np.ndarray, psd_tol: float = 1e-8, tp_tol: float = 1e-6)
     marginal = linalg.partial_trace(j, (d, 2), keep="first")
     if linalg.frob(marginal - np.eye(d)) > tp_tol:
         raise NotTracePreserving("input marginal of the Choi matrix is not the identity")
-    kraus = []
-    for lam, u in zip(eig.eigenvalues, eig.eigenvectors.T):
-        if lam >= 1e-10:
-            kraus.append(np.sqrt(lam) * _unvec(u, d))
+    keep = eig.eigenvalues >= 1e-10
+    # each kept eigenvector, scaled, is the column-stacked vec of one Kraus operator
+    vecs = np.sqrt(eig.eigenvalues[keep]) * eig.eigenvectors[:, keep]
+    kraus = vecs.T.reshape(-1, d, 2).transpose(0, 2, 1)
     total = sum(linalg.dagger(f) @ f for f in kraus)
     if linalg.frob(total - np.eye(d)) > 1e-10:
         teig = linalg.hermitian_eig(total)
@@ -82,8 +70,8 @@ def squash_from_choi(j: np.ndarray, psd_tol: float = 1e-8, tp_tol: float = 1e-6)
         inv_root = (teig.eigenvectors / np.sqrt(teig.eigenvalues)) @ linalg.dagger(
             teig.eigenvectors
         )
-        kraus = [f @ inv_root for f in kraus]
-    return SquashMap(in_dim=d, kraus=tuple(kraus))
+        kraus = kraus @ inv_root
+    return SquashMap(in_dim=d, kraus=kraus)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from squashkit import builder, fock, groups, linalg, povm
+from squashkit import builder, finder, fock, groups, linalg, povm
 from squashkit.errors import (
     ConstructionError,
     InvalidSquash,
@@ -262,3 +264,120 @@ def test_squash_json_round_trip():
     assert back.in_dim == squash.in_dim
     for mine, theirs in zip(squash.kraus, back.kraus):
         assert np.array_equal(mine, theirs)
+
+
+def test_squash_map_holds_one_kraus_array():
+    ops = [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])]
+    squash = builder.SquashMap(in_dim=2, kraus=ops)
+    assert squash.kraus.shape == (2, 2, 2) and squash.kraus.dtype == complex
+    assert np.array_equal(squash.kraus, np.stack(ops))
+    ops[0][0, 0] = 5.0  # the map holds a copy
+    assert squash.kraus[0, 0, 0] == 1.0
+    again = builder.SquashMap(in_dim=2, kraus=squash.kraus)
+    assert np.array_equal(again.kraus, squash.kraus)
+
+
+def test_squash_map_validation_messages():
+    with pytest.raises(InvalidSquash, match="need at least one Kraus operator"):
+        builder.SquashMap(in_dim=2, kraus=np.zeros((0, 2, 2)))
+    with pytest.raises(InvalidSquash, match=r"shape \(2, 2\) vs expected \(2, 3\)"):
+        builder.SquashMap(in_dim=3, kraus=[np.eye(2)])
+    with pytest.raises(InvalidSquash, match="do not sum to the identity"):
+        builder.SquashMap(in_dim=2, kraus=[np.eye(2), np.eye(2)])
+
+
+def _loop_verify(f, p, tol=1e-9, samples=20, seed=1812):
+    """verify_squash as it reads one Kraus operator and one state at a time."""
+    m_z, m_x = p.difference("z"), p.difference("x")
+
+    def adjoint(obs):
+        return sum(linalg.dagger(k) @ obs @ k for k in f.kraus)
+
+    residual_z = linalg.frob(adjoint(linalg.PAULI_Z) - m_z)
+    residual_x = linalg.frob(adjoint(linalg.PAULI_X) - m_x)
+    residual_tp = linalg.frob(adjoint(np.eye(2, dtype=complex)) - np.eye(p.dim))
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        x = rng.standard_normal((p.dim, p.dim)) + 1j * rng.standard_normal((p.dim, p.dim))
+        rho = x @ linalg.dagger(x)
+        rho = rho / np.trace(rho).real
+        out = sum(k @ rho @ linalg.dagger(k) for k in f.kraus)
+        for sigma, m in ((linalg.PAULI_Z, m_z), (linalg.PAULI_X, m_x)):
+            worst = max(worst, abs(np.trace(out @ sigma).real - np.trace(rho @ m).real))
+    fields = (residual_z, residual_x, residual_tp, worst)
+    return fields, max(fields) <= tol
+
+
+def _assert_matches_loop(f, p, tol=1e-9):
+    report = builder.verify_squash(f, p, tol)
+    fields, passed = _loop_verify(f, p, tol)
+    batched = (report.residual_z, report.residual_x, report.residual_tp,
+               report.max_state_deviation)
+    assert np.allclose(batched, fields, rtol=0.0, atol=1e-12), (batched, fields)
+    assert report.passed == passed
+    return report
+
+
+def random_squash(d, k, rng):
+    """K = k Kraus operators cut from a random (2k x d) isometry; needs 2k >= d."""
+    x = rng.standard_normal((2 * k, d)) + 1j * rng.standard_normal((2 * k, d))
+    return builder.SquashMap(in_dim=d, kraus=np.linalg.qr(x)[0].reshape(k, 2, d))
+
+
+def induced_set(f):
+    """The measurement set that a map reproduces exactly: (1 +/- F+(sigma_r)) / 2."""
+    eye = np.eye(f.in_dim)
+    return povm.make_povm({
+        f"{r}{b}": (eye + (1 - 2 * b) * f.adjoint(sigma)) / 2
+        for r, sigma in (("z", linalg.PAULI_Z), ("x", linalg.PAULI_X)) for b in (0, 1)
+    })
+
+
+def test_batched_verify_matches_loop_on_constructed_maps():
+    for sector in fock.enumerate_sectors(3):
+        model = fock.build_detector(sector)
+        squash = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
+        assert _assert_matches_loop(squash, model.povm).passed
+
+
+def test_batched_verify_matches_loop_on_found_maps():
+    for photons in ((1,), (2,), (2, 1)):
+        p = fock.build_detector(fock.fock_sector(photons)).povm
+        report = finder.find_squash(p)
+        assert _assert_matches_loop(report.squash, p, tol=1e-6).passed
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_batched_verify_and_channel_match_loop_on_random_maps(d):
+    rng = np.random.default_rng(d)
+    squash = random_squash(d, d + 1, rng)
+    assert _assert_matches_loop(squash, induced_set(squash)).passed
+    other = fock.build_detector(fock.fock_sector((d - 1,))).povm
+    assert not _assert_matches_loop(squash, other).passed
+    rho = linalg.random_density_matrix(d, rng)
+    looped = sum(k @ rho @ linalg.dagger(k) for k in squash.kraus)
+    assert linalg.frob(squash.apply(rho) - looped) <= 1e-14
+    pulled = sum(linalg.dagger(k) @ linalg.PAULI_Y @ k for k in squash.kraus)
+    assert linalg.frob(squash.adjoint(linalg.PAULI_Y) - pulled) <= 1e-14
+
+
+def _verify_peak_bytes(d, k):
+    squash = random_squash(d, k, np.random.default_rng(8))
+    p = induced_set(squash)
+    tracemalloc.start()
+    try:
+        report = builder.verify_squash(squash, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    return peak
+
+
+def test_verify_memory_is_flat_in_the_kraus_count():
+    peak = _verify_peak_bytes(64, 128)
+    # one (20, K, 2, d) batch of operator-state products reaches 7 MB here
+    # and grows by 5.7 MB per extra 128 Kraus operators
+    assert peak <= 8e6
+    assert _verify_peak_bytes(64, 512) <= peak + 1e6

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squashkit import builder, finder, fock, linalg, povm
+from squashkit import builder, cli, finder, fock, linalg, povm
 from squashkit.cli import main
 
 
@@ -232,6 +232,24 @@ def test_nogo_attack_zero_trials(m0_file, tmp_path):
     )
     assert code == 0
     assert read(out)["degenerate"] is True
+
+
+def test_parser_is_built_once_and_reused(m0_file):
+    parser = cli.build_parser()
+    misses = cli.build_parser.cache_info().misses
+    assert main(["nogo", "m0", "--out", str(m0_file)]) == 0
+    assert cli.build_parser() is parser
+    assert cli.build_parser.cache_info().misses == misses
+
+
+def test_parser_defaults_do_not_leak_between_calls(m0_file, tmp_path):
+    parser = cli.build_parser()
+    assert parser.parse_args(["nogo", "attack", "--trials", "5"]).trials == 5
+    assert parser.parse_args(["nogo", "attack"]).trials == 10000
+    out = tmp_path / "attack.json"
+    for argv, trials in ((["--trials", "5"], 5), ([], 10000)):
+        assert main(["nogo", "attack", "--povm", str(m0_file), *argv, "--out", str(out)]) == 0
+        assert read(out)["trials"] == trials
 
 
 def test_missing_file_is_input_error(tmp_path):

@@ -2,9 +2,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from squashkit import builder, finder, fock, groups, linalg, nogo, povm
 from squashkit.errors import DimensionMismatch, InvalidPovm, SelfCheckFailed, TildeNotVerified
+
+from helpers import random_hermitian
 
 
 def c4_setup(p):
@@ -220,3 +224,35 @@ def test_attack_json_shape():
     assert blob["qber"] == 0.0
     assert blob["analytic"] == {"qber": 0.0, "eve_accuracy": 1.0}
     assert blob["degenerate"] is False
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    seed=st.integers(min_value=0, max_value=10**6),
+    value=st.sampled_from([0.5, 0.9, 0.98, 1.02, 1.1, 1.3]),
+)
+def test_symmetrization_keeps_witness_and_verdict(d, seed, value):
+    # the label actions move (M_z, M_x) by swaps and sign flips, which the
+    # numerical radius does not see, so symmetry alone never decides a squash
+    rng = np.random.default_rng(seed)
+    m_z, m_x = random_hermitian(d, rng), random_hermitian(d, rng)
+    scale = value / finder.bloch_witness(m_z, m_x).value
+    eye = np.eye(d)
+    base = povm.make_povm({
+        f"{r}{b}": (eye + (1 - 2 * b) * scale * m) / 2
+        for r, m in (("z", m_z), ("x", m_x)) for b in (0, 1)
+    })
+    assume(povm.validate(base).passed)
+    witness = finder.bloch_witness(base.difference("z"), base.difference("x")).value
+    assert witness == pytest.approx(value, abs=1e-9)
+    verdict = finder.find_squash(base).verdict
+    assert verdict == ("FEASIBLE" if value < 1.0 else "INFEASIBLE")
+    for group, action in (
+        (groups.cyclic_group(2), groups.c2_basis_swap_action()),
+        (groups.cyclic_group(4), groups.canonical_c4_action()),
+    ):
+        tilde = nogo.symmetrize(base, group, action).tilde
+        mz, mx = tilde.difference("z"), tilde.difference("x")
+        assert finder.bloch_witness(mz, mx).value == pytest.approx(witness, abs=1e-9)
+        assert finder.find_squash(tilde).verdict == verdict

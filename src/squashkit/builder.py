@@ -37,7 +37,7 @@ class SquashMap:
     """A trace-preserving map to a qubit in operator-sum form.
 
     ``kraus`` may be passed as any sequence of 2 x d operators; it is held as
-    a copy of their values in one complex array of shape (K, 2, d).
+    a read-only copy of their values in one complex array of shape (K, 2, d).
     """
 
     in_dim: int
@@ -54,6 +54,7 @@ class SquashMap:
                     f"Kraus operator shape {np.shape(f)} vs expected (2, {self.in_dim})"
                 )
         object.__setattr__(self, "kraus", np.array(self.kraus, dtype=complex))
+        self.kraus.flags.writeable = False
         rows = self.kraus.reshape(-1, self.in_dim)
         if linalg.frob(linalg.dagger(rows) @ rows - np.eye(self.in_dim)) > 1e-9:
             raise InvalidSquash("Kraus operators do not sum to the identity")

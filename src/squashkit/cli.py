@@ -55,10 +55,8 @@ def _tol(args, default: float) -> float:
 
 def _check_ranges(args) -> None:
     """Reject out-of-range numeric flags before any work starts."""
-    for name, low in (("max_iter", 1), ("trials", 0)):
-        value = getattr(args, name, None)
-        if value is not None and value < low:
-            raise SquashkitError(f"--{name.replace('_', '-')} must be at least {low}")
+    if getattr(args, "trials", None) is not None and args.trials < 0:
+        raise SquashkitError("--trials must be at least 0")
     if getattr(args, "tol", None) is not None:
         _require_tol(args.tol, "--tol")
 
@@ -169,7 +167,7 @@ def cmd_squash(args) -> int:
         squash = builder.construct_theorem1(p, sym, tol)
         _write_json(builder.squash_to_json(squash), args.out)
         return EXIT_OK
-    report = finder.find_squash(p, max_iter=args.max_iter, tol=tol)
+    report = finder.find_squash(p, tol=tol)
     _write_json(finder.report_to_json(report), args.out)
     if report.verdict == "FEASIBLE":
         return EXIT_OK
@@ -227,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--unitary", help="cycling-unitary JSON file, any global phase (construct mode)"
     )
     squ.add_argument("--tol", type=float)
-    squ.add_argument("--max-iter", type=int, default=20000)
     squ.add_argument("--out")
     squ.set_defaults(func=cmd_squash)
 

@@ -12,9 +12,11 @@ Rotating the output qubit turns J >= 0 into [[1+Z, T], [T+, 1-Z]] >= 0
 with T = M_z^T - i M_x^T. By Ando's theorem such a Z exists exactly when
 the numerical radius w(T) is at most one, and w(T) is the Bloch-norm
 witness: the maximum over angles of the top eigenvalue of
-cos(t) M_z + sin(t) M_x. Above one it certifies that no squash exists;
-otherwise Z = 2X - 1, with X the maximal solution of X + A+ X^-1 A = 1 for
-A = T / 2, comes from a structure-preserving doubling iteration.
+cos(t) M_z + sin(t) M_x. It is found by a scan of 720 angles and a zoom
+that re-scans a shrinking bracket around the best angle, each a few batched
+eigensolves. Above one it certifies that no squash exists; otherwise
+Z = 2X - 1, with X the maximal solution of X + A+ X^-1 A = 1 for A = T / 2,
+comes from a structure-preserving doubling iteration.
 """
 
 from __future__ import annotations
@@ -27,13 +29,16 @@ from . import linalg, povm
 from .builder import SquashMap, verify_squash
 from .errors import NotPsd, NotTracePreserving, SelfCheckFailed
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-#: Angles per batched eigensolve in the witness grid scan.
-WITNESS_CHUNK = 64
+#: Angles in the witness's scan of the full circle.
+WITNESS_GRID = 720
+#: Angles per batched eigensolve, in the witness scan and in each zoom round.
+WITNESS_CHUNK = 32
 #: A is shrunk by this relative amount, so that w(2A) < 1 on the boundary w(T) = 1.
 DOUBLING_SHRINK = 1e-12
 #: The doubling iterate is stationary once a step moves it by this much, relative.
 STATIONARY_STEP = 64 * np.finfo(float).eps
+#: Doubling steps before the solve gives up; it takes at most 24 on the boundary w(T) = 1.
+MAX_DOUBLING_STEPS = 64
 
 
 def choi_from_squash(f: SquashMap) -> np.ndarray:
@@ -83,25 +88,6 @@ def _affine_pinned(m_z: np.ndarray, m_x: np.ndarray) -> np.ndarray:
     return 0.5 * (eye + linalg.kron(m_z.T, linalg.PAULI_Z) + linalg.kron(m_x.T, linalg.PAULI_X))
 
 
-def project_affine(j: np.ndarray, m_z: np.ndarray, m_x: np.ndarray) -> np.ndarray:
-    """Nearest Hermitian matrix, in Frobenius norm, on the affine constraint set.
-
-    The 2x2 block of input pair (a, b) has its 1, sigma_z and sigma_x
-    components pinned, and only its sigma_y component Tr(J_ab sigma_y) =
-    Z[a, b] is free. The projection keeps that component and rebuilds the rest.
-    """
-    z = 1j * (j[0::2, 1::2] - j[1::2, 0::2])
-    out = _affine_pinned(m_z, m_x)
-    out[0::2, 1::2] += -0.5j * z
-    out[1::2, 0::2] += 0.5j * z
-    return out
-
-
-def affine_residual(j: np.ndarray, p: povm.Bb84Povm) -> float:
-    """Distance of a Choi matrix from the constraint set of a measurement set."""
-    return linalg.frob(project_affine(j, p.difference("z"), p.difference("x")) - j)
-
-
 # ---------------------------------------------------------------------------
 # Bloch-norm witness
 
@@ -110,11 +96,6 @@ class BlochWitness:
     theta: float
     state: np.ndarray  # pure state as a density matrix
     value: float
-
-
-def _top_eigenpair(m: np.ndarray):
-    eig = linalg.hermitian_eig(m)
-    return float(eig.eigenvalues[-1]), eig.eigenvectors[:, -1]
 
 
 def _grid_tops(mz: np.ndarray, mx: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -129,41 +110,31 @@ def _grid_tops(mz: np.ndarray, mx: np.ndarray, thetas: np.ndarray) -> np.ndarray
     ])
 
 
-def bloch_witness(m_z: np.ndarray, m_x: np.ndarray, grid: int = 720) -> BlochWitness:
+def bloch_witness(m_z: np.ndarray, m_x: np.ndarray) -> BlochWitness:
     """Maximize the top eigenvalue of cos(t) M_z + sin(t) M_x over directions.
 
-    Scans a uniform angle grid, takes the earliest angle attaining the
-    maximum (within numerical ties), and polishes it with a golden-section
-    refinement. A value above one is a sound certificate that no squash
-    reproduces both observables.
+    Scans WITNESS_GRID evenly spaced angles and takes the earliest angle
+    attaining the maximum (within numerical ties). The zoom then brackets
+    that angle by its two neighbours and, until the bracket is narrower than
+    1e-11, re-scans it at WITNESS_CHUNK evenly spaced angles and narrows it
+    to the neighbours of the best one. The top eigenpair at the bracket's
+    midpoint is the witness. A value above one is a sound certificate that
+    no squash reproduces both observables.
     """
-    if grid < 8:
-        raise ValueError(f"grid must be at least 8, got {grid}")
-
-    def top(theta: float) -> float:
-        return _top_eigenpair(np.cos(theta) * m_z + np.sin(theta) * m_x)[0]
-
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
+    thetas = 2.0 * np.pi * np.arange(WITNESS_GRID) / WITNESS_GRID
     values = _grid_tops(m_z, m_x, thetas)
     best = values.max()
     # earliest near-tie keeps the reported angle deterministic
     pick = int(np.nonzero(values >= best - 1e-9 * max(1.0, abs(best)))[0][0])
-    step = 2.0 * np.pi / grid
+    step = 2.0 * np.pi / WITNESS_GRID
     lo, hi = thetas[pick] - step, thetas[pick] + step
-    a = hi - GOLDEN * (hi - lo)
-    b = lo + GOLDEN * (hi - lo)
-    fa, fb = top(a), top(b)
     while hi - lo > 1e-11:
-        if fa < fb:
-            lo, a, fa = a, b, fb
-            b = lo + GOLDEN * (hi - lo)
-            fb = top(b)
-        else:
-            hi, b, fb = b, a, fa
-            a = hi - GOLDEN * (hi - lo)
-            fa = top(a)
+        thetas = np.linspace(lo, hi, WITNESS_CHUNK)
+        k = int(np.argmax(_grid_tops(m_z, m_x, thetas)))
+        lo, hi = thetas[max(k - 1, 0)], thetas[min(k + 1, WITNESS_CHUNK - 1)]
     theta = (lo + hi) / 2.0
-    value, vector = _top_eigenpair(np.cos(theta) * m_z + np.sin(theta) * m_x)
+    eig = linalg.hermitian_eig(np.cos(theta) * m_z + np.sin(theta) * m_x)
+    value, vector = float(eig.eigenvalues[-1]), eig.eigenvectors[:, -1]
     return BlochWitness(
         theta=float(theta), state=np.outer(vector, vector.conj()), value=value
     )
@@ -181,18 +152,18 @@ class FeasibilityReport:
     iterations: int
 
 
-def find_squash(
-    p: povm.Bb84Povm, max_iter: int = 20000, tol: float = 1e-8
-) -> FeasibilityReport:
+def find_squash(p: povm.Bb84Povm, tol: float = 1e-8) -> FeasibilityReport:
     """Decide squash existence for a measurement set exactly, then build the map.
 
-    Runs the Bloch-norm witness first; a value above 1 + 1e-9 settles the
-    question as INFEASIBLE. At or below one a squash exists by Ando's
-    theorem; at most ``max_iter`` doubling steps solve for its sigma_y part.
-    Once the iterate is stationary, ``gap`` is the resulting Choi matrix's
-    Frobenius distance from the PSD cone; at most ``tol`` gives FEASIBLE,
-    with the map extracted and verified at 1e-6. A budget that runs out, a
-    gap above ``tol`` or a breakdown of the doubling gives UNDECIDED.
+    Runs the Bloch-norm witness (the scan-and-zoom of :func:`bloch_witness`)
+    first; a value above 1 + 1e-9 settles the question as INFEASIBLE. At or
+    below one a squash exists by Ando's theorem, and the doubling solves for
+    its sigma_y part until a step no longer moves the iterate. ``gap`` is the
+    resulting Choi matrix's Frobenius distance from the PSD cone; at most
+    ``tol`` gives FEASIBLE, with the map extracted and verified at 1e-6. A
+    gap above ``tol``, or a breakdown of the doubling (a failed Cholesky
+    factor, or no stationary iterate within MAX_DOUBLING_STEPS), gives
+    UNDECIDED.
     """
     m_z, m_x = p.difference("z"), p.difference("x")
     witness = bloch_witness(m_z, m_x)
@@ -211,7 +182,7 @@ def find_squash(
     q = np.eye(p.dim, dtype=complex)
     s = np.zeros_like(q)
     steps, stationary = 0, False
-    while steps < max_iter and not stationary:
+    while steps < MAX_DOUBLING_STEPS and not stationary:
         try:  # W = Q - P stays positive definite unless the doubling disagrees with the witness
             low = np.linalg.cholesky(q - s)
         except np.linalg.LinAlgError:

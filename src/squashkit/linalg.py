@@ -107,10 +107,6 @@ def rank_tol(a: np.ndarray, tol: float | None = None) -> int:
     return int(np.count_nonzero(np.abs(eig.eigenvalues) > tol))
 
 
-def min_eigenvalue(a: np.ndarray) -> float:
-    return float(hermitian_eig(a).eigenvalues[0])
-
-
 def random_density_matrices(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """A (count, dim, dim) stack equal to ``count`` successive random_density_matrix draws."""
     z = rng.standard_normal((count, 2, dim, dim))

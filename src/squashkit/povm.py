@@ -86,7 +86,7 @@ def validate(p: Bb84Povm, tol: float = 1e-9) -> ValidationReport:
     for key in LABELS:
         m = p.elements[key]
         hermitian = linalg.is_hermitian(m)
-        margins[key] = linalg.min_eigenvalue((m + linalg.dagger(m)) / 2) if hermitian else -np.inf
+        margins[key] = np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)[0] if hermitian else -np.inf
     eye = np.eye(p.dim, dtype=complex)
     residuals = {r: linalg.frob(p.element(r, 0) + p.element(r, 1) - eye) for r in ("z", "x")}
     ok = min(margins.values()) >= -tol and max(residuals.values()) <= tol
@@ -103,7 +103,7 @@ def _require_state(rho: np.ndarray, dim: int, tol: float) -> np.ndarray:
         raise NotAState("density matrix must be Hermitian")
     if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
         raise NotAState("density matrix must have unit trace")
-    if linalg.min_eigenvalue((m + linalg.dagger(m)) / 2) < -tol:
+    if np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)[0] < -tol:
         raise NotAState("density matrix must be positive semidefinite")
     return m
 

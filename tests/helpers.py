@@ -7,7 +7,7 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from squashkit import fock
+from squashkit import fock, linalg
 
 
 def ladder_state_oracle(photons, r: str, b: int) -> np.ndarray:
@@ -90,3 +90,25 @@ def acceptance_sectors():
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (x + x.conj().T) / 2
+
+
+def einsum_project_affine(j: np.ndarray, m_z: np.ndarray, m_x: np.ndarray) -> np.ndarray:
+    """Nearest Hermitian matrix on the Choi constraint set of observables (m_z, m_x).
+
+    Reads each 2x2 block's sigma_y component with an einsum and rebuilds the
+    pinned 1, sigma_z and sigma_x components with three krons.
+    """
+    d = m_z.shape[0]
+    y_t = np.einsum("apbq,qp->ab", j.reshape(d, 2, d, 2), linalg.PAULI_Y)
+    return 0.5 * (
+        np.eye(2 * d, dtype=complex)
+        + linalg.kron(m_z.T, linalg.PAULI_Z)
+        + linalg.kron(m_x.T, linalg.PAULI_X)
+        + linalg.kron(y_t, linalg.PAULI_Y)
+    )
+
+
+def affine_residual(j: np.ndarray, p) -> float:
+    """Distance of a Choi matrix from the constraint set of a measurement set."""
+    m_z, m_x = p.difference("z"), p.difference("x")
+    return linalg.frob(einsum_project_affine(j, m_z, m_x) - j)

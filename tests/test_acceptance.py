@@ -10,7 +10,7 @@ import pytest
 
 from squashkit import builder, finder, fock, groups, linalg, nogo
 
-from helpers import acceptance_sectors, random_hermitian
+from helpers import acceptance_sectors, affine_residual, random_hermitian
 from test_nogo import blockwise_tilde_squash
 
 
@@ -124,7 +124,7 @@ def test_criterion_5_cross_validation():
         model = fock.build_detector(sector)
         squash = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
         choi = finder.choi_from_squash(squash)
-        worst_affine = max(worst_affine, finder.affine_residual(choi, model.povm))
+        worst_affine = max(worst_affine, affine_residual(choi, model.povm))
     ok = ok and worst_affine <= 1e-8
     report(
         5,

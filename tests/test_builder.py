@@ -277,6 +277,16 @@ def test_squash_map_holds_one_kraus_array():
     assert np.array_equal(again.kraus, squash.kraus)
 
 
+def test_squash_map_kraus_is_read_only():
+    squash = builder.SquashMap(in_dim=2, kraus=[np.eye(2)])
+    with pytest.raises(ValueError):
+        squash.kraus[0] *= 2  # would break trace preservation after the check
+    assert builder.verify_squash(squash, povm.ideal_qubit_povm()).passed
+    # a map built from another map's array holds its own read-only copy
+    again = builder.SquashMap(in_dim=2, kraus=squash.kraus)
+    assert not again.kraus.flags.writeable and again.kraus is not squash.kraus
+
+
 def test_squash_map_validation_messages():
     with pytest.raises(InvalidSquash, match="need at least one Kraus operator"):
         builder.SquashMap(in_dim=2, kraus=np.zeros((0, 2, 2)))

@@ -2,8 +2,11 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import stat
 import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -156,9 +159,9 @@ def test_squash_find_ideal(ideal_file, tmp_path):
 
 def test_squash_find_undecided_budget(ideal_file, tmp_path):
     out = tmp_path / "report.json"
+    # the doubling is stationary after 2 steps, with a gap of about 1e-12 above tol
     code = main(
-        ["squash", "find", "--povm", str(ideal_file), "--max-iter", "1",
-         "--tol", "1e-14", "--out", str(out)]
+        ["squash", "find", "--povm", str(ideal_file), "--tol", "1e-14", "--out", str(out)]
     )
     assert code == 3
     assert read(out)["verdict"] == "UNDECIDED"
@@ -167,7 +170,7 @@ def test_squash_find_undecided_budget(ideal_file, tmp_path):
 def test_squash_find_loose_tolerance_still_extracts_a_verified_map(tmp_path):
     out = tmp_path / "report.json"
     code = main(
-        ["squash", "find", "--sector", "2", "--tol", "1", "--max-iter", "5", "--out", str(out)]
+        ["squash", "find", "--sector", "2", "--tol", "1", "--out", str(out)]
     )
     assert code == 0
     report = read(out)
@@ -252,6 +255,25 @@ def test_parser_defaults_do_not_leak_between_calls(m0_file, tmp_path):
         assert read(out)["trials"] == trials
 
 
+def test_readme_command_lines_parse():
+    # every documented command line must still be accepted by the parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        for line in block.splitlines()
+        if line.startswith("squashkit ")
+    ]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README command line does not parse: {line}")
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert main(["squash", "find", "--povm", str(tmp_path / "nope.json")]) == 2
 
@@ -278,10 +300,8 @@ def test_attack_byte_identical_with_seed(m0_file, tmp_path):
 def test_global_tolerance_env(ideal_file, tmp_path, monkeypatch):
     monkeypatch.setenv("SQUASHKIT_TOL", "1e-14")
     out = tmp_path / "report.json"
-    code = main(
-        ["squash", "find", "--povm", str(ideal_file), "--max-iter", "5", "--out", str(out)]
-    )
-    assert code == 3  # the tightened gap tolerance is unreachable in 5 steps
+    code = main(["squash", "find", "--povm", str(ideal_file), "--out", str(out)])
+    assert code == 3  # the tightened gap tolerance is below the stationary gap
 
 
 def test_bad_tolerance_env(ideal_file, monkeypatch):
@@ -300,7 +320,7 @@ def _reject_constant(name):
         (["detector", "--N", "300"], 2),
         (["detector", "--N", "20,20"], 2),
         (["squash", "find", "--povm", "{big}"], 2),
-        (["squash", "find", "--povm", "{ideal}", "--max-iter", "0"], 2),
+        (["squash", "find", "--povm", "{ideal}", "--tol", "inf"], 2),
         (["squash", "find", "--povm", "{ideal}", "--tol", "-1"], 2),
         (["nogo", "attack", "--povm", "{m0}", "--trials", "-5"], 2),
     ],
@@ -358,8 +378,7 @@ ARGVS = st.one_of(
     # in-range bounds 3..8 write up to 216 files each and are left out for time
     _argv("detector", "--sweep-max", st.sampled_from(["-1", "0", "1", "2", "9", "10"])),
     _argv("squash", "construct", "--sector", SECTORS, "--tol", TOLS),
-    # --max-iter is always drawn small: the default budget of 20000 steps is slow
-    _argv("squash", "find", "--sector", SECTORS, "--tol", TOLS, "--max-iter", _ints(-2, 20)),
+    _argv("squash", "find", "--sector", SECTORS, "--tol", TOLS),
     _argv(
         "nogo", "attack", "--povm", "{m0}", "--trials", _ints(-5, 3000), "--seed", _ints(-2, 9)
     ),

@@ -2,12 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squashkit import builder, finder, fock, groups, linalg, nogo, povm
-from squashkit.errors import DimensionMismatch, NotPsd, NotTracePreserving
+from squashkit.errors import DimensionMismatch, NotHermitian, NotPsd, NotTracePreserving
 from squashkit.nogo import counterexample_m0
 
-from helpers import random_hermitian
+from helpers import affine_residual, einsum_project_affine, random_hermitian
 
 
 def theorem1_squash(photons):
@@ -37,7 +39,7 @@ def test_choi_of_constant_output_channel():
 def test_theorem1_choi_satisfies_constraints():
     model, squash = theorem1_squash((2,))
     choi = finder.choi_from_squash(squash)
-    assert finder.affine_residual(choi, model.povm) <= 1e-9
+    assert affine_residual(choi, model.povm) <= 1e-9
     marginal = linalg.partial_trace(choi, (3, 2), keep="first")
     assert linalg.frob(marginal - np.eye(3)) <= 1e-9
 
@@ -91,22 +93,10 @@ def test_projections_idempotent():
     m_z, m_x = p.difference("z"), p.difference("x")
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     herm = (x + x.conj().T) / 2
-    once = finder.project_affine(herm, m_z, m_x)
-    assert linalg.frob(finder.project_affine(once, m_z, m_x) - once) <= 1e-10
+    once = einsum_project_affine(herm, m_z, m_x)
+    assert linalg.frob(einsum_project_affine(once, m_z, m_x) - once) <= 1e-10
     psd_once = _checked_project_psd(herm)
     assert linalg.frob(_checked_project_psd(psd_once) - psd_once) <= 1e-10
-
-
-def _einsum_project_affine(j, m_z, m_x):
-    """Affine projection as first written: an einsum sigma_y read and three krons."""
-    d = m_z.shape[0]
-    y_t = np.einsum("apbq,qp->ab", j.reshape(d, 2, d, 2), linalg.PAULI_Y)
-    return 0.5 * (
-        np.eye(2 * d, dtype=complex)
-        + linalg.kron(m_z.T, linalg.PAULI_Z)
-        + linalg.kron(m_x.T, linalg.PAULI_X)
-        + linalg.kron(y_t, linalg.PAULI_Y)
-    )
 
 
 def _checked_project_psd(j):
@@ -120,10 +110,10 @@ def _alternating_projections(p, max_iter=20000, tol=1e-8):
     """The search the doubling solve replaced: from J = 1/2, alternate between
     the affine constraint set and the PSD cone until the two iterates meet."""
     m_z, m_x = p.difference("z"), p.difference("x")
-    j = _einsum_project_affine(np.eye(2 * p.dim, dtype=complex) / 2.0, m_z, m_x)
+    j = einsum_project_affine(np.eye(2 * p.dim, dtype=complex) / 2.0, m_z, m_x)
     for _ in range(max_iter):
         psd = _checked_project_psd(j)
-        j = _einsum_project_affine(psd, m_z, m_x)
+        j = einsum_project_affine(psd, m_z, m_x)
         if linalg.frob(j - psd) <= tol:
             return "FEASIBLE", finder.squash_from_choi(j)
     return "UNDECIDED", None
@@ -151,26 +141,16 @@ def test_find_squash_iterates_match_reference_loop(photons):
         assert builder.verify_squash(squash, p, tol=1e-6).passed
 
 
-@pytest.mark.parametrize("photons", [(1,), (2, 1), (2, 2)])
-def test_project_affine_matches_reference_bitwise(photons):
-    p = fock.build_detector(fock.fock_sector(photons)).povm
-    m_z, m_x = p.difference("z"), p.difference("x")
-    rng = np.random.default_rng(len(photons))
-    j = random_hermitian(2 * p.dim, rng)
-    assert np.array_equal(
-        finder.project_affine(j, m_z, m_x), _einsum_project_affine(j, m_z, m_x)
-    )
-
-
 @pytest.mark.parametrize("photons", [(1,), (2,), (2, 1), (2, 2)])
 def test_project_affine_is_orthogonal_projection(photons):
+    # the reference projection behind every Choi constraint residual in the suite
     p = fock.build_detector(fock.fock_sector(photons)).povm
     m_z, m_x = p.difference("z"), p.difference("x")
     rng = np.random.default_rng(sum(photons))
     j, k = (random_hermitian(2 * p.dim, rng) for _ in range(2))
-    pj = finder.project_affine(j, m_z, m_x)
-    pk = finder.project_affine(k, m_z, m_x)
-    assert finder.affine_residual(pj, p) <= 1e-12
+    pj = einsum_project_affine(j, m_z, m_x)
+    pk = einsum_project_affine(k, m_z, m_x)
+    assert affine_residual(pj, p) <= 1e-12
     assert linalg.frob(pj - linalg.dagger(pj)) <= 1e-12
     # the displacement is normal to every direction inside the affine set
     assert abs(np.vdot(j - pj, pk - pj).real) <= 1e-10 * linalg.frob(j) * linalg.frob(k)
@@ -224,10 +204,23 @@ def test_witness_memory_is_flat_in_the_grid():
     assert peak < 8e6
 
 
-def test_witness_needs_a_grid():
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_witness_reaches_the_dense_grid_maximum(d):
+    rng = np.random.default_rng(40 + d)
+    dense = 2.0 * np.pi * np.arange(2**14) / 2**14
+    for _ in range(2):
+        mz, mx = random_hermitian(d, rng), random_hermitian(d, rng)
+        witness = finder.bloch_witness(mz, mx)
+        stack = np.cos(dense)[:, None, None] * mz + np.sin(dense)[:, None, None] * mx
+        assert witness.value >= np.linalg.eigvalsh(stack)[:, -1].max() - 1e-12
+        direction = np.cos(witness.theta) * mz + np.sin(witness.theta) * mx
+        assert witness.value == pytest.approx(np.linalg.eigvalsh(direction)[-1], abs=1e-13)
+
+
+def test_witness_rejects_a_non_hermitian_set():
     p = povm.ideal_qubit_povm()
-    with pytest.raises(ValueError):
-        finder.bloch_witness(p.difference("z"), p.difference("x"), grid=4)
+    with pytest.raises(NotHermitian):
+        finder.bloch_witness(p.difference("z"), 1j * p.difference("x"))
 
 
 def test_find_on_ideal_set():
@@ -282,7 +275,9 @@ def test_verdict_flips_at_inverse_witness(d):
         for h in (random_hermitian(d, rng) for _ in "zx")
     )
     w = finder.bloch_witness(m_z, m_x).value
-    for margin, verdict in ((-1e-3, "FEASIBLE"), (1e-3, "INFEASIBLE")):
+    for margin, verdict in (
+        (-1e-3, "FEASIBLE"), (1e-3, "INFEASIBLE"), (-1e-6, "FEASIBLE"), (1e-6, "INFEASIBLE")
+    ):
         p = _visibility_set(m_z, m_x, (1 + margin) / w)
         assert povm.validate(p).passed
         report = finder.find_squash(p)
@@ -303,11 +298,40 @@ def test_doubling_steps_stay_few_on_every_small_sector():
 
 
 def test_undecided_on_tiny_budget():
+    # the doubling is stationary after 3 steps, with a gap of about 1e-12 above tol
     model = fock.build_detector(fock.fock_sector((2,)))
-    report = finder.find_squash(model.povm, max_iter=3, tol=1e-14)
+    report = finder.find_squash(model.povm, tol=1e-14)
     assert report.verdict == "UNDECIDED"
     assert report.iterations == 3
     assert report.gap > 0.0
+
+
+def _haar_unitary(d, rng):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=len(fock.enumerate_sectors(3)) - 1),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_both_engines_succeed_on_a_rotated_detector_set(index, seed):
+    # Theorem 1 holds in every basis: a Haar rotation V keeps the four-cycle
+    # V U_N V+ and the rank-two observables, and with them the squash
+    model = fock.build_detector(fock.enumerate_sectors(3)[index])
+    v = _haar_unitary(model.povm.dim, np.random.default_rng(seed))
+    p = povm.make_povm(
+        {key: v @ m @ linalg.dagger(v) for key, m in model.povm.elements.items()}
+    )
+    constructed = builder.construct_theorem1(
+        p, groups.C4Symmetry(u=v @ model.u_n @ linalg.dagger(v))
+    )
+    assert builder.verify_squash(constructed, p, tol=1e-8).passed
+    report = finder.find_squash(p)
+    assert report.verdict == "FEASIBLE"
+    assert report.witness.value <= 1.0 + 1e-9
+    assert builder.verify_squash(report.squash, p, tol=1e-6).passed
 
 
 def test_report_json_shape():

@@ -12,9 +12,9 @@ Rotating the output qubit turns J >= 0 into [[1+Z, T], [T+, 1-Z]] >= 0
 with T = M_z^T - i M_x^T. By Ando's theorem such a Z exists exactly when
 the numerical radius w(T) is at most one, and w(T) is the Bloch-norm
 witness: the maximum over angles of the top eigenvalue of
-cos(t) M_z + sin(t) M_x. It is found by a scan of 720 angles and a zoom
-that re-scans a shrinking bracket around the best angle, each a few batched
-eigensolves. Above one it certifies that no squash exists; otherwise
+cos(t) M_z + sin(t) M_x. It is found by the level-set method of Mengi and
+Overton, which locates the global maximum from a handful of 2d x 2d pencil
+eigenproblems. Above one it certifies that no squash exists; otherwise
 Z = 2X - 1, with X the maximal solution of X + A+ X^-1 A = 1 for A = T / 2,
 comes from a structure-preserving doubling iteration.
 """
@@ -27,12 +27,12 @@ import numpy as np
 
 from . import linalg, povm
 from .builder import SquashMap, verify_squash
-from .errors import NotPsd, NotTracePreserving, SelfCheckFailed
+from .errors import NotHermitian, NotPsd, NotTracePreserving, SelfCheckFailed
 
-#: Angles in the witness's scan of the full circle.
-WITNESS_GRID = 720
-#: Angles per batched eigensolve, in the witness scan and in each zoom round.
-WITNESS_CHUNK = 32
+#: Witness levels sit this far above the best value, relative; closer values are ties.
+LEVEL_STEP = 1e-14
+#: A witness value above 1 + INFEASIBLE_SLACK, rechecked, certifies that no squash exists.
+INFEASIBLE_SLACK = 1e-11
 #: A is shrunk by this relative amount, so that w(2A) < 1 on the boundary w(T) = 1.
 DOUBLING_SHRINK = 1e-12
 #: The doubling iterate is stationary once a step moves it by this much, relative.
@@ -98,41 +98,51 @@ class BlochWitness:
     value: float
 
 
-def _grid_tops(mz: np.ndarray, mx: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of cos(t) M_z + sin(t) M_x at each angle t, one chunk at a time."""
-    d = mz.shape[0]
-    pair = np.stack([mz, mx]).reshape(2, -1)
-    directions = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    # each (chunk, d, d) stack is a temporary, freed before the next is built
-    return np.concatenate([
-        np.linalg.eigvalsh(np.dot(directions[k:k + WITNESS_CHUNK], pair).reshape(-1, d, d))[:, -1]
-        for k in range(0, len(thetas), WITNESS_CHUNK)
-    ])
+def _level_crossings(k: np.ndarray, level: float) -> np.ndarray:
+    """Angles t at which ``level`` is an eigenvalue of (e^-it K + e^it K+) / 2.
+
+    They are the arguments of the unimodular eigenvalues z of the pencil A - z B =
+    [[0, 1], [-K, 2 level]] - z [[1, 0], [0, K+]]. numpy has no QZ, so it takes
+    the eigenvalues mu = 1 / (z - sigma) of (A - sigma B)^-1 B instead.
+    """
+    eye, zero = np.eye(len(k)), np.zeros_like(k)
+    a = np.block([[zero, eye], [-k, 2.0 * level * eye]])
+    b = np.block([[eye, zero], [zero, linalg.dagger(k)]])
+    for sigma in (0.3 + 0.4j, -0.5 + 0.2j, 0.1 - 0.6j):  # shifts off the unit circle
+        try:
+            mu = np.linalg.eigvals(np.linalg.solve(a - sigma * b, b))
+        except np.linalg.LinAlgError:  # sigma is an eigenvalue of the pencil
+            continue
+        z = sigma + 1.0 / mu[np.abs(mu) > 1e-8]  # mu = 0: infinite eigenvalues of a singular K
+        # loose, since an extra angle only adds a midpoint and a lost one could lose a peak
+        return np.angle(z[np.abs(np.abs(z) - 1.0) <= 1e-6])
+    raise np.linalg.LinAlgError("every shift is an eigenvalue of the level-set pencil")
 
 
 def bloch_witness(m_z: np.ndarray, m_x: np.ndarray) -> BlochWitness:
-    """Maximize the top eigenvalue of cos(t) M_z + sin(t) M_x over directions.
+    """Maximize the top eigenvalue f(t) of cos(t) M_z + sin(t) M_x over directions.
 
-    Scans WITNESS_GRID evenly spaced angles and takes the earliest angle
-    attaining the maximum (within numerical ties). The zoom then brackets
-    that angle by its two neighbours and, until the bracket is narrower than
-    1e-11, re-scans it at WITNESS_CHUNK evenly spaced angles and narrows it
-    to the neighbours of the best one. The top eigenpair at the bracket's
-    midpoint is the witness. A value above one is a sound certificate that
-    no squash reproduces both observables.
+    Mengi and Overton's level sets (IMA J. Numer. Anal. 25, 648-669, 2005):
+    from the best of 16 evenly spaced angles, each round finds every angle at
+    which a level just above the best value so far is an eigenvalue, and
+    evaluates f between consecutive ones until none rises above the level.
+    The earliest evaluated angle in [0, 2 pi) tied with the best (LEVEL_STEP)
+    gives the witness; a value above one certifies that no squash exists.
     """
-    thetas = 2.0 * np.pi * np.arange(WITNESS_GRID) / WITNESS_GRID
-    values = _grid_tops(m_z, m_x, thetas)
-    best = values.max()
-    # earliest near-tie keeps the reported angle deterministic
-    pick = int(np.nonzero(values >= best - 1e-9 * max(1.0, abs(best)))[0][0])
-    step = 2.0 * np.pi / WITNESS_GRID
-    lo, hi = thetas[pick] - step, thetas[pick] + step
-    while hi - lo > 1e-11:
-        thetas = np.linspace(lo, hi, WITNESS_CHUNK)
-        k = int(np.argmax(_grid_tops(m_z, m_x, thetas)))
-        lo, hi = thetas[max(k - 1, 0)], thetas[min(k + 1, WITNESS_CHUNK - 1)]
-    theta = (lo + hi) / 2.0
+    if not (linalg.is_hermitian(m_z) and linalg.is_hermitian(m_x)):
+        raise NotHermitian("the Bloch witness needs Hermitian observables")
+    thetas, level, seen = 2.0 * np.pi * np.arange(16) / 16, -np.inf, []
+    while thetas.size and len(seen) < 32:  # a handful of rounds settle every set tried
+        stack = np.cos(thetas)[:, None, None] * m_z + np.sin(thetas)[:, None, None] * m_x
+        values = np.linalg.eigvalsh(stack)[:, -1]
+        seen.append(np.stack([np.mod(thetas, 2.0 * np.pi), values]))
+        if values.max() <= level:
+            break
+        level = values.max() + LEVEL_STEP * max(1.0, abs(values.max()))  # regular if f is flat
+        crossings = np.sort(_level_crossings(m_z + 1j * m_x, level))
+        thetas = (crossings + np.append(crossings[1:], crossings[:1] + 2.0 * np.pi)) / 2.0
+    thetas, values = np.concatenate(seen, axis=1)
+    theta = thetas[values >= values.max() - LEVEL_STEP * max(1.0, abs(values.max()))].min()
     eig = linalg.hermitian_eig(np.cos(theta) * m_z + np.sin(theta) * m_x)
     value, vector = float(eig.eigenvalues[-1]), eig.eigenvectors[:, -1]
     return BlochWitness(
@@ -155,10 +165,10 @@ class FeasibilityReport:
 def find_squash(p: povm.Bb84Povm, tol: float = 1e-8) -> FeasibilityReport:
     """Decide squash existence for a measurement set exactly, then build the map.
 
-    Runs the Bloch-norm witness (the scan-and-zoom of :func:`bloch_witness`)
-    first; a value above 1 + 1e-9 settles the question as INFEASIBLE. At or
-    below one a squash exists by Ando's theorem, and the doubling solves for
-    its sigma_y part until a step no longer moves the iterate. ``gap`` is the
+    Runs the Bloch-norm witness (the level-set maximum of :func:`bloch_witness`)
+    first; a value above 1 + INFEASIBLE_SLACK settles the question as INFEASIBLE.
+    At or below one a squash exists by Ando's theorem, and the doubling solves
+    for its sigma_y part until a step no longer moves the iterate. ``gap`` is the
     resulting Choi matrix's Frobenius distance from the PSD cone; at most
     ``tol`` gives FEASIBLE, with the map extracted and verified at 1e-6. A
     gap above ``tol``, or a breakdown of the doubling (a failed Cholesky
@@ -167,11 +177,11 @@ def find_squash(p: povm.Bb84Povm, tol: float = 1e-8) -> FeasibilityReport:
     """
     m_z, m_x = p.difference("z"), p.difference("x")
     witness = bloch_witness(m_z, m_x)
-    if witness.value > 1.0 + 1e-9:
+    if witness.value > 1.0 + INFEASIBLE_SLACK:
         check = np.trace(
             witness.state @ (np.cos(witness.theta) * m_z + np.sin(witness.theta) * m_x)
         ).real
-        if check <= 1.0 + 1e-9:
+        if check <= 1.0 + INFEASIBLE_SLACK:
             raise SelfCheckFailed("witness value failed its independent recomputation")
         return FeasibilityReport(
             verdict="INFEASIBLE", squash=None, witness=witness, gap=0.0, iterations=0

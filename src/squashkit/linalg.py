@@ -125,7 +125,7 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 # JSON wire format: {"dim": d, "entries": [[re, im], ...]} row-major.
 
 def _encode(values: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in values]
+    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
 def _decode(entries: list, rows: int, cols: int, shape_name: str) -> np.ndarray:

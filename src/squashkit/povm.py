@@ -10,6 +10,7 @@ callers that need a valid set run :func:`validate` once themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,7 +30,7 @@ def label(r: str, b: int) -> str:
 @dataclass(frozen=True)
 class Bb84Povm:
     dim: int
-    elements: dict  # label -> complex matrix
+    elements: MappingProxyType  # label -> read-only complex matrix
 
     def element(self, r: str, b: int) -> np.ndarray:
         return self.elements[label(r, b)]
@@ -42,21 +43,25 @@ class Bb84Povm:
         """Element at cyclic position c (z0, x0, z1, x1)."""
         return self.elements[LABELS[c % 4]]
 
+    def __reduce__(self):  # a mapping proxy does not pickle; rebuild through make_povm
+        return make_povm, (dict(self.elements),)
+
 
 def make_povm(elements: dict) -> Bb84Povm:
-    """Build a measurement set from a label -> matrix mapping."""
+    """Build a measurement set from a label -> matrix mapping; it holds read-only copies."""
     mats = {}
     dim = None
     for key in LABELS:
         if key not in elements:
             raise InvalidPovm(f"missing element {key!r}")
-        m = linalg.as_matrix(elements[key])
+        m = linalg.as_matrix(elements[key]).copy()
+        m.flags.writeable = False
         if dim is None:
             dim = m.shape[0]
         elif m.shape[0] != dim:
             raise DimensionMismatch("POVM elements have inconsistent dimensions")
         mats[key] = m
-    return Bb84Povm(dim=dim, elements=mats)
+    return Bb84Povm(dim=dim, elements=MappingProxyType(mats))
 
 
 def ideal_qubit_povm() -> Bb84Povm:

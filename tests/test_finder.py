@@ -179,18 +179,6 @@ def test_witness_small_sectors_within_unit_ball():
         assert witness.value <= 1.0 + 1e-9
 
 
-def test_witness_grid_scan_matches_one_shot_stack():
-    rng = np.random.default_rng(5)
-    d = 17
-    mz, mx = random_hermitian(d, rng), random_hermitian(d, rng)
-    thetas = 2.0 * np.pi * np.arange(720) / 720
-    assert len(thetas) > 3 * finder.WITNESS_CHUNK
-    directions = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    stack = np.tensordot(directions, np.stack([mz, mx]), axes=1)
-    reference = np.linalg.eigvalsh(stack)[:, -1]
-    assert np.array_equal(finder._grid_tops(mz, mx, thetas), reference)
-
-
 def test_witness_memory_is_flat_in_the_grid():
     rng = np.random.default_rng(6)
     obs = [random_hermitian(64, rng) for _ in ("z", "x")]
@@ -215,6 +203,58 @@ def test_witness_reaches_the_dense_grid_maximum(d):
         assert witness.value >= np.linalg.eigvalsh(stack)[:, -1].max() - 1e-12
         direction = np.cos(witness.theta) * mz + np.sin(witness.theta) * mx
         assert witness.value == pytest.approx(np.linalg.eigvalsh(direction)[-1], abs=1e-13)
+
+
+def test_witness_finds_the_peak_between_two_scan_angles():
+    # the taller of two peaks sits midway between two angles of a 720-angle scan,
+    # which then zooms on the lower one at t = 0 and reads 0.999999
+    a, r2 = 91 * np.pi / 720, 1 + 1e-6
+    m_z = np.diag([1 - 1e-6, r2 * np.cos(a)]).astype(complex)
+    m_x = np.diag([0.0, r2 * np.sin(a)]).astype(complex)
+    p = _visibility_set(m_z, m_x, 1.0)
+    assert povm.validate(p).passed
+    witness = finder.bloch_witness(p.difference("z"), p.difference("x"))
+    assert witness.value == pytest.approx(r2, abs=1e-12)
+    assert witness.theta == pytest.approx(a, abs=1e-6)
+    assert finder.find_squash(p).verdict == "INFEASIBLE"
+
+
+def _witness_sets():
+    """Detector sectors with up to three photons, M0, the ideal set and random pairs."""
+    for sector in fock.enumerate_sectors(3):
+        p = fock.build_detector(sector).povm
+        yield p.difference("z"), p.difference("x")
+    for p in (counterexample_m0(), povm.ideal_qubit_povm()):
+        yield p.difference("z"), p.difference("x")
+    rng = np.random.default_rng(9)
+    for d in range(2, 9):
+        for _ in range(3):
+            yield random_hermitian(d, rng), random_hermitian(d, rng)
+
+
+def test_witness_needs_few_pencil_solves(monkeypatch):
+    # the level-set rounds converge in a handful of 2d x 2d eigenproblems;
+    # a slower iteration shows up here as a count, without any timing
+    solves = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: solves.append(a.shape) or eigvals(a))
+    for m_z, m_x in _witness_sets():
+        solves.clear()
+        finder.bloch_witness(m_z, m_x)
+        assert 1 <= len(solves) <= 8, (m_z.shape, len(solves))
+        assert solves[0] == (2 * len(m_z), 2 * len(m_z))
+
+
+def test_witness_is_never_below_a_dense_scan():
+    dense = 2.0 * np.pi * np.arange(2**12) / 2**12
+    for m_z, m_x in _witness_sets():
+        witness = finder.bloch_witness(m_z, m_x)
+        stack = np.cos(dense)[:, None, None] * m_z + np.sin(dense)[:, None, None] * m_x
+        top = np.linalg.eigvalsh(stack)[:, -1].max()
+        assert witness.value >= top - 1e-14 * max(1.0, abs(top))
+        direction = np.cos(witness.theta) * m_z + np.sin(witness.theta) * m_x
+        assert witness.value == pytest.approx(np.linalg.eigvalsh(direction)[-1], abs=1e-13)
+        assert 0.0 <= witness.theta < 2.0 * np.pi
 
 
 def test_witness_rejects_a_non_hermitian_set():
@@ -267,13 +307,15 @@ def _visibility_set(m_z, m_x, v):
     })
 
 
+def _unit_random_pair(d, rng):
+    return tuple(
+        h / np.abs(np.linalg.eigvalsh(h)).max() for h in (random_hermitian(d, rng) for _ in "zx")
+    )
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_verdict_flips_at_inverse_witness(d):
-    rng = np.random.default_rng(d)
-    m_z, m_x = (
-        h / np.abs(np.linalg.eigvalsh(h)).max()
-        for h in (random_hermitian(d, rng) for _ in "zx")
-    )
+    m_z, m_x = _unit_random_pair(d, np.random.default_rng(d))
     w = finder.bloch_witness(m_z, m_x).value
     for margin, verdict in (
         (-1e-3, "FEASIBLE"), (1e-3, "INFEASIBLE"), (-1e-6, "FEASIBLE"), (1e-6, "INFEASIBLE")
@@ -286,6 +328,41 @@ def test_verdict_flips_at_inverse_witness(d):
             assert builder.verify_squash(report.squash, p, tol=1e-6).passed
         else:
             assert report.witness.value == pytest.approx(1 + margin, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_verdict_just_above_and_below_one(d):
+    # a witness above 1 + 1e-11 is INFEASIBLE; at one and just below, a verified map is found
+    rng = np.random.default_rng(100 + d)
+    for _ in range(2):
+        m_z, m_x = _unit_random_pair(d, rng)
+        w = finder.bloch_witness(m_z, m_x).value
+        for target in (1 + 5e-10, 1 + 1e-10, 1 + 2e-11, 1.0, 1 - 1e-9):
+            p = _visibility_set(m_z, m_x, target / w)
+            report = finder.find_squash(p)
+            if target > 1.0:
+                assert report.verdict == "INFEASIBLE", (target, report.gap)
+            else:
+                assert report.verdict == "FEASIBLE", (target, report.gap)
+                assert builder.verify_squash(report.squash, p, tol=1e-6).passed
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=5),
+    seed=st.integers(min_value=0, max_value=10**6),
+    margin=st.sampled_from([-1e-3, 1e-3, -1e-6, 1e-6, 1e-10]),
+)
+def test_verdict_flips_at_inverse_witness_on_any_set(d, seed, margin):
+    m_z, m_x = _unit_random_pair(d, np.random.default_rng(seed))
+    p = _visibility_set(m_z, m_x, (1 + margin) / finder.bloch_witness(m_z, m_x).value)
+    report = finder.find_squash(p)
+    if margin < 0:
+        assert report.verdict == "FEASIBLE"
+        assert builder.verify_squash(report.squash, p, tol=1e-6).passed
+    else:
+        assert report.verdict == "INFEASIBLE"
+        assert report.witness.value == pytest.approx(1 + margin, abs=1e-12)
 
 
 def test_doubling_steps_stay_few_on_every_small_sector():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,16 @@ def test_rect_json_round_trip():
     a = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
     back = linalg.matrix_rect_from_json(linalg.matrix_rect_to_json(a))
     assert np.array_equal(a, back)
+
+
+def test_json_entries_match_the_elementwise_encoding():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    values[:4] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]
+    entries = linalg.vector_to_json(values)
+    reference = [[float(z.real), float(z.imag)] for z in values]
+    assert all(type(x) is float for entry in entries for x in entry)
+    assert json.dumps(entries) == json.dumps(reference)
 
 
 def test_matrix_json_length_check():

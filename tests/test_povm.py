@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,19 @@ def test_povm_json_round_trip():
     assert back.dim == p.dim
     for key in povm.LABELS:
         assert np.array_equal(back.elements[key], p.elements[key])
+
+
+def test_measurement_set_is_immutable():
+    source = {key: m.copy() for key, m in povm.ideal_qubit_povm().elements.items()}
+    p = povm.make_povm(source)
+    with pytest.raises(ValueError):
+        p.elements["z0"][0, 0] = 3.0
+    with pytest.raises(AttributeError):
+        p.elements.pop("x1")
+    with pytest.raises(TypeError):
+        del p.elements["x1"]
+    source["z0"][0, 0] = 3.0  # the set holds its own copies
+    assert povm.validate(p).passed
+    back = pickle.loads(pickle.dumps(p))  # sets still travel to worker processes
+    assert all(np.array_equal(back.elements[k], p.elements[k]) for k in povm.LABELS)
+    assert not back.elements["z0"].flags.writeable

@@ -25,9 +25,7 @@ from .finder import (
     BlochWitness,
     FeasibilityReport,
     bloch_witness,
-    choi_from_squash,
     find_squash,
-    squash_from_choi,
 )
 from .fock import (
     DetectorModel,
@@ -52,7 +50,7 @@ from .groups import (
     regular_representation,
     symmetric_group_s3,
 )
-from .linalg import HermitianEig, hermitian_eig, kron, partial_trace, rank_tol, unitary_from_generator
+from .linalg import HermitianEig, hermitian_eig, kron, rank_tol, unitary_from_generator
 from .nogo import (
     AttackResult,
     SymmetrizedPovm,

@@ -57,14 +57,6 @@ class InvalidSquash(SquashkitError):
     pass
 
 
-class NotPsd(SquashkitError):
-    pass
-
-
-class NotTracePreserving(SquashkitError):
-    pass
-
-
 class TildeNotVerified(SquashkitError):
     pass
 

@@ -1,22 +1,21 @@
-"""Squash existence decided exactly, and the squash built, on the Choi matrix.
+"""Squash existence decided exactly, and the squash built, in the sigma_y output frame.
 
-A channel from dimension d to a qubit is encoded as its Choi matrix
-J = sum_c vec(F_c) vec(F_c)+ with column-stacked vec, so J lives on the
-composite (input x output) space of dimension 2d. Trace preservation and
-the reproduction of both observables pin every 2x2 block's identity,
-sigma_z and sigma_x components, which leaves
-J = (1^T x 1 + M_z^T x sigma_z + M_x^T x sigma_x + Z x sigma_y) / 2
-with only the Hermitian d x d matrix Z free.
+Write a map from dimension d to a qubit with its outputs in the sigma_y
+eigenbasis, F_k = |0_y> g0_k + |1_y> g1_k, where g0_k and g1_k are the k-th
+rows of two d x d matrices G0 and G1. With A = G0+ G1 the map pulls sigma_z
+back to A + A+ and sigma_x to i(A+ - A), so it reproduces both observables
+exactly when A = (M_z + i M_x) / 2, and it preserves trace when
+G0+ G0 + G1+ G1 = 1.
 
-Rotating the output qubit turns J >= 0 into [[1+Z, T], [T+, 1-Z]] >= 0
-with T = M_z^T - i M_x^T. By Ando's theorem such a Z exists exactly when
-the numerical radius w(T) is at most one, and w(T) is the Bloch-norm
-witness: the maximum over angles of the top eigenvalue of
-cos(t) M_z + sin(t) M_x. It is found by the level-set method of Mengi and
-Overton, which locates the global maximum from a handful of 2d x 2d pencil
-eigenproblems. Above one it certifies that no squash exists; otherwise
-Z = 2X - 1, with X the maximal solution of X + A+ X^-1 A = 1 for A = T / 2,
-comes from a structure-preserving doubling iteration.
+Such a pair exists exactly when [[X, A], [A+, 1 - X]] >= 0 for some X, its
+Gram matrix. By Ando's theorem that holds exactly when the numerical radius
+w(2A) is at most one, and w(2A) is the Bloch-norm witness: the maximum over
+angles of the top eigenvalue of cos(t) M_z + sin(t) M_x. It is found by the
+level-set method of Mengi and Overton, which locates the global maximum from
+a handful of 2d x 2d pencil eigenproblems. Above one it certifies that no
+squash exists; otherwise the maximal solution X of X + A+ X^-1 A = 1 comes
+from a structure-preserving doubling iteration, and with X = L L+ the pair
+G0 = L+, G1 = L^-1 A is the squash.
 """
 
 from __future__ import annotations
@@ -26,66 +25,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, povm
-from .builder import SquashMap, verify_squash
-from .errors import NotHermitian, NotPsd, NotTracePreserving, SelfCheckFailed
+from .builder import KET_0Y, KET_1Y, SquashMap, squash_to_json, verify_squash
+from .errors import NotHermitian, SelfCheckFailed
 
 #: Witness levels sit this far above the best value, relative; closer values are ties.
 LEVEL_STEP = 1e-14
 #: A witness value above 1 + INFEASIBLE_SLACK, rechecked, certifies that no squash exists.
 INFEASIBLE_SLACK = 1e-11
-#: A is shrunk by this relative amount, so that w(2A) < 1 on the boundary w(T) = 1.
+#: A is shrunk by this relative amount, so that w(2A) < 1 on the boundary w(2A) = 1.
 DOUBLING_SHRINK = 1e-12
 #: The doubling iterate is stationary once a step moves it by this much, relative.
 STATIONARY_STEP = 64 * np.finfo(float).eps
-#: Doubling steps before the solve gives up; it takes at most 24 on the boundary w(T) = 1.
+#: Doubling steps before the solve gives up; it takes at most 24 on the boundary w(2A) = 1.
 MAX_DOUBLING_STEPS = 64
-
-
-def choi_from_squash(f: SquashMap) -> np.ndarray:
-    """Choi matrix of a map to a qubit; it lives on dimension 2 * in_dim."""
-    # column-stacked vec: entry (a, i) of a 2 x d operator lands at index i*2 + a
-    return f.choi().transpose(1, 0, 3, 2).reshape(2 * f.in_dim, 2 * f.in_dim)
-
-
-def squash_from_choi(j: np.ndarray, psd_tol: float = 1e-8, tp_tol: float = 1e-6) -> SquashMap:
-    """Kraus operators from the spectral decomposition of a Choi matrix.
-
-    Eigenvalue clipping can leave the recovered family preserving trace only
-    as well as the input marginal does, so when the Kraus sum drifts from
-    the identity beyond floating-point dust the family is renormalized by
-    the inverse square root of its sum; that keeps trace preservation exact
-    and moves the channel by at most the marginal defect.
-    """
-    d = j.shape[0] // 2  # an odd dimension fails in partial_trace
-    eig = linalg.hermitian_eig(j)
-    if eig.eigenvalues[0] < -psd_tol:
-        raise NotPsd(f"Choi matrix has eigenvalue {eig.eigenvalues[0]}")
-    marginal = linalg.partial_trace(j, (d, 2), keep="first")
-    if linalg.frob(marginal - np.eye(d)) > tp_tol:
-        raise NotTracePreserving("input marginal of the Choi matrix is not the identity")
-    keep = eig.eigenvalues >= 1e-10
-    # each kept eigenvector, scaled, is the column-stacked vec of one Kraus operator
-    vecs = np.sqrt(eig.eigenvalues[keep]) * eig.eigenvectors[:, keep]
-    kraus = vecs.T.reshape(-1, d, 2).transpose(0, 2, 1)
-    total = sum(linalg.dagger(f) @ f for f in kraus)
-    if linalg.frob(total - np.eye(d)) > 1e-10:
-        teig = linalg.hermitian_eig(total)
-        if teig.eigenvalues[0] <= 0.0:
-            raise NotTracePreserving("Kraus sum is singular; cannot renormalize")
-        inv_root = (teig.eigenvectors / np.sqrt(teig.eigenvalues)) @ linalg.dagger(
-            teig.eigenvectors
-        )
-        kraus = kraus @ inv_root
-    return SquashMap(in_dim=d, kraus=kraus)
-
-
-# ---------------------------------------------------------------------------
-# Affine constraint set
-
-def _affine_pinned(m_z: np.ndarray, m_x: np.ndarray) -> np.ndarray:
-    """The pinned part (1^T x 1 + M_z^T x sigma_z + M_x^T x sigma_x) / 2."""
-    eye = np.eye(2 * m_z.shape[0], dtype=complex)
-    return 0.5 * (eye + linalg.kron(m_z.T, linalg.PAULI_Z) + linalg.kron(m_x.T, linalg.PAULI_X))
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +120,14 @@ def find_squash(p: povm.Bb84Povm, tol: float = 1e-8) -> FeasibilityReport:
     Runs the Bloch-norm witness (the level-set maximum of :func:`bloch_witness`)
     first; a value above 1 + INFEASIBLE_SLACK settles the question as INFEASIBLE.
     At or below one a squash exists by Ando's theorem, and the doubling solves
-    for its sigma_y part until a step no longer moves the iterate. ``gap`` is the
-    resulting Choi matrix's Frobenius distance from the PSD cone; at most
-    ``tol`` gives FEASIBLE, with the map extracted and verified at 1e-6. A
-    gap above ``tol``, or a breakdown of the doubling (a failed Cholesky
-    factor, or no stationary iterate within MAX_DOUBLING_STEPS), gives
-    UNDECIDED.
+    for X until a step no longer moves the iterate. Its Cholesky factor gives
+    one Kraus operator per input dimension, which reproduce both observables
+    by construction; ``gap`` is the map's trace defect, the Frobenius norm of
+    the Kraus sum minus the identity. At most ``tol`` gives FEASIBLE, with the
+    map verified at 1e-6. A gap above ``tol``, or a breakdown of the doubling
+    (no stationary iterate within MAX_DOUBLING_STEPS, or an X that is not
+    positive definite, reported with the empty family's defect sqrt(d)),
+    gives UNDECIDED.
     """
     m_z, m_x = p.difference("z"), p.difference("x")
     witness = bloch_witness(m_z, m_x)
@@ -188,7 +142,8 @@ def find_squash(p: povm.Bb84Povm, tol: float = 1e-8) -> FeasibilityReport:
         )
 
     # doubling (Lin & Xu): Q converges to the maximal solution X of X + A+ X^-1 A = 1
-    a = (1.0 - DOUBLING_SHRINK) * (m_z.T - 1j * m_x.T) / 2.0
+    a = (m_z + 1j * m_x) / 2.0
+    e = (1.0 - DOUBLING_SHRINK) * a
     q = np.eye(p.dim, dtype=complex)
     s = np.zeros_like(q)
     steps, stationary = 0, False
@@ -197,33 +152,39 @@ def find_squash(p: povm.Bb84Povm, tol: float = 1e-8) -> FeasibilityReport:
             low = np.linalg.cholesky(q - s)
         except np.linalg.LinAlgError:
             break
-        # with W = L L+, each update is a product of L^-1 A and L^-1 A+
-        l_a, l_ad = np.split(np.linalg.solve(low, np.hstack([a, linalg.dagger(a)])), 2, axis=1)
-        step = linalg.dagger(l_a) @ l_a  # A+ W^-1 A
-        s = s + linalg.dagger(l_ad) @ l_ad
-        a = linalg.dagger(l_ad) @ l_a
+        # with W = L L+, each update is a product of L^-1 E and L^-1 E+
+        l_e, l_ed = np.split(np.linalg.solve(low, np.hstack([e, linalg.dagger(e)])), 2, axis=1)
+        step = linalg.dagger(l_e) @ l_e  # E+ W^-1 E
+        s = s + linalg.dagger(l_ed) @ l_ed
+        e = linalg.dagger(l_ed) @ l_e
         q = q - step
         steps += 1
         stationary = linalg.frob(step) <= STATIONARY_STEP * linalg.frob(q)
 
-    z = 2.0 * q - np.eye(p.dim)
-    j = _affine_pinned(m_z, m_x) + 0.5 * linalg.kron((z + linalg.dagger(z)) / 2.0, linalg.PAULI_Y)
-    gap = float(np.linalg.norm(np.minimum(np.linalg.eigvalsh(j), 0.0)))
+    try:  # X = L L+ gives G0 = L+ and G1 = L^-1 A, so that G0+ G1 = A and G0+ G0 = X
+        low = np.linalg.cholesky(q)
+    except np.linalg.LinAlgError:
+        return FeasibilityReport(
+            verdict="UNDECIDED", squash=None, witness=witness,
+            gap=float(np.sqrt(p.dim)), iterations=steps,
+        )
+    pair = np.stack([linalg.dagger(low), np.linalg.solve(low, a)], axis=1)  # [k] = (g0_k, g1_k)
+    kraus = np.stack([KET_0Y, KET_1Y], axis=1) @ pair  # |0_y> g0_k + |1_y> g1_k
+    rows = kraus.reshape(-1, p.dim)
+    gap = linalg.frob(linalg.dagger(rows) @ rows - np.eye(p.dim))
     if not (stationary and gap <= tol):
         return FeasibilityReport(
             verdict="UNDECIDED", squash=None, witness=witness, gap=gap, iterations=steps
         )
-    squash = squash_from_choi(j)
+    squash = SquashMap(in_dim=p.dim, kraus=kraus)
     if not verify_squash(squash, p, tol=1e-6).passed:
-        raise SelfCheckFailed("doubling-built Choi matrix produced a map that fails verification")
+        raise SelfCheckFailed("the doubling's factorization produced a map that fails verification")
     return FeasibilityReport(
         verdict="FEASIBLE", squash=squash, witness=witness, gap=gap, iterations=steps
     )
 
 
 def report_to_json(report: FeasibilityReport) -> dict:
-    from .builder import squash_to_json
-
     return {
         "verdict": report.verdict,
         "gap": float(report.gap),

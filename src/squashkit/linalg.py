@@ -78,26 +78,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Trace out one tensor factor of a matrix on a (d1*d2)-dimensional space.
-
-    ``keep`` selects the surviving factor, "first" or "second"; the index
-    convention matches :func:`kron`.
-    """
-    d1, d2 = dims
-    mat = as_matrix(m)
-    if mat.shape[0] != d1 * d2:
-        raise DimensionMismatch(
-            f"matrix dim {mat.shape[0]} does not factor as {d1}*{d2}"
-        )
-    r = mat.reshape(d1, d2, d1, d2)
-    if keep == "first":
-        return np.einsum("abcb->ac", r)
-    if keep == "second":
-        return np.einsum("abad->bd", r)
-    raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
-
-
 def rank_tol(a: np.ndarray, tol: float | None = None) -> int:
     """Number of eigenvalues of a Hermitian matrix with magnitude above tol."""
     m = as_matrix(a)

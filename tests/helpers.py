@@ -92,6 +92,11 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (x + x.conj().T) / 2
 
 
+def column_stacked_choi(f) -> np.ndarray:
+    """Choi matrix of a map to a qubit on (input x output): entry (a, i) of F lands at i*2 + a."""
+    return f.choi().transpose(1, 0, 3, 2).reshape(2 * f.in_dim, 2 * f.in_dim)
+
+
 def einsum_project_affine(j: np.ndarray, m_z: np.ndarray, m_x: np.ndarray) -> np.ndarray:
     """Nearest Hermitian matrix on the Choi constraint set of observables (m_z, m_x).
 

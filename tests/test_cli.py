@@ -159,7 +159,7 @@ def test_squash_find_ideal(ideal_file, tmp_path):
 
 def test_squash_find_undecided_budget(ideal_file, tmp_path):
     out = tmp_path / "report.json"
-    # the doubling is stationary after 2 steps, with a gap of about 1e-12 above tol
+    # the doubling is stationary after 2 steps, with a trace defect of about 2e-12 above tol
     code = main(
         ["squash", "find", "--povm", str(ideal_file), "--tol", "1e-14", "--out", str(out)]
     )

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squashkit import builder, finder, fock, groups, linalg, nogo, povm
-from squashkit.errors import DimensionMismatch, NotHermitian, NotPsd, NotTracePreserving
+from squashkit import builder, cli, finder, fock, groups, linalg, nogo, povm
+from squashkit.errors import NotHermitian
 from squashkit.nogo import counterexample_m0
 
-from helpers import affine_residual, einsum_project_affine, random_hermitian
+from helpers import affine_residual, column_stacked_choi, einsum_project_affine, random_hermitian
 
 
 def theorem1_squash(photons):
@@ -17,74 +18,12 @@ def theorem1_squash(photons):
     return model, builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
 
 
-def test_choi_of_identity_channel():
-    squash = builder.SquashMap(in_dim=2, kraus=(np.eye(2, dtype=complex),))
-    choi = finder.choi_from_squash(squash)
-    omega = np.zeros(4, dtype=complex)
-    omega[0] = omega[3] = 1.0  # |00> + |11> on (input x output)
-    assert np.allclose(choi, np.outer(omega, omega.conj()))
-    assert np.trace(choi).real == pytest.approx(2.0)
-
-
-def test_choi_of_constant_output_channel():
-    kraus = tuple(
-        np.outer(builder.KET_0Y, np.eye(3, dtype=complex)[j]) for j in range(3)
-    )
-    squash = builder.SquashMap(in_dim=3, kraus=kraus)
-    choi = finder.choi_from_squash(squash)
-    proj = np.outer(builder.KET_0Y, builder.KET_0Y.conj())
-    assert np.allclose(choi, linalg.kron(np.eye(3), proj), atol=1e-12)
-
-
 def test_theorem1_choi_satisfies_constraints():
     model, squash = theorem1_squash((2,))
-    choi = finder.choi_from_squash(squash)
+    choi = column_stacked_choi(squash)
     assert affine_residual(choi, model.povm) <= 1e-9
-    marginal = linalg.partial_trace(choi, (3, 2), keep="first")
+    marginal = np.einsum("iaja->ij", choi.reshape(3, 2, 3, 2))  # trace over the output qubit
     assert linalg.frob(marginal - np.eye(3)) <= 1e-9
-
-
-def test_choi_round_trip():
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
-    raw = [x[2 * k: 2 * k + 2] for k in range(4)]
-    eig = linalg.hermitian_eig(sum(linalg.dagger(f) @ f for f in raw))
-    inv_root = (eig.eigenvectors / np.sqrt(eig.eigenvalues)) @ linalg.dagger(
-        eig.eigenvectors
-    )
-    squash = builder.SquashMap(in_dim=6, kraus=tuple(f @ inv_root for f in raw))
-    choi = finder.choi_from_squash(squash)
-    recovered = finder.squash_from_choi(choi)
-    again = finder.choi_from_squash(recovered)
-    assert linalg.frob(again - choi) <= 1e-8
-
-
-def test_identity_recovery_acts_like_identity():
-    squash = builder.SquashMap(in_dim=2, kraus=(np.eye(2, dtype=complex),))
-    recovered = finder.squash_from_choi(finder.choi_from_squash(squash))
-    rng = np.random.default_rng(12)
-    for _ in range(5):
-        rho = linalg.random_density_matrix(2, rng)
-        assert linalg.frob(recovered.apply(rho) - rho) <= 1e-9
-
-
-def test_rank_deficient_choi_yields_few_kraus():
-    model, squash = theorem1_squash((2,))
-    recovered = finder.squash_from_choi(finder.choi_from_squash(squash))
-    assert len(recovered.kraus) < 2 * model.povm.dim
-    total = sum(linalg.dagger(f) @ f for f in recovered.kraus)
-    assert linalg.frob(total - np.eye(3)) <= 1e-6
-
-
-def test_choi_extraction_guards():
-    bad = -np.eye(4, dtype=complex)
-    with pytest.raises(NotPsd):
-        finder.squash_from_choi(bad)
-    not_tp = np.eye(4, dtype=complex)
-    with pytest.raises(NotTracePreserving):
-        finder.squash_from_choi(not_tp)
-    with pytest.raises(DimensionMismatch):  # no (d x 2) factorization
-        finder.squash_from_choi(np.eye(3, dtype=complex))
 
 
 def test_projections_idempotent():
@@ -108,15 +47,16 @@ def _checked_project_psd(j):
 
 def _alternating_projections(p, max_iter=20000, tol=1e-8):
     """The search the doubling solve replaced: from J = 1/2, alternate between
-    the affine constraint set and the PSD cone until the two iterates meet."""
+    the affine constraint set and the PSD cone until the two iterates meet.
+    Returns the verdict and the last affine iterate J."""
     m_z, m_x = p.difference("z"), p.difference("x")
     j = einsum_project_affine(np.eye(2 * p.dim, dtype=complex) / 2.0, m_z, m_x)
     for _ in range(max_iter):
         psd = _checked_project_psd(j)
         j = einsum_project_affine(psd, m_z, m_x)
         if linalg.frob(j - psd) <= tol:
-            return "FEASIBLE", finder.squash_from_choi(j)
-    return "UNDECIDED", None
+            return "FEASIBLE", j
+    return "UNDECIDED", j
 
 
 def _cross_check_set(name):
@@ -134,11 +74,13 @@ def _cross_check_set(name):
 @pytest.mark.parametrize("photons", [(1,), (2,), (2, 1), "ideal", "c2", "c4"])
 def test_find_squash_iterates_match_reference_loop(photons):
     p = _cross_check_set(photons)
-    verdict, reference = _alternating_projections(p)
+    verdict, j = _alternating_projections(p)
     report = finder.find_squash(p)
     assert report.verdict == verdict == "FEASIBLE"
-    for squash in (report.squash, reference):
-        assert builder.verify_squash(squash, p, tol=1e-6).passed
+    assert builder.verify_squash(report.squash, p, tol=1e-6).passed
+    # the reference's J is a Choi matrix of a squash: PSD, and on the constraint set
+    assert np.linalg.eigvalsh(j)[0] >= -1e-8
+    assert affine_residual(j, p) <= 1e-8
 
 
 @pytest.mark.parametrize("photons", [(1,), (2,), (2, 1), (2, 2)])
@@ -375,12 +317,53 @@ def test_doubling_steps_stay_few_on_every_small_sector():
 
 
 def test_undecided_on_tiny_budget():
-    # the doubling is stationary after 3 steps, with a gap of about 1e-12 above tol
+    # the doubling is stationary after 3 steps, with a trace defect of about 2e-12 above tol
     model = fock.build_detector(fock.fock_sector((2,)))
     report = finder.find_squash(model.povm, tol=1e-14)
     assert report.verdict == "UNDECIDED"
     assert report.iterations == 3
     assert report.gap > 0.0
+
+
+@pytest.mark.parametrize("name", [(1,), (2,), (2, 1), "ideal", "c4", "random"])
+def test_squash_is_read_off_the_doubling_solution(name):
+    # one Kraus operator per input dimension, both observables reproduced to
+    # rounding, and gap is exactly the returned map's trace defect
+    if name == "random":
+        m_z, m_x = _unit_random_pair(5, np.random.default_rng(55))
+        p = _visibility_set(m_z, m_x, (1 - 1e-9) / finder.bloch_witness(m_z, m_x).value)
+    else:
+        p = _cross_check_set(name)
+    report = finder.find_squash(p)
+    assert report.verdict == "FEASIBLE"
+    squash = report.squash
+    assert len(squash.kraus) == p.dim
+    assert linalg.frob(squash.adjoint(linalg.PAULI_Z) - p.difference("z")) <= 1e-12
+    assert linalg.frob(squash.adjoint(linalg.PAULI_X) - p.difference("x")) <= 1e-12
+    defect = linalg.frob(squash.adjoint(np.eye(2, dtype=complex)) - np.eye(p.dim))
+    assert report.gap == pytest.approx(defect, abs=1e-15)
+
+
+def test_undecided_when_the_doubling_solution_has_no_cholesky_factor(monkeypatch, tmp_path):
+    p = fock.build_detector(fock.fock_sector((2,))).povm
+    steps = finder.find_squash(p).iterations
+    cholesky, calls = np.linalg.cholesky, []
+
+    def failing_after_the_doubling(a):
+        calls.append(a.shape)
+        if len(calls) % (steps + 1) == 0:  # each search factors once per step, then X
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_after_the_doubling)
+    report = finder.find_squash(p)
+    assert report.verdict == "UNDECIDED" and report.squash is None
+    assert report.iterations == steps
+    assert np.isfinite(report.gap)
+    json.dumps(finder.report_to_json(report), allow_nan=False)
+    out = tmp_path / "report.json"
+    assert cli.main(["squash", "find", "--sector", "2", "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["verdict"] == "UNDECIDED"
 
 
 def _haar_unitary(d, rng):
@@ -404,6 +387,39 @@ def test_both_engines_succeed_on_a_rotated_detector_set(index, seed):
     constructed = builder.construct_theorem1(
         p, groups.C4Symmetry(u=v @ model.u_n @ linalg.dagger(v))
     )
+    assert builder.verify_squash(constructed, p, tol=1e-8).passed
+    report = finder.find_squash(p)
+    assert report.verdict == "FEASIBLE"
+    assert report.witness.value <= 1.0 + 1e-9
+    assert builder.verify_squash(report.squash, p, tol=1e-6).passed
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=10**6),
+    lam=st.floats(min_value=0.05, max_value=1.0, exclude_min=True),
+)
+def test_both_engines_succeed_on_any_rank_two_four_cycle_set(d, seed, lam):
+    # Theorem 1 on sets that need not come from a detector: U has eigenvalues in
+    # {1, i, -1, -i} on a Haar basis, v mixes the +1 and -1 eigenspaces of U^2 equally,
+    # M_z = lam (vv+ - U^2 vv+ U^2+) and M_x = U M_z U+
+    rng = np.random.default_rng(seed)
+    powers = rng.integers(0, 4, size=d)
+    powers[0], powers[1] = 2 * rng.integers(0, 2), 2 * rng.integers(0, 2) + 1
+    basis = _haar_unitary(d, rng)
+    u = (basis * np.array([1, 1j, -1, -1j])[powers]) @ linalg.dagger(basis)
+    halves = []
+    for parity in (0, 1):  # U^2 = +1 on even powers, -1 on odd ones
+        span = basis[:, powers % 2 == parity]
+        h = span @ (rng.standard_normal(span.shape[1]) + 1j * rng.standard_normal(span.shape[1]))
+        halves.append(h / np.linalg.norm(h))
+    v = (halves[0] + halves[1]) / np.sqrt(2.0)
+    flipped = u @ u @ v
+    m_z = lam * (np.outer(v, v.conj()) - np.outer(flipped, flipped.conj()))
+    m_x = u @ m_z @ linalg.dagger(u)
+    p = _visibility_set(m_z, m_x, 1.0)
+    constructed = builder.construct_theorem1(p, groups.C4Symmetry(u=u))
     assert builder.verify_squash(constructed, p, tol=1e-8).passed
     report = finder.find_squash(p)
     assert report.verdict == "FEASIBLE"

@@ -101,35 +101,6 @@ def test_kron_associativity():
     assert linalg.frob(lhs - rhs) <= 1e-12 * max(1.0, linalg.frob(lhs))
 
 
-def test_partial_trace_of_product():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        kept = linalg.partial_trace(linalg.kron(a, b), (3, 2), keep="first")
-        assert linalg.frob(kept - np.trace(b) * a) <= 1e-12 * max(1.0, linalg.frob(kept))
-        other = linalg.partial_trace(linalg.kron(a, b), (3, 2), keep="second")
-        assert linalg.frob(other - np.trace(a) * b) <= 1e-12 * max(1.0, linalg.frob(other))
-
-
-def test_partial_trace_identity():
-    out = linalg.partial_trace(np.eye(4, dtype=complex), (2, 2), keep="first")
-    assert np.allclose(out, 2 * np.eye(2))
-
-
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(11)
-    m = random_hermitian(6, rng)
-    for keep in ("first", "second"):
-        out = linalg.partial_trace(m, (2, 3), keep=keep)
-        assert abs(np.trace(out) - np.trace(m)) <= 1e-12
-
-
-def test_partial_trace_dimension_check():
-    with pytest.raises(DimensionMismatch):
-        linalg.partial_trace(np.eye(5, dtype=complex), (2, 2), keep="first")
-
-
 def test_rank_tol():
     assert linalg.rank_tol(linalg.PAULI_Z) == 2
     assert linalg.rank_tol(np.zeros((3, 3), dtype=complex)) == 0

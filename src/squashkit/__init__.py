@@ -19,6 +19,7 @@ from .builder import (
     extract_rank2,
     kraus_core,
     mu_decompose,
+    squash_from_kraus,
     verify_squash,
 )
 from .finder import (
@@ -50,7 +51,7 @@ from .groups import (
     regular_representation,
     symmetric_group_s3,
 )
-from .linalg import HermitianEig, hermitian_eig, kron, rank_tol, unitary_from_generator
+from .linalg import HermitianEig, hermitian_eig, kron, unitary_from_generator
 from .nogo import (
     AttackResult,
     SymmetrizedPovm,

@@ -2,10 +2,10 @@
 
 Given a measurement set whose z observable has rank two and a unitary U
 cycling its four elements, the construction runs: extract the +lambda
-eigenvector v of M_z, split v into the four eigencomponents of U, assemble
-at most four core Kraus operators from adjacent components, and append
-completion operators that restore trace preservation without touching the
-reproduced observables (their output lies on the y axis of the qubit, where
+eigenvector v of M_z, split v into the four eigencomponents of U, link
+adjacent components into at most four core rows of the sigma_y-frame pair
+(G0, G1), and append completion rows that restore G0+ G0 + G1+ G1 = 1
+without touching G0+ G1 = (M_z + i M_x) / 2 (they route to |0_y>, where
 both sigma_z and sigma_x have zero expectation).
 """
 
@@ -27,53 +27,65 @@ from .errors import (
     SquashkitError,
 )
 
-#: Eigenvectors of sigma_y in the output-qubit z coordinates.
-KET_0Y = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
-KET_1Y = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0)
+#: Columns |0_y>, |1_y>, the eigenvectors of sigma_y in the output-qubit z coordinates:
+#: the unitary that takes sigma_y-frame rows to z-frame Kraus operators.
+Y_FRAME = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / np.sqrt(2.0)
+#: Largest trace defect a SquashMap accepts.
+TRACE_DEFECT_TOL = 1e-9
+
+
+def trace_defect(g0: np.ndarray, g1: np.ndarray) -> float:
+    """Frobenius norm of G0+ G0 + G1+ G1 - 1: how far the pair's map is from preserving trace."""
+    gram = linalg.dagger(g0) @ g0 + linalg.dagger(g1) @ g1
+    return linalg.frob(gram - np.eye(g0.shape[1]))
 
 
 @dataclass(frozen=True)
 class SquashMap:
-    """A trace-preserving map to a qubit in operator-sum form.
+    """A trace-preserving map to a qubit, held in the sigma_y output frame.
 
-    ``kraus`` may be passed as any sequence of 2 x d operators; it is held as
-    a read-only copy of their values in one complex array of shape (K, 2, d).
+    Its k-th Kraus operator is F_k = |0_y> g0_k + |1_y> g1_k, where g0_k and
+    g1_k are the k-th rows of ``g0`` and ``g1``, both held as read-only
+    complex copies of shape (K, d).
     """
 
-    in_dim: int
-    kraus: np.ndarray
-
-    out_dim = 2
+    g0: np.ndarray
+    g1: np.ndarray
 
     def __post_init__(self):
-        if len(self.kraus) == 0:
-            raise InvalidSquash("need at least one Kraus operator")
-        for f in self.kraus:
-            if np.shape(f) != (2, self.in_dim):
-                raise InvalidSquash(
-                    f"Kraus operator shape {np.shape(f)} vs expected (2, {self.in_dim})"
-                )
-        object.__setattr__(self, "kraus", np.array(self.kraus, dtype=complex))
-        self.kraus.flags.writeable = False
-        rows = self.kraus.reshape(-1, self.in_dim)
-        if linalg.frob(linalg.dagger(rows) @ rows - np.eye(self.in_dim)) > 1e-9:
+        for name in ("g0", "g1"):
+            rows = np.array(getattr(self, name), dtype=complex)
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
+        if self.g0.ndim != 2 or self.g0.shape != self.g1.shape:
+            raise InvalidSquash(f"rows {self.g0.shape} and {self.g1.shape} are not one (K, d) pair")
+        if trace_defect(self.g0, self.g1) > TRACE_DEFECT_TOL:
             raise InvalidSquash("Kraus operators do not sum to the identity")
 
-    def choi(self) -> np.ndarray:
-        """Choi tensor C[a, i, b, j] = sum_k F_k[a, i] conj(F_k[b, j]), shape (2, d, 2, d)."""
-        return np.tensordot(self.kraus, self.kraus.conj(), axes=([0], [0]))
+    def __reduce__(self):  # rebuilt through the constructor, so the copy is read-only too
+        return SquashMap, (self.g0, self.g1)
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Channel action on a d-dimensional operator, yielding a qubit operator."""
-        m = linalg.as_matrix(rho)
-        if m.shape[0] != self.in_dim:
-            raise DimensionMismatch(f"state dim {m.shape[0]} vs map dim {self.in_dim}")
-        return np.tensordot(self.choi(), m, axes=([1, 3], [0, 1]))
+    @property
+    def in_dim(self) -> int:
+        return self.g0.shape[1]
 
-    def adjoint(self, obs: np.ndarray) -> np.ndarray:
-        """Heisenberg-picture pullback of a qubit observable."""
-        rows = self.kraus.reshape(-1, self.in_dim)
-        return linalg.dagger(rows) @ (obs @ self.kraus).reshape(-1, self.in_dim)
+    @property
+    def kraus(self) -> np.ndarray:
+        """The z-frame Kraus operators |0_y> g0_k + |1_y> g1_k, a read-only (K, 2, d) array."""
+        kraus = Y_FRAME @ np.stack([self.g0, self.g1], axis=1)
+        kraus.flags.writeable = False
+        return kraus
+
+
+def squash_from_kraus(in_dim: int, kraus) -> SquashMap:
+    """The map of z-frame Kraus operators, any sequence of 2 x ``in_dim`` matrices."""
+    if len(kraus) == 0:
+        raise InvalidSquash("need at least one Kraus operator")
+    for f in kraus:
+        if np.shape(f) != (2, in_dim):
+            raise InvalidSquash(f"Kraus operator shape {np.shape(f)} vs expected (2, {in_dim})")
+    rows = linalg.dagger(Y_FRAME) @ np.asarray(kraus, dtype=complex)  # [k] = (<0_y|F_k, <1_y|F_k)
+    return SquashMap(g0=rows[:, 0], g1=rows[:, 1])
 
 
 @dataclass(frozen=True)
@@ -86,10 +98,10 @@ class MuDecomposition:
 
 def extract_rank2(m_z: np.ndarray, sym: groups.C4Symmetry, tol: float = 1e-9) -> tuple:
     """Largest eigenvalue and eigenvector of a rank-two +/-lambda observable."""
-    rank = linalg.rank_tol(m_z)
+    eig = linalg.hermitian_eig(m_z)
+    rank = np.count_nonzero(np.abs(eig.eigenvalues) > 1e-9 * max(1.0, linalg.frob(m_z)))
     if rank != 2:
         raise RankNotTwo(f"observable rank is {rank}, need 2")
-    eig = linalg.hermitian_eig(m_z)
     lam = float(eig.eigenvalues[-1])
     if not 0.0 < lam <= 1.0 + tol:
         raise SpectrumAsymmetric(f"leading eigenvalue {lam} outside (0, 1]")
@@ -136,41 +148,36 @@ def mu_decompose(
     return MuDecomposition(lam=float(lam), v=v, v_c=tuple(components), mu=mu)
 
 
-def kraus_core(dec: MuDecomposition) -> list:
-    """Core Kraus operators linking adjacent eigencomponents of v."""
-    ops = []
+def kraus_core(dec: MuDecomposition) -> tuple:
+    """Core rows (G0, G1) linking adjacent eigencomponents of v, one row pair per link."""
+    g0, g1 = [], []
     scale = np.sqrt(2.0 * dec.lam)
     for c in range(4):
         c1 = (c + 1) % 4
         if dec.mu[c] * dec.mu[c1] == 0.0:
             continue
-        f = scale * (
-            dec.mu[c1] * np.outer(KET_0Y, dec.v_c[c].conj())
-            + dec.mu[c] * np.outer(KET_1Y, dec.v_c[c1].conj())
-        )
-        ops.append(f)
-    return ops
+        g0.append(scale * dec.mu[c1] * dec.v_c[c].conj())
+        g1.append(scale * dec.mu[c] * dec.v_c[c1].conj())
+    return tuple(np.array(g, dtype=complex).reshape(-1, len(dec.v)) for g in (g0, g1))
 
 
-def complete_trace_preserving(core, d: int) -> SquashMap:
-    """Append y-axis Kraus operators until the map preserves trace.
+def complete_trace_preserving(core: tuple, d: int) -> SquashMap:
+    """Append y-axis rows until the map preserves trace.
 
-    The deficiency D = identity - sum F+F is diagonalized and each surviving
-    eigendirection is routed to the fixed output |0_y>, which contributes
-    nothing to the reproduced z and x observables.
+    The deficiency D = 1 - G0+ G0 - G1+ G1 of the core rows is diagonalized, and
+    each surviving eigendirection e_j is routed to the fixed output |0_y>: a row
+    sqrt(lambda_j) e_j+ in G0 beside a zero row in G1, invisible to both observables.
     """
-    deficiency = np.eye(d, dtype=complex)
-    for f in core:
-        deficiency = deficiency - linalg.dagger(f) @ f
+    g0, g1 = core
+    deficiency = np.eye(d, dtype=complex) - linalg.dagger(g0) @ g0 - linalg.dagger(g1) @ g1
     eig = linalg.hermitian_eig(deficiency)
     if eig.eigenvalues[0] < -1e-9:
         raise DeficiencyNotPsd(
             f"trace deficiency has negative eigenvalue {eig.eigenvalues[0]}"
         )
     keep = eig.eigenvalues >= 1e-12
-    routed = KET_0Y[:, None] * eig.eigenvectors[:, keep].T.conj()[:, None, :]  # |0_y><e_j|
-    fill = np.sqrt(eig.eigenvalues[keep])[:, None, None] * routed
-    return SquashMap(in_dim=d, kraus=[*core, *fill])
+    fill = np.sqrt(eig.eigenvalues[keep])[:, None] * linalg.dagger(eig.eigenvectors[:, keep])
+    return SquashMap(g0=np.vstack([g0, fill]), g1=np.vstack([g1, np.zeros_like(fill)]))
 
 
 def construct_theorem1(
@@ -231,20 +238,25 @@ def verify_squash(
 ) -> VerificationReport:
     """Check that the map reproduces both observables and preserves trace.
 
-    Besides the operator identities, spot-checks the defining equality
-    Tr(F(rho) sigma_r) = Tr(rho M_r) on ``samples`` random mixed states, drawn
-    in one batch (the same states as successive single draws from ``seed``).
+    With A = G0+ G1 the map pulls sigma_z back to A + A+ and sigma_x to
+    i(A+ - A), so the observable residuals are closed-form. Besides them,
+    spot-checks the defining equality Tr(F(rho) sigma_r) = Tr(rho M_r) on
+    ``samples`` random mixed states, drawn in one batch (the same states as
+    successive single draws from ``seed``), through the map's Choi tensor.
     """
     if f.in_dim != p.dim:
         raise DimensionMismatch(f"map dim {f.in_dim} vs POVM dim {p.dim}")
     m_z, m_x = p.difference("z"), p.difference("x")
-    residual_z = linalg.frob(f.adjoint(linalg.PAULI_Z) - m_z)
-    residual_x = linalg.frob(f.adjoint(linalg.PAULI_X) - m_x)
-    residual_tp = linalg.frob(f.adjoint(np.eye(2, dtype=complex)) - np.eye(p.dim))
+    a_f = linalg.dagger(f.g0) @ f.g1
+    residual_z = linalg.frob(a_f + linalg.dagger(a_f) - m_z)
+    residual_x = linalg.frob(1j * (linalg.dagger(a_f) - a_f) - m_x)
+    residual_tp = trace_defect(f.g0, f.g1)
     rhos = linalg.random_density_matrices(p.dim, samples, np.random.default_rng(seed))
-    outs = np.tensordot(f.choi(), rhos, axes=([1, 3], [1, 2]))  # indexed [a, b, sample]
-    # Tr(F(rho) sigma_r) - Tr(rho M_r), indexed [r, sample] for r = z, x
-    dev = np.einsum("abn,rba->rn", outs, np.stack([linalg.PAULI_Z, linalg.PAULI_X]))
+    # the y-frame Choi tensor as blocks [a, b] = G_b+ G_a, so that F(rho)[a, b] = Tr(rho G_b+ G_a)
+    choi = np.array([[linalg.dagger(b) @ a for b in (f.g0, f.g1)] for a in (f.g0, f.g1)])
+    outs = np.tensordot(choi, rhos, axes=([3, 2], [1, 2]))  # indexed [a, b, sample]
+    # Tr(F(rho) sigma_r) - Tr(rho M_r) by [r, sample]; here sigma_z, sigma_x read sigma_x, sigma_y
+    dev = np.einsum("abn,rba->rn", outs, np.stack([linalg.PAULI_X, linalg.PAULI_Y]))
     dev -= np.einsum("nij,rji->rn", rhos, np.stack([m_z, m_x]))
     worst = float(np.abs(dev.real).max(initial=0.0))
     passed = max(residual_z, residual_x, residual_tp, worst) <= tol
@@ -267,4 +279,4 @@ def squash_to_json(f: SquashMap) -> dict:
 
 def squash_from_json(obj: dict) -> SquashMap:
     kraus = tuple(linalg.matrix_rect_from_json(k) for k in obj["kraus"])
-    return SquashMap(in_dim=int(obj["in_dim"]), kraus=kraus)
+    return squash_from_kraus(int(obj["in_dim"]), kraus)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, povm
-from .builder import KET_0Y, KET_1Y, SquashMap, squash_to_json, verify_squash
+from .builder import TRACE_DEFECT_TOL, SquashMap, squash_to_json, trace_defect, verify_squash
 from .errors import NotHermitian, SelfCheckFailed
 
 #: Witness levels sit this far above the best value, relative; closer values are ties.
@@ -121,13 +121,12 @@ def find_squash(p: povm.Bb84Povm, tol: float = 1e-8) -> FeasibilityReport:
     first; a value above 1 + INFEASIBLE_SLACK settles the question as INFEASIBLE.
     At or below one a squash exists by Ando's theorem, and the doubling solves
     for X until a step no longer moves the iterate. Its Cholesky factor gives
-    one Kraus operator per input dimension, which reproduce both observables
-    by construction; ``gap`` is the map's trace defect, the Frobenius norm of
-    the Kraus sum minus the identity. At most ``tol`` gives FEASIBLE, with the
-    map verified at 1e-6. A gap above ``tol``, or a breakdown of the doubling
-    (no stationary iterate within MAX_DOUBLING_STEPS, or an X that is not
-    positive definite, reported with the empty family's defect sqrt(d)),
-    gives UNDECIDED.
+    the row pair (G0, G1), one row per input dimension, which reproduces both
+    observables by construction; ``gap`` is its trace defect. At most ``tol``
+    and the TRACE_DEFECT_TOL a SquashMap accepts gives FEASIBLE, with the map
+    verified at 1e-6. A larger gap, or a breakdown of the doubling (no
+    stationary iterate within MAX_DOUBLING_STEPS, or an X that is not positive
+    definite, reported with the empty family's defect sqrt(d)), gives UNDECIDED.
     """
     m_z, m_x = p.difference("z"), p.difference("x")
     witness = bloch_witness(m_z, m_x)
@@ -163,20 +162,15 @@ def find_squash(p: povm.Bb84Povm, tol: float = 1e-8) -> FeasibilityReport:
 
     try:  # X = L L+ gives G0 = L+ and G1 = L^-1 A, so that G0+ G1 = A and G0+ G0 = X
         low = np.linalg.cholesky(q)
-    except np.linalg.LinAlgError:
-        return FeasibilityReport(
-            verdict="UNDECIDED", squash=None, witness=witness,
-            gap=float(np.sqrt(p.dim)), iterations=steps,
-        )
-    pair = np.stack([linalg.dagger(low), np.linalg.solve(low, a)], axis=1)  # [k] = (g0_k, g1_k)
-    kraus = np.stack([KET_0Y, KET_1Y], axis=1) @ pair  # |0_y> g0_k + |1_y> g1_k
-    rows = kraus.reshape(-1, p.dim)
-    gap = linalg.frob(linalg.dagger(rows) @ rows - np.eye(p.dim))
-    if not (stationary and gap <= tol):
+        g0, g1 = linalg.dagger(low), np.linalg.solve(low, a)
+    except np.linalg.LinAlgError:  # the empty family, whose trace defect sqrt(d) is UNDECIDED
+        g0 = g1 = np.zeros((0, p.dim))
+    gap = trace_defect(g0, g1)
+    if not (stationary and gap <= min(tol, TRACE_DEFECT_TOL)):
         return FeasibilityReport(
             verdict="UNDECIDED", squash=None, witness=witness, gap=gap, iterations=steps
         )
-    squash = SquashMap(in_dim=p.dim, kraus=kraus)
+    squash = SquashMap(g0=g0, g1=g1)
     if not verify_squash(squash, p, tol=1e-6).passed:
         raise SelfCheckFailed("the doubling's factorization produced a map that fails verification")
     return FeasibilityReport(

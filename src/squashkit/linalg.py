@@ -78,15 +78,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def rank_tol(a: np.ndarray, tol: float | None = None) -> int:
-    """Number of eigenvalues of a Hermitian matrix with magnitude above tol."""
-    m = as_matrix(a)
-    eig = hermitian_eig(m)  # raises NotHermitian
-    if tol is None:
-        tol = 1e-9 * max(1.0, frob(m))
-    return int(np.count_nonzero(np.abs(eig.eigenvalues) > tol))
-
-
 def random_density_matrices(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """A (count, dim, dim) stack equal to ``count`` successive random_density_matrix draws."""
     z = rng.standard_normal((count, 2, dim, dim))

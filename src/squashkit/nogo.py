@@ -90,7 +90,7 @@ def pullback_squash(
         )
     n = s.group.order
     cols = [i * n + s.group.identity for i in range(s.base.dim)]
-    return SquashMap(in_dim=s.base.dim, kraus=f_tilde.kraus[:, :, cols])
+    return SquashMap(g0=f_tilde.g0[:, cols], g1=f_tilde.g1[:, cols])
 
 
 def counterexample_m0() -> povm.Bb84Povm:

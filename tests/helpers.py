@@ -7,7 +7,7 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from squashkit import fock, linalg
+from squashkit import fock, linalg, povm
 
 
 def ladder_state_oracle(photons, r: str, b: int) -> np.ndarray:
@@ -92,9 +92,28 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (x + x.conj().T) / 2
 
 
+def visibility_set(m_z, m_x, v):
+    """The set (1 +/- v M_r) / 2 of the observables M_r at visibility v."""
+    eye = np.eye(m_z.shape[0])
+    return povm.make_povm({
+        f"{r}{b}": (eye + (1 - 2 * b) * v * m) / 2
+        for r, m in (("z", m_z), ("x", m_x)) for b in (0, 1)
+    })
+
+
+def kraus_adjoint(f, obs: np.ndarray) -> np.ndarray:
+    """Heisenberg-picture pullback of a qubit observable, one Kraus operator at a time."""
+    return sum(linalg.dagger(k) @ obs @ k for k in f.kraus)
+
+
+def kraus_apply(f, rho: np.ndarray) -> np.ndarray:
+    """Channel action on a d-dimensional operator, one Kraus operator at a time."""
+    return sum(k @ rho @ linalg.dagger(k) for k in f.kraus)
+
+
 def column_stacked_choi(f) -> np.ndarray:
     """Choi matrix of a map to a qubit on (input x output): entry (a, i) of F lands at i*2 + a."""
-    return f.choi().transpose(1, 0, 3, 2).reshape(2 * f.in_dim, 2 * f.in_dim)
+    return sum(np.outer(k.T.ravel(), k.T.ravel().conj()) for k in f.kraus)
 
 
 def einsum_project_affine(j: np.ndarray, m_z: np.ndarray, m_x: np.ndarray) -> np.ndarray:

@@ -1,7 +1,11 @@
+import json
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squashkit import builder, finder, fock, groups, linalg, povm
 from squashkit.errors import (
@@ -12,7 +16,7 @@ from squashkit.errors import (
 )
 from squashkit.nogo import counterexample_m0
 
-from helpers import acceptance_sectors
+from helpers import acceptance_sectors, kraus_adjoint, kraus_apply
 
 
 def detector_with_symmetry(photons):
@@ -47,6 +51,18 @@ def test_extract_rejects_wrong_rank():
     obs = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
     with pytest.raises(RankNotTwo):
         builder.extract_rank2(obs, sym)
+
+
+def test_extract_reads_the_rank_off_one_eigensolve(monkeypatch):
+    calls = []
+    eig = linalg.hermitian_eig
+    monkeypatch.setattr(linalg, "hermitian_eig", lambda *a: calls.append(a) or eig(*a))
+    shift = groups.C4Symmetry(u=np.roll(np.eye(3), 1, axis=0))  # e_j -> e_j+1, so U^2 e0 = e2
+    lam, v = builder.extract_rank2(np.diag([1.0, 1e-12, -1.0]).astype(complex), shift)
+    assert lam == pytest.approx(1.0, abs=1e-12) and abs(v[0]) == pytest.approx(1.0)
+    assert len(calls) == 1  # an eigenvalue of 1e-12 sits below the rank threshold 1e-9
+    with pytest.raises(RankNotTwo, match="rank is 0"):
+        builder.extract_rank2(np.zeros((3, 3), dtype=complex), shift)
 
 
 def test_extract_rejects_unpaired_spectrum():
@@ -91,11 +107,11 @@ def test_core_with_uniform_weights():
         v_c=tuple(basis[:, c] for c in range(4)),
         mu=np.full(4, 0.5),
     )
-    core = builder.kraus_core(dec)
-    assert len(core) == 4
-    for f in core:
-        assert linalg.frob(f) == pytest.approx(1.0, abs=1e-12)
-    total = sum(linalg.dagger(f) @ f for f in core)
+    g0, g1 = builder.kraus_core(dec)
+    assert g0.shape == g1.shape == (4, 4)
+    # each row pair is one Kraus operator, of norm sqrt(|g0_k|^2 + |g1_k|^2)
+    assert np.allclose(np.linalg.norm(np.hstack([g0, g1]), axis=1), 1.0, atol=1e-12)
+    total = linalg.dagger(g0) @ g0 + linalg.dagger(g1) @ g1
     assert np.allclose(total, np.eye(4), atol=1e-12)
 
 
@@ -108,7 +124,7 @@ def test_core_empty_when_weights_alternate():
         mu=np.array([np.sqrt(0.5), 0.0, np.sqrt(0.5), 0.0]),
     )
     core = builder.kraus_core(dec)
-    assert core == []
+    assert [g.shape for g in core] == [(0, 4), (0, 4)]
     # completion alone yields a constant-output channel, which cannot
     # reproduce a nonzero observable pair
     squash = builder.complete_trace_preserving(core, 4)
@@ -121,11 +137,11 @@ def test_completion_leaves_complete_core_alone():
     lam, v = builder.extract_rank2(model.povm.difference("z"), sym)
     core = builder.kraus_core(builder.mu_decompose(v, sym, lam))
     squash = builder.complete_trace_preserving(core, 2)
-    assert len(squash.kraus) == len(core)
+    assert len(squash.kraus) == len(core[0])
 
 
 def test_completion_of_empty_core():
-    squash = builder.complete_trace_preserving([], 3)
+    squash = builder.complete_trace_preserving(np.zeros((2, 0, 3)), 3)
     assert len(squash.kraus) == 3
     total = sum(linalg.dagger(f) @ f for f in squash.kraus)
     assert linalg.frob(total - np.eye(3)) <= 1e-9
@@ -140,9 +156,10 @@ def test_completion_does_not_move_observables():
     lam, v = builder.extract_rank2(model.povm.difference("z"), sym)
     core = builder.kraus_core(builder.mu_decompose(v, sym, lam))
     completed = builder.complete_trace_preserving(core, 3)
+    core_kraus = builder.Y_FRAME @ np.stack(core, axis=1)  # |0_y> g0_k + |1_y> g1_k
     for sigma in (linalg.PAULI_Z, linalg.PAULI_X):
-        before = sum(linalg.dagger(f) @ sigma @ f for f in core)
-        after = completed.adjoint(sigma)
+        before = sum(linalg.dagger(f) @ sigma @ f for f in core_kraus)
+        after = kraus_adjoint(completed, sigma)
         assert linalg.frob(before - after) <= 1e-12
 
 
@@ -186,12 +203,12 @@ def test_sector_construction_validates_the_set_once_per_stage(monkeypatch):
 
 
 def test_verify_identity_map_against_ideal():
-    squash = builder.SquashMap(in_dim=2, kraus=(np.eye(2, dtype=complex),))
+    squash = builder.squash_from_kraus(2, (np.eye(2, dtype=complex),))
     assert builder.verify_squash(squash, povm.ideal_qubit_povm()).passed
 
 
 def test_verify_identity_map_against_m0():
-    squash = builder.SquashMap(in_dim=2, kraus=(np.eye(2, dtype=complex),))
+    squash = builder.squash_from_kraus(2, (np.eye(2, dtype=complex),))
     report = builder.verify_squash(squash, counterexample_m0())
     assert not report.passed
     assert report.residual_x == pytest.approx(
@@ -228,9 +245,9 @@ def test_core_reproduces_combined_observables():
 def test_adjoint_from_conjugate_pair():
     model, _ = detector_with_symmetry((2,))
     squash = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
-    combo = squash.adjoint(linalg.PAULI_Z + 1j * linalg.PAULI_X)
+    combo = kraus_adjoint(squash, linalg.PAULI_Z + 1j * linalg.PAULI_X)
     halved = (combo + linalg.dagger(combo)) / 2.0
-    assert linalg.frob(halved - squash.adjoint(linalg.PAULI_Z)) <= 1e-10
+    assert linalg.frob(halved - kraus_adjoint(squash, linalg.PAULI_Z)) <= 1e-10
 
 
 def test_gauge_phase_invariance():
@@ -250,11 +267,13 @@ def test_gauge_phase_invariance():
 
 def test_squash_map_validation():
     with pytest.raises(InvalidSquash):
-        builder.SquashMap(in_dim=2, kraus=())
+        builder.squash_from_kraus(2, ())
     with pytest.raises(InvalidSquash):
-        builder.SquashMap(in_dim=2, kraus=(np.eye(2, dtype=complex) * 0.5,))
+        builder.squash_from_kraus(2, (np.eye(2, dtype=complex) * 0.5,))
     with pytest.raises(InvalidSquash):
-        builder.SquashMap(in_dim=3, kraus=(np.eye(2, dtype=complex),))
+        builder.squash_from_kraus(3, (np.eye(2, dtype=complex),))
+    with pytest.raises(InvalidSquash, match=r"\(2, 2\) and \(1, 2\) are not one \(K, d\) pair"):
+        builder.SquashMap(g0=np.eye(2), g1=np.zeros((1, 2)))
 
 
 def test_squash_json_round_trip():
@@ -262,38 +281,53 @@ def test_squash_json_round_trip():
     squash = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
     back = builder.squash_from_json(builder.squash_to_json(squash))
     assert back.in_dim == squash.in_dim
-    for mine, theirs in zip(squash.kraus, back.kraus):
-        assert np.array_equal(mine, theirs)
+    # the file holds z-frame Kraus operators, so the round trip rounds through the frame change
+    assert np.allclose(back.kraus, squash.kraus, rtol=0.0, atol=1e-15)
+    assert np.allclose(back.g0, squash.g0, rtol=0.0, atol=1e-15)
+    assert np.allclose(back.g1, squash.g1, rtol=0.0, atol=1e-15)
 
 
-def test_squash_map_holds_one_kraus_array():
-    ops = [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])]
-    squash = builder.SquashMap(in_dim=2, kraus=ops)
-    assert squash.kraus.shape == (2, 2, 2) and squash.kraus.dtype == complex
-    assert np.array_equal(squash.kraus, np.stack(ops))
-    ops[0][0, 0] = 5.0  # the map holds a copy
-    assert squash.kraus[0, 0, 0] == 1.0
-    again = builder.SquashMap(in_dim=2, kraus=squash.kraus)
+def test_squash_map_holds_one_row_pair():
+    rows = [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])]
+    squash = builder.SquashMap(g0=rows[0], g1=rows[1])
+    assert squash.g0.shape == squash.g1.shape == (2, 2) and squash.g0.dtype == complex
+    assert squash.in_dim == 2 and squash.kraus.shape == (2, 2, 2)
+    assert np.array_equal(squash.g0, rows[0]) and np.array_equal(squash.g1, rows[1])
+    rows[0][0, 0] = 5.0  # the map holds a copy
+    assert squash.g0[0, 0] == 1.0
+    again = builder.SquashMap(g0=squash.g0, g1=squash.g1)
     assert np.array_equal(again.kraus, squash.kraus)
 
 
 def test_squash_map_kraus_is_read_only():
-    squash = builder.SquashMap(in_dim=2, kraus=[np.eye(2)])
-    with pytest.raises(ValueError):
-        squash.kraus[0] *= 2  # would break trace preservation after the check
+    squash = builder.squash_from_kraus(2, [np.eye(2)])
+    for rows in (squash.g0, squash.g1, squash.kraus):
+        with pytest.raises(ValueError):
+            rows[0] *= 2  # would break trace preservation after the check
     assert builder.verify_squash(squash, povm.ideal_qubit_povm()).passed
-    # a map built from another map's array holds its own read-only copy
-    again = builder.SquashMap(in_dim=2, kraus=squash.kraus)
-    assert not again.kraus.flags.writeable and again.kraus is not squash.kraus
+    # a map built from another map's rows holds its own read-only copies
+    again = builder.SquashMap(g0=squash.g0, g1=squash.g1)
+    assert not again.g0.flags.writeable and again.g0 is not squash.g0
+
+
+def test_pickled_squash_map_stays_read_only():
+    model, _ = detector_with_symmetry((2,))
+    squash = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
+    back = pickle.loads(pickle.dumps(squash))  # maps travel to worker processes this way
+    for rows in (back.g0, back.g1):
+        with pytest.raises(ValueError):
+            rows[0] *= 2
+    assert np.array_equal(back.g0, squash.g0) and np.array_equal(back.g1, squash.g1)
+    assert builder.verify_squash(back, model.povm).passed
 
 
 def test_squash_map_validation_messages():
     with pytest.raises(InvalidSquash, match="need at least one Kraus operator"):
-        builder.SquashMap(in_dim=2, kraus=np.zeros((0, 2, 2)))
+        builder.squash_from_kraus(2, np.zeros((0, 2, 2)))
     with pytest.raises(InvalidSquash, match=r"shape \(2, 2\) vs expected \(2, 3\)"):
-        builder.SquashMap(in_dim=3, kraus=[np.eye(2)])
+        builder.squash_from_kraus(3, [np.eye(2)])
     with pytest.raises(InvalidSquash, match="do not sum to the identity"):
-        builder.SquashMap(in_dim=2, kraus=[np.eye(2), np.eye(2)])
+        builder.squash_from_kraus(2, [np.eye(2), np.eye(2)])
 
 
 def _loop_verify(f, p, tol=1e-9, samples=20, seed=1812):
@@ -332,14 +366,14 @@ def _assert_matches_loop(f, p, tol=1e-9):
 def random_squash(d, k, rng):
     """K = k Kraus operators cut from a random (2k x d) isometry; needs 2k >= d."""
     x = rng.standard_normal((2 * k, d)) + 1j * rng.standard_normal((2 * k, d))
-    return builder.SquashMap(in_dim=d, kraus=np.linalg.qr(x)[0].reshape(k, 2, d))
+    return builder.squash_from_kraus(d, np.linalg.qr(x)[0].reshape(k, 2, d))
 
 
 def induced_set(f):
     """The measurement set that a map reproduces exactly: (1 +/- F+(sigma_r)) / 2."""
     eye = np.eye(f.in_dim)
     return povm.make_povm({
-        f"{r}{b}": (eye + (1 - 2 * b) * f.adjoint(sigma)) / 2
+        f"{r}{b}": (eye + (1 - 2 * b) * kraus_adjoint(f, sigma)) / 2
         for r, sigma in (("z", linalg.PAULI_Z), ("x", linalg.PAULI_X)) for b in (0, 1)
     })
 
@@ -366,10 +400,43 @@ def test_batched_verify_and_channel_match_loop_on_random_maps(d):
     other = fock.build_detector(fock.fock_sector((d - 1,))).povm
     assert not _assert_matches_loop(squash, other).passed
     rho = linalg.random_density_matrix(d, rng)
-    looped = sum(k @ rho @ linalg.dagger(k) for k in squash.kraus)
-    assert linalg.frob(squash.apply(rho) - looped) <= 1e-14
-    pulled = sum(linalg.dagger(k) @ linalg.PAULI_Y @ k for k in squash.kraus)
-    assert linalg.frob(squash.adjoint(linalg.PAULI_Y) - pulled) <= 1e-14
+    ket_0y, ket_1y = builder.Y_FRAME.T
+    for k, f in enumerate(squash.kraus):  # F_k = |0_y> g0_k + |1_y> g1_k
+        looped = np.outer(ket_0y, squash.g0[k]) + np.outer(ket_1y, squash.g1[k])
+        assert np.allclose(f, looped, rtol=0.0, atol=1e-15)
+    # in the y frame the map reads F(rho)[a, b] = Tr(rho G_b+ G_a), and it pulls
+    # sigma_y back to G0+ G0 - G1+ G1
+    pair = (squash.g0, squash.g1)
+    expected = [[np.trace(rho @ linalg.dagger(g_b) @ g_a) for g_b in pair] for g_a in pair]
+    out = linalg.dagger(builder.Y_FRAME) @ kraus_apply(squash, rho) @ builder.Y_FRAME
+    assert linalg.frob(out - np.array(expected)) <= 1e-14
+    pulled = linalg.dagger(squash.g0) @ squash.g0 - linalg.dagger(squash.g1) @ squash.g1
+    assert linalg.frob(kraus_adjoint(squash, linalg.PAULI_Y) - pulled) <= 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=6),
+    extra=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_json_round_trip_of_any_kraus_family(d, extra, seed):
+    rng = np.random.default_rng(seed)
+    k = (d + 1) // 2 + extra  # 2k >= d rows of a random isometry
+    x = rng.standard_normal((2 * k, d)) + 1j * rng.standard_normal((2 * k, d))
+    kraus = np.linalg.qr(x)[0].reshape(k, 2, d)
+    squash = builder.squash_from_kraus(d, kraus)
+    text = json.dumps(builder.squash_to_json(squash), allow_nan=False)
+    back = builder.squash_from_json(json.loads(text))
+    assert back.in_dim == d and back.kraus.shape == (k, 2, d)
+    assert np.allclose(back.kraus, kraus, rtol=0.0, atol=1e-15)
+    p = induced_set(squash)
+    mine, theirs = builder.verify_squash(squash, p), builder.verify_squash(back, p)
+    assert mine.passed and theirs.passed
+    fields = ("residual_z", "residual_x", "residual_tp", "max_state_deviation")
+    for name in fields:
+        # residuals of about 1e-15 are themselves rounding, and move by as much (1.1e-15 seen)
+        assert getattr(theirs, name) == pytest.approx(getattr(mine, name), abs=1e-14), name
 
 
 def _verify_peak_bytes(d, k):

@@ -274,6 +274,18 @@ def test_readme_command_lines_parse():
                 pytest.fail(f"README command line does not parse: {line}")
 
 
+def test_readme_library_tour_runs():
+    # the documented Python session must still run against the library as it is
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["report"].verdict == "INFEASIBLE"
+    assert namespace["squash"].kraus.shape == (6, 2, 6)
+    assert (namespace["attack"].qber, namespace["attack"].eve_accuracy) == (0.0, 1.0)
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert main(["squash", "find", "--povm", str(tmp_path / "nope.json")]) == 2
 

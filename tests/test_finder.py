@@ -10,7 +10,14 @@ from squashkit import builder, cli, finder, fock, groups, linalg, nogo, povm
 from squashkit.errors import NotHermitian
 from squashkit.nogo import counterexample_m0
 
-from helpers import affine_residual, column_stacked_choi, einsum_project_affine, random_hermitian
+from helpers import (
+    affine_residual,
+    column_stacked_choi,
+    einsum_project_affine,
+    kraus_adjoint,
+    random_hermitian,
+    visibility_set,
+)
 
 
 def theorem1_squash(photons):
@@ -153,7 +160,7 @@ def test_witness_finds_the_peak_between_two_scan_angles():
     a, r2 = 91 * np.pi / 720, 1 + 1e-6
     m_z = np.diag([1 - 1e-6, r2 * np.cos(a)]).astype(complex)
     m_x = np.diag([0.0, r2 * np.sin(a)]).astype(complex)
-    p = _visibility_set(m_z, m_x, 1.0)
+    p = visibility_set(m_z, m_x, 1.0)
     assert povm.validate(p).passed
     witness = finder.bloch_witness(p.difference("z"), p.difference("x"))
     assert witness.value == pytest.approx(r2, abs=1e-12)
@@ -240,15 +247,6 @@ def test_find_never_infeasible_when_a_squash_exists():
         assert report.verdict != "INFEASIBLE"
 
 
-def _visibility_set(m_z, m_x, v):
-    """The set (1 +/- v M_r) / 2 of the observables M_r at visibility v."""
-    eye = np.eye(m_z.shape[0])
-    return povm.make_povm({
-        f"{r}{b}": (eye + (1 - 2 * b) * v * m) / 2
-        for r, m in (("z", m_z), ("x", m_x)) for b in (0, 1)
-    })
-
-
 def _unit_random_pair(d, rng):
     return tuple(
         h / np.abs(np.linalg.eigvalsh(h)).max() for h in (random_hermitian(d, rng) for _ in "zx")
@@ -262,7 +260,7 @@ def test_verdict_flips_at_inverse_witness(d):
     for margin, verdict in (
         (-1e-3, "FEASIBLE"), (1e-3, "INFEASIBLE"), (-1e-6, "FEASIBLE"), (1e-6, "INFEASIBLE")
     ):
-        p = _visibility_set(m_z, m_x, (1 + margin) / w)
+        p = visibility_set(m_z, m_x, (1 + margin) / w)
         assert povm.validate(p).passed
         report = finder.find_squash(p)
         assert report.verdict == verdict
@@ -280,7 +278,7 @@ def test_verdict_just_above_and_below_one(d):
         m_z, m_x = _unit_random_pair(d, rng)
         w = finder.bloch_witness(m_z, m_x).value
         for target in (1 + 5e-10, 1 + 1e-10, 1 + 2e-11, 1.0, 1 - 1e-9):
-            p = _visibility_set(m_z, m_x, target / w)
+            p = visibility_set(m_z, m_x, target / w)
             report = finder.find_squash(p)
             if target > 1.0:
                 assert report.verdict == "INFEASIBLE", (target, report.gap)
@@ -297,7 +295,7 @@ def test_verdict_just_above_and_below_one(d):
 )
 def test_verdict_flips_at_inverse_witness_on_any_set(d, seed, margin):
     m_z, m_x = _unit_random_pair(d, np.random.default_rng(seed))
-    p = _visibility_set(m_z, m_x, (1 + margin) / finder.bloch_witness(m_z, m_x).value)
+    p = visibility_set(m_z, m_x, (1 + margin) / finder.bloch_witness(m_z, m_x).value)
     report = finder.find_squash(p)
     if margin < 0:
         assert report.verdict == "FEASIBLE"
@@ -325,22 +323,33 @@ def test_undecided_on_tiny_budget():
     assert report.gap > 0.0
 
 
+@pytest.mark.parametrize("shrink", [1e-9, 1e-8, 1e-7])
+def test_undecided_when_the_gap_is_within_tol_but_above_the_map_check(monkeypatch, shrink):
+    # a stationary gap in (TRACE_DEFECT_TOL, tol] is UNDECIDED, not a map that fails its own check
+    monkeypatch.setattr(finder, "DOUBLING_SHRINK", shrink)
+    for photons in ((1,), (2,), (2, 1)):
+        report = finder.find_squash(fock.build_detector(fock.fock_sector(photons)).povm, tol=1e-6)
+        assert report.verdict == "UNDECIDED" and report.squash is None
+        assert builder.TRACE_DEFECT_TOL < report.gap <= 1e-6
+    assert cli.main(["squash", "find", "--sector", "2", "--tol", "1e-6"]) == 3
+
+
 @pytest.mark.parametrize("name", [(1,), (2,), (2, 1), "ideal", "c4", "random"])
 def test_squash_is_read_off_the_doubling_solution(name):
     # one Kraus operator per input dimension, both observables reproduced to
     # rounding, and gap is exactly the returned map's trace defect
     if name == "random":
         m_z, m_x = _unit_random_pair(5, np.random.default_rng(55))
-        p = _visibility_set(m_z, m_x, (1 - 1e-9) / finder.bloch_witness(m_z, m_x).value)
+        p = visibility_set(m_z, m_x, (1 - 1e-9) / finder.bloch_witness(m_z, m_x).value)
     else:
         p = _cross_check_set(name)
     report = finder.find_squash(p)
     assert report.verdict == "FEASIBLE"
     squash = report.squash
     assert len(squash.kraus) == p.dim
-    assert linalg.frob(squash.adjoint(linalg.PAULI_Z) - p.difference("z")) <= 1e-12
-    assert linalg.frob(squash.adjoint(linalg.PAULI_X) - p.difference("x")) <= 1e-12
-    defect = linalg.frob(squash.adjoint(np.eye(2, dtype=complex)) - np.eye(p.dim))
+    assert linalg.frob(kraus_adjoint(squash, linalg.PAULI_Z) - p.difference("z")) <= 1e-12
+    assert linalg.frob(kraus_adjoint(squash, linalg.PAULI_X) - p.difference("x")) <= 1e-12
+    defect = linalg.frob(kraus_adjoint(squash, np.eye(2, dtype=complex)) - np.eye(p.dim))
     assert report.gap == pytest.approx(defect, abs=1e-15)
 
 
@@ -418,7 +427,7 @@ def test_both_engines_succeed_on_any_rank_two_four_cycle_set(d, seed, lam):
     flipped = u @ u @ v
     m_z = lam * (np.outer(v, v.conj()) - np.outer(flipped, flipped.conj()))
     m_x = u @ m_z @ linalg.dagger(u)
-    p = _visibility_set(m_z, m_x, 1.0)
+    p = visibility_set(m_z, m_x, 1.0)
     constructed = builder.construct_theorem1(p, groups.C4Symmetry(u=u))
     assert builder.verify_squash(constructed, p, tol=1e-8).passed
     report = finder.find_squash(p)

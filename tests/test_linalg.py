@@ -101,12 +101,6 @@ def test_kron_associativity():
     assert linalg.frob(lhs - rhs) <= 1e-12 * max(1.0, linalg.frob(lhs))
 
 
-def test_rank_tol():
-    assert linalg.rank_tol(linalg.PAULI_Z) == 2
-    assert linalg.rank_tol(np.zeros((3, 3), dtype=complex)) == 0
-    assert linalg.rank_tol(np.diag([1.0, 1e-12, -1.0]).astype(complex)) == 2
-
-
 def test_matrix_json_round_trip():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from squashkit import builder, finder, fock, groups, linalg, nogo, povm
 from squashkit.errors import DimensionMismatch, InvalidPovm, SelfCheckFailed, TildeNotVerified
 
-from helpers import random_hermitian
+from helpers import kraus_apply, random_hermitian, visibility_set
 
 
 def c4_setup(p):
@@ -37,7 +37,7 @@ def blockwise_tilde_squash(s: nogo.SymmetrizedPovm, base: builder.SquashMap) -> 
             k = np.zeros((2, d * n), dtype=complex)
             k[:, [i * n + g for i in range(d)]] = w @ f
             kraus.append(k)
-    return builder.SquashMap(in_dim=d * n, kraus=tuple(kraus))
+    return builder.squash_from_kraus(d * n, tuple(kraus))
 
 
 def test_trivial_group_symmetrization_is_identity():
@@ -91,12 +91,12 @@ def test_trace_identity_two_photon():
 def test_pullback_through_trivial_group():
     p = povm.ideal_qubit_povm()
     s = nogo.symmetrize(p, groups.cyclic_group(1), groups.make_action([[0, 1, 2, 3]]))
-    f = builder.SquashMap(in_dim=2, kraus=(np.eye(2, dtype=complex),))
+    f = builder.squash_from_kraus(2, (np.eye(2, dtype=complex),))
     pulled = nogo.pullback_squash(s, f)
     rng = np.random.default_rng(3)
     for _ in range(5):
         rho = linalg.random_density_matrix(2, rng)
-        assert linalg.frob(pulled.apply(rho) - f.apply(rho)) <= 1e-12
+        assert linalg.frob(kraus_apply(pulled, rho) - kraus_apply(f, rho)) <= 1e-12
 
 
 def test_pullback_of_blockwise_squash():
@@ -124,7 +124,7 @@ def test_pullback_of_found_squash():
 
 def test_pullback_rejects_unverified_map():
     s = c4_setup(nogo.counterexample_m0())
-    constant = builder.complete_trace_preserving([], s.tilde.dim)
+    constant = builder.complete_trace_preserving(np.zeros((2, 0, s.tilde.dim)), s.tilde.dim)
     with pytest.raises(TildeNotVerified):
         nogo.pullback_squash(s, constant)
 
@@ -256,3 +256,39 @@ def test_symmetrization_keeps_witness_and_verdict(d, seed, value):
         mz, mx = tilde.difference("z"), tilde.difference("x")
         assert finder.bloch_witness(mz, mx).value == pytest.approx(witness, abs=1e-9)
         assert finder.find_squash(tilde).verdict == verdict
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=10**6),
+    projective=st.booleans(),
+    twin=st.booleans(),
+)
+def test_witness_of_any_valid_set_is_at_most_sqrt2(d, seed, projective, twin):
+    # -1 <= M_r <= 1 on every valid set, so f(t) <= |cos t| + |sin t| <= sqrt(2);
+    # twin sets (M_x = M_z, as in M0) attain the bound
+    rng = np.random.default_rng(seed)
+    pair = []
+    for _ in "zx":
+        vals, vecs = np.linalg.eigh(random_hermitian(d, rng))
+        vals = np.sign(vals) if projective else vals / np.abs(vals).max()
+        pair.append((vecs * vals) @ linalg.dagger(vecs))
+    if twin:
+        pair[1] = pair[0]
+    p = visibility_set(*pair, 1.0)
+    assert povm.validate(p).passed
+    witness = finder.bloch_witness(p.difference("z"), p.difference("x")).value
+    assert witness <= np.sqrt(2.0) + 1e-12
+    if twin:
+        assert witness == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+
+def test_m0_attains_sqrt2_and_is_squashable_at_visibility_one_over_sqrt2():
+    m0 = nogo.counterexample_m0()
+    m_z, m_x = m0.difference("z"), m0.difference("x")
+    assert finder.bloch_witness(m_z, m_x).value == pytest.approx(np.sqrt(2.0), abs=1e-15)
+    p = visibility_set(m_z, m_x, 1.0 / np.sqrt(2.0))
+    report = finder.find_squash(p)
+    assert report.verdict == "FEASIBLE"
+    assert builder.verify_squash(report.squash, p).passed

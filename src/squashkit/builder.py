@@ -59,7 +59,7 @@ class SquashMap:
             object.__setattr__(self, name, rows)
         if self.g0.ndim != 2 or self.g0.shape != self.g1.shape:
             raise InvalidSquash(f"rows {self.g0.shape} and {self.g1.shape} are not one (K, d) pair")
-        if trace_defect(self.g0, self.g1) > TRACE_DEFECT_TOL:
+        if not trace_defect(self.g0, self.g1) <= TRACE_DEFECT_TOL:  # NaN rows fail too
             raise InvalidSquash("Kraus operators do not sum to the identity")
 
     def __reduce__(self):  # rebuilt through the constructor, so the copy is read-only too
@@ -224,49 +224,33 @@ class VerificationReport:
     residual_z: float
     residual_x: float
     residual_tp: float
-    max_state_deviation: float
     tol: float
-    passed: bool
 
     @property
     def max_residual(self) -> float:
-        return max(self.residual_z, self.residual_x, self.residual_tp)
+        return float(np.max([self.residual_z, self.residual_x, self.residual_tp]))  # NaN wins
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tol
 
 
-def verify_squash(
-    f: SquashMap, p: povm.Bb84Povm, tol: float = 1e-9, samples: int = 20, seed: int = 1812
-) -> VerificationReport:
+def verify_squash(f: SquashMap, p: povm.Bb84Povm, tol: float = 1e-9) -> VerificationReport:
     """Check that the map reproduces both observables and preserves trace.
 
     With A = G0+ G1 the map pulls sigma_z back to A + A+ and sigma_x to
-    i(A+ - A), so the observable residuals are closed-form. Besides them,
-    spot-checks the defining equality Tr(F(rho) sigma_r) = Tr(rho M_r) on
-    ``samples`` random mixed states, drawn in one batch (the same states as
-    successive single draws from ``seed``), through the map's Choi tensor.
+    i(A+ - A), so the residuals are closed-form. They bound the defining
+    equality on every state: Tr(F(rho) sigma_r) - Tr(rho M_r) = Tr(rho D_r)
+    with D_r = F+(sigma_r) - M_r, and |Tr(rho D)| <= ||D||_F for any state.
     """
     if f.in_dim != p.dim:
         raise DimensionMismatch(f"map dim {f.in_dim} vs POVM dim {p.dim}")
-    m_z, m_x = p.difference("z"), p.difference("x")
     a_f = linalg.dagger(f.g0) @ f.g1
-    residual_z = linalg.frob(a_f + linalg.dagger(a_f) - m_z)
-    residual_x = linalg.frob(1j * (linalg.dagger(a_f) - a_f) - m_x)
-    residual_tp = trace_defect(f.g0, f.g1)
-    rhos = linalg.random_density_matrices(p.dim, samples, np.random.default_rng(seed))
-    # the y-frame Choi tensor as blocks [a, b] = G_b+ G_a, so that F(rho)[a, b] = Tr(rho G_b+ G_a)
-    choi = np.array([[linalg.dagger(b) @ a for b in (f.g0, f.g1)] for a in (f.g0, f.g1)])
-    outs = np.tensordot(choi, rhos, axes=([3, 2], [1, 2]))  # indexed [a, b, sample]
-    # Tr(F(rho) sigma_r) - Tr(rho M_r) by [r, sample]; here sigma_z, sigma_x read sigma_x, sigma_y
-    dev = np.einsum("abn,rba->rn", outs, np.stack([linalg.PAULI_X, linalg.PAULI_Y]))
-    dev -= np.einsum("nij,rji->rn", rhos, np.stack([m_z, m_x]))
-    worst = float(np.abs(dev.real).max(initial=0.0))
-    passed = max(residual_z, residual_x, residual_tp, worst) <= tol
     return VerificationReport(
-        residual_z=residual_z,
-        residual_x=residual_x,
-        residual_tp=residual_tp,
-        max_state_deviation=worst,
+        residual_z=linalg.frob(a_f + linalg.dagger(a_f) - p.difference("z")),
+        residual_x=linalg.frob(1j * (linalg.dagger(a_f) - a_f) - p.difference("x")),
+        residual_tp=trace_defect(f.g0, f.g1),
         tol=tol,
-        passed=passed,
     )
 
 

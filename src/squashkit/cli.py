@@ -24,7 +24,7 @@ EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
 
 #: Largest dimension accepted from outside input: a sector's prod(n_i + 1),
-#: or the dimension of a measurement-set file.
+#: the dimension of a measurement-set file, or the d * |G| of its symmetrization.
 MAX_INPUT_DIM = 256
 
 
@@ -189,6 +189,7 @@ def cmd_nogo(args) -> int:
     group = _load_group(args.group)
     action = _load_action(args.action, args.group)
     base = _load_povm(args.povm, tol)
+    _require_dim(base.dim * group.order, f"the symmetrization of {args.povm} by {args.group}")
     symmetrized = nogo.symmetrize(base, group, action)
     if args.submode == "symmetrize":
         _write_json(povm.povm_to_json(symmetrized.tilde), args.out)

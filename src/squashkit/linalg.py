@@ -78,20 +78,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def random_density_matrices(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """A (count, dim, dim) stack equal to ``count`` successive random_density_matrix draws."""
-    z = rng.standard_normal((count, 2, dim, dim))
-    x = z[:, 0] + 1j * z[:, 1]
-    del z  # freed before the product, which holds x, its conjugate and rho
-    rho = x @ x.conj().swapaxes(-1, -2)
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Wishart-distributed full-rank density matrix."""
-    return random_density_matrices(dim, 1, rng)[0]
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format: {"dim": d, "entries": [[re, im], ...]} row-major.
 

@@ -27,6 +27,11 @@ class SymmetrizedPovm:
     tilde: povm.Bb84Povm
     rep: dict  # g -> identity x R(g)
 
+    @property
+    def identity_block(self) -> slice:
+        """Rows and columns of the identity-element block: kron index i*|G| + e."""
+        return slice(self.group.identity, None, self.group.order)
+
 
 def symmetrize(
     p: povm.Bb84Povm, group: groups.FiniteGroup, action: groups.LabelAction
@@ -57,26 +62,18 @@ def symmetrize(
     return SymmetrizedPovm(base=p, group=group, action=action, tilde=tilde, rep=rep)
 
 
-@dataclass(frozen=True)
-class TraceIdentityReport:
-    samples: int
-    max_deviation: float
+def verify_trace_identity(s: SymmetrizedPovm) -> float:
+    """Largest ||block_e(M~_c) - M_c||_F over the four labels c.
 
-
-def verify_trace_identity(
-    s: SymmetrizedPovm, samples: int = 100, seed: int = 97
-) -> TraceIdentityReport:
-    """Statistics on rho match statistics of the symmetrized set on rho x |e><e|."""
-    rng = np.random.default_rng(seed)
-    e = s.group.identity
-    ancilla = np.zeros((s.group.order, s.group.order), dtype=complex)
-    ancilla[e, e] = 1.0
-    rhos = linalg.random_density_matrices(s.base.dim, samples, rng)
-    lifted = linalg.kron(rhos, ancilla[None])  # rho x |e><e| for every state at once
-    dev = np.einsum("nij,rji->rn", rhos, np.stack([s.base.difference(r) for r in "zx"]))
-    dev -= np.einsum("nij,rji->rn", lifted, np.stack([s.tilde.difference(r) for r in "zx"]))
-    worst = float(np.abs(dev.real).max(initial=0.0))
-    return TraceIdentityReport(samples=samples, max_deviation=worst)
+    The symmetrized set measured on rho x |e><e| sees only the identity-element
+    block, which should be the original set. The returned value bounds the
+    mismatch of every outcome probability on every state, since |Tr(rho D)| <=
+    ||D||_F for any state rho.
+    """
+    e = s.identity_block
+    return max(
+        linalg.frob(s.tilde.l_element(c)[e, e] - s.base.l_element(c)) for c in range(4)
+    )
 
 
 def pullback_squash(
@@ -88,9 +85,8 @@ def pullback_squash(
         raise TildeNotVerified(
             f"map fails verification against the symmetrized set at tol={tol}"
         )
-    n = s.group.order
-    cols = [i * n + s.group.identity for i in range(s.base.dim)]
-    return SquashMap(g0=f_tilde.g0[:, cols], g1=f_tilde.g1[:, cols])
+    e = s.identity_block
+    return SquashMap(g0=f_tilde.g0[:, e], g1=f_tilde.g1[:, e])
 
 
 def counterexample_m0() -> povm.Bb84Povm:

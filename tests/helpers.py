@@ -92,6 +92,19 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (x + x.conj().T) / 2
 
 
+def random_density_matrices(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """A (count, dim, dim) stack equal to ``count`` successive random_density_matrix draws."""
+    z = rng.standard_normal((count, 2, dim, dim))
+    x = z[:, 0] + 1j * z[:, 1]
+    rho = x @ x.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Wishart-distributed full-rank density matrix."""
+    return random_density_matrices(dim, 1, rng)[0]
+
+
 def visibility_set(m_z, m_x, v):
     """The set (1 +/- v M_r) / 2 of the observables M_r at visibility v."""
     eye = np.eye(m_z.shape[0])

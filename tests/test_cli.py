@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squashkit import builder, cli, finder, fock, linalg, povm
+from squashkit import builder, cli, finder, fock, groups, linalg, povm
 from squashkit.cli import main
 
 
@@ -48,6 +48,31 @@ def big_file(tmp_path):
 def ideal_file(tmp_path):
     path = tmp_path / "ideal.json"
     path.write_text(json.dumps(povm.povm_to_json(povm.ideal_qubit_povm())))
+    return path
+
+
+@pytest.fixture
+def nan_squash_file(tmp_path):
+    """A C2-symmetrized-qubit squash whose first entry is the JSON token NaN."""
+    blob = builder.squash_to_json(builder.squash_from_kraus(4, (np.eye(2, 4), np.eye(2, 4, 2))))
+    blob["kraus"][0]["entries"][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan_squash.json"
+    path.write_text(json.dumps(blob))
+    return path
+
+
+@pytest.fixture
+def c129_file(tmp_path):
+    """The cyclic group of order 129: a qubit set symmetrized by it has dimension 258."""
+    path = tmp_path / "c129.json"
+    path.write_text(json.dumps(groups.group_to_json(groups.cyclic_group(129))))
+    return path
+
+
+@pytest.fixture
+def trivial129_file(tmp_path):
+    path = tmp_path / "trivial129.json"
+    path.write_text(json.dumps(groups.action_to_json(groups.make_action([[0, 1, 2, 3]] * 129))))
     return path
 
 
@@ -335,6 +360,8 @@ def _reject_constant(name):
         (["squash", "find", "--povm", "{ideal}", "--tol", "inf"], 2),
         (["squash", "find", "--povm", "{ideal}", "--tol", "-1"], 2),
         (["nogo", "attack", "--povm", "{m0}", "--trials", "-5"], 2),
+        (["nogo", "pullback", "--povm", "{ideal}", "--group", "c2", "--squash", "{nan_squash}"], 2),
+        (["nogo", "symmetrize", "--povm", "{m0}", "--group", "{c129}", "--action", "{trivial129}"], 2),
     ],
 )
 def test_input_range_checks(argv, expected, request, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from squashkit import linalg
 from squashkit.errors import DimensionMismatch, NotHermitian
 
-from helpers import random_hermitian
+from helpers import random_density_matrices, random_density_matrix, random_hermitian
 
 
 def test_eig_diagonal_input():
@@ -130,6 +130,8 @@ def test_matrix_json_length_check():
         linalg.matrix_from_json({"dim": 2, "entries": [[1.0, 0.0]] * 3})
 
 
+# the suite's state sampler (helpers.random_density_matrices), checked against a plain loop
+
 def _single_draw(dim, rng):
     """One Wishart density matrix, drawn as one real and one imaginary (dim, dim) block."""
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -141,18 +143,18 @@ def _single_draw(dim, rng):
 def test_random_density_matrices_equal_successive_single_draws(dim):
     for count in (1, 5, 20):
         batch_rng, loop_rng = np.random.default_rng(1812), np.random.default_rng(1812)
-        batch = linalg.random_density_matrices(dim, count, batch_rng)
+        batch = random_density_matrices(dim, count, batch_rng)
         assert batch.shape == (count, dim, dim)
         assert np.array_equal(batch, np.stack([_single_draw(dim, loop_rng) for _ in range(count)]))
         # both generators are left in the same state
         assert batch_rng.standard_normal() == loop_rng.standard_normal()
-    single = linalg.random_density_matrix(dim, np.random.default_rng(7))
+    single = random_density_matrix(dim, np.random.default_rng(7))
     assert np.array_equal(single, _single_draw(dim, np.random.default_rng(7)))
 
 
 def test_random_density_matrices_are_states():
-    rhos = linalg.random_density_matrices(5, 10, np.random.default_rng(3))
+    rhos = random_density_matrices(5, 10, np.random.default_rng(3))
     assert np.allclose(np.trace(rhos, axis1=1, axis2=2), 1.0, atol=1e-12)
     for rho in rhos:
         assert linalg.is_hermitian(rho) and np.linalg.eigvalsh(rho)[0] > 0.0
-    assert linalg.random_density_matrices(5, 0, np.random.default_rng(3)).shape == (0, 5, 5)
+    assert random_density_matrices(5, 0, np.random.default_rng(3)).shape == (0, 5, 5)

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from squashkit import builder, finder, fock, groups, linalg, nogo, povm
 from squashkit.errors import DimensionMismatch, InvalidPovm, SelfCheckFailed, TildeNotVerified
 
-from helpers import kraus_apply, random_hermitian, visibility_set
+from helpers import kraus_apply, random_density_matrix, random_hermitian, visibility_set
 
 
 def c4_setup(p):
@@ -76,16 +78,37 @@ def test_blocks_are_bit_exact_copies():
             assert np.array_equal(block, source)
 
 
+#: Order-two S3 action through the sign: odd permutations swap the z and x outcomes.
+S3_SIGN_ACTION = groups.make_action(
+    [[0, 1, 2, 3] if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0
+     else [1, 0, 3, 2] for p in itertools.permutations(range(3))]
+)
+
+
+def symmetrizations(p):
+    """C2, C4 and S3 (where g^-1 != g) symmetrizations of one set."""
+    return [
+        nogo.symmetrize(p, groups.cyclic_group(2), groups.c2_basis_swap_action()),
+        c4_setup(p),
+        nogo.symmetrize(p, groups.symmetric_group_s3(), S3_SIGN_ACTION),
+    ]
+
+
 def test_trace_identity_m0():
-    s = c4_setup(nogo.counterexample_m0())
-    report = nogo.verify_trace_identity(s, samples=100)
-    assert report.max_deviation <= 1e-10
+    for s in symmetrizations(nogo.counterexample_m0()):
+        assert nogo.verify_trace_identity(s) == 0.0
 
 
 def test_trace_identity_two_photon():
-    s = c4_setup(fock.build_detector(fock.fock_sector((2,))).povm)
-    report = nogo.verify_trace_identity(s, samples=100)
-    assert report.max_deviation <= 1e-10
+    for s in symmetrizations(fock.build_detector(fock.fock_sector((2,))).povm):
+        assert nogo.verify_trace_identity(s) == 0.0
+        # move one identity-block entry of z0 by delta: the report moves by delta
+        delta = 1e-7
+        z0 = s.tilde.element("z", 0).copy()
+        e = s.group.identity
+        z0[e, e] += delta
+        moved = dataclasses.replace(s, tilde=povm.make_povm({**s.tilde.elements, "z0": z0}))
+        assert nogo.verify_trace_identity(moved) == pytest.approx(delta, abs=1e-15)
 
 
 def test_pullback_through_trivial_group():
@@ -95,7 +118,7 @@ def test_pullback_through_trivial_group():
     pulled = nogo.pullback_squash(s, f)
     rng = np.random.default_rng(3)
     for _ in range(5):
-        rho = linalg.random_density_matrix(2, rng)
+        rho = random_density_matrix(2, rng)
         assert linalg.frob(kraus_apply(pulled, rho) - kraus_apply(f, rho)) <= 1e-12
 
 

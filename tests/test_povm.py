@@ -6,6 +6,8 @@ import pytest
 from squashkit import fock, linalg, povm
 from squashkit.errors import DimensionMismatch, NotAState
 
+from helpers import random_density_matrix
+
 
 def uniform_povm(dim=2):
     half = np.eye(dim, dtype=complex) / 2
@@ -95,7 +97,7 @@ def test_outcome_probabilities_sum_to_one():
     rng = np.random.default_rng(23)
     model = fock.build_detector(fock.fock_sector((1, 1)))
     for _ in range(20):
-        rho = linalg.random_density_matrix(model.povm.dim, rng)
+        rho = random_density_matrix(model.povm.dim, rng)
         for r in ("z", "x"):
             total = sum(povm.outcome_probability(rho, model.povm, r, b) for b in (0, 1))
             assert total == pytest.approx(1.0, abs=1e-9)

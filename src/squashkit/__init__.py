@@ -48,7 +48,6 @@ from .groups import (
     check_definition2,
     cyclic_group,
     phase_normalize,
-    regular_representation,
     symmetric_group_s3,
 )
 from .linalg import HermitianEig, hermitian_eig, kron, unitary_from_generator

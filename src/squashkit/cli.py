@@ -96,15 +96,16 @@ def _parse_sector(text: str) -> fock.FockSector:
     return fock.fock_sector(photons)
 
 
-def _load_group(name: str) -> groups.FiniteGroup:
+def _load_group(name: str, base_dim: int, what: str) -> groups.FiniteGroup:
+    """A built-in or JSON group; a file is sized by its row count before validation."""
     builtin = {
         "c2": lambda: groups.cyclic_group(2),
         "c4": lambda: groups.cyclic_group(4),
         "s3": groups.symmetric_group_s3,
     }
-    if name in builtin:
-        return builtin[name]()
-    return groups.group_from_json(_load_json(name))
+    blob = groups.group_to_json(builtin[name]()) if name in builtin else _load_json(name)
+    _require_dim(base_dim * len(blob["cayley"]), what)
+    return groups.group_from_json(blob)
 
 
 def _load_action(path: str | None, group_name: str) -> groups.LabelAction:
@@ -186,10 +187,9 @@ def cmd_nogo(args) -> int:
         result = nogo.bbm92_attack(p, trials=args.trials, seed=args.seed)
         _write_json(nogo.attack_to_json(result), args.out)
         return EXIT_OK
-    group = _load_group(args.group)
-    action = _load_action(args.action, args.group)
     base = _load_povm(args.povm, tol)
-    _require_dim(base.dim * group.order, f"the symmetrization of {args.povm} by {args.group}")
+    group = _load_group(args.group, base.dim, f"the symmetrization of {args.povm} by {args.group}")
+    action = _load_action(args.action, args.group)
     symmetrized = nogo.symmetrize(base, group, action)
     if args.submode == "symmetrize":
         _write_json(povm.povm_to_json(symmetrized.tilde), args.out)

@@ -4,7 +4,8 @@ Groups are explicit Cayley tables over element indices 0..order-1. A label
 action assigns to every group element a permutation of the four outcome
 labels, and must be a homomorphism. The four-cycle checker verifies the
 conjugation relations U M(z,b) U+ = M(x,b) and U^2 M(r,b) U+^2 = M(r,1-b);
-the general checker verifies V(g) M(r,b) V(g)+ = M at the permuted label.
+the general checker verifies V(g) M(r,b) V(g)+ = M at the permuted label for
+V(g) given as an index permutation.
 """
 
 from __future__ import annotations
@@ -48,28 +49,27 @@ def make_group(cayley, identity: int | None = None) -> FiniteGroup:
     if table.min() < 0 or table.max() >= n:
         raise InvalidGroup("Cayley entries must be element indices")
     full = np.arange(n)
-    for i in range(n):
-        if not np.array_equal(np.sort(table[i]), full):
-            raise InvalidGroup(f"row {i} is not a permutation")
-        if not np.array_equal(np.sort(table[:, i]), full):
-            raise InvalidGroup(f"column {i} is not a permutation")
-    # associativity via (a*b)*c == a*(b*c), vectorized over c
+    rows_ok = (np.sort(table, axis=1) == full).all(axis=1)
+    cols_ok = (np.sort(table, axis=0) == full[:, None]).all(axis=0)
+    if not (rows_ok.all() and cols_ok.all()):
+        i = int(np.argmin(rows_ok & cols_ok))
+        raise InvalidGroup(f"{'row' if not rows_ok[i] else 'column'} {i} is not a permutation")
+    # associativity (a*b)*c == a*(b*c), one n x n gather per a over all (b, c)
     for a in range(n):
-        for b in range(n):
-            if not np.array_equal(table[table[a, b]], table[a][table[b]]):
-                raise InvalidGroup(f"associativity fails at pair ({a}, {b})")
-    neutral = [e for e in range(n) if np.array_equal(table[e], full)]
-    if not neutral or not np.array_equal(table[:, neutral[0]], full):
+        bad = (table[table[a]] != table[a][table]).any(axis=1)
+        if bad.any():
+            raise InvalidGroup(f"associativity fails at pair ({a}, {int(np.argmax(bad))})")
+    neutral = np.flatnonzero((table == full).all(axis=1))
+    if not len(neutral) or not np.array_equal(table[:, neutral[0]], full):
         raise InvalidGroup("no identity element")
-    ident = neutral[0]
+    ident = int(neutral[0])
     if identity is not None and identity != ident:
         raise InvalidGroup(f"declared identity {identity} but found {ident}")
     return FiniteGroup(order=n, cayley=table, identity=ident)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return make_group(table)
+    return make_group((np.arange(n)[:, None] + np.arange(n)) % n)
 
 
 def symmetric_group_s3() -> FiniteGroup:
@@ -109,11 +109,11 @@ def validate_action(group: FiniteGroup, action: LabelAction) -> None:
         raise InvalidAction("action size does not match group order")
     if not np.array_equal(action.perms[group.identity], np.arange(4)):
         raise InvalidAction("identity element must act trivially")
-    for g in range(group.order):
-        for h in range(group.order):
-            composed = action.perms[g][action.perms[h]]
-            if not np.array_equal(composed, action.perms[group.mult(g, h)]):
-                raise InvalidAction(f"homomorphism fails at pair ({g}, {h})")
+    # [g, h] compares perm(g) o perm(h) with perm(g*h)
+    bad = (action.perms[:, action.perms] != action.perms[group.cayley]).any(axis=2)
+    if bad.any():
+        g, h = np.argwhere(bad)[0]
+        raise InvalidAction(f"homomorphism fails at pair ({g}, {h})")
 
 
 def canonical_c4_action() -> LabelAction:
@@ -124,13 +124,6 @@ def canonical_c4_action() -> LabelAction:
 def c2_basis_swap_action() -> LabelAction:
     """Order-two action swapping the z and x outcomes bitwise."""
     return make_action([[0, 1, 2, 3], [1, 0, 3, 2]])
-
-
-def regular_representation(group: FiniteGroup) -> dict:
-    """Permutation matrices R(g) with R(g)|h> = |gh>, exact 0/1 entries."""
-    eye = np.eye(group.order, dtype=complex)
-    # column h of R(g) is the basis vector |gh>
-    return {g: eye[:, group.cayley[g]] for g in range(group.order)}
 
 
 @dataclass(frozen=True)
@@ -212,20 +205,23 @@ def c4_eigenprojectors(sym: C4Symmetry) -> list:
 
 
 def check_definition2(
-    rep: dict, action: LabelAction, p: povm.Bb84Povm, tol: float = 1e-9
+    rep, action: LabelAction, p: povm.Bb84Povm, tol: float = 1e-9
 ) -> SymmetryReport:
-    """Residuals of V(g) M_c V(g)+ = M_{g(c)} for every element and label."""
+    """Residuals of V(g) M_c V(g)+ = M_{g(c)} for every element and label.
+
+    Row g of ``rep`` is the index permutation of V(g)|k> = |pi_g(k)>, so (V M V+)[pi_g, pi_g]
+    = M and the residual, permuted, is ||M_{g(c)}[pi_g, pi_g] - M_c||_F.
+    """
+    rep = np.asarray(rep)
+    if rep.ndim != 2 or rep.shape[1] != p.dim:
+        raise DimensionMismatch(f"representation of shape {rep.shape} vs POVM dim {p.dim}")
+    if rep.dtype.kind not in "iu" or (np.sort(rep, axis=1) != np.arange(p.dim)).any():
+        raise InvalidAction(f"representation rows must be permutations of range({p.dim})")
     residuals = {}
-    for g, v in rep.items():
-        vm = linalg.as_matrix(v)
-        if vm.shape[0] != p.dim:
-            raise DimensionMismatch(
-                f"representation dim {vm.shape[0]} vs POVM dim {p.dim}"
-            )
+    for g, pi in enumerate(rep):
         for c in range(4):
-            target = p.l_element(action.apply(g, c))
-            res = linalg.frob(vm @ p.l_element(c) @ linalg.dagger(vm) - target)
-            residuals[f"g{g}.{povm.LABELS[c]}"] = res
+            target = p.l_element(action.apply(g, c))[np.ix_(pi, pi)]
+            residuals[f"g{g}.{povm.LABELS[c]}"] = linalg.frob(target - p.l_element(c))
     worst = max(residuals.values())
     return SymmetryReport(
         residuals=residuals, max_residual=worst, tol=tol, passed=worst <= tol

@@ -2,8 +2,9 @@
 
 Any measurement set can be made symmetric under a finite group by adjoining
 an ancilla register that remembers which group element acted: the block at
-ancilla position g carries the elements relabeled by g^-1, and conjugation
-by identity x (regular representation) permutes the blocks. Measuring the
+ancilla position g carries the elements relabeled by g^-1, and identity x R(g)
+(R the regular representation) permutes the blocks by relabelling the kron
+indices i*|G| + h, so it is held as an index permutation. Measuring the
 symmetrized set on rho x |e><e| reproduces the original statistics exactly,
 so a squash for the symmetrized set pulls back to one for the original.
 """
@@ -19,18 +20,23 @@ from .builder import SquashMap, verify_squash
 from .errors import DimensionMismatch, InvalidPovm, SelfCheckFailed, TildeNotVerified
 
 
+def _kron_index(i, g, order: int):
+    """Index of |i> x |g> once a set is symmetrized over ``order`` group elements."""
+    return i * order + g
+
+
 @dataclass(frozen=True)
 class SymmetrizedPovm:
     base: povm.Bb84Povm
     group: groups.FiniteGroup
     action: groups.LabelAction
     tilde: povm.Bb84Povm
-    rep: dict  # g -> identity x R(g)
+    rep: np.ndarray  # read-only (|G|, d*|G|); row g sends i*|G| + h to i*|G| + g*h
 
     @property
-    def identity_block(self) -> slice:
-        """Rows and columns of the identity-element block: kron index i*|G| + e."""
-        return slice(self.group.identity, None, self.group.order)
+    def identity_block(self) -> np.ndarray:
+        """Indices i*|G| + e of the identity-element block, for ``np.ix_`` or one axis."""
+        return _kron_index(np.arange(self.base.dim), self.group.identity, self.group.order)
 
 
 def symmetrize(
@@ -38,20 +44,16 @@ def symmetrize(
 ) -> SymmetrizedPovm:
     """Adjoin a group register so that the action becomes an exact symmetry."""
     groups.validate_action(group, action)
-    n = group.order
-    elements = {}
-    for c, key in enumerate(povm.LABELS):
-        total = np.zeros((p.dim * n, p.dim * n), dtype=complex)
-        for g in range(n):
-            marker = np.zeros((n, n), dtype=complex)
-            marker[g, g] = 1.0
-            source = p.l_element(action.apply(group.inverse(g), c))
-            total += linalg.kron(source, marker)
-        elements[key] = total
-    tilde = povm.make_povm(elements)
-    regular = groups.regular_representation(group)
-    eye = np.eye(p.dim, dtype=complex)
-    rep = {g: linalg.kron(eye, regular[g]) for g in range(n)}
+    n, d = group.order, p.dim
+    block = _kron_index(np.arange(d), np.arange(n)[:, None], n)  # row g: indices at position g
+    inverses = [group.inverse(g) for g in range(n)]
+    # sources[c, g] is label g^-1(c) of the base set, placed at position g
+    sources = np.stack([p.l_element(c) for c in range(4)])[action.perms[inverses].T]
+    total = np.zeros((4, d * n, d * n), dtype=complex)
+    total[:, block[:, :, None], block[:, None, :]] = sources
+    tilde = povm.make_povm(dict(zip(povm.LABELS, total)))
+    rep = _kron_index(np.arange(d)[None, :, None], group.cayley[:, None, :], n).reshape(n, d * n)
+    rep.flags.writeable = False
     if not povm.validate(tilde).passed:
         raise InvalidPovm("symmetrized set fails POVM validation")
     report = groups.check_definition2(rep, action, tilde, tol=1e-9)
@@ -70,9 +72,9 @@ def verify_trace_identity(s: SymmetrizedPovm) -> float:
     mismatch of every outcome probability on every state, since |Tr(rho D)| <=
     ||D||_F for any state rho.
     """
-    e = s.identity_block
+    e = np.ix_(s.identity_block, s.identity_block)
     return max(
-        linalg.frob(s.tilde.l_element(c)[e, e] - s.base.l_element(c)) for c in range(4)
+        linalg.frob(s.tilde.l_element(c)[e] - s.base.l_element(c)) for c in range(4)
     )
 
 

@@ -378,6 +378,27 @@ def test_input_range_checks(argv, expected, request, tmp_path, capsys):
         assert err.startswith("squashkit: ") and not out.exists()
 
 
+@pytest.mark.parametrize("submode", ["symmetrize", "pullback"])
+def test_oversized_group_is_refused_before_its_table_is_validated(
+    submode, ideal_file, monkeypatch, tmp_path, capsys
+):
+    group = tmp_path / "c200.json"
+    group.write_text(json.dumps(groups.group_to_json(groups.cyclic_group(200))))
+    action = tmp_path / "trivial200.json"
+    action.write_text(json.dumps(groups.action_to_json(groups.make_action([[0, 1, 2, 3]] * 200))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Cayley table was validated")
+
+    monkeypatch.setattr(groups, "make_group", refuse)
+    out = tmp_path / "out.json"
+    argv = ["nogo", submode, "--povm", str(ideal_file), "--group", str(group),
+            "--action", str(action), "--squash", str(tmp_path / "absent.json"), "--out", str(out)]
+    assert main(argv) == 2
+    assert "dimension 400, above the supported 256" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_file_mode_follows_umask(tmp_path):
     out = tmp_path / "det.json"
     old = os.umask(0o022)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from squashkit import fock, groups, linalg, povm
-from squashkit.errors import InvalidAction, InvalidGroup, KNotOne, NotUnitary
+from squashkit.errors import DimensionMismatch, InvalidAction, InvalidGroup, KNotOne, NotUnitary
 
 
 def test_cyclic_group_structure():
@@ -20,14 +20,18 @@ def test_s3_structure():
 
 
 def test_rejects_non_latin_table():
-    with pytest.raises(InvalidGroup):
+    with pytest.raises(InvalidGroup, match="^row 0 is not a permutation$"):
         groups.make_group([[0, 0], [1, 1]])
+    with pytest.raises(InvalidGroup, match="^column 0 is not a permutation$"):
+        groups.make_group([[0, 1], [0, 1]])
+    with pytest.raises(InvalidGroup, match="^column 1 is not a permutation$"):
+        groups.make_group([[0, 1, 2], [2, 1, 0], [1, 2, 0]])
 
 
 def test_rejects_non_associative_quasigroup():
     # subtraction mod 5 is a Latin square but not associative
     table = [[(a - b) % 5 for b in range(5)] for a in range(5)]
-    with pytest.raises(InvalidGroup):
+    with pytest.raises(InvalidGroup, match=r"^associativity fails at pair \(0, 0\)$"):
         groups.make_group(table)
 
 
@@ -36,35 +40,25 @@ def test_action_must_be_homomorphism():
     bad = groups.make_action(
         [[0, 1, 2, 3], [1, 2, 3, 0], [0, 1, 2, 3], [1, 2, 3, 0]]
     )
-    with pytest.raises(InvalidAction):
+    with pytest.raises(InvalidAction, match=r"^homomorphism fails at pair \(1, 1\)$"):
         groups.validate_action(g, bad)
     groups.validate_action(g, groups.canonical_c4_action())
     groups.validate_action(groups.cyclic_group(2), groups.c2_basis_swap_action())
 
 
-def test_regular_representation_c2():
-    reps = groups.regular_representation(groups.cyclic_group(2))
-    assert np.array_equal(reps[1], np.array([[0, 1], [1, 0]], dtype=complex))
+def test_symmetrized_rep_is_the_regular_representation():
+    # row g of rep is the index permutation of identity x R(g): i*|G| + h -> i*|G| + g*h
+    from squashkit.nogo import symmetrize
 
-
-def test_regular_representation_c4_generator():
-    reps = groups.regular_representation(groups.cyclic_group(4))
-    shift = np.zeros((4, 4), dtype=complex)
-    for h in range(4):
-        shift[(h + 1) % 4, h] = 1.0
-    assert np.array_equal(reps[1], shift)
-
-
-def test_regular_representation_s3_homomorphism():
     g = groups.symmetric_group_s3()
-    reps = groups.regular_representation(g)
-    assert np.array_equal(reps[g.identity], np.eye(6, dtype=complex))
+    s = symmetrize(povm.ideal_qubit_povm(), g, groups.make_action([[0, 1, 2, 3]] * 6))
+    assert s.rep.shape == (6, 12) and not s.rep.flags.writeable
+    assert np.array_equal(s.rep[g.identity], np.arange(12))
+    i, h = np.divmod(np.arange(12), 6)
     for a in range(6):
-        # exact 0/1 permutation matrices, no floating error tolerated
-        assert set(np.unique(reps[a].real)) <= {0.0, 1.0}
-        assert np.all(reps[a].imag == 0.0)
+        assert np.array_equal(s.rep[a], i * 6 + g.cayley[a, h])
         for b in range(6):
-            assert np.array_equal(reps[a] @ reps[b], reps[g.mult(a, b)])
+            assert np.array_equal(s.rep[a][s.rep[b]], s.rep[g.mult(a, b)])
 
 
 def test_c4_symmetry_validation():
@@ -195,19 +189,40 @@ def test_eigenprojectors_need_order_four():
 
 
 def test_definition2_trivial_group():
-    g = groups.cyclic_group(1)
     action = groups.make_action([[0, 1, 2, 3]])
-    rep = {0: np.eye(2, dtype=complex)}
-    report = groups.check_definition2(rep, action, povm.ideal_qubit_povm())
+    report = groups.check_definition2([np.arange(2)], action, povm.ideal_qubit_povm())
     assert report.passed
 
 
 def test_definition2_identity_rep_cannot_permute():
-    g = groups.cyclic_group(4)
     action = groups.canonical_c4_action()
-    rep = {gg: np.eye(2, dtype=complex) for gg in range(4)}
+    rep = np.tile(np.arange(2), (4, 1))
     report = groups.check_definition2(rep, action, povm.ideal_qubit_povm())
     assert not report.passed
+
+
+def test_definition2_needs_the_regular_permutations():
+    # the symmetrized set is symmetric under its own rep, but not under identity rows
+    from squashkit.nogo import counterexample_m0, symmetrize
+
+    s = symmetrize(counterexample_m0(), groups.cyclic_group(4), groups.canonical_c4_action())
+    assert groups.check_definition2(s.rep, s.action, s.tilde).max_residual == 0.0
+    report = groups.check_definition2(np.tile(np.arange(8), (4, 1)), s.action, s.tilde)
+    assert not report.passed and report.residuals["g0.z0"] == 0.0
+    assert report.max_residual >= 1.0
+
+
+def test_definition2_rejects_rows_that_are_not_index_permutations():
+    action = groups.canonical_c4_action()
+    p = povm.ideal_qubit_povm()
+    with pytest.raises(DimensionMismatch):
+        groups.check_definition2(np.tile(np.arange(3), (4, 1)), action, p)
+    with pytest.raises(DimensionMismatch):
+        groups.check_definition2({0: np.eye(2)}, action, p)
+    with pytest.raises(InvalidAction, match="permutations of range"):
+        groups.check_definition2(np.eye(2), action, p)  # dense matrices are not index rows
+    with pytest.raises(InvalidAction, match="permutations of range"):
+        groups.check_definition2([[0, 1], [0, 0], [1, 0], [0, 1]], action, p)
 
 
 def test_group_json_round_trip():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from squashkit import builder, finder, fock, groups, linalg, nogo, povm
+from squashkit import builder, cli, finder, fock, groups, linalg, nogo, povm
 from squashkit.errors import DimensionMismatch, InvalidPovm, SelfCheckFailed, TildeNotVerified
 
 from helpers import kraus_apply, random_density_matrix, random_hermitian, visibility_set
@@ -109,6 +109,45 @@ def test_trace_identity_two_photon():
         z0[e, e] += delta
         moved = dataclasses.replace(s, tilde=povm.make_povm({**s.tilde.elements, "z0": z0}))
         assert nogo.verify_trace_identity(moved) == pytest.approx(delta, abs=1e-15)
+
+
+def test_symmetrize_at_the_cli_limit():
+    # a qubit set over the cyclic group of order 128 is the largest symmetrization the CLI admits
+    p = povm.ideal_qubit_povm()
+    n = cli.MAX_INPUT_DIM // p.dim
+    four_cycle_powers = groups.make_action([[(c + g) % 4 for c in range(4)] for g in range(n)])
+    s = nogo.symmetrize(p, groups.cyclic_group(n), four_cycle_powers)
+    assert s.tilde.dim == cli.MAX_INPUT_DIM
+    assert groups.check_definition2(s.rep, s.action, s.tilde).max_residual == 0.0
+    assert nogo.verify_trace_identity(s) == 0.0
+    base = finder.bloch_witness(p.difference("z"), p.difference("x")).value
+    tilde = finder.bloch_witness(s.tilde.difference("z"), s.tilde.difference("x")).value
+    assert tilde == pytest.approx(base, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["m0", "projective"])
+def test_lifted_witness_state_certifies_the_symmetrized_set(name):
+    # rho x |e><e| sees only the identity-element block, so the base certificate
+    # has the same value on the symmetrized observables: INFEASIBLE carries over
+    if name == "m0":
+        base = nogo.counterexample_m0()
+    else:
+        rng = np.random.default_rng(17)
+        pair = []
+        for _ in "zx":
+            vals, vecs = np.linalg.eigh(random_hermitian(4, rng))
+            pair.append((vecs * np.sign(vals)) @ linalg.dagger(vecs))
+        base = visibility_set(*pair, 1.0)  # witness 1.32
+    w = finder.bloch_witness(base.difference("z"), base.difference("x"))
+    assert w.value > 1.0 + 1e-3
+    assert finder.find_squash(base).verdict == "INFEASIBLE"
+    for s in symmetrizations(base):
+        lifted = np.zeros((s.tilde.dim, s.tilde.dim), dtype=complex)
+        lifted[np.ix_(s.identity_block, s.identity_block)] = w.state
+        m_z, m_x = s.tilde.difference("z"), s.tilde.difference("x")
+        observable = np.cos(w.theta) * m_z + np.sin(w.theta) * m_x
+        assert np.trace(lifted @ observable).real == pytest.approx(w.value, abs=1e-12)
+        assert finder.find_squash(s.tilde).verdict == "INFEASIBLE"
 
 
 def test_pullback_through_trivial_group():

@@ -46,8 +46,34 @@ def test_action_must_be_homomorphism():
     groups.validate_action(groups.cyclic_group(2), groups.c2_basis_swap_action())
 
 
-def test_symmetrized_rep_is_the_regular_representation():
-    # row g of rep is the index permutation of identity x R(g): i*|G| + h -> i*|G| + g*h
+# The regular representation R of a symmetrization is held as SymmetrizedPovm.rep:
+# row g is the index permutation of identity x R(g), i*|G| + h -> i*|G| + g*h.
+
+
+def test_regular_representation_c2():
+    from squashkit.nogo import symmetrize
+
+    s = symmetrize(povm.ideal_qubit_povm(), groups.cyclic_group(2), groups.c2_basis_swap_action())
+    assert s.rep.shape == (2, 4) and not s.rep.flags.writeable
+    assert np.array_equal(s.rep[0], [0, 1, 2, 3])
+    assert np.array_equal(s.rep[1], [1, 0, 3, 2])  # the swap [[0, 1], [1, 0]] on each block
+
+
+def test_regular_representation_c4_generator():
+    from squashkit.nogo import symmetrize
+
+    s = symmetrize(povm.ideal_qubit_povm(), groups.cyclic_group(4), groups.canonical_c4_action())
+    # the generator shifts h -> h + 1 mod 4 inside each kron block
+    assert np.array_equal(s.rep[1], [1, 2, 3, 0, 5, 6, 7, 4])
+    shift = np.zeros((4, 4))
+    for h in range(4):
+        shift[(h + 1) % 4, h] = 1.0
+    dense = np.zeros((8, 8))
+    dense[s.rep[1], np.arange(8)] = 1.0
+    assert np.array_equal(dense, np.kron(np.eye(2), shift))
+
+
+def test_regular_representation_s3_homomorphism():
     from squashkit.nogo import symmetrize
 
     g = groups.symmetric_group_s3()

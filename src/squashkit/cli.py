@@ -61,8 +61,54 @@ def _check_ranges(args) -> None:
         _require_tol(args.tol, "--tol")
 
 
+#: Compact and strict; with no indent, ``encode`` runs CPython's C encoder.
+_ENCODE = json.JSONEncoder(allow_nan=False).encode
+_NUMBER = (int, float)
+
+
+def _is_pair_list(rows: list) -> bool:
+    return all(
+        type(row) is list and len(row) == 2 and type(row[0]) in _NUMBER and type(row[1]) in _NUMBER
+        for row in rows
+    )
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a string, or 1 -> "1", None -> "null"."""
+    if isinstance(key, str):
+        return _ENCODE(key)
+    if key is None or isinstance(key, _NUMBER):
+        return _ENCODE(_ENCODE(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, byte for byte.
+
+    Dicts and lists are walked here; a list of [number, number] rows, the
+    entries of a matrix or vector, is C-encoded in one call and then broken
+    into lines. A JSON number holds no bracket, comma or space, so the
+    compact separators "], [" and ", " mark exactly the places to break.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = [f"{_key_text(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        if _is_pair_list(obj):
+            deeper = inner + "  "
+            body = _ENCODE(obj)[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{deeper}")
+            body = body.replace(", ", ",\n" + deeper)
+            return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{indent}]"
+        items = [_json_text(item, inner) for item in obj]
+        brackets = "[]"
+    else:  # a scalar, {} or []
+        return _ENCODE(obj)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _write_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _json_text(obj) + "\n"
     if out is None:
         sys.stdout.write(text)
         return
@@ -119,8 +165,11 @@ def _load_action(path: str | None, group_name: str) -> groups.LabelAction:
 
 
 def _load_povm(path: str, tol: float) -> povm.Bb84Povm:
-    p = povm.povm_from_json(_load_json(path))
-    _require_dim(p.dim, path)
+    """A measurement-set file, sized by its declared dimensions before its entries are decoded."""
+    blob = _load_json(path)
+    for dim in (blob["dim"], *(blob["elements"][key]["dim"] for key in povm.LABELS)):
+        _require_dim(int(dim), path)
+    p = povm.povm_from_json(blob)
     if not povm.validate(p, tol).passed:
         raise SquashkitError(f"{path} is not a valid measurement set at tol={tol}")
     return p
@@ -252,7 +301,9 @@ def main(argv=None) -> int:
     except (ConstructionError, TildeNotVerified) as exc:
         print(f"squashkit: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except (SquashkitError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    # OverflowError: an input integer too large for a float or a C long
+    except (SquashkitError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         print(f"squashkit: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

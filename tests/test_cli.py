@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squashkit import builder, cli, finder, fock, groups, linalg, povm
+from squashkit import builder, cli, finder, fock, groups, linalg, nogo, povm
 from squashkit.cli import main
 
 
@@ -397,6 +397,177 @@ def test_oversized_group_is_refused_before_its_table_is_validated(
     assert main(argv) == 2
     assert "dimension 400, above the supported 256" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("declared", ["set", "element"])
+def test_oversized_povm_is_refused_before_its_entries_are_decoded(
+    declared, request, monkeypatch, tmp_path, capsys
+):
+    if declared == "set":
+        path = request.getfixturevalue("big_file")
+    else:  # only the elements' own dims are above the limit
+        element = {"dim": 257, "entries": [[0.0, 0.0]]}
+        path = tmp_path / "big_elements.json"
+        path.write_text(json.dumps({"dim": 2, "elements": dict.fromkeys(povm.LABELS, element)}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the entries were decoded")
+
+    monkeypatch.setattr(linalg, "_decode", refuse)
+    out = tmp_path / "out.json"
+    assert main(["squash", "find", "--povm", str(path), "--out", str(out)]) == 2
+    assert "dimension 257, above the supported 256" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["povm", "group"])
+def test_huge_integer_in_an_input_file_is_an_input_error(kind, ideal_file, tmp_path, capsys):
+    # 10**400 fits neither a float nor a C long
+    path = tmp_path / f"huge_{kind}.json"
+    if kind == "povm":
+        blob = povm.povm_to_json(povm.ideal_qubit_povm())
+        blob["elements"]["z0"]["entries"][0] = [10**400, 0.0]
+        argv = ["squash", "find", "--povm", path]
+    else:
+        blob = groups.group_to_json(groups.cyclic_group(2))
+        blob["cayley"][0][1] = 10**400
+        argv = ["nogo", "symmetrize", "--povm", ideal_file, "--group", path]
+    path.write_text(json.dumps(blob))
+    out = tmp_path / "out.json"
+    assert run(tmp_path, *argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("squashkit: ") and err.count("\n") == 1 and "too large" in err
+    assert not out.exists()
+
+
+def _library_outputs(m0_file, ideal_file, tmp_path):
+    """Each case: a command line, and a thunk for the library object its output encodes."""
+    m0, ideal = nogo.counterexample_m0(), povm.ideal_qubit_povm()
+    model = fock.build_detector(fock.fock_sector((2, 1)))
+    base = fock.build_detector(fock.fock_sector((1,))).povm
+    symmetrized = nogo.symmetrize(base, groups.cyclic_group(2), groups.c2_basis_swap_action())
+    found = finder.report_to_json(finder.find_squash(symmetrized.tilde))
+    base_file, found_file = tmp_path / "base.json", tmp_path / "found.json"
+    base_file.write_text(json.dumps(povm.povm_to_json(base)))
+    found_file.write_text(json.dumps(found))
+    return {
+        "detector": (["detector", "--N", "2,1"], lambda: fock.detector_to_json(model)),
+        "construct": (
+            ["squash", "construct", "--sector", "2,1"],
+            lambda: builder.squash_to_json(
+                builder.construct_theorem1(model.povm, fock.sector_symmetry(model), 1e-9)
+            ),
+        ),
+        "feasible": (
+            ["squash", "find", "--povm", ideal_file],
+            lambda: finder.report_to_json(finder.find_squash(ideal)),
+        ),
+        "infeasible": (
+            ["squash", "find", "--povm", m0_file],
+            lambda: finder.report_to_json(finder.find_squash(m0)),
+        ),
+        "m0": (["nogo", "m0"], lambda: povm.povm_to_json(m0)),
+        "attack": (
+            ["nogo", "attack", "--povm", m0_file, "--trials", "500", "--seed", "3"],
+            lambda: nogo.attack_to_json(nogo.bbm92_attack(m0, trials=500, seed=3)),
+        ),
+        "symmetrize": (
+            ["nogo", "symmetrize", "--povm", base_file, "--group", "c2"],
+            lambda: povm.povm_to_json(symmetrized.tilde),
+        ),
+        "pullback": (
+            ["nogo", "pullback", "--povm", base_file, "--group", "c2", "--squash", found_file,
+             "--tol", "1e-6"],
+            lambda: builder.squash_to_json(
+                nogo.pullback_squash(symmetrized, builder.squash_from_json(found["squash"]), 1e-6)
+            ),
+        ),
+    }
+
+
+GOLDEN = ["detector", "construct", "feasible", "infeasible", "m0", "attack", "symmetrize",
+          "pullback"]
+
+
+@pytest.mark.parametrize("case", GOLDEN)
+def test_output_bytes_are_json_dumps_of_the_library_object(
+    case, m0_file, ideal_file, tmp_path, capsys
+):
+    argv, library_object = _library_outputs(m0_file, ideal_file, tmp_path)[case]
+    expected = json.dumps(library_object(), indent=2, sort_keys=True) + "\n"
+    out = tmp_path / "out.json"
+    code = run(tmp_path, *argv, "--out", out)
+    assert code == (1 if case == "infeasible" else 0)
+    assert out.read_bytes() == expected.encode()
+    capsys.readouterr()
+    assert run(tmp_path, *argv) == code
+    assert capsys.readouterr().out == expected
+
+
+def _awkward_text(max_size=6):
+    """Short strings rich in JSON punctuation, escapes and non-ASCII characters."""
+    return st.text(st.one_of(st.sampled_from('[],"\\: \n\t'), st.sampled_from("éλ→€😀\x7f"),
+                             st.characters()), max_size=max_size)
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300]),
+)
+NUMBERS = st.one_of(FINITE, st.integers())
+PAIRS = st.lists(st.lists(NUMBERS, min_size=2, max_size=2), min_size=1, max_size=4)
+# rows that keep a list off the C-encoded path: wrong length, or a non-number inside
+ODD_ROWS = st.one_of(
+    st.lists(NUMBERS, max_size=1),
+    st.lists(NUMBERS, min_size=3, max_size=3),
+    st.tuples(NUMBERS, st.one_of(_awkward_text(), st.booleans(), st.none())).map(list),
+    st.tuples(st.lists(NUMBERS, max_size=2), NUMBERS).map(list),
+    st.tuples(NUMBERS, st.dictionaries(_awkward_text(), NUMBERS, max_size=1)).map(list),
+)
+NEAR_MISSES = st.builds(lambda rows, odd, i: rows[:i] + [odd] + rows[i:], PAIRS, ODD_ROWS,
+                        st.integers(0, 4))
+SCALARS = st.one_of(NUMBERS, st.booleans(), st.none(), _awkward_text())
+TREES = st.recursive(
+    st.one_of(SCALARS, PAIRS, NEAR_MISSES),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_awkward_text(), children, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), FINITE), children, max_size=3),
+        st.dictionaries(st.booleans(), children, max_size=2),
+        st.dictionaries(st.none(), children, max_size=1),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=TREES)
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+NON_FINITE_HOMES = {
+    "pair list": lambda bad, rows: {"entries": rows + [[0.0, bad]]},
+    "near miss": lambda bad, rows: [rows, [[bad, 0.0, 1.0]]],
+    "scalar": lambda bad, rows: {"rows": rows, "value": [bad]},
+    "key": lambda bad, rows: {bad: rows},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    home=st.sampled_from(sorted(NON_FINITE_HOMES)),
+    bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    rows=PAIRS,
+)
+def test_json_writer_rejects_non_finite_numbers(home, bad, rows):
+    obj = NON_FINITE_HOMES[home](bad, rows)
+    with pytest.raises(ValueError):
+        cli._json_text(obj)
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(ValueError):
+            cli._write_json(obj, os.path.join(tmp, "out.json"))
+        assert os.listdir(tmp) == []
 
 
 def test_out_file_mode_follows_umask(tmp_path):

@@ -30,8 +30,6 @@ from .errors import (
 #: Columns |0_y>, |1_y>, the eigenvectors of sigma_y in the output-qubit z coordinates:
 #: the unitary that takes sigma_y-frame rows to z-frame Kraus operators.
 Y_FRAME = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / np.sqrt(2.0)
-#: Largest trace defect a SquashMap accepts.
-TRACE_DEFECT_TOL = 1e-9
 
 
 def trace_defect(g0: np.ndarray, g1: np.ndarray) -> float:
@@ -59,7 +57,7 @@ class SquashMap:
             object.__setattr__(self, name, rows)
         if self.g0.ndim != 2 or self.g0.shape != self.g1.shape:
             raise InvalidSquash(f"rows {self.g0.shape} and {self.g1.shape} are not one (K, d) pair")
-        if not trace_defect(self.g0, self.g1) <= TRACE_DEFECT_TOL:  # NaN rows fail too
+        if not trace_defect(self.g0, self.g1) <= linalg.TOL:  # NaN rows fail too
             raise InvalidSquash("Kraus operators do not sum to the identity")
 
     def __reduce__(self):  # rebuilt through the constructor, so the copy is read-only too
@@ -96,10 +94,10 @@ class MuDecomposition:
     mu: np.ndarray  # four nonnegative weights
 
 
-def extract_rank2(m_z: np.ndarray, sym: groups.C4Symmetry, tol: float = 1e-9) -> tuple:
+def extract_rank2(m_z: np.ndarray, sym: groups.C4Symmetry, tol: float = linalg.TOL) -> tuple:
     """Largest eigenvalue and eigenvector of a rank-two +/-lambda observable."""
     eig = linalg.hermitian_eig(m_z)
-    rank = np.count_nonzero(np.abs(eig.eigenvalues) > 1e-9 * max(1.0, linalg.frob(m_z)))
+    rank = np.count_nonzero(np.abs(eig.eigenvalues) > linalg.TOL * max(1.0, linalg.frob(m_z)))
     if rank != 2:
         raise RankNotTwo(f"observable rank is {rank}, need 2")
     lam = float(eig.eigenvalues[-1])
@@ -121,7 +119,7 @@ def extract_rank2(m_z: np.ndarray, sym: groups.C4Symmetry, tol: float = 1e-9) ->
 
 
 def mu_decompose(
-    v: np.ndarray, sym: groups.C4Symmetry, lam: float = 1.0, tol: float = 1e-9
+    v: np.ndarray, sym: groups.C4Symmetry, lam: float = 1.0, tol: float = linalg.TOL
 ) -> MuDecomposition:
     """Split v into the four U eigencomponents, weights gauged nonnegative.
 
@@ -140,7 +138,7 @@ def mu_decompose(
     for c in range(4):
         w = projectors[c] @ v
         weight = float(np.linalg.norm(w))
-        if weight > 1e-12:
+        if weight > linalg.ZERO:
             mu[c] = weight
             components.append(w / weight)
         else:
@@ -171,17 +169,17 @@ def complete_trace_preserving(core: tuple, d: int) -> SquashMap:
     g0, g1 = core
     deficiency = np.eye(d, dtype=complex) - linalg.dagger(g0) @ g0 - linalg.dagger(g1) @ g1
     eig = linalg.hermitian_eig(deficiency)
-    if eig.eigenvalues[0] < -1e-9:
+    if eig.eigenvalues[0] < -linalg.TOL:
         raise DeficiencyNotPsd(
             f"trace deficiency has negative eigenvalue {eig.eigenvalues[0]}"
         )
-    keep = eig.eigenvalues >= 1e-12
+    keep = eig.eigenvalues >= linalg.ZERO
     fill = np.sqrt(eig.eigenvalues[keep])[:, None] * linalg.dagger(eig.eigenvectors[:, keep])
     return SquashMap(g0=np.vstack([g0, fill]), g1=np.vstack([g1, np.zeros_like(fill)]))
 
 
 def construct_theorem1(
-    p: povm.Bb84Povm, sym: groups.C4Symmetry, tol: float = 1e-9
+    p: povm.Bb84Povm, sym: groups.C4Symmetry, tol: float = linalg.TOL
 ) -> SquashMap:
     """Full analytic pipeline; raises ConstructionError tagged with the stage."""
     try:
@@ -235,7 +233,7 @@ class VerificationReport:
         return self.max_residual <= self.tol
 
 
-def verify_squash(f: SquashMap, p: povm.Bb84Povm, tol: float = 1e-9) -> VerificationReport:
+def verify_squash(f: SquashMap, p: povm.Bb84Povm, tol: float = linalg.TOL) -> VerificationReport:
     """Check that the map reproduces both observables and preserves trace.
 
     With A = G0+ G1 the map pulls sigma_z back to A + A+ and sigma_x to

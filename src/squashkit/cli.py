@@ -175,6 +175,29 @@ def _load_povm(path: str, tol: float) -> povm.Bb84Povm:
     return p
 
 
+def _load_unitary(path: str, dim: int) -> groups.C4Symmetry:
+    """A unitary file, sized against the measurement set before its entries are decoded."""
+    blob = _load_json(path)
+    if int(blob["dim"]) != dim:
+        raise SquashkitError(f"unitary dim {int(blob['dim'])} vs POVM dim {dim}")
+    return groups.C4Symmetry(u=linalg.matrix_from_json(blob))
+
+
+def _load_squash(path: str, in_dim: int) -> builder.SquashMap:
+    """A squash file, or a finder report wrapping one, sized before its entries are decoded."""
+    blob = _load_json(path)
+    if isinstance(blob, dict) and "kraus" not in blob and blob.get("squash"):
+        blob = blob["squash"]
+    kraus = blob["kraus"]  # read first: a report with no squash fails here, on 'kraus'
+    if int(blob["in_dim"]) != in_dim:
+        raise SquashkitError(f"map dim {int(blob['in_dim'])} vs POVM dim {in_dim}")
+    for op in kraus:
+        shape = (int(op["rows"]), int(op["cols"]))
+        if shape != (2, in_dim):
+            raise SquashkitError(f"Kraus operator shape {shape} vs expected (2, {in_dim})")
+    return builder.squash_from_json(blob)
+
+
 def cmd_detector(args) -> int:
     if args.N is None and args.sweep_max is None:
         raise SquashkitError("pass --N or --sweep-max")
@@ -201,15 +224,11 @@ def _squash_inputs(args, tol: float):
     if args.povm is None:
         raise SquashkitError("pass --sector or --povm")
     p = _load_povm(args.povm, tol)
-    sym = None
-    if args.unitary is not None:
-        u = linalg.matrix_from_json(_load_json(args.unitary))
-        sym = groups.C4Symmetry(u=u)
-    return p, sym
+    return p, None if args.unitary is None else _load_unitary(args.unitary, p.dim)
 
 
 def cmd_squash(args) -> int:
-    tol = _tol(args, 1e-9 if args.mode == "construct" else 1e-8)
+    tol = _tol(args, linalg.TOL if args.mode == "construct" else linalg.LOOSE_TOL)
     p, sym = _squash_inputs(args, tol)
     if args.mode == "construct":
         if sym is None:
@@ -230,7 +249,7 @@ def cmd_nogo(args) -> int:
     if args.submode == "m0":
         _write_json(povm.povm_to_json(nogo.counterexample_m0()), args.out)
         return EXIT_OK
-    tol = _tol(args, 1e-8 if args.submode == "pullback" else 1e-9)
+    tol = _tol(args, linalg.LOOSE_TOL if args.submode == "pullback" else linalg.TOL)
     if args.submode == "attack":
         p = _load_povm(args.povm, tol)
         result = nogo.bbm92_attack(p, trials=args.trials, seed=args.seed)
@@ -239,15 +258,11 @@ def cmd_nogo(args) -> int:
     base = _load_povm(args.povm, tol)
     group = _load_group(args.group, base.dim, f"the symmetrization of {args.povm} by {args.group}")
     action = _load_action(args.action, args.group)
-    symmetrized = nogo.symmetrize(base, group, action)
+    symmetrized = nogo.symmetrize(base, group, action, tol)
     if args.submode == "symmetrize":
         _write_json(povm.povm_to_json(symmetrized.tilde), args.out)
         return EXIT_OK
-    # pullback; the squash file may also be a finder report wrapping one
-    blob = _load_json(args.squash)
-    if "kraus" not in blob and blob.get("squash"):
-        blob = blob["squash"]
-    f_tilde = builder.squash_from_json(blob)
+    f_tilde = _load_squash(args.squash, symmetrized.tilde.dim)
     pulled = nogo.pullback_squash(symmetrized, f_tilde, tol)
     _write_json(builder.squash_to_json(pulled), args.out)
     return EXIT_OK

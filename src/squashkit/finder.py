@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, povm
-from .builder import TRACE_DEFECT_TOL, SquashMap, squash_to_json, trace_defect, verify_squash
+from .builder import SquashMap, squash_to_json, trace_defect, verify_squash
 from .errors import NotHermitian, SelfCheckFailed
 
 #: Witness levels sit this far above the best value, relative; closer values are ties.
@@ -38,6 +38,8 @@ DOUBLING_SHRINK = 1e-12
 STATIONARY_STEP = 64 * np.finfo(float).eps
 #: Doubling steps before the solve gives up; it takes at most 24 on the boundary w(2A) = 1.
 MAX_DOUBLING_STEPS = 64
+#: A FEASIBLE map is rechecked at this loose tolerance: a self-check, not the user's bound.
+SELF_CHECK_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +116,7 @@ class FeasibilityReport:
     iterations: int
 
 
-def find_squash(p: povm.Bb84Povm, tol: float = 1e-8) -> FeasibilityReport:
+def find_squash(p: povm.Bb84Povm, tol: float = linalg.LOOSE_TOL) -> FeasibilityReport:
     """Decide squash existence for a measurement set exactly, then build the map.
 
     Runs the Bloch-norm witness (the level-set maximum of :func:`bloch_witness`)
@@ -123,8 +125,8 @@ def find_squash(p: povm.Bb84Povm, tol: float = 1e-8) -> FeasibilityReport:
     for X until a step no longer moves the iterate. Its Cholesky factor gives
     the row pair (G0, G1), one row per input dimension, which reproduces both
     observables by construction; ``gap`` is its trace defect. At most ``tol``
-    and the TRACE_DEFECT_TOL a SquashMap accepts gives FEASIBLE, with the map
-    verified at 1e-6. A larger gap, or a breakdown of the doubling (no
+    and the ``linalg.TOL`` a SquashMap accepts gives FEASIBLE, with the map
+    verified at SELF_CHECK_TOL. A larger gap, or a breakdown of the doubling (no
     stationary iterate within MAX_DOUBLING_STEPS, or an X that is not positive
     definite, reported with the empty family's defect sqrt(d)), gives UNDECIDED.
     """
@@ -166,12 +168,12 @@ def find_squash(p: povm.Bb84Povm, tol: float = 1e-8) -> FeasibilityReport:
     except np.linalg.LinAlgError:  # the empty family, whose trace defect sqrt(d) is UNDECIDED
         g0 = g1 = np.zeros((0, p.dim))
     gap = trace_defect(g0, g1)
-    if not (stationary and gap <= min(tol, TRACE_DEFECT_TOL)):
+    if not (stationary and gap <= min(tol, linalg.TOL)):
         return FeasibilityReport(
             verdict="UNDECIDED", squash=None, witness=witness, gap=gap, iterations=steps
         )
     squash = SquashMap(g0=g0, g1=g1)
-    if not verify_squash(squash, p, tol=1e-6).passed:
+    if not verify_squash(squash, p, tol=SELF_CHECK_TOL).passed:
         raise SelfCheckFailed("the doubling's factorization produced a map that fails verification")
     return FeasibilityReport(
         verdict="FEASIBLE", squash=squash, witness=witness, gap=gap, iterations=steps

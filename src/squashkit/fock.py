@@ -30,10 +30,6 @@ class FockSector:
     basis: tuple  # configurations (j_1, ..., j_m), all-z0 first
 
     @property
-    def modes(self) -> int:
-        return len(self.photons)
-
-    @property
     def dim(self) -> int:
         return len(self.basis)
 
@@ -144,7 +140,9 @@ def sector_symmetry(model: DetectorModel) -> groups.C4Symmetry:
     return groups.C4Symmetry(u=model.u_n)
 
 
-def verify_sector_symmetry(model: DetectorModel, tol: float = 1e-9) -> groups.SymmetryReport:
+def verify_sector_symmetry(
+    model: DetectorModel, tol: float = linalg.TOL
+) -> groups.SymmetryReport:
     """Phase-normalize the sector rotation and check the four-cycle relations."""
     sym = groups.phase_normalize(sector_symmetry(model))
     return groups.check_definition1(sym, model.povm, tol)

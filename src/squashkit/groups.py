@@ -134,8 +134,8 @@ class C4Symmetry:
 
     def __post_init__(self):
         m = linalg.as_matrix(self.u)
-        if linalg.frob(linalg.dagger(m) @ m - np.eye(m.shape[0])) > 1e-9:
-            raise NotUnitary("U is not unitary within 1e-9")
+        if linalg.frob(linalg.dagger(m) @ m - np.eye(m.shape[0])) > linalg.TOL:
+            raise NotUnitary(f"U is not unitary within {linalg.TOL}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,9 @@ class SymmetryReport:
     passed: bool
 
 
-def check_definition1(sym: C4Symmetry, p: povm.Bb84Povm, tol: float = 1e-9) -> SymmetryReport:
+def check_definition1(
+    sym: C4Symmetry, p: povm.Bb84Povm, tol: float = linalg.TOL
+) -> SymmetryReport:
     """Residuals of the four-cycle conjugation relations on a measurement set."""
     u = sym.u
     if u.shape[0] != p.dim:
@@ -179,7 +181,7 @@ def phase_normalize(sym: C4Symmetry) -> C4Symmetry:
     d = u.shape[0]
     u4 = np.linalg.matrix_power(u, 4)
     eta = np.trace(u4) / d
-    if linalg.frob(u4 - eta * np.eye(d)) > 1e-8:
+    if linalg.frob(u4 - eta * np.eye(d)) > linalg.LOOSE_TOL:
         return sym
     eta = eta / abs(eta)
     root = np.exp(1j * np.angle(eta) / 4.0)  # principal fourth root
@@ -194,7 +196,7 @@ def c4_eigenprojectors(sym: C4Symmetry) -> list:
     """
     u = sym.u
     d = u.shape[0]
-    if linalg.frob(np.linalg.matrix_power(u, 4) - np.eye(d)) > 1e-8:
+    if linalg.frob(np.linalg.matrix_power(u, 4) - np.eye(d)) > linalg.LOOSE_TOL:
         raise KNotOne("U^4 is not the identity; phase normalization required")
     powers = [np.eye(d, dtype=complex)]
     for _ in range(3):
@@ -205,7 +207,7 @@ def c4_eigenprojectors(sym: C4Symmetry) -> list:
 
 
 def check_definition2(
-    rep, action: LabelAction, p: povm.Bb84Povm, tol: float = 1e-9
+    rep, action: LabelAction, p: povm.Bb84Povm, tol: float = linalg.TOL
 ) -> SymmetryReport:
     """Residuals of V(g) M_c V(g)+ = M_{g(c)} for every element and label.
 

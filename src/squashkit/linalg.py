@@ -13,7 +13,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
 
-DEFAULT_RTOL = 1e-9
+#: Default of every check: Theorem 1 and the no-go rest on exact equalities, held to this.
+TOL = 1e-9
+#: One order looser, for values that went through a search, a solve or a matrix power.
+LOOSE_TOL = 1e-8
+#: A mu weight or a trace-deficiency eigenvalue this small is dropped as zero.
+ZERO = 1e-12
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -38,8 +43,8 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_RTOL) -> bool:
-    return frob(a - dagger(a)) <= tol * max(1.0, frob(a))
+def is_hermitian(a: np.ndarray) -> bool:
+    return frob(a - dagger(a)) <= TOL * max(1.0, frob(a))
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,7 @@ class HermitianEig:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(a: np.ndarray, tol: float = DEFAULT_RTOL) -> HermitianEig:
+def hermitian_eig(a: np.ndarray) -> HermitianEig:
     """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
     The exactly-Hermitian part (A + A+)/2 is what gets diagonalized, so the
@@ -58,17 +63,17 @@ def hermitian_eig(a: np.ndarray, tol: float = DEFAULT_RTOL) -> HermitianEig:
 
     Raises
     ------
-    NotHermitian : ``a`` is not Hermitian within ``tol`` (relative Frobenius).
+    NotHermitian : ``a`` is not Hermitian within ``TOL`` (relative Frobenius).
     """
     m = as_matrix(a)
-    if not is_hermitian(m, tol):
-        raise NotHermitian(f"matrix is not Hermitian within tol={tol}")
+    if not is_hermitian(m):
+        raise NotHermitian(f"matrix is not Hermitian within tol={TOL}")
     return HermitianEig(*np.linalg.eigh((m + dagger(m)) / 2.0))
 
 
-def unitary_from_generator(a: np.ndarray, angle: float, tol: float = DEFAULT_RTOL) -> np.ndarray:
+def unitary_from_generator(a: np.ndarray, angle: float) -> np.ndarray:
     """exp(1j * angle * A) for Hermitian A, via the spectral decomposition."""
-    eig = hermitian_eig(a, tol)
+    eig = hermitian_eig(a)
     phases = np.exp(1j * angle * eig.eigenvalues)
     return (eig.eigenvectors * phases) @ dagger(eig.eigenvectors)
 

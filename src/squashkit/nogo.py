@@ -17,7 +17,7 @@ import numpy as np
 
 from . import groups, linalg, povm
 from .builder import SquashMap, verify_squash
-from .errors import DimensionMismatch, InvalidPovm, SelfCheckFailed, TildeNotVerified
+from .errors import DimensionMismatch, InvalidAction, InvalidPovm, SelfCheckFailed, TildeNotVerified
 
 
 def _kron_index(i, g, order: int):
@@ -40,10 +40,20 @@ class SymmetrizedPovm:
 
 
 def symmetrize(
-    p: povm.Bb84Povm, group: groups.FiniteGroup, action: groups.LabelAction
+    p: povm.Bb84Povm, group: groups.FiniteGroup, action: groups.LabelAction, tol: float = linalg.TOL
 ) -> SymmetrizedPovm:
-    """Adjoin a group register so that the action becomes an exact symmetry."""
+    """Adjoin a group register so that the action becomes an exact symmetry.
+
+    Only ``p`` is validated, at ``tol``. The result holds its elements as blocks, and the
+    action keeps basis pairs together, so its completeness residuals are at most sqrt(|G|)
+    times those of ``p``.
+    """
     groups.validate_action(group, action)
+    # the z pair {0, 2} must go to a basis pair, {0, 2} or {1, 3}; then so does {1, 3}
+    if (action.perms[:, 0] % 2 != action.perms[:, 2] % 2).any():
+        raise InvalidAction("the label action must send each basis pair to a basis pair")
+    if not povm.validate(p, tol).passed:
+        raise InvalidPovm(f"measurement set fails POVM validation at tol={tol}")
     n, d = group.order, p.dim
     block = _kron_index(np.arange(d), np.arange(n)[:, None], n)  # row g: indices at position g
     inverses = [group.inverse(g) for g in range(n)]
@@ -54,9 +64,7 @@ def symmetrize(
     tilde = povm.make_povm(dict(zip(povm.LABELS, total)))
     rep = _kron_index(np.arange(d)[None, :, None], group.cayley[:, None, :], n).reshape(n, d * n)
     rep.flags.writeable = False
-    if not povm.validate(tilde).passed:
-        raise InvalidPovm("symmetrized set fails POVM validation")
-    report = groups.check_definition2(rep, action, tilde, tol=1e-9)
+    report = groups.check_definition2(rep, action, tilde)
     if not report.passed:
         raise SelfCheckFailed(
             f"symmetrized set is not group-symmetric, residual {report.max_residual}"
@@ -79,7 +87,7 @@ def verify_trace_identity(s: SymmetrizedPovm) -> float:
 
 
 def pullback_squash(
-    s: SymmetrizedPovm, f_tilde: SquashMap, tol: float = 1e-8
+    s: SymmetrizedPovm, f_tilde: SquashMap, tol: float = linalg.LOOSE_TOL
 ) -> SquashMap:
     """Restrict a squash of the symmetrized set to the identity-element block."""
     report = verify_squash(f_tilde, s.tilde, tol)

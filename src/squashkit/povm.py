@@ -85,7 +85,7 @@ class ValidationReport:
     passed: bool
 
 
-def validate(p: Bb84Povm, tol: float = 1e-9) -> ValidationReport:
+def validate(p: Bb84Povm, tol: float = linalg.TOL) -> ValidationReport:
     """Check positivity of every element and per-basis completeness."""
     margins = {}
     for key in LABELS:
@@ -100,26 +100,24 @@ def validate(p: Bb84Povm, tol: float = 1e-9) -> ValidationReport:
     )
 
 
-def _require_state(rho: np.ndarray, dim: int, tol: float) -> np.ndarray:
+def _require_state(rho: np.ndarray, dim: int) -> np.ndarray:
     m = linalg.as_matrix(rho)
     if m.shape[0] != dim:
         raise DimensionMismatch(f"state dim {m.shape[0]} vs POVM dim {dim}")
     if not linalg.is_hermitian(m):
         raise NotAState("density matrix must be Hermitian")
-    if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
+    if abs(np.trace(m).real - 1.0) > linalg.TOL or abs(np.trace(m).imag) > linalg.TOL:
         raise NotAState("density matrix must have unit trace")
-    if np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)[0] < -tol:
+    if np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)[0] < -linalg.TOL:
         raise NotAState("density matrix must be positive semidefinite")
     return m
 
 
-def outcome_probability(
-    rho: np.ndarray, p: Bb84Povm, r: str, b: int, tol: float = 1e-9
-) -> float:
+def outcome_probability(rho: np.ndarray, p: Bb84Povm, r: str, b: int) -> float:
     """Born-rule probability Tr(rho * M_(r,b)), clamped to [0, 1] near the edges."""
-    m = _require_state(rho, p.dim, tol)
+    m = _require_state(rho, p.dim)
     prob = float(np.trace(m @ p.element(r, b)).real)
-    if prob < -tol or prob > 1.0 + tol:
+    if prob < -linalg.TOL or prob > 1.0 + linalg.TOL:
         raise NotAState(f"probability {prob} outside [0,1] beyond tolerance")
     return min(max(prob, 0.0), 1.0)
 

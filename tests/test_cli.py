@@ -52,6 +52,45 @@ def ideal_file(tmp_path):
 
 
 @pytest.fixture
+def near_file(tmp_path):
+    """The ideal qubit set with z0 scaled by 1 + 5e-9: valid at 1e-8, not at 1e-9."""
+    elements = dict(povm.ideal_qubit_povm().elements)
+    elements["z0"] = (1 + 5e-9) * elements["z0"]
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(povm.povm_to_json(povm.make_povm(elements))))
+    return path
+
+
+@pytest.fixture
+def qubit_unitary_file(tmp_path):
+    path = tmp_path / "qubit_unitary.json"
+    path.write_text(json.dumps(linalg.matrix_to_json(
+        linalg.unitary_from_generator(linalg.PAULI_Y, -np.pi / 4)
+    )))
+    return path
+
+
+@pytest.fixture
+def ideal_c2_squash_file(tmp_path):
+    """A squash of the ideal qubit set symmetrized over C2 by the basis swap."""
+    s = nogo.symmetrize(povm.ideal_qubit_povm(), groups.cyclic_group(2),
+                        groups.c2_basis_swap_action())
+    report = finder.find_squash(s.tilde)
+    assert report.verdict == "FEASIBLE"
+    path = tmp_path / "ideal_c2_squash.json"
+    path.write_text(json.dumps(builder.squash_to_json(report.squash)))
+    return path
+
+
+@pytest.fixture
+def list_file(tmp_path):
+    """A JSON file whose top level is a list, not an object."""
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    return path
+
+
+@pytest.fixture
 def nan_squash_file(tmp_path):
     """A C2-symmetrized-qubit squash whose first entry is the JSON token NaN."""
     blob = builder.squash_to_json(builder.squash_from_kraus(4, (np.eye(2, 4), np.eye(2, 4, 2))))
@@ -361,6 +400,7 @@ def _reject_constant(name):
         (["squash", "find", "--povm", "{ideal}", "--tol", "-1"], 2),
         (["nogo", "attack", "--povm", "{m0}", "--trials", "-5"], 2),
         (["nogo", "pullback", "--povm", "{ideal}", "--group", "c2", "--squash", "{nan_squash}"], 2),
+        (["nogo", "pullback", "--povm", "{ideal}", "--group", "c2", "--squash", "{list}"], 2),
         (["nogo", "symmetrize", "--povm", "{m0}", "--group", "{c129}", "--action", "{trivial129}"], 2),
     ],
 )
@@ -418,6 +458,81 @@ def test_oversized_povm_is_refused_before_its_entries_are_decoded(
     assert main(["squash", "find", "--povm", str(path), "--out", str(out)]) == 2
     assert "dimension 257, above the supported 256" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["unitary", "in_dim", "kraus"])
+def test_mismatched_unitary_or_squash_is_refused_before_its_entries_are_decoded(
+    kind, ideal_file, monkeypatch, tmp_path, capsys
+):
+    path = tmp_path / f"{kind}.json"
+    if kind == "unitary":
+        path.write_text(json.dumps(linalg.matrix_to_json(np.eye(700))))
+        argv = ["squash", "construct", "--povm", ideal_file, "--unitary", path]
+        message = "unitary dim 700 vs POVM dim 2"
+    else:  # the qubit set symmetrized over C2 has dimension 4
+        in_dim, shape = (700, (2, 700)) if kind == "in_dim" else (4, (700, 4))
+        op = {"rows": shape[0], "cols": shape[1], "entries": [[0.0, 0.0]] * (shape[0] * shape[1])}
+        path.write_text(json.dumps({"in_dim": in_dim, "kraus": [op]}))
+        argv = ["nogo", "pullback", "--povm", ideal_file, "--group", "c2", "--squash", path]
+        message = {"in_dim": "map dim 700 vs POVM dim 4",
+                   "kraus": "Kraus operator shape (700, 4) vs expected (2, 4)"}[kind]
+    decoded, decode = [], linalg._decode
+
+    def record(entries, rows, cols, shape_name):
+        decoded.append((rows, cols))
+        return decode(entries, rows, cols, shape_name)
+
+    monkeypatch.setattr(linalg, "_decode", record)
+    out = tmp_path / "out.json"
+    assert run(tmp_path, *argv, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert set(decoded) == {(2, 2)} and not out.exists()  # only the qubit set's elements
+
+
+@pytest.mark.parametrize("group", ["c2", "c4"])
+def test_nogo_symmetrize_loads_a_set_valid_only_at_the_tolerance_in_force(
+    group, near_file, tmp_path
+):
+    # the symmetrized set's completeness residual is up to sqrt(|G|) times the base's
+    out = tmp_path / "tilde.json"
+    argv = ["nogo", "symmetrize", "--povm", near_file, "--group", group, "--tol", "1e-8"]
+    assert run(tmp_path, *argv, "--out", out) == 0
+    assert povm.povm_from_json(read(out)).dim == 2 * int(group[1:])
+
+
+def test_nogo_symmetrize_refuses_an_action_that_splits_a_basis_pair(ideal_file, tmp_path, capsys):
+    action = tmp_path / "split.json"
+    split = groups.make_action([[0, 1, 2, 3], [0, 2, 1, 3]])  # swaps x0 and z1
+    action.write_text(json.dumps(groups.action_to_json(split)))
+    out = tmp_path / "out.json"
+    argv = ["nogo", "symmetrize", "--povm", ideal_file, "--group", "c2", "--action", action]
+    assert run(tmp_path, *argv, "--out", out) == 2
+    assert "basis pair" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # find and pullback default to 1e-8; the near set's witness 1 + 5e-9 is above one
+        (["squash", "find", "--povm", "{near}"], 1),
+        (["nogo", "pullback", "--povm", "{near}", "--group", "c2", "--squash", "{ideal_c2_squash}"],
+         0),
+        # construct, symmetrize and attack default to 1e-9
+        (["squash", "construct", "--povm", "{near}", "--unitary", "{qubit_unitary}"], 2),
+        (["nogo", "symmetrize", "--povm", "{near}", "--group", "c2"], 2),
+        (["nogo", "attack", "--povm", "{near}"], 2),
+    ],
+)
+def test_default_tolerance_of_each_command(argv, expected, request, tmp_path, capsys):
+    names = {a[1:-1] for a in argv if a.startswith("{")}
+    files = {name: request.getfixturevalue(f"{name}_file") for name in names}
+    out = tmp_path / "out.json"
+    assert main([a.format(**files) for a in argv] + ["--out", str(out)]) == expected
+    err = capsys.readouterr().err
+    if expected == 2:
+        assert "is not a valid measurement set at tol=1e-09" in err and not out.exists()
+    else:
+        assert err == "" and out.exists()
 
 
 @pytest.mark.parametrize("kind", ["povm", "group"])

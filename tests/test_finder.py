@@ -325,12 +325,12 @@ def test_undecided_on_tiny_budget():
 
 @pytest.mark.parametrize("shrink", [1e-9, 1e-8, 1e-7])
 def test_undecided_when_the_gap_is_within_tol_but_above_the_map_check(monkeypatch, shrink):
-    # a stationary gap in (TRACE_DEFECT_TOL, tol] is UNDECIDED, not a map that fails its own check
+    # a stationary gap in (linalg.TOL, tol] is UNDECIDED, not a map that fails its own check
     monkeypatch.setattr(finder, "DOUBLING_SHRINK", shrink)
     for photons in ((1,), (2,), (2, 1)):
         report = finder.find_squash(fock.build_detector(fock.fock_sector(photons)).povm, tol=1e-6)
         assert report.verdict == "UNDECIDED" and report.squash is None
-        assert builder.TRACE_DEFECT_TOL < report.gap <= 1e-6
+        assert linalg.TOL < report.gap <= 1e-6
     assert cli.main(["squash", "find", "--sector", "2", "--tol", "1e-6"]) == 3
 
 

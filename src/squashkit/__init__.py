@@ -42,7 +42,6 @@ from .groups import (
     C4Symmetry,
     FiniteGroup,
     LabelAction,
-    c4_eigenprojectors,
     canonical_c4_action,
     check_definition1,
     check_definition2,
@@ -60,6 +59,6 @@ from .nogo import (
     symmetrize,
     verify_trace_identity,
 )
-from .povm import Bb84Povm, ideal_qubit_povm, make_povm, outcome_probability, validate
+from .povm import Bb84Povm, ideal_qubit_povm, make_povm, validate
 
 __version__ = "0.1.0"

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     InvalidPovm,
     InvalidSquash,
+    KNotOne,
     RankNotTwo,
     SpectrumAsymmetric,
     SquashkitError,
@@ -108,9 +109,8 @@ def extract_rank2(m_z: np.ndarray, sym: groups.C4Symmetry, tol: float = linalg.T
             f"eigenvalues {eig.eigenvalues[0]} and {lam} are not a +/- pair"
         )
     v = eig.eigenvectors[:, -1]
-    u2 = sym.u @ sym.u
-    flipped = u2 @ np.outer(v, v.conj()) @ linalg.dagger(u2)
-    residual = linalg.frob(m_z - lam * (np.outer(v, v.conj()) - flipped))
+    w = sym.u @ (sym.u @ v)  # U^2 v, the -lambda eigenvector
+    residual = linalg.frob(m_z - lam * (np.outer(v, v.conj()) - np.outer(w, w.conj())))
     if residual > tol:
         raise SpectrumAsymmetric(
             f"rank-two reconstruction residual {residual} exceeds {tol}"
@@ -123,20 +123,30 @@ def mu_decompose(
 ) -> MuDecomposition:
     """Split v into the four U eigencomponents, weights gauged nonnegative.
 
+    The component P_c v = 1/4 sum_j (-i)^(cj) U^j v takes only the vectors U^j v.
     The split only exists usefully when v and U^2 v are orthogonal, which is
     what forces the paired weights onto circles of radius 1/sqrt(2).
+
+    Raises
+    ------
+    SpectrumAsymmetric : v is not orthogonal to U^2 v within ``tol``.
+    KNotOne : U^4 v differs from v by more than ``LOOSE_TOL``, so the parts are
+        not eigenvectors of U; run :func:`groups.phase_normalize` first.
     """
-    u2 = sym.u @ sym.u
-    overlap = abs(np.vdot(v, u2 @ v))
+    powers = [v]  # v, Uv, U^2 v, U^3 v, U^4 v
+    for _ in range(4):
+        powers.append(sym.u @ powers[-1])
+    overlap = abs(np.vdot(v, powers[2]))
     if overlap > tol:
         raise SpectrumAsymmetric(
             f"v is not orthogonal to its double rotation (overlap {overlap})"
         )
-    projectors = groups.c4_eigenprojectors(sym)
+    if linalg.frob(powers[4] - v) > linalg.LOOSE_TOL:
+        raise KNotOne("U^4 v is not v; phase normalization required")
     mu = np.zeros(4)
     components = []
     for c in range(4):
-        w = projectors[c] @ v
+        w = sum((-1j) ** ((c * j) % 4) * powers[j] for j in range(4)) / 4.0
         weight = float(np.linalg.norm(w))
         if weight > linalg.ZERO:
             mu[c] = weight

@@ -186,9 +186,12 @@ def _load_unitary(path: str, dim: int) -> groups.C4Symmetry:
 def _load_squash(path: str, in_dim: int) -> builder.SquashMap:
     """A squash file, or a finder report wrapping one, sized before its entries are decoded."""
     blob = _load_json(path)
-    if isinstance(blob, dict) and "kraus" not in blob and blob.get("squash"):
+    if isinstance(blob, dict) and "kraus" not in blob and "squash" in blob:
+        if blob["squash"] is None:
+            verdict = blob.get("verdict")
+            raise SquashkitError(f"{path} holds no squash map (finder verdict {verdict})")
         blob = blob["squash"]
-    kraus = blob["kraus"]  # read first: a report with no squash fails here, on 'kraus'
+    kraus = blob["kraus"]
     if int(blob["in_dim"]) != in_dim:
         raise SquashkitError(f"map dim {int(blob['in_dim'])} vs POVM dim {in_dim}")
     for op in kraus:
@@ -228,6 +231,8 @@ def _squash_inputs(args, tol: float):
 
 
 def cmd_squash(args) -> int:
+    if args.mode == "find" and args.unitary is not None:
+        raise SquashkitError("--unitary is used only by squash construct; find takes none")
     tol = _tol(args, linalg.TOL if args.mode == "construct" else linalg.LOOSE_TOL)
     p, sym = _squash_inputs(args, tol)
     if args.mode == "construct":

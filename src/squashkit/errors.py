@@ -21,10 +21,6 @@ class InvalidPovm(SquashkitError):
     pass
 
 
-class NotAState(SquashkitError):
-    pass
-
-
 class InvalidGroup(SquashkitError):
     pass
 

@@ -2,10 +2,15 @@
 
 A sector fixes the photon count n_i of each propagation mode i. Its basis
 enumerates the configurations (j_1, ..., j_m), where j_i counts the photons
-of mode i in polarization z0 (the remaining n_i - j_i sit in z1). The
-enumeration starts from the all-z0 configuration and descends
-lexicographically, so the first basis vector is the state that always fires
-the b=0 detector in the z basis.
+of mode i in polarization z0 (the remaining n_i - j_i sit in z1). Each mode
+runs j_i = n_i, ..., 0 and the first mode varies slowest, so the basis is the
+Kronecker order of the modes' (n_i + 1)-sized bases, and its first vector
+is the state that always fires the b=0 detector in the z basis.
+
+A sector is the tensor product of its modes, and so are its pieces: each x
+click state is the outer product of one amplitude vector per mode, and the
+rotation U_N is the Kronecker product of one (n_i + 1)-sized rotation per
+mode, a factor of 1 where n_i = 0.
 
 The detector assigns a uniformly random bit to double clicks, which makes
 the basis observables rank two: every configuration other than the two
@@ -16,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, prod, sqrt
+from functools import reduce
+from math import comb, sqrt
 
 import numpy as np
 
@@ -33,9 +39,6 @@ class FockSector:
     def dim(self) -> int:
         return len(self.basis)
 
-    def index(self, configuration) -> int:
-        return self.basis.index(tuple(configuration))
-
 
 def fock_sector(photons) -> FockSector:
     n = tuple(int(x) for x in photons)
@@ -50,23 +53,18 @@ def fock_sector(photons) -> FockSector:
     return FockSector(photons=n, basis=basis)
 
 
-def _x_mode_amplitude(n: int, j: int, b: int) -> float:
-    """Weight of the j-photons-in-z0 configuration inside an n-photon x state."""
-    # int / int division is correctly rounded and never turns a huge factorial into a float
-    return (-1.0) ** (b * (n - j)) * sqrt(comb(n, j) / 2**n)
-
-
 def state_nrb(sector: FockSector, r: str, b: int) -> np.ndarray:
     """The n-photon polarization state that fires only detector b of basis r."""
     if r not in ("z", "x") or b not in (0, 1):
         raise ValueError(f"bad outcome label ({r!r}, {b!r})")
     v = np.zeros(sector.dim, dtype=complex)
-    if r == "z":
-        target = tuple(n if b == 0 else 0 for n in sector.photons)
-        v[sector.index(target)] = 1.0
+    if r == "z":  # all photons in z0 (the first configuration) or all in z1 (the last)
+        v[-b] = 1.0
         return v
-    for idx, cfg in enumerate(sector.basis):
-        v[idx] = prod(_x_mode_amplitude(n, j, b) for n, j in zip(sector.photons, cfg))
+    # mode amplitude at k photons in z1; int / int division is correctly rounded
+    modes = [[(-1.0) ** (b * k) * sqrt(comb(n, k) / 2**n) for k in range(n + 1)]
+             for n in sector.photons]
+    v[:] = np.ravel(reduce(np.multiply.outer, modes))
     return v / np.linalg.norm(v)
 
 
@@ -97,27 +95,22 @@ def build_detector(sector: FockSector) -> DetectorModel:
     return DetectorModel(sector=sector, povm=p, u_n=build_u_n(sector), states=states)
 
 
-def _rotation_generator(sector: FockSector) -> np.ndarray:
-    """Photon-number difference along the y polarization axis, as a matrix.
+def _mode_rotation(n: int) -> np.ndarray:
+    """exp(-i pi/4 G) on one mode's n + 1 configurations.
 
-    Equals sum_i 1j*(a+_{i,z1} a_{i,z0} - a+_{i,z0} a_{i,z1}) restricted to
-    the sector; a Hermitian hopping operator between adjacent configurations.
+    G = 1j*(a+_z1 a_z0 - a+_z0 a_z1) is the photon-number difference along the
+    y polarization axis; in the basis of k = 0..n photons in z1 it hops k -> k + 1
+    with amplitude 1j*sqrt((k + 1)(n - k)).
     """
-    dim = sector.dim
-    index = {cfg: i for i, cfg in enumerate(sector.basis)}
-    g = np.zeros((dim, dim), dtype=complex)
-    for cfg in sector.basis:
-        col = index[cfg]
-        for i, (n, j) in enumerate(zip(sector.photons, cfg)):
-            if j >= 1:  # move one photon z0 -> z1
-                moved = list(cfg)
-                moved[i] = j - 1
-                g[index[tuple(moved)], col] += 1j * sqrt(j * (n - j + 1))
-            if j <= n - 1:  # move one photon z1 -> z0
-                moved = list(cfg)
-                moved[i] = j + 1
-                g[index[tuple(moved)], col] += -1j * sqrt((j + 1) * (n - j))
-    return g
+    k = np.arange(n)
+    hop = 1j * np.sqrt((k + 1) * (n - k))
+    return linalg.unitary_from_generator(np.diag(hop, -1) - np.diag(hop, 1), -np.pi / 4.0)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices; on few-photon factors np.kron's own overhead dominates."""
+    d = len(a) * len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d, d)
 
 
 def build_u_n(sector: FockSector) -> np.ndarray:
@@ -125,10 +118,12 @@ def build_u_n(sector: FockSector) -> np.ndarray:
 
     Exponentiates the y-axis photon-number difference with angle -pi/4; the
     sign is fixed by requiring that conjugation sends the z outcomes to the
-    x outcomes (the opposite sign sends them to the flipped x outcomes).
+    x outcomes (the opposite sign sends them to the flipped x outcomes). The
+    generator is a sum of commuting per-mode terms, so U_N is the Kronecker
+    product of the per-mode rotations.
     """
-    gen = _rotation_generator(sector)
-    return linalg.unitary_from_generator(gen, -np.pi / 4.0)
+    rotations = {n: _mode_rotation(n) for n in set(sector.photons) if n}
+    return reduce(_kron, [rotations[n] for n in sector.photons if n])
 
 
 def sector_symmetry(model: DetectorModel) -> groups.C4Symmetry:

@@ -20,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     InvalidAction,
     InvalidGroup,
-    KNotOne,
     NotUnitary,
 )
 
@@ -30,9 +29,6 @@ class FiniteGroup:
     order: int
     cayley: np.ndarray  # cayley[a, b] = index of a*b
     identity: int
-
-    def mult(self, a: int, b: int) -> int:
-        return int(self.cayley[a, b])
 
     def inverse(self, a: int) -> int:
         row = self.cayley[a]
@@ -186,24 +182,6 @@ def phase_normalize(sym: C4Symmetry) -> C4Symmetry:
     eta = eta / abs(eta)
     root = np.exp(1j * np.angle(eta) / 4.0)  # principal fourth root
     return C4Symmetry(u=u / root)
-
-
-def c4_eigenprojectors(sym: C4Symmetry) -> list:
-    """Spectral projectors P_c onto the i^c eigenspaces of U, c = 0..3.
-
-    Requires U^4 = identity; run :func:`phase_normalize` first to divide
-    out the global phase.
-    """
-    u = sym.u
-    d = u.shape[0]
-    if linalg.frob(np.linalg.matrix_power(u, 4) - np.eye(d)) > linalg.LOOSE_TOL:
-        raise KNotOne("U^4 is not the identity; phase normalization required")
-    powers = [np.eye(d, dtype=complex)]
-    for _ in range(3):
-        powers.append(powers[-1] @ u)
-    return [
-        sum((-1j) ** ((c * j) % 4) * pw for j, pw in enumerate(powers)) / 4.0 for c in range(4)
-    ]
 
 
 def check_definition2(

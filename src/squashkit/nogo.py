@@ -134,10 +134,9 @@ def bbm92_attack(p: povm.Bb84Povm, trials: int, seed: int = 0) -> AttackResult:
     """
     if p.dim != 2:
         raise DimensionMismatch(f"attack needs a qubit POVM, got dim {p.dim}")
-    alice = povm.ideal_qubit_povm()
-    basis_states = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-    p_alice0 = np.array([povm.outcome_probability(rho, alice, "z", 0) for rho in basis_states])
-    p_bob0 = np.array([povm.outcome_probability(rho, p, "z", 0) for rho in basis_states])
+    # P(z0 | |b>) is the diagonal entry M_z0[b, b], clamped to [0, 1]
+    p_alice0 = np.clip(np.diagonal(povm.ideal_qubit_povm().element("z", 0)).real, 0.0, 1.0)
+    p_bob0 = np.clip(np.diagonal(p.element("z", 0)).real, 0.0, 1.0)
 
     analytic_qber = 0.5 * sum(
         p_alice0[b] * (1.0 - p_bob0[b]) + (1.0 - p_alice0[b]) * p_bob0[b]

@@ -1,4 +1,4 @@
-"""BB84-type measurement sets: validation, observables, outcome statistics.
+"""BB84-type measurement sets: validation, observables and the JSON format.
 
 A measurement set has four elements indexed by basis r in {z, x} and bit
 b in {0, 1}, each basis pair summing to the identity. The cyclic view
@@ -15,7 +15,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidPovm, NotAState
+from .errors import DimensionMismatch, InvalidPovm
 
 #: Cyclic ordering of the four outcome labels (index c in the L_c view).
 LABELS = ("z0", "x0", "z1", "x1")
@@ -98,28 +98,6 @@ def validate(p: Bb84Povm, tol: float = linalg.TOL) -> ValidationReport:
     return ValidationReport(
         psd_margins=margins, completeness_residuals=residuals, tol=tol, passed=ok
     )
-
-
-def _require_state(rho: np.ndarray, dim: int) -> np.ndarray:
-    m = linalg.as_matrix(rho)
-    if m.shape[0] != dim:
-        raise DimensionMismatch(f"state dim {m.shape[0]} vs POVM dim {dim}")
-    if not linalg.is_hermitian(m):
-        raise NotAState("density matrix must be Hermitian")
-    if abs(np.trace(m).real - 1.0) > linalg.TOL or abs(np.trace(m).imag) > linalg.TOL:
-        raise NotAState("density matrix must have unit trace")
-    if np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)[0] < -linalg.TOL:
-        raise NotAState("density matrix must be positive semidefinite")
-    return m
-
-
-def outcome_probability(rho: np.ndarray, p: Bb84Povm, r: str, b: int) -> float:
-    """Born-rule probability Tr(rho * M_(r,b)), clamped to [0, 1] near the edges."""
-    m = _require_state(rho, p.dim)
-    prob = float(np.trace(m @ p.element(r, b)).real)
-    if prob < -linalg.TOL or prob > 1.0 + linalg.TOL:
-        raise NotAState(f"probability {prob} outside [0,1] beyond tolerance")
-    return min(max(prob, 0.0), 1.0)
 
 
 def povm_to_json(p: Bb84Povm) -> dict:

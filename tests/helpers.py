@@ -68,6 +68,35 @@ def ladder_state_oracle(photons, r: str, b: int) -> np.ndarray:
     return out
 
 
+def rotation_generator_oracle(sector) -> np.ndarray:
+    """The y-axis photon-number difference of a sector, built over all its configurations.
+
+    Equals sum_i 1j*(a+_{i,z1} a_{i,z0} - a+_{i,z0} a_{i,z1}): a Hermitian
+    hopping operator that moves one photon of one mode between polarizations,
+    written out configuration by configuration in the sector's basis order.
+    """
+    index = {cfg: i for i, cfg in enumerate(sector.basis)}
+    g = np.zeros((sector.dim, sector.dim), dtype=complex)
+    for cfg in sector.basis:
+        col = index[cfg]
+        for i, (n, j) in enumerate(zip(sector.photons, cfg)):
+            if j >= 1:  # move one photon z0 -> z1
+                moved = list(cfg)
+                moved[i] = j - 1
+                g[index[tuple(moved)], col] += 1j * sqrt(j * (n - j + 1))
+            if j <= n - 1:  # move one photon z1 -> z0
+                moved = list(cfg)
+                moved[i] = j + 1
+                g[index[tuple(moved)], col] += -1j * sqrt((j + 1) * (n - j))
+    return g
+
+
+def rotation_oracle(sector) -> np.ndarray:
+    """exp(-i pi/4 G) of the configuration-loop generator, by numpy's eigh."""
+    values, vectors = np.linalg.eigh(rotation_generator_oracle(sector))
+    return (vectors * np.exp(-0.25j * np.pi * values)) @ vectors.conj().T
+
+
 def single_mode_sectors(max_n: int = 6):
     return [fock.fock_sector((n,)) for n in range(1, max_n + 1)]
 

@@ -489,6 +489,38 @@ def test_mismatched_unitary_or_squash_is_refused_before_its_entries_are_decoded(
     assert set(decoded) == {(2, 2)} and not out.exists()  # only the qubit set's elements
 
 
+@pytest.mark.parametrize("source", [["--sector", "2"], ["--povm", "{povm}"]])
+def test_squash_find_refuses_unitary_before_reading_any_file(
+    source, monkeypatch, tmp_path, capsys
+):
+    def refuse(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "_load_json", refuse)
+    source = [a.replace("{povm}", str(tmp_path / "p.json")) for a in source]
+    out = tmp_path / "out.json"
+    argv = ["squash", "find", *source, "--unitary", tmp_path / "u.json", "--out", out]
+    assert run(tmp_path, *argv) == 2
+    assert "only by squash construct" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verdict", ["INFEASIBLE", "UNDECIDED"])
+def test_pullback_of_a_report_without_a_map_says_so(verdict, m0_file, tmp_path, capsys):
+    tilde, report, out = tmp_path / "tilde.json", tmp_path / "report.json", tmp_path / "out.json"
+    assert run(tmp_path, "nogo", "symmetrize", "--povm", m0_file, "--group", "c2",
+               "--out", tilde) == 0
+    assert run(tmp_path, "squash", "find", "--povm", tilde, "--out", report) == 1
+    blob = read(report)
+    assert blob["verdict"] == "INFEASIBLE" and blob["squash"] is None
+    blob["verdict"] = verdict  # an undecided search writes "squash": null as well
+    report.write_text(json.dumps(blob))
+    argv = ["nogo", "pullback", "--povm", m0_file, "--group", "c2", "--squash", report]
+    assert run(tmp_path, *argv, "--out", out) == 2
+    assert f"holds no squash map (finder verdict {verdict})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("group", ["c2", "c4"])
 def test_nogo_symmetrize_loads_a_set_valid_only_at_the_tolerance_in_force(
     group, near_file, tmp_path

@@ -4,7 +4,10 @@ import pytest
 from squashkit import fock, groups, linalg, povm
 from squashkit.errors import InvalidSector
 
-from helpers import acceptance_sectors, ladder_state_oracle
+from helpers import acceptance_sectors, ladder_state_oracle, rotation_oracle
+
+#: Multi-mode sectors at the command line's largest dimension, 256.
+D256_SECTORS = ((15, 15), (3, 3, 3, 3), (7, 7, 3))
 
 
 def test_sector_validation():
@@ -102,8 +105,15 @@ def test_rotation_is_unitary():
         assert linalg.frob(linalg.dagger(u) @ u - np.eye(d)) <= 1e-10
 
 
+def test_rotation_matches_configuration_loop_oracle():
+    sectors = fock.enumerate_sectors(4) + [fock.fock_sector(n) for n in D256_SECTORS]
+    for sector in sectors:
+        deviation = np.abs(fock.build_u_n(sector) - rotation_oracle(sector)).max()
+        assert deviation <= 1e-12, (sector.photons, deviation)
+
+
 def test_rotation_fourth_power_parity():
-    for sector in acceptance_sectors():
+    for sector in acceptance_sectors() + [fock.fock_sector(n) for n in D256_SECTORS]:
         u4 = np.linalg.matrix_power(fock.build_u_n(sector), 4)
         d = u4.shape[0]
         sign = 1.0 if sum(sector.photons) % 2 == 0 else -1.0
@@ -111,9 +121,8 @@ def test_rotation_fourth_power_parity():
 
 
 def test_rotation_cycles_click_states():
-    for photons in ((1,), (2,), (3,), (2, 1)):
-        sector = fock.fock_sector(photons)
-        model = fock.build_detector(sector)
+    for photons in ((1,), (2,), (3,), (2, 1)) + D256_SECTORS:
+        model = fock.build_detector(fock.fock_sector(photons))
         u = model.u_n
         for b in (0, 1):
             image = u @ model.states[f"z{b}"]

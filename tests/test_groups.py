@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from squashkit import fock, groups, linalg, povm
+from squashkit import builder, fock, groups, linalg, povm
 from squashkit.errors import DimensionMismatch, InvalidAction, InvalidGroup, KNotOne, NotUnitary
 
 
 def test_cyclic_group_structure():
     g = groups.cyclic_group(4)
     assert g.order == 4 and g.identity == 0
-    assert g.mult(3, 2) == 1
+    assert g.cayley[3, 2] == 1
     assert g.inverse(3) == 1
 
 
@@ -16,7 +16,7 @@ def test_s3_structure():
     g = groups.symmetric_group_s3()
     assert g.order == 6
     for a in range(6):
-        assert g.mult(a, g.inverse(a)) == g.identity
+        assert g.cayley[a, g.inverse(a)] == g.identity
 
 
 def test_rejects_non_latin_table():
@@ -84,7 +84,7 @@ def test_regular_representation_s3_homomorphism():
     for a in range(6):
         assert np.array_equal(s.rep[a], i * 6 + g.cayley[a, h])
         for b in range(6):
-            assert np.array_equal(s.rep[a][s.rep[b]], s.rep[g.mult(a, b)])
+            assert np.array_equal(s.rep[a][s.rep[b]], s.rep[g.cayley[a, b]])
 
 
 def test_c4_symmetry_validation():
@@ -176,20 +176,27 @@ def test_phase_normalize_keeps_non_scalar_fourth_power():
     assert groups.phase_normalize(sym) is sym
 
 
+def _eigencomponents(v, u, tol=np.inf):
+    """The four parts mu_c v_c that mu_decompose splits v into; ``tol`` gates <v, U^2 v>."""
+    dec = builder.mu_decompose(np.asarray(v, dtype=complex), groups.C4Symmetry(u=u), tol=tol)
+    return [dec.mu[c] * dec.v_c[c] for c in range(4)]
+
+
 def test_eigenprojectors_identity():
-    projectors = groups.c4_eigenprojectors(groups.C4Symmetry(u=np.eye(3, dtype=complex)))
-    assert np.allclose(projectors[0], np.eye(3))
+    v = np.array([0.6, 0.0, 0.8j])
+    parts = _eigencomponents(v, np.eye(3, dtype=complex))  # <v, U^2 v> = 1: gate off
+    assert np.allclose(parts[0], v)
     for c in (1, 2, 3):
-        assert np.allclose(projectors[c], 0.0, atol=1e-12)
+        assert np.allclose(parts[c], 0.0, atol=1e-12)
 
 
 def test_eigenprojectors_diagonal():
     u = np.diag([1.0, 1.0j, -1.0, -1.0j]).astype(complex)
-    projectors = groups.c4_eigenprojectors(groups.C4Symmetry(u=u))
+    parts = _eigencomponents(np.full(4, 0.5), u, tol=1e-12)  # v is orthogonal to U^2 v
     for c in range(4):
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[c, c] = 1.0
-        assert np.allclose(projectors[c], expected, atol=1e-12)
+        expected = np.zeros(4, dtype=complex)
+        expected[c] = 0.5
+        assert np.allclose(parts[c], expected, atol=1e-12)
 
 
 def test_eigenprojector_identities_random_unitary():
@@ -198,20 +205,22 @@ def test_eigenprojector_identities_random_unitary():
     basis = linalg.hermitian_eig((h + h.conj().T) / 2).eigenvectors
     phases = np.array([1, 1j, -1, -1j, 1j, -1])
     u = (basis * phases) @ linalg.dagger(basis)
-    projectors = groups.c4_eigenprojectors(groups.C4Symmetry(u=u))
-    total = sum(projectors)
-    assert linalg.frob(total - np.eye(6)) <= 1e-9
+    v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    v /= np.linalg.norm(v)
+    parts = _eigencomponents(v, u)
+    assert np.linalg.norm(sum(parts) - v) <= 1e-9
     for c in range(4):
-        assert linalg.frob(projectors[c] @ projectors[c] - projectors[c]) <= 1e-9
-        assert linalg.frob(u @ projectors[c] - (1j**c) * projectors[c]) <= 1e-9
+        assert np.linalg.norm(parts[c]) > 0.1
+        assert np.linalg.norm(u @ parts[c] - (1j**c) * parts[c]) <= 1e-9
         for cc in range(c + 1, 4):
-            assert linalg.frob(projectors[c] @ projectors[cc]) <= 1e-9
+            assert abs(np.vdot(parts[c], parts[cc])) <= 1e-9
 
 
 def test_eigenprojectors_need_order_four():
     u = linalg.unitary_from_generator(linalg.PAULI_Y, np.pi / 4)  # order eight
+    v = np.array([1.0, 0.0], dtype=complex)  # U^2 = i sigma_y, so <v, U^2 v> = 0
     with pytest.raises(KNotOne):
-        groups.c4_eigenprojectors(groups.C4Symmetry(u=u))
+        builder.mu_decompose(v, groups.C4Symmetry(u=u))
 
 
 def test_definition2_trivial_group():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from squashkit import fock, linalg, povm
-from squashkit.errors import DimensionMismatch, NotAState
 
 from helpers import random_density_matrix
 
@@ -79,38 +78,29 @@ def test_observable_matches_completeness_consequence():
 
 
 def test_outcome_probability_z_eigenstate():
-    rho = np.diag([1.0, 0.0]).astype(complex)
+    # P((r, b) | |k>) is the diagonal entry M_(r,b)[k, k]
     ideal = povm.ideal_qubit_povm()
-    assert povm.outcome_probability(rho, ideal, "z", 0) == pytest.approx(1.0)
-    assert povm.outcome_probability(rho, ideal, "x", 0) == pytest.approx(0.5)
+    assert ideal.element("z", 0)[0, 0] == pytest.approx(1.0)
+    assert ideal.element("x", 0)[0, 0] == pytest.approx(0.5)
 
 
 def test_outcome_probability_double_click_randomized():
     model = fock.build_detector(fock.fock_sector((2,)))
-    idx = model.sector.index((1,))  # one photon in each polarization
-    rho = np.zeros((3, 3), dtype=complex)
-    rho[idx, idx] = 1.0
-    assert povm.outcome_probability(rho, model.povm, "z", 0) == pytest.approx(0.5)
+    idx = model.sector.basis.index((1,))  # one photon in each polarization
+    assert model.povm.element("z", 0)[idx, idx] == pytest.approx(0.5)
 
 
 def test_outcome_probabilities_sum_to_one():
     rng = np.random.default_rng(23)
     model = fock.build_detector(fock.fock_sector((1, 1)))
     for _ in range(20):
-        rho = random_density_matrix(model.povm.dim, rng)
+        # the eigenvectors of a random state are a random orthonormal basis
+        w = np.linalg.eigh(random_density_matrix(model.povm.dim, rng))[1]
         for r in ("z", "x"):
-            total = sum(povm.outcome_probability(rho, model.povm, r, b) for b in (0, 1))
-            assert total == pytest.approx(1.0, abs=1e-9)
-
-
-def test_outcome_probability_rejects_bad_state():
-    ideal = povm.ideal_qubit_povm()
-    with pytest.raises(NotAState):
-        povm.outcome_probability(np.eye(2, dtype=complex), ideal, "z", 0)  # trace 2
-    with pytest.raises(NotAState):
-        povm.outcome_probability(np.diag([2.0, -1.0]).astype(complex), ideal, "z", 0)
-    with pytest.raises(DimensionMismatch):
-        povm.outcome_probability(np.eye(3, dtype=complex) / 3, ideal, "z", 0)
+            probs = [np.diagonal(linalg.dagger(w) @ model.povm.element(r, b) @ w).real
+                     for b in (0, 1)]
+            assert np.all(probs[0] >= -1e-12) and np.all(probs[1] >= -1e-12)
+            assert np.allclose(probs[0] + probs[1], 1.0, atol=1e-9)
 
 
 def test_cyclic_label_view():

@@ -46,7 +46,6 @@ from .groups import (
     check_definition1,
     check_definition2,
     cyclic_group,
-    phase_normalize,
     symmetric_group_s3,
 )
 from .linalg import HermitianEig, hermitian_eig, kron, unitary_from_generator

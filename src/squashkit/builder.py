@@ -121,17 +121,21 @@ def extract_rank2(m_z: np.ndarray, sym: groups.C4Symmetry, tol: float = linalg.T
 def mu_decompose(
     v: np.ndarray, sym: groups.C4Symmetry, lam: float = 1.0, tol: float = linalg.TOL
 ) -> MuDecomposition:
-    """Split v into the four U eigencomponents, weights gauged nonnegative.
+    """Split the unit vector v into the four U eigencomponents, weights gauged nonnegative.
 
-    The component P_c v = 1/4 sum_j (-i)^(cj) U^j v takes only the vectors U^j v.
-    The split only exists usefully when v and U^2 v are orthogonal, which is
-    what forces the paired weights onto circles of radius 1/sqrt(2).
+    U^4 v = eta v for a phase eta = <v, U^4 v>, whatever U^4 does elsewhere.
+    Its fourth root rho = exp(i (arg(i eta) - pi/2) / 4) has its branch cut at
+    eta = i, away from the eta = +/-1 of every detector sector. The component
+    P_c v = 1/4 sum_j (rho i^c)^(-j) U^j v takes only the vectors U^j v and
+    satisfies U P_c v = rho i^c P_c v. The split only exists usefully when v
+    and U^2 v are orthogonal, which is what forces the paired weights onto
+    circles of radius 1/sqrt(2).
 
     Raises
     ------
     SpectrumAsymmetric : v is not orthogonal to U^2 v within ``tol``.
-    KNotOne : U^4 v differs from v by more than ``LOOSE_TOL``, so the parts are
-        not eigenvectors of U; run :func:`groups.phase_normalize` first.
+    KNotOne : U^4 v is not a multiple of v within ``LOOSE_TOL``, so the parts
+        are not eigenvectors of U.
     """
     powers = [v]  # v, Uv, U^2 v, U^3 v, U^4 v
     for _ in range(4):
@@ -141,12 +145,16 @@ def mu_decompose(
         raise SpectrumAsymmetric(
             f"v is not orthogonal to its double rotation (overlap {overlap})"
         )
-    if linalg.frob(powers[4] - v) > linalg.LOOSE_TOL:
-        raise KNotOne("U^4 v is not v; phase normalization required")
+    eta = np.vdot(v, powers[4])
+    residual = linalg.frob(powers[4] - eta * v)
+    if residual > linalg.LOOSE_TOL:
+        raise KNotOne(f"U^4 v is not a multiple of v (residual {residual})")
+    rho = np.exp(1j * (np.angle(1j * eta) - np.pi / 2) / 4.0)
+    scaled = [rho ** -j * powers[j] for j in range(4)]  # the orbit of v under U / rho
     mu = np.zeros(4)
     components = []
     for c in range(4):
-        w = sum((-1j) ** ((c * j) % 4) * powers[j] for j in range(4)) / 4.0
+        w = sum((-1j) ** ((c * j) % 4) * scaled[j] for j in range(4)) / 4.0
         weight = float(np.linalg.norm(w))
         if weight > linalg.ZERO:
             mu[c] = weight
@@ -192,17 +200,6 @@ def construct_theorem1(
     p: povm.Bb84Povm, sym: groups.C4Symmetry, tol: float = linalg.TOL
 ) -> SquashMap:
     """Full analytic pipeline; raises ConstructionError tagged with the stage."""
-    try:
-        normalized = groups.phase_normalize(sym)
-    except SquashkitError as exc:
-        raise ConstructionError("phase-normalize", str(exc)) from exc
-    if normalized is sym:  # returned unchanged: U^4 is not scalar
-        raise ConstructionError(
-            "phase-normalize",
-            "U^4 is not scalar, so the order cannot be reduced to one; "
-            "use the feasibility finder for this input",
-        )
-    sym = normalized
     report = groups.check_definition1(sym, p, tol)
     if not report.passed:
         raise ConstructionError(

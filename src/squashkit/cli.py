@@ -233,6 +233,10 @@ def _squash_inputs(args, tol: float):
 def cmd_squash(args) -> int:
     if args.mode == "find" and args.unitary is not None:
         raise SquashkitError("--unitary is used only by squash construct; find takes none")
+    if args.sector is not None and (args.povm is not None or args.unitary is not None):
+        raise SquashkitError(
+            "--sector builds its own set and unitary; it takes no --povm or --unitary"
+        )
     tol = _tol(args, linalg.TOL if args.mode == "construct" else linalg.LOOSE_TOL)
     p, sym = _squash_inputs(args, tol)
     if args.mode == "construct":

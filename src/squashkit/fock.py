@@ -129,8 +129,9 @@ def build_u_n(sector: FockSector) -> np.ndarray:
 def sector_symmetry(model: DetectorModel) -> groups.C4Symmetry:
     """The sector rotation U_N as the four-cycle symmetry of a detector model.
 
-    U_N^4 is -1 for an odd photon number and +1 for an even one; that global
-    phase is free, and :func:`groups.phase_normalize` divides it out.
+    U_N^4 is -1 for an odd photon number and +1 for an even one. That global
+    phase is free: conjugation ignores it, and the constructor reads it off
+    U^4 v.
     """
     return groups.C4Symmetry(u=model.u_n)
 
@@ -138,9 +139,8 @@ def sector_symmetry(model: DetectorModel) -> groups.C4Symmetry:
 def verify_sector_symmetry(
     model: DetectorModel, tol: float = linalg.TOL
 ) -> groups.SymmetryReport:
-    """Phase-normalize the sector rotation and check the four-cycle relations."""
-    sym = groups.phase_normalize(sector_symmetry(model))
-    return groups.check_definition1(sym, model.povm, tol)
+    """Check the four-cycle relations of the sector rotation, whose global phase they ignore."""
+    return groups.check_definition1(sector_symmetry(model), model.povm, tol)
 
 
 def enumerate_sectors(max_total: int, max_modes: int = 3) -> list:

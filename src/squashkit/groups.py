@@ -166,24 +166,6 @@ def check_definition1(
     )
 
 
-def phase_normalize(sym: C4Symmetry) -> C4Symmetry:
-    """Divide out a global phase so that U^4 = identity whenever U^4 is scalar.
-
-    Conjugation relations are untouched: A -> U A U+ is blind to global
-    phases. When U^4 is not scalar the symmetry is returned unchanged.
-    Unitarity was checked when ``sym`` was built.
-    """
-    u = linalg.as_matrix(sym.u)
-    d = u.shape[0]
-    u4 = np.linalg.matrix_power(u, 4)
-    eta = np.trace(u4) / d
-    if linalg.frob(u4 - eta * np.eye(d)) > linalg.LOOSE_TOL:
-        return sym
-    eta = eta / abs(eta)
-    root = np.exp(1j * np.angle(eta) / 4.0)  # principal fourth root
-    return C4Symmetry(u=u / root)
-
-
 def check_definition2(
     rep, action: LabelAction, p: povm.Bb84Povm, tol: float = linalg.TOL
 ) -> SymmetryReport:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from math import factorial, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -11,58 +11,44 @@ from squashkit import fock, linalg, povm
 
 
 def ladder_state_oracle(photons, r: str, b: int) -> np.ndarray:
-    """Single-click state built from truncated creation-operator matrices.
+    """Single-click state built by truncated creation operators on the Fock space.
 
-    Constructs the full two-polarization Fock space of every mode (each slot
-    truncated at its mode's photon count), applies the product of creation
-    operators for basis r and bit b to the vacuum, normalizes, and reads the
-    amplitudes back off in the sector's configuration ordering. Slow but
-    entirely independent of the closed-form amplitudes under test.
+    Holds the state of the full two-polarization Fock space of every mode
+    (each slot truncated at its mode's photon count) as a tensor with one axis
+    per slot, applies the creation operators for basis r and bit b to the
+    vacuum, each along its own slot axis, normalizes, and reads the amplitudes
+    back off in the sector's configuration ordering. Entirely independent of
+    the closed-form amplitudes under test.
     """
     n = tuple(photons)
     slot_dims = []
     for ni in n:
         slot_dims.extend([ni + 1, ni + 1])  # z0 and z1 occupation per mode
-    total_dim = int(np.prod(slot_dims))
 
-    def creation(dim):
-        a = np.zeros((dim, dim), dtype=complex)
-        for k in range(dim - 1):
-            a[k + 1, k] = sqrt(k + 1)
-        return a
+    def create(state, slot):
+        """a+ on one slot: amplitude at occupation k moves to k + 1 with factor sqrt(k + 1)."""
+        dim = slot_dims[slot]
+        a = np.diag(np.sqrt(np.arange(1, dim)), -1).astype(complex)
+        return np.moveaxis(np.tensordot(a, state, axes=([1], [slot])), 0, slot)
 
-    def embed(op, slot):
-        mats = [np.eye(d, dtype=complex) for d in slot_dims]
-        mats[slot] = op
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
-
-    vac = np.zeros(total_dim, dtype=complex)
-    vac[0] = 1.0
-    state = vac
+    state = np.zeros(slot_dims, dtype=complex)
+    state[(0,) * len(slot_dims)] = 1.0
     for i, ni in enumerate(n):
-        a_z0 = embed(creation(slot_dims[2 * i]), 2 * i)
-        a_z1 = embed(creation(slot_dims[2 * i + 1]), 2 * i + 1)
-        if r == "z":
-            op = a_z0 if b == 0 else a_z1
-        else:
-            op = (a_z0 + (-1) ** b * a_z1) / sqrt(2)
         for _ in range(ni):
-            state = op @ state
+            if r == "z":
+                state = create(state, 2 * i + b)
+            else:
+                state = (create(state, 2 * i) + (-1) ** b * create(state, 2 * i + 1)) / sqrt(2)
     state = state / np.linalg.norm(state)
 
     # read off amplitudes at the sector's configurations
     sector = fock.fock_sector(n)
-    strides = np.cumprod([1] + slot_dims[::-1][:-1])[::-1]
     out = np.zeros(sector.dim, dtype=complex)
     for idx, cfg in enumerate(sector.basis):
         occupations = []
         for ni, j in zip(n, cfg):
             occupations.extend([j, ni - j])
-        flat = int(sum(o * s for o, s in zip(occupations, strides)))
-        out[idx] = state[flat]
+        out[idx] = state[tuple(occupations)]
     # everything outside the sector must be vacuum-padded zeros
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
     return out
@@ -95,6 +81,23 @@ def rotation_oracle(sector) -> np.ndarray:
     """exp(-i pi/4 G) of the configuration-loop generator, by numpy's eigh."""
     values, vectors = np.linalg.eigh(rotation_generator_oracle(sector))
     return (vectors * np.exp(-0.25j * np.pi * values)) @ vectors.conj().T
+
+
+def qubit_plus_half_block():
+    """The ideal qubit set with a 1/2 block beside it (d = 3), and a U cycling it.
+
+    U = exp(-i pi/4 sigma_y) + e^{0.3i} has U^4 = -1 on the qubit and e^{1.2i}
+    on the extra level, so U^4 is not a scalar.
+    """
+    elements = {}
+    for key, m in povm.ideal_qubit_povm().elements.items():
+        elements[key] = np.zeros((3, 3), dtype=complex)
+        elements[key][:2, :2] = m
+        elements[key][2, 2] = 0.5
+    u = np.zeros((3, 3), dtype=complex)
+    u[:2, :2] = linalg.unitary_from_generator(linalg.PAULI_Y, -np.pi / 4)
+    u[2, 2] = np.exp(0.3j)
+    return povm.make_povm(elements), u
 
 
 def single_mode_sectors(max_n: int = 6):

@@ -42,7 +42,7 @@ def test_criterion_2_decomposition_internals():
     worst_identity = 0.0
     for sector in acceptance_sectors():
         model = fock.build_detector(sector)
-        sym = groups.phase_normalize(fock.sector_symmetry(model))
+        sym = fock.sector_symmetry(model)
         lam, v = builder.extract_rank2(model.povm.difference("z"), sym)
         worst_overlap = max(worst_overlap, abs(np.vdot(v, sym.u @ sym.u @ v)))
         dec = builder.mu_decompose(v, sym, lam)

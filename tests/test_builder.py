@@ -20,6 +20,7 @@ from helpers import (
     acceptance_sectors,
     kraus_adjoint,
     kraus_apply,
+    qubit_plus_half_block,
     random_density_matrices,
     random_density_matrix,
 )
@@ -27,7 +28,7 @@ from helpers import (
 
 def detector_with_symmetry(photons):
     model = fock.build_detector(fock.fock_sector(photons))
-    return model, groups.phase_normalize(fock.sector_symmetry(model))
+    return model, fock.sector_symmetry(model)
 
 
 def test_extract_single_photon():
@@ -46,7 +47,7 @@ def test_extract_two_photon():
 
 def test_extract_scaled_observable():
     u = linalg.unitary_from_generator(linalg.PAULI_Y, -np.pi / 4)
-    sym = groups.phase_normalize(groups.C4Symmetry(u=u))
+    sym = groups.C4Symmetry(u=u)
     obs = 0.7 * linalg.PAULI_Z
     lam, _ = builder.extract_rank2(obs, sym)
     assert lam == pytest.approx(0.7, abs=1e-12)
@@ -180,6 +181,32 @@ def test_construct_multi_mode():
     model, _ = detector_with_symmetry((2, 1))
     squash = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
     assert builder.verify_squash(squash, model.povm).passed
+
+
+def test_construct_when_u4_is_not_scalar():
+    p, u = qubit_plus_half_block()
+    u4 = np.linalg.matrix_power(u, 4)
+    assert linalg.frob(u4 - u4[0, 0] * np.eye(3)) > 1.0  # -1 on the qubit, e^{1.2i} beside it
+    squash = builder.construct_theorem1(p, groups.C4Symmetry(u=u))
+    assert builder.verify_squash(squash, p).max_residual <= 1e-12
+
+
+#: Odd photon numbers, where U_N^4 = -1 and the phase read off U^4 v sits at eta = -1.
+ODD_SECTORS = [s.photons for s in fock.enumerate_sectors(4) if sum(s.photons) % 2] + [(7, 7, 3)]
+
+
+@pytest.mark.parametrize("photons", ODD_SECTORS)
+def test_odd_sector_core_rows_are_stable_under_a_tiny_phase(photons):
+    model, sym = detector_with_symmetry(photons)
+    lam, v = builder.extract_rank2(model.povm.difference("z"), sym)
+    links = len(builder.kraus_core(builder.mu_decompose(v, sym, lam))[0])
+    base = builder.construct_theorem1(model.povm, sym)
+    for sign in (1, -1):
+        moved = builder.construct_theorem1(
+            model.povm, groups.C4Symmetry(u=np.exp(sign * 1e-15j) * model.u_n)
+        )
+        assert np.abs(moved.g0[:links] - base.g0[:links]).max() <= 1e-12
+        assert np.abs(moved.g1[:links] - base.g1[:links]).max() <= 1e-12
 
 
 def test_construct_rejects_m0_at_symmetry_stage():

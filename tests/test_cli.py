@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from squashkit import builder, cli, finder, fock, groups, linalg, nogo, povm
 from squashkit.cli import main
 
+from helpers import qubit_plus_half_block
+
 
 def run(tmp_path, *argv):
     return main([str(a) for a in argv])
@@ -200,11 +202,19 @@ def test_squash_construct_validates_povm_at_the_tolerance_in_force(tmp_path):
     assert builder.verify_squash(loaded, shrunk, tol=1e-6).passed
 
 
+def test_squash_construct_accepts_a_non_scalar_fourth_power(tmp_path):
+    p, u = qubit_plus_half_block()  # U^4 is -1 on the qubit and e^{1.2i} beside it
+    code, out = construct_from_files(tmp_path, p, u)
+    assert code == 0
+    assert builder.verify_squash(builder.squash_from_json(read(out)), p).passed
+
+
 def test_squash_construct_non_scalar_fourth_power_is_negative(tmp_path, capsys):
+    # diag(1, e^{i pi/8}) fixes sigma_z, so it cycles nothing
     u = np.diag([1.0, np.exp(1j * np.pi / 8)]).astype(complex)
     code, out = construct_from_files(tmp_path, povm.ideal_qubit_povm(), u)
     assert code == 1
-    assert "[phase-normalize]" in capsys.readouterr().err and not out.exists()
+    assert "[symmetry]" in capsys.readouterr().err and not out.exists()
 
 
 def test_squash_find_m0(m0_file, tmp_path):
@@ -489,19 +499,26 @@ def test_mismatched_unitary_or_squash_is_refused_before_its_entries_are_decoded(
     assert set(decoded) == {(2, 2)} and not out.exists()  # only the qubit set's elements
 
 
-@pytest.mark.parametrize("source", [["--sector", "2"], ["--povm", "{povm}"]])
+@pytest.mark.parametrize("source", [
+    ("find --sector 2 --unitary {u}", "only by squash construct"),
+    ("find --povm {povm} --unitary {u}", "only by squash construct"),
+    ("construct --sector 1 --povm {povm}", "takes no --povm or --unitary"),
+    ("construct --sector 1 --unitary {u}", "takes no --povm or --unitary"),
+    ("find --sector 1 --povm {povm}", "takes no --povm or --unitary"),
+])
 def test_squash_find_refuses_unitary_before_reading_any_file(
     source, monkeypatch, tmp_path, capsys
 ):
+    # also --sector with a --povm or --unitary file, which the sector would ignore
     def refuse(path):
         raise AssertionError(f"{path} was read")
 
     monkeypatch.setattr(cli, "_load_json", refuse)
-    source = [a.replace("{povm}", str(tmp_path / "p.json")) for a in source]
+    args, message = source
+    args = [a.format(povm=tmp_path / "p.json", u=tmp_path / "u.json") for a in args.split()]
     out = tmp_path / "out.json"
-    argv = ["squash", "find", *source, "--unitary", tmp_path / "u.json", "--out", out]
-    assert run(tmp_path, *argv) == 2
-    assert "only by squash construct" in capsys.readouterr().err
+    assert run(tmp_path, "squash", *args, "--out", out) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

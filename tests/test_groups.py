@@ -140,40 +140,13 @@ def test_definition1_m0_fails_for_every_candidate():
         assert report.max_residual >= 0.5
 
 
-def test_phase_normalize_fixed_point():
-    u = np.diag([1.0, 1.0j, -1.0, -1.0j]).astype(complex)
-    sym = groups.phase_normalize(groups.C4Symmetry(u=u))
-    assert np.allclose(sym.u, u, atol=1e-12)
-
-
-def test_phase_normalize_eighth_root():
-    u = linalg.unitary_from_generator(linalg.PAULI_Y, np.pi / 4)
-    sym = groups.phase_normalize(groups.C4Symmetry(u=u))
-    assert linalg.frob(np.linalg.matrix_power(sym.u, 4) - np.eye(2)) <= 1e-10
-
-
-def test_phase_normalize_odd_sector_rotation():
-    model = fock.build_detector(fock.fock_sector((3,)))
-    u4 = np.linalg.matrix_power(model.u_n, 4)
-    assert linalg.frob(u4 + np.eye(4)) <= 1e-8
-    sym = groups.phase_normalize(groups.C4Symmetry(u=model.u_n))
-    assert linalg.frob(np.linalg.matrix_power(sym.u, 4) - np.eye(4)) <= 1e-8
-
-
-def test_phase_normalize_leaves_residuals_alone():
+def test_definition1_residuals_ignore_global_phase():
     model = fock.build_detector(fock.fock_sector((3,)))
     before = groups.check_definition1(groups.C4Symmetry(u=model.u_n), model.povm)
-    after = groups.check_definition1(
-        groups.phase_normalize(groups.C4Symmetry(u=model.u_n)), model.povm
-    )
-    for key in before.residuals:
-        assert abs(before.residuals[key] - after.residuals[key]) <= 1e-12
-
-
-def test_phase_normalize_keeps_non_scalar_fourth_power():
-    u = np.diag([1.0, np.exp(1j * np.pi / 8)]).astype(complex)  # u^4 not scalar
-    sym = groups.C4Symmetry(u=u)
-    assert groups.phase_normalize(sym) is sym
+    for phase in (np.exp(0.25j * np.pi), np.exp(1.7j)):
+        after = groups.check_definition1(groups.C4Symmetry(u=phase * model.u_n), model.povm)
+        for key in before.residuals:
+            assert abs(before.residuals[key] - after.residuals[key]) <= 1e-12
 
 
 def _eigencomponents(v, u, tol=np.inf):
@@ -217,10 +190,22 @@ def test_eigenprojector_identities_random_unitary():
 
 
 def test_eigenprojectors_need_order_four():
-    u = linalg.unitary_from_generator(linalg.PAULI_Y, np.pi / 4)  # order eight
-    v = np.array([1.0, 0.0], dtype=complex)  # U^2 = i sigma_y, so <v, U^2 v> = 0
-    with pytest.raises(KNotOne):
+    u = np.roll(np.eye(5, dtype=complex), 1, axis=0)  # e_j -> e_j+1 mod 5, order five
+    v = np.eye(5, dtype=complex)[0]  # U^2 v = e2 is orthogonal to v, but U^4 v = e4
+    with pytest.raises(KNotOne, match="not a multiple of v"):
         builder.mu_decompose(v, groups.C4Symmetry(u=u))
+
+
+@pytest.mark.parametrize("photons", [(1,), (3,), (2, 1), (1, 1, 1)])
+def test_eigencomponents_of_an_odd_sector_carry_its_phase(photons):
+    model = fock.build_detector(fock.fock_sector(photons))
+    sym = fock.sector_symmetry(model)  # U_N^4 = -1, used as it is
+    _, v = builder.extract_rank2(model.povm.difference("z"), sym)
+    parts = _eigencomponents(v, sym.u)
+    rho = np.exp(-0.25j * np.pi)  # the fourth root of -1 that mu_decompose picks
+    assert np.linalg.norm(sum(parts) - v) <= 1e-12
+    for c in range(4):
+        assert np.linalg.norm(sym.u @ parts[c] - rho * 1j**c * parts[c]) <= 1e-12
 
 
 def test_definition2_trivial_group():

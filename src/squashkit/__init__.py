@@ -36,7 +36,6 @@ from .fock import (
     enumerate_sectors,
     fock_sector,
     state_nrb,
-    verify_sector_symmetry,
 )
 from .groups import (
     C4Symmetry,

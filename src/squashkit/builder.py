@@ -268,4 +268,4 @@ def squash_to_json(f: SquashMap) -> dict:
 
 def squash_from_json(obj: dict) -> SquashMap:
     kraus = tuple(linalg.matrix_rect_from_json(k) for k in obj["kraus"])
-    return squash_from_kraus(int(obj["in_dim"]), kraus)
+    return squash_from_kraus(linalg.json_int(obj, "in_dim"), kraus)

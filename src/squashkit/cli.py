@@ -167,8 +167,8 @@ def _load_action(path: str | None, group_name: str) -> groups.LabelAction:
 def _load_povm(path: str, tol: float) -> povm.Bb84Povm:
     """A measurement-set file, sized by its declared dimensions before its entries are decoded."""
     blob = _load_json(path)
-    for dim in (blob["dim"], *(blob["elements"][key]["dim"] for key in povm.LABELS)):
-        _require_dim(int(dim), path)
+    for obj in (blob, *(blob["elements"][key] for key in povm.LABELS)):
+        _require_dim(linalg.json_int(obj, "dim"), path)
     p = povm.povm_from_json(blob)
     if not povm.validate(p, tol).passed:
         raise SquashkitError(f"{path} is not a valid measurement set at tol={tol}")
@@ -178,8 +178,8 @@ def _load_povm(path: str, tol: float) -> povm.Bb84Povm:
 def _load_unitary(path: str, dim: int) -> groups.C4Symmetry:
     """A unitary file, sized against the measurement set before its entries are decoded."""
     blob = _load_json(path)
-    if int(blob["dim"]) != dim:
-        raise SquashkitError(f"unitary dim {int(blob['dim'])} vs POVM dim {dim}")
+    if linalg.json_int(blob, "dim") != dim:
+        raise SquashkitError(f"unitary dim {blob['dim']} vs POVM dim {dim}")
     return groups.C4Symmetry(u=linalg.matrix_from_json(blob))
 
 
@@ -192,10 +192,10 @@ def _load_squash(path: str, in_dim: int) -> builder.SquashMap:
             raise SquashkitError(f"{path} holds no squash map (finder verdict {verdict})")
         blob = blob["squash"]
     kraus = blob["kraus"]
-    if int(blob["in_dim"]) != in_dim:
-        raise SquashkitError(f"map dim {int(blob['in_dim'])} vs POVM dim {in_dim}")
+    if linalg.json_int(blob, "in_dim") != in_dim:
+        raise SquashkitError(f"map dim {blob['in_dim']} vs POVM dim {in_dim}")
     for op in kraus:
-        shape = (int(op["rows"]), int(op["cols"]))
+        shape = (linalg.json_int(op, "rows"), linalg.json_int(op, "cols"))
         if shape != (2, in_dim):
             raise SquashkitError(f"Kraus operator shape {shape} vs expected (2, {in_dim})")
     return builder.squash_from_json(blob)
@@ -223,7 +223,7 @@ def cmd_detector(args) -> int:
 def _squash_inputs(args, tol: float):
     if args.sector is not None:
         model = fock.build_detector(_parse_sector(args.sector))
-        return model.povm, fock.sector_symmetry(model)
+        return model.povm, model.symmetry
     if args.povm is None:
         raise SquashkitError("pass --sector or --povm")
     p = _load_povm(args.povm, tol)

@@ -1,11 +1,10 @@
 """Threshold-detector models on fixed photon-number sectors.
 
-A sector fixes the photon count n_i of each propagation mode i. Its basis
-enumerates the configurations (j_1, ..., j_m), where j_i counts the photons
-of mode i in polarization z0 (the remaining n_i - j_i sit in z1). Each mode
-runs j_i = n_i, ..., 0 and the first mode varies slowest, so the basis is the
-Kronecker order of the modes' (n_i + 1)-sized bases, and its first vector
-is the state that always fires the b=0 detector in the z basis.
+A sector holds only the photon count n_i of each propagation mode i. Its
+basis is the Kronecker order of the modes' (n_i + 1)-sized bases, the first
+mode slowest: within mode i the j-th vector has n_i - j photons in
+polarization z0 and j in z1, so the first basis vector is the state that
+always fires the b=0 detector in the z basis and the last the b=1 one.
 
 A sector is the tensor product of its modes, and so are its pieces: each x
 click state is the outer product of one amplitude vector per mode, and the
@@ -22,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from math import comb, sqrt
+from math import comb, prod, sqrt
 
 import numpy as np
 
@@ -33,11 +32,10 @@ from .errors import InvalidPovm, InvalidSector
 @dataclass(frozen=True)
 class FockSector:
     photons: tuple  # (n_1, ..., n_m)
-    basis: tuple  # configurations (j_1, ..., j_m), all-z0 first
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return prod(n + 1 for n in self.photons)
 
 
 def fock_sector(photons) -> FockSector:
@@ -48,17 +46,14 @@ def fock_sector(photons) -> FockSector:
         raise InvalidSector("photon counts must be nonnegative")
     if sum(n) < 1:
         raise InvalidSector("vacuum sector has no click statistics to model")
-    ranges = [range(x, -1, -1) for x in n]
-    basis = tuple(itertools.product(*ranges))
-    return FockSector(photons=n, basis=basis)
+    return FockSector(photons=n)
 
 
 def state_nrb(sector: FockSector, r: str, b: int) -> np.ndarray:
     """The n-photon polarization state that fires only detector b of basis r."""
-    if r not in ("z", "x") or b not in (0, 1):
-        raise ValueError(f"bad outcome label ({r!r}, {b!r})")
+    povm.label(r, b)  # raises ValueError on a bad outcome label
     v = np.zeros(sector.dim, dtype=complex)
-    if r == "z":  # all photons in z0 (the first configuration) or all in z1 (the last)
+    if r == "z":  # all photons in z0 (the first basis vector) or all in z1 (the last)
         v[-b] = 1.0
         return v
     # mode amplitude at k photons in z1; int / int division is correctly rounded
@@ -72,7 +67,7 @@ def state_nrb(sector: FockSector, r: str, b: int) -> np.ndarray:
 class DetectorModel:
     sector: FockSector
     povm: povm.Bb84Povm
-    u_n: np.ndarray
+    symmetry: groups.C4Symmetry  # U_N, cycling the outcomes z0 -> x0 -> z1 -> x1
     states: dict  # label -> state vector
 
 
@@ -92,7 +87,9 @@ def build_detector(sector: FockSector) -> DetectorModel:
     p = povm.make_povm(elements)
     if not povm.validate(p).passed:
         raise InvalidPovm(f"detector set for sector {sector.photons} fails validation")
-    return DetectorModel(sector=sector, povm=p, u_n=build_u_n(sector), states=states)
+    return DetectorModel(
+        sector=sector, povm=p, symmetry=groups.C4Symmetry(u=build_u_n(sector)), states=states
+    )
 
 
 def _mode_rotation(n: int) -> np.ndarray:
@@ -107,12 +104,6 @@ def _mode_rotation(n: int) -> np.ndarray:
     return linalg.unitary_from_generator(np.diag(hop, -1) - np.diag(hop, 1), -np.pi / 4.0)
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two square matrices; on few-photon factors np.kron's own overhead dominates."""
-    d = len(a) * len(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d, d)
-
-
 def build_u_n(sector: FockSector) -> np.ndarray:
     """The 45-degree polarization rotation that cycles the detector outcomes.
 
@@ -121,26 +112,13 @@ def build_u_n(sector: FockSector) -> np.ndarray:
     x outcomes (the opposite sign sends them to the flipped x outcomes). The
     generator is a sum of commuting per-mode terms, so U_N is the Kronecker
     product of the per-mode rotations.
-    """
-    rotations = {n: _mode_rotation(n) for n in set(sector.photons) if n}
-    return reduce(_kron, [rotations[n] for n in sector.photons if n])
-
-
-def sector_symmetry(model: DetectorModel) -> groups.C4Symmetry:
-    """The sector rotation U_N as the four-cycle symmetry of a detector model.
 
     U_N^4 is -1 for an odd photon number and +1 for an even one. That global
     phase is free: conjugation ignores it, and the constructor reads it off
     U^4 v.
     """
-    return groups.C4Symmetry(u=model.u_n)
-
-
-def verify_sector_symmetry(
-    model: DetectorModel, tol: float = linalg.TOL
-) -> groups.SymmetryReport:
-    """Check the four-cycle relations of the sector rotation, whose global phase they ignore."""
-    return groups.check_definition1(sector_symmetry(model), model.povm, tol)
+    rotations = {n: _mode_rotation(n) for n in set(sector.photons) if n}
+    return reduce(linalg.kron, [rotations[n] for n in sector.photons if n])
 
 
 def enumerate_sectors(max_total: int, max_modes: int = 3) -> list:
@@ -159,7 +137,7 @@ def detector_to_json(model: DetectorModel) -> dict:
         "N": [int(n) for n in model.sector.photons],
         "dim": int(model.sector.dim),
         "povm": povm.povm_to_json(model.povm),
-        "U_N": linalg.matrix_to_json(model.u_n),
+        "U_N": linalg.matrix_to_json(model.symmetry.u),
         "states": {
             key: linalg.vector_to_json(vec) for key, vec in sorted(model.states.items())
         },

@@ -36,9 +36,19 @@ class FiniteGroup:
         return int(hits[0])
 
 
+def _integer_array(values, error: type, what: str) -> np.ndarray:
+    """``values`` as an integer array; floats, booleans and strings are refused, not truncated."""
+    arr = np.asarray(values)
+    if arr.dtype == object:  # holds a Python int beyond 64 bits: the cast raises "too large"
+        arr = arr.astype(int)
+    if arr.dtype.kind not in "iu":
+        raise error(f"{what} must be integers, got {arr.dtype}")
+    return arr
+
+
 def make_group(cayley, identity: int | None = None) -> FiniteGroup:
     """Validate a Cayley table (Latin square, associativity, neutral identity)."""
-    table = np.asarray(cayley, dtype=int)
+    table = _integer_array(cayley, InvalidGroup, "Cayley entries")
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise InvalidGroup("Cayley table must be square")
     n = table.shape[0]
@@ -85,12 +95,9 @@ class LabelAction:
 
     perms: np.ndarray
 
-    def apply(self, g: int, c: int) -> int:
-        return int(self.perms[g, c])
-
 
 def make_action(perms) -> LabelAction:
-    arr = np.asarray(perms, dtype=int)
+    arr = _integer_array(perms, InvalidAction, "label images")
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise InvalidAction("need one permutation of the four labels per element")
     for row in arr:
@@ -166,9 +173,7 @@ def check_definition1(
     )
 
 
-def check_definition2(
-    rep, action: LabelAction, p: povm.Bb84Povm, tol: float = linalg.TOL
-) -> SymmetryReport:
+def check_definition2(rep, action: LabelAction, p: povm.Bb84Povm) -> SymmetryReport:
     """Residuals of V(g) M_c V(g)+ = M_{g(c)} for every element and label.
 
     Row g of ``rep`` is the index permutation of V(g)|k> = |pi_g(k)>, so (V M V+)[pi_g, pi_g]
@@ -182,11 +187,11 @@ def check_definition2(
     residuals = {}
     for g, pi in enumerate(rep):
         for c in range(4):
-            target = p.l_element(action.apply(g, c))[np.ix_(pi, pi)]
+            target = p.l_element(action.perms[g, c])[np.ix_(pi, pi)]
             residuals[f"g{g}.{povm.LABELS[c]}"] = linalg.frob(target - p.l_element(c))
     worst = max(residuals.values())
     return SymmetryReport(
-        residuals=residuals, max_residual=worst, tol=tol, passed=worst <= tol
+        residuals=residuals, max_residual=worst, tol=linalg.TOL, passed=worst <= linalg.TOL
     )
 
 
@@ -202,17 +207,10 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 
 def group_from_json(obj: dict) -> FiniteGroup:
-    g = make_group(obj["cayley"], identity=int(obj["identity"]))
-    if g.order != int(obj["order"]):
+    g = make_group(obj["cayley"], identity=linalg.json_int(obj, "identity"))
+    if g.order != linalg.json_int(obj, "order"):
         raise InvalidGroup("declared order disagrees with the Cayley table")
     return g
-
-
-def action_to_json(a: LabelAction) -> dict:
-    return {
-        "labels": list(povm.LABELS),
-        "perms": [[povm.LABELS[c] for c in row] for row in a.perms],
-    }
 
 
 def action_from_json(obj: dict) -> LabelAction:

@@ -79,12 +79,26 @@ def unitary_from_generator(a: np.ndarray, angle: float) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; composite row index of rows (i, j) is i*dim(b) + j."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two matrices; composite row index of rows (i, j) is i*rows(b) + j.
+
+    One broadcast product and a reshape: on few-photon factors np.kron's own
+    overhead dominates.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
 # JSON wire format: {"dim": d, "entries": [[re, im], ...]} row-major.
+
+def json_int(obj: dict, key: str) -> int:
+    """Integer field ``key`` of a decoded JSON object; 2.9, 2.0, "2" and true are refused."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
 
 def _encode(values: np.ndarray) -> list:
     return np.stack([values.real, values.imag], axis=-1).tolist()
@@ -104,7 +118,7 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    dim = int(obj["dim"])
+    dim = json_int(obj, "dim")
     return as_matrix(_decode(obj["entries"], dim, dim, f"dim {dim}"))
 
 
@@ -114,7 +128,7 @@ def matrix_rect_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_rect_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = json_int(obj, "rows"), json_int(obj, "cols")
     return _decode(obj["entries"], rows, cols, f"{rows}x{cols}")
 
 

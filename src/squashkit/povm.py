@@ -110,6 +110,6 @@ def povm_to_json(p: Bb84Povm) -> dict:
 def povm_from_json(obj: dict) -> Bb84Povm:
     elements = {key: linalg.matrix_from_json(obj["elements"][key]) for key in LABELS}
     p = make_povm(elements)
-    if p.dim != int(obj["dim"]):
+    if p.dim != linalg.json_int(obj, "dim"):
         raise DimensionMismatch("declared dim disagrees with element matrices")
     return p

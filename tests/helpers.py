@@ -10,6 +10,15 @@ import numpy as np
 from squashkit import fock, linalg, povm
 
 
+def configurations(photons) -> list:
+    """The basis order of a sector: configurations (j_1, ..., j_m), all-z0 first.
+
+    j_i counts the photons of mode i in polarization z0 and runs n_i, ..., 0;
+    the first mode varies slowest.
+    """
+    return list(itertools.product(*(range(n, -1, -1) for n in photons)))
+
+
 def ladder_state_oracle(photons, r: str, b: int) -> np.ndarray:
     """Single-click state built by truncated creation operators on the Fock space.
 
@@ -42,9 +51,9 @@ def ladder_state_oracle(photons, r: str, b: int) -> np.ndarray:
     state = state / np.linalg.norm(state)
 
     # read off amplitudes at the sector's configurations
-    sector = fock.fock_sector(n)
-    out = np.zeros(sector.dim, dtype=complex)
-    for idx, cfg in enumerate(sector.basis):
+    basis = configurations(n)
+    out = np.zeros(len(basis), dtype=complex)
+    for idx, cfg in enumerate(basis):
         occupations = []
         for ni, j in zip(n, cfg):
             occupations.extend([j, ni - j])
@@ -61,9 +70,10 @@ def rotation_generator_oracle(sector) -> np.ndarray:
     hopping operator that moves one photon of one mode between polarizations,
     written out configuration by configuration in the sector's basis order.
     """
-    index = {cfg: i for i, cfg in enumerate(sector.basis)}
-    g = np.zeros((sector.dim, sector.dim), dtype=complex)
-    for cfg in sector.basis:
+    basis = configurations(sector.photons)
+    index = {cfg: i for i, cfg in enumerate(basis)}
+    g = np.zeros((len(basis), len(basis)), dtype=complex)
+    for cfg in basis:
         col = index[cfg]
         for i, (n, j) in enumerate(zip(sector.photons, cfg)):
             if j >= 1:  # move one photon z0 -> z1

@@ -24,7 +24,7 @@ def test_criterion_1_constructive_sweep():
     worst = 0.0
     for sector in acceptance_sectors():
         model = fock.build_detector(sector)
-        squash = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
+        squash = builder.construct_theorem1(model.povm, model.symmetry)
         verdict = builder.verify_squash(squash, model.povm, tol=1e-9)
         worst = max(worst, verdict.residual_z, verdict.residual_x, verdict.residual_tp)
     elapsed = time.monotonic() - started
@@ -42,7 +42,7 @@ def test_criterion_2_decomposition_internals():
     worst_identity = 0.0
     for sector in acceptance_sectors():
         model = fock.build_detector(sector)
-        sym = fock.sector_symmetry(model)
+        sym = model.symmetry
         lam, v = builder.extract_rank2(model.povm.difference("z"), sym)
         worst_overlap = max(worst_overlap, abs(np.vdot(v, sym.u @ sym.u @ v)))
         dec = builder.mu_decompose(v, sym, lam)
@@ -81,9 +81,9 @@ def test_criterion_3_symmetry_sweep():
     for sector in acceptance_sectors():
         model = fock.build_detector(sector)
         if sum(sector.photons) % 2 == 1:
-            u4 = np.linalg.matrix_power(model.u_n, 4)
+            u4 = np.linalg.matrix_power(model.symmetry.u, 4)
             worst_parity = max(worst_parity, linalg.frob(u4 + np.eye(sector.dim)))
-        verdict = fock.verify_sector_symmetry(model, tol=1e-9)
+        verdict = groups.check_definition1(model.symmetry, model.povm, tol=1e-9)
         worst = max(worst, verdict.max_residual)
     report(
         3,
@@ -122,7 +122,7 @@ def test_criterion_5_cross_validation():
     worst_affine = 0.0
     for sector in acceptance_sectors():
         model = fock.build_detector(sector)
-        squash = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
+        squash = builder.construct_theorem1(model.povm, model.symmetry)
         choi = column_stacked_choi(squash)
         worst_affine = max(worst_affine, affine_residual(choi, model.povm))
     ok = ok and worst_affine <= 1e-8
@@ -137,9 +137,9 @@ def test_criterion_5_cross_validation():
 def test_criterion_6_symmetrization_reduction():
     model = fock.build_detector(fock.fock_sector((2,)))
     s = nogo.symmetrize(model.povm, groups.cyclic_group(4), groups.canonical_c4_action())
-    sym_report = groups.check_definition2(s.rep, s.action, s.tilde, tol=1e-9)
+    sym_report = groups.check_definition2(s.rep, s.action, s.tilde)  # at linalg.TOL = 1e-9
     embedding = nogo.verify_trace_identity(s)
-    base_squash = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
+    base_squash = builder.construct_theorem1(model.povm, model.symmetry)
     tilde_squash = blockwise_tilde_squash(s, base_squash)
     pulled = nogo.pullback_squash(s, tilde_squash, tol=1e-8)
     pulled_report = builder.verify_squash(pulled, model.povm, tol=1e-8)

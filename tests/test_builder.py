@@ -28,7 +28,7 @@ from helpers import (
 
 def detector_with_symmetry(photons):
     model = fock.build_detector(fock.fock_sector(photons))
-    return model, fock.sector_symmetry(model)
+    return model, model.symmetry
 
 
 def test_extract_single_photon():
@@ -172,14 +172,14 @@ def test_completion_does_not_move_observables():
 
 def test_construct_two_photon():
     model, _ = detector_with_symmetry((2,))
-    squash = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
+    squash = builder.construct_theorem1(model.povm, model.symmetry)
     report = builder.verify_squash(squash, model.povm)
     assert report.passed and report.max_residual <= 1e-9
 
 
 def test_construct_multi_mode():
     model, _ = detector_with_symmetry((2, 1))
-    squash = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
+    squash = builder.construct_theorem1(model.povm, model.symmetry)
     assert builder.verify_squash(squash, model.povm).passed
 
 
@@ -203,7 +203,7 @@ def test_odd_sector_core_rows_are_stable_under_a_tiny_phase(photons):
     base = builder.construct_theorem1(model.povm, sym)
     for sign in (1, -1):
         moved = builder.construct_theorem1(
-            model.povm, groups.C4Symmetry(u=np.exp(sign * 1e-15j) * model.u_n)
+            model.povm, groups.C4Symmetry(u=np.exp(sign * 1e-15j) * model.symmetry.u)
         )
         assert np.abs(moved.g0[:links] - base.g0[:links]).max() <= 1e-12
         assert np.abs(moved.g1[:links] - base.g1[:links]).max() <= 1e-12
@@ -231,7 +231,7 @@ def test_sector_construction_validates_the_set_once_per_stage(monkeypatch):
     monkeypatch.setattr(povm, "validate", lambda *a: calls.append(a) or validate(*a))
     model = fock.build_detector(fock.fock_sector((2, 1)))
     assert len(calls) == 1  # the detector's self-check
-    builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
+    builder.construct_theorem1(model.povm, model.symmetry)
     assert len(calls) == 2  # plus the constructor's rank-extraction stage
 
 
@@ -252,7 +252,7 @@ def test_verify_identity_map_against_m0():
 def test_verify_across_small_sectors():
     for sector in fock.enumerate_sectors(4, max_modes=2):
         model = fock.build_detector(sector)
-        squash = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
+        squash = builder.construct_theorem1(model.povm, model.symmetry)
         assert builder.verify_squash(squash, model.povm).passed
 
 
@@ -277,7 +277,7 @@ def test_core_reproduces_combined_observables():
 
 def test_adjoint_from_conjugate_pair():
     model, _ = detector_with_symmetry((2,))
-    squash = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
+    squash = builder.construct_theorem1(model.povm, model.symmetry)
     combo = kraus_adjoint(squash, linalg.PAULI_Z + 1j * linalg.PAULI_X)
     halved = (combo + linalg.dagger(combo)) / 2.0
     assert linalg.frob(halved - kraus_adjoint(squash, linalg.PAULI_Z)) <= 1e-10
@@ -318,7 +318,7 @@ def test_squash_map_validation():
 
 def test_squash_json_round_trip():
     model, _ = detector_with_symmetry((2,))
-    squash = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
+    squash = builder.construct_theorem1(model.povm, model.symmetry)
     back = builder.squash_from_json(builder.squash_to_json(squash))
     assert back.in_dim == squash.in_dim
     # the file holds z-frame Kraus operators, so the round trip rounds through the frame change
@@ -352,7 +352,7 @@ def test_squash_map_kraus_is_read_only():
 
 def test_pickled_squash_map_stays_read_only():
     model, _ = detector_with_symmetry((2,))
-    squash = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
+    squash = builder.construct_theorem1(model.povm, model.symmetry)
     back = pickle.loads(pickle.dumps(squash))  # maps travel to worker processes this way
     for rows in (back.g0, back.g1):
         with pytest.raises(ValueError):
@@ -419,7 +419,7 @@ def induced_set(f):
 def test_batched_verify_matches_loop_on_constructed_maps():
     for sector in fock.enumerate_sectors(3):
         model = fock.build_detector(sector)
-        squash = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
+        squash = builder.construct_theorem1(model.povm, model.symmetry)
         assert _assert_matches_loop(squash, model.povm).passed
 
 

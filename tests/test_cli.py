@@ -7,13 +7,14 @@ import shlex
 import stat
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import squashkit
 from squashkit import builder, cli, finder, fock, groups, linalg, nogo, povm
 from squashkit.cli import main
 
@@ -113,7 +114,8 @@ def c129_file(tmp_path):
 @pytest.fixture
 def trivial129_file(tmp_path):
     path = tmp_path / "trivial129.json"
-    path.write_text(json.dumps(groups.action_to_json(groups.make_action([[0, 1, 2, 3]] * 129))))
+    path.write_text(json.dumps({"labels": ["z0", "x0", "z1", "x1"],
+                                "perms": [["z0", "x0", "z1", "x1"]] * 129}))
     return path
 
 
@@ -182,7 +184,7 @@ def construct_from_files(tmp_path, p, u):
 def test_squash_construct_accepts_any_global_phase(photons, phase, tmp_path):
     # U_N of (3,) has U^4 = -1; the second input carries an arbitrary phase
     model = fock.build_detector(fock.fock_sector(photons))
-    code, out = construct_from_files(tmp_path, model.povm, phase * model.u_n)
+    code, out = construct_from_files(tmp_path, model.povm, phase * model.symmetry.u)
     assert code == 0
     loaded = builder.squash_from_json(read(out))
     assert builder.verify_squash(loaded, model.povm, tol=1e-9).passed
@@ -193,7 +195,7 @@ def test_squash_construct_validates_povm_at_the_tolerance_in_force(tmp_path):
     model = fock.build_detector(fock.fock_sector((2,)))
     elements = {key: (1 - 1e-8) * m for key, m in model.povm.elements.items()}
     shrunk = povm.make_povm(elements)
-    code, out = construct_from_files(tmp_path, shrunk, model.u_n)
+    code, out = construct_from_files(tmp_path, shrunk, model.symmetry.u)
     assert code == 2 and not out.exists()
     code = run(tmp_path, "squash", "construct", "--povm", tmp_path / "p.json",
                "--unitary", tmp_path / "u.json", "--tol", "1e-6", "--out", out)
@@ -360,6 +362,26 @@ def test_readme_library_tour_runs():
     assert (namespace["attack"].qber, namespace["attack"].eve_accuracy) == (0.0, 1.0)
 
 
+def test_public_names():
+    # a name leaves or joins the library's surface only with this list
+    names = sorted(
+        name for name, value in vars(squashkit).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    )
+    assert names == [
+        "AttackResult", "Bb84Povm", "BlochWitness", "C4Symmetry", "DetectorModel",
+        "FeasibilityReport", "FiniteGroup", "FockSector", "HermitianEig", "LabelAction",
+        "MuDecomposition", "SquashMap", "SymmetrizedPovm", "VerificationReport",
+        "bbm92_attack", "bloch_witness", "build_detector", "build_u_n", "canonical_c4_action",
+        "check_definition1", "check_definition2", "complete_trace_preserving",
+        "construct_theorem1", "counterexample_m0", "cyclic_group", "enumerate_sectors",
+        "extract_rank2", "find_squash", "fock_sector", "hermitian_eig", "ideal_qubit_povm",
+        "kraus_core", "kron", "make_povm", "mu_decompose", "pullback_squash",
+        "squash_from_kraus", "state_nrb", "symmetric_group_s3", "symmetrize",
+        "unitary_from_generator", "validate", "verify_squash", "verify_trace_identity",
+    ]
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert main(["squash", "find", "--povm", str(tmp_path / "nope.json")]) == 2
 
@@ -435,7 +457,8 @@ def test_oversized_group_is_refused_before_its_table_is_validated(
     group = tmp_path / "c200.json"
     group.write_text(json.dumps(groups.group_to_json(groups.cyclic_group(200))))
     action = tmp_path / "trivial200.json"
-    action.write_text(json.dumps(groups.action_to_json(groups.make_action([[0, 1, 2, 3]] * 200))))
+    action.write_text(json.dumps({"labels": ["z0", "x0", "z1", "x1"],
+                                  "perms": [["z0", "x0", "z1", "x1"]] * 200}))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the Cayley table was validated")
@@ -551,8 +574,8 @@ def test_nogo_symmetrize_loads_a_set_valid_only_at_the_tolerance_in_force(
 
 def test_nogo_symmetrize_refuses_an_action_that_splits_a_basis_pair(ideal_file, tmp_path, capsys):
     action = tmp_path / "split.json"
-    split = groups.make_action([[0, 1, 2, 3], [0, 2, 1, 3]])  # swaps x0 and z1
-    action.write_text(json.dumps(groups.action_to_json(split)))
+    split = [["z0", "x0", "z1", "x1"], ["z0", "z1", "x0", "x1"]]  # swaps x0 and z1
+    action.write_text(json.dumps({"labels": ["z0", "x0", "z1", "x1"], "perms": split}))
     out = tmp_path / "out.json"
     argv = ["nogo", "symmetrize", "--povm", ideal_file, "--group", "c2", "--action", action]
     assert run(tmp_path, *argv, "--out", out) == 2
@@ -604,6 +627,51 @@ def test_huge_integer_in_an_input_file_is_an_input_error(kind, ideal_file, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("group", "cayley", [[0.4, 1.6], [1.2, 0.3]]),
+    ("group", "cayley", [[False, True], [True, False]]),
+    ("group", "identity", 0.9),
+    ("group", "identity", False),
+    ("group", "order", "2"),
+    ("povm", "dim", 2.9),
+    ("element", "dim", "2"),
+    ("element", "dim", 2.0),
+    ("unitary", "dim", 2.5),
+    ("squash", "in_dim", 4.0),
+    ("kraus", "rows", "2"),
+    ("kraus", "cols", 4.7),
+])
+def test_non_integer_integer_fields_are_refused(
+    kind, field, value, ideal_file, qubit_unitary_file, ideal_c2_squash_file, tmp_path, capsys
+):
+    # each of these decodes as a valid input if the field is truncated or coerced to int
+    path = tmp_path / f"{kind}.json"
+    if kind == "group":
+        blob = {**groups.group_to_json(groups.cyclic_group(2)), field: value}
+        action = tmp_path / "swap.json"
+        action.write_text(json.dumps({"labels": ["z0", "x0", "z1", "x1"],
+                                      "perms": [["z0", "x0", "z1", "x1"],
+                                                ["x0", "z0", "x1", "z1"]]}))
+        argv = ["nogo", "symmetrize", "--povm", ideal_file, "--group", path, "--action", action]
+    elif kind in ("povm", "element"):
+        blob = povm.povm_to_json(povm.ideal_qubit_povm())
+        (blob if kind == "povm" else blob["elements"]["x1"])[field] = value
+        argv = ["squash", "find", "--povm", path]
+    elif kind == "unitary":
+        blob = {**read(qubit_unitary_file), field: value}
+        argv = ["squash", "construct", "--povm", ideal_file, "--unitary", path]
+    else:
+        blob = read(ideal_c2_squash_file)
+        (blob if kind == "squash" else blob["kraus"][-1])[field] = value
+        argv = ["nogo", "pullback", "--povm", ideal_file, "--group", "c2", "--squash", path]
+    path.write_text(json.dumps(blob))
+    out = tmp_path / "out.json"
+    assert run(tmp_path, *argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("squashkit: ") and err.count("\n") == 1 and "integer" in err
+    assert not out.exists()
+
+
 def _library_outputs(m0_file, ideal_file, tmp_path):
     """Each case: a command line, and a thunk for the library object its output encodes."""
     m0, ideal = nogo.counterexample_m0(), povm.ideal_qubit_povm()
@@ -619,7 +687,7 @@ def _library_outputs(m0_file, ideal_file, tmp_path):
         "construct": (
             ["squash", "construct", "--sector", "2,1"],
             lambda: builder.squash_to_json(
-                builder.construct_theorem1(model.povm, fock.sector_symmetry(model), 1e-9)
+                builder.construct_theorem1(model.povm, model.symmetry, 1e-9)
             ),
         ),
         "feasible": (

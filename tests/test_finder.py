@@ -22,7 +22,7 @@ from helpers import (
 
 def theorem1_squash(photons):
     model = fock.build_detector(fock.fock_sector(photons))
-    return model, builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
+    return model, builder.construct_theorem1(model.povm, model.symmetry)
 
 
 def test_theorem1_choi_satisfies_constraints():
@@ -394,7 +394,7 @@ def test_both_engines_succeed_on_a_rotated_detector_set(index, seed):
         {key: v @ m @ linalg.dagger(v) for key, m in model.povm.elements.items()}
     )
     constructed = builder.construct_theorem1(
-        p, groups.C4Symmetry(u=v @ model.u_n @ linalg.dagger(v))
+        p, groups.C4Symmetry(u=v @ model.symmetry.u @ linalg.dagger(v))
     )
     assert builder.verify_squash(constructed, p, tol=1e-8).passed
     report = finder.find_squash(p)

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from squashkit import fock, groups, linalg, povm
 from squashkit.errors import InvalidSector
 
-from helpers import acceptance_sectors, ladder_state_oracle, rotation_oracle
+from helpers import acceptance_sectors, configurations, ladder_state_oracle, rotation_oracle
 
 #: Multi-mode sectors at the command line's largest dimension, 256.
 D256_SECTORS = ((15, 15), (3, 3, 3, 3), (7, 7, 3))
@@ -22,17 +24,31 @@ def test_sector_validation():
 
 
 def test_basis_ordering_all_z0_first():
-    sector = fock.fock_sector((2,))
-    assert sector.basis == ((2,), (1,), (0,))
-    multi = fock.fock_sector((1, 1))
-    assert multi.basis == ((1, 1), (1, 0), (0, 1), (0, 0))
-    assert multi.dim == 4
+    for photons in ((2,), (1, 1), (2, 1, 3)):
+        sector = fock.fock_sector(photons)
+        assert sector.dim == len(configurations(photons))
+        assert np.array_equal(fock.state_nrb(sector, "z", 0), np.eye(sector.dim)[0])
+        assert np.array_equal(fock.state_nrb(sector, "z", 1), np.eye(sector.dim)[-1])
+    assert configurations((1, 1)) == [(1, 1), (1, 0), (0, 1), (0, 0)]
+
+
+def test_large_sector_holds_only_its_photon_counts():
+    tracemalloc.start()
+    try:
+        sector = fock.fock_sector((100, 100, 100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sector.dim == 1_030_301
+    assert peak < 2**20, peak
 
 
 def test_z_states_are_basis_vectors():
     sector = fock.fock_sector((1,))
     assert np.allclose(fock.state_nrb(sector, "z", 0), [1.0, 0.0])
     assert np.allclose(fock.state_nrb(sector, "z", 1), [0.0, 1.0])
+    with pytest.raises(ValueError, match="bad outcome label"):
+        fock.state_nrb(sector, "y", 0)
 
 
 def test_two_photon_x_state():
@@ -123,7 +139,7 @@ def test_rotation_fourth_power_parity():
 def test_rotation_cycles_click_states():
     for photons in ((1,), (2,), (3,), (2, 1)) + D256_SECTORS:
         model = fock.build_detector(fock.fock_sector(photons))
-        u = model.u_n
+        u = model.symmetry.u
         for b in (0, 1):
             image = u @ model.states[f"z{b}"]
             overlap = np.vdot(model.states[f"x{b}"], image)
@@ -135,7 +151,7 @@ def test_rotation_cycles_click_states():
 
 def test_single_photon_rotation_conjugates_observables():
     model = fock.build_detector(fock.fock_sector((1,)))
-    u = model.u_n
+    u = model.symmetry.u
     rotated = u @ model.povm.difference("z") @ linalg.dagger(u)
     assert linalg.frob(rotated - model.povm.difference("x")) <= 1e-10
 
@@ -143,7 +159,7 @@ def test_single_photon_rotation_conjugates_observables():
 def test_sector_symmetry_report():
     for photons in ((1,), (3,), (2, 1)):
         model = fock.build_detector(fock.fock_sector(photons))
-        report = fock.verify_sector_symmetry(model)
+        report = groups.check_definition1(model.symmetry, model.povm)
         assert report.passed, (photons, report.max_residual)
 
 

@@ -35,6 +35,20 @@ def test_rejects_non_associative_quasigroup():
         groups.make_group(table)
 
 
+@pytest.mark.parametrize("table, perms", [
+    ([[0.4, 1.6], [1.2, 0.3]], [[0.2, 1, 2, 3], [1.9, 0, 3, 2]]),
+    ([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 3.0, 2.0]]),
+    ([[False, True], [True, False]], [[False, True, True, True]] * 2),
+    ([["0", "1"], ["1", "0"]], [["0", "1", "2", "3"], ["1", "0", "3", "2"]]),
+])
+def test_group_and_action_entries_must_be_integers(table, perms):
+    # refused, not truncated or coerced into the C2 table and its basis swap
+    with pytest.raises(InvalidGroup, match="must be integers"):
+        groups.make_group(table)
+    with pytest.raises(InvalidAction, match="must be integers"):
+        groups.make_action(perms)
+
+
 def test_action_must_be_homomorphism():
     g = groups.cyclic_group(4)
     bad = groups.make_action(
@@ -142,9 +156,9 @@ def test_definition1_m0_fails_for_every_candidate():
 
 def test_definition1_residuals_ignore_global_phase():
     model = fock.build_detector(fock.fock_sector((3,)))
-    before = groups.check_definition1(groups.C4Symmetry(u=model.u_n), model.povm)
+    before = groups.check_definition1(groups.C4Symmetry(u=model.symmetry.u), model.povm)
     for phase in (np.exp(0.25j * np.pi), np.exp(1.7j)):
-        after = groups.check_definition1(groups.C4Symmetry(u=phase * model.u_n), model.povm)
+        after = groups.check_definition1(groups.C4Symmetry(u=phase * model.symmetry.u), model.povm)
         for key in before.residuals:
             assert abs(before.residuals[key] - after.residuals[key]) <= 1e-12
 
@@ -199,7 +213,7 @@ def test_eigenprojectors_need_order_four():
 @pytest.mark.parametrize("photons", [(1,), (3,), (2, 1), (1, 1, 1)])
 def test_eigencomponents_of_an_odd_sector_carry_its_phase(photons):
     model = fock.build_detector(fock.fock_sector(photons))
-    sym = fock.sector_symmetry(model)  # U_N^4 = -1, used as it is
+    sym = model.symmetry  # U_N^4 = -1, used as it is
     _, v = builder.extract_rank2(model.povm.difference("z"), sym)
     parts = _eigencomponents(v, sym.u)
     rho = np.exp(-0.25j * np.pi)  # the fourth root of -1 that mu_decompose picks
@@ -251,7 +265,9 @@ def test_group_json_round_trip():
     assert np.array_equal(back.cayley, g.cayley)
 
 
-def test_action_json_round_trip():
-    a = groups.canonical_c4_action()
-    back = groups.action_from_json(groups.action_to_json(a))
-    assert np.array_equal(back.perms, a.perms)
+def test_action_from_json():
+    blob = {"labels": ["z0", "x0", "z1", "x1"],
+            "perms": [["z0", "x0", "z1", "x1"], ["x0", "z1", "x1", "z0"],
+                      ["z1", "x1", "z0", "x0"], ["x1", "z0", "x0", "z1"]]}
+    back = groups.action_from_json(blob)
+    assert np.array_equal(back.perms, groups.canonical_c4_action().perms)

@@ -78,6 +78,9 @@ def test_kron_identities():
     assert np.allclose(
         linalg.kron(linalg.PAULI_Z, np.eye(2)), np.diag([1.0, 1.0, -1.0, -1.0])
     )
+    a, b = np.arange(6.0).reshape(2, 3), np.arange(8).reshape(4, 2)  # rectangular, real
+    out = linalg.kron(a, b)
+    assert out.dtype == complex and np.array_equal(out, np.kron(a, b))
 
 
 @settings(max_examples=25, deadline=None)

@@ -80,7 +80,7 @@ def test_blocks_are_bit_exact_copies():
         for g in range(n):
             rows = [i * n + g for i in range(p.dim)]
             block = s.tilde.l_element(c)[np.ix_(rows, rows)]
-            source = p.l_element(s.action.apply(s.group.inverse(g), c))
+            source = p.l_element(s.action.perms[s.group.inverse(g), c])
             assert np.array_equal(block, source)
 
 
@@ -169,7 +169,7 @@ def test_pullback_through_trivial_group():
 
 def test_pullback_of_blockwise_squash():
     model = fock.build_detector(fock.fock_sector((2,)))
-    base = builder.construct_theorem1(model.povm, fock.sector_symmetry(model))
+    base = builder.construct_theorem1(model.povm, model.symmetry)
     s = c4_setup(model.povm)
     tilde_squash = blockwise_tilde_squash(s, base)
     tilde_report = builder.verify_squash(tilde_squash, s.tilde, tol=1e-8)

@@ -5,7 +5,7 @@ import pytest
 
 from squashkit import fock, linalg, povm
 
-from helpers import random_density_matrix
+from helpers import configurations, random_density_matrix
 
 
 def uniform_povm(dim=2):
@@ -86,7 +86,7 @@ def test_outcome_probability_z_eigenstate():
 
 def test_outcome_probability_double_click_randomized():
     model = fock.build_detector(fock.fock_sector((2,)))
-    idx = model.sector.basis.index((1,))  # one photon in each polarization
+    idx = configurations((2,)).index((1,))  # one photon in each polarization
     assert model.povm.element("z", 0)[idx, idx] == pytest.approx(0.5)
 
 

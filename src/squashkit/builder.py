@@ -16,17 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups, linalg, povm
-from .errors import (
-    ConstructionError,
-    DeficiencyNotPsd,
-    DimensionMismatch,
-    InvalidPovm,
-    InvalidSquash,
-    KNotOne,
-    RankNotTwo,
-    SpectrumAsymmetric,
-    SquashkitError,
-)
+from .errors import ConstructionError, SquashkitError
 
 #: Columns |0_y>, |1_y>, the eigenvectors of sigma_y in the output-qubit z coordinates:
 #: the unitary that takes sigma_y-frame rows to z-frame Kraus operators.
@@ -57,9 +47,10 @@ class SquashMap:
             rows.flags.writeable = False
             object.__setattr__(self, name, rows)
         if self.g0.ndim != 2 or self.g0.shape != self.g1.shape:
-            raise InvalidSquash(f"rows {self.g0.shape} and {self.g1.shape} are not one (K, d) pair")
+            shapes = f"{self.g0.shape} and {self.g1.shape}"
+            raise SquashkitError(f"rows {shapes} are not one (K, d) pair")
         if not trace_defect(self.g0, self.g1) <= linalg.TOL:  # NaN rows fail too
-            raise InvalidSquash("Kraus operators do not sum to the identity")
+            raise SquashkitError("Kraus operators do not sum to the identity")
 
     def __reduce__(self):  # rebuilt through the constructor, so the copy is read-only too
         return SquashMap, (self.g0, self.g1)
@@ -79,10 +70,10 @@ class SquashMap:
 def squash_from_kraus(in_dim: int, kraus) -> SquashMap:
     """The map of z-frame Kraus operators, any sequence of 2 x ``in_dim`` matrices."""
     if len(kraus) == 0:
-        raise InvalidSquash("need at least one Kraus operator")
+        raise SquashkitError("need at least one Kraus operator")
     for f in kraus:
         if np.shape(f) != (2, in_dim):
-            raise InvalidSquash(f"Kraus operator shape {np.shape(f)} vs expected (2, {in_dim})")
+            raise SquashkitError(f"Kraus operator shape {np.shape(f)} vs expected (2, {in_dim})")
     rows = linalg.dagger(Y_FRAME) @ np.asarray(kraus, dtype=complex)  # [k] = (<0_y|F_k, <1_y|F_k)
     return SquashMap(g0=rows[:, 0], g1=rows[:, 1])
 
@@ -100,21 +91,17 @@ def extract_rank2(m_z: np.ndarray, sym: groups.C4Symmetry, tol: float = linalg.T
     eig = linalg.hermitian_eig(m_z)
     rank = np.count_nonzero(np.abs(eig.eigenvalues) > linalg.TOL * max(1.0, linalg.frob(m_z)))
     if rank != 2:
-        raise RankNotTwo(f"observable rank is {rank}, need 2")
+        raise SquashkitError(f"observable rank is {rank}, need 2")
     lam = float(eig.eigenvalues[-1])
     if not 0.0 < lam <= 1.0 + tol:
-        raise SpectrumAsymmetric(f"leading eigenvalue {lam} outside (0, 1]")
+        raise SquashkitError(f"leading eigenvalue {lam} outside (0, 1]")
     if abs(eig.eigenvalues[0] + lam) > tol * max(1.0, lam):
-        raise SpectrumAsymmetric(
-            f"eigenvalues {eig.eigenvalues[0]} and {lam} are not a +/- pair"
-        )
+        raise SquashkitError(f"eigenvalues {eig.eigenvalues[0]} and {lam} are not a +/- pair")
     v = eig.eigenvectors[:, -1]
     w = sym.u @ (sym.u @ v)  # U^2 v, the -lambda eigenvector
     residual = linalg.frob(m_z - lam * (np.outer(v, v.conj()) - np.outer(w, w.conj())))
     if residual > tol:
-        raise SpectrumAsymmetric(
-            f"rank-two reconstruction residual {residual} exceeds {tol}"
-        )
+        raise SquashkitError(f"rank-two reconstruction residual {residual} exceeds {tol}")
     return lam, v
 
 
@@ -133,22 +120,20 @@ def mu_decompose(
 
     Raises
     ------
-    SpectrumAsymmetric : v is not orthogonal to U^2 v within ``tol``.
-    KNotOne : U^4 v is not a multiple of v within ``LOOSE_TOL``, so the parts
-        are not eigenvectors of U.
+    SquashkitError : v is not orthogonal to U^2 v within ``tol``, or U^4 v is
+        not a multiple of v within ``LOOSE_TOL``, so the parts are not
+        eigenvectors of U.
     """
     powers = [v]  # v, Uv, U^2 v, U^3 v, U^4 v
     for _ in range(4):
         powers.append(sym.u @ powers[-1])
     overlap = abs(np.vdot(v, powers[2]))
     if overlap > tol:
-        raise SpectrumAsymmetric(
-            f"v is not orthogonal to its double rotation (overlap {overlap})"
-        )
+        raise SquashkitError(f"v is not orthogonal to its double rotation (overlap {overlap})")
     eta = np.vdot(v, powers[4])
     residual = linalg.frob(powers[4] - eta * v)
     if residual > linalg.LOOSE_TOL:
-        raise KNotOne(f"U^4 v is not a multiple of v (residual {residual})")
+        raise SquashkitError(f"U^4 v is not a multiple of v (residual {residual})")
     rho = np.exp(1j * (np.angle(1j * eta) - np.pi / 2) / 4.0)
     scaled = [rho ** -j * powers[j] for j in range(4)]  # the orbit of v under U / rho
     mu = np.zeros(4)
@@ -188,9 +173,7 @@ def complete_trace_preserving(core: tuple, d: int) -> SquashMap:
     deficiency = np.eye(d, dtype=complex) - linalg.dagger(g0) @ g0 - linalg.dagger(g1) @ g1
     eig = linalg.hermitian_eig(deficiency)
     if eig.eigenvalues[0] < -linalg.TOL:
-        raise DeficiencyNotPsd(
-            f"trace deficiency has negative eigenvalue {eig.eigenvalues[0]}"
-        )
+        raise SquashkitError(f"trace deficiency has negative eigenvalue {eig.eigenvalues[0]}")
     keep = eig.eigenvalues >= linalg.ZERO
     fill = np.sqrt(eig.eigenvalues[keep])[:, None] * linalg.dagger(eig.eigenvectors[:, keep])
     return SquashMap(g0=np.vstack([g0, fill]), g1=np.vstack([g1, np.zeros_like(fill)]))
@@ -207,7 +190,7 @@ def construct_theorem1(
         )
     try:
         if not povm.validate(p, tol).passed:
-            raise InvalidPovm(f"measurement set fails validation at tol={tol}")
+            raise SquashkitError(f"measurement set fails validation at tol={tol}")
         lam, v = extract_rank2(p.difference("z"), sym, tol)
         dec = mu_decompose(v, sym, lam, tol)
     except SquashkitError as exc:
@@ -249,7 +232,7 @@ def verify_squash(f: SquashMap, p: povm.Bb84Povm, tol: float = linalg.TOL) -> Ve
     with D_r = F+(sigma_r) - M_r, and |Tr(rho D)| <= ||D||_F for any state.
     """
     if f.in_dim != p.dim:
-        raise DimensionMismatch(f"map dim {f.in_dim} vs POVM dim {p.dim}")
+        raise SquashkitError(f"map dim {f.in_dim} vs POVM dim {p.dim}")
     a_f = linalg.dagger(f.g0) @ f.g1
     return VerificationReport(
         residual_z=linalg.frob(a_f + linalg.dagger(a_f) - p.difference("z")),

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 negative scientific verdict (no squash, or a map
 failed verification), 2 malformed input or a failed internal self-check,
-3 feasibility undecided.
+3 feasibility undecided. Each class of :mod:`squashkit.errors` maps to one.
 """
 
 from __future__ import annotations
@@ -33,32 +33,12 @@ def _require_dim(dim: int, what: str) -> None:
         raise SquashkitError(f"{what} has dimension {dim}, above the supported {MAX_INPUT_DIM}")
 
 
-def _require_tol(value: float, name: str) -> float:
-    if not 0 < value < math.inf:
-        raise SquashkitError(f"{name} must be positive and finite")
-    return value
-
-
-def _tol(args, default: float) -> float:
-    """The tolerance in force: ``--tol``, else ``SQUASHKIT_TOL``, else ``default``."""
-    if args.tol is not None:
-        return args.tol
-    raw = os.environ.get("SQUASHKIT_TOL")
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise SquashkitError(f"SQUASHKIT_TOL={raw!r} is not a number") from exc
-    return _require_tol(value, "SQUASHKIT_TOL")
-
-
 def _check_ranges(args) -> None:
     """Reject out-of-range numeric flags before any work starts."""
     if getattr(args, "trials", None) is not None and args.trials < 0:
         raise SquashkitError("--trials must be at least 0")
-    if getattr(args, "tol", None) is not None:
-        _require_tol(args.tol, "--tol")
+    if getattr(args, "tol", None) is not None and not 0 < args.tol < math.inf:
+        raise SquashkitError("--tol must be positive and finite")
 
 
 #: Compact and strict; with no indent, ``encode`` runs CPython's C encoder.
@@ -237,7 +217,7 @@ def cmd_squash(args) -> int:
         raise SquashkitError(
             "--sector builds its own set and unitary; it takes no --povm or --unitary"
         )
-    tol = _tol(args, linalg.TOL if args.mode == "construct" else linalg.LOOSE_TOL)
+    tol = args.tol or (linalg.TOL if args.mode == "construct" else linalg.LOOSE_TOL)
     p, sym = _squash_inputs(args, tol)
     if args.mode == "construct":
         if sym is None:
@@ -258,7 +238,7 @@ def cmd_nogo(args) -> int:
     if args.submode == "m0":
         _write_json(povm.povm_to_json(nogo.counterexample_m0()), args.out)
         return EXIT_OK
-    tol = _tol(args, linalg.LOOSE_TOL if args.submode == "pullback" else linalg.TOL)
+    tol = args.tol or (linalg.LOOSE_TOL if args.submode == "pullback" else linalg.TOL)
     if args.submode == "attack":
         p = _load_povm(args.povm, tol)
         result = nogo.bbm92_attack(p, trials=args.trials, seed=args.seed)

@@ -1,60 +1,18 @@
-"""Exception hierarchy shared by all squashkit modules."""
+"""The four errors squashkit raises, one per outcome of the CLI's exit-code contract.
+
+- ``SquashkitError``: malformed or out-of-range input (exit 2). Every check of
+  an input's shape, entries, validity or range raises it with a message that
+  names what failed.
+- ``SelfCheckFailed``: an engine's independent recheck of its own result did
+  not hold, a fault of the program rather than of the input (exit 2).
+- ``ConstructionError``: Theorem 1's hypotheses fail on the input, tagged with
+  the stage of the construction that found it (exit 1).
+- ``TildeNotVerified``: a map fails verification on the symmetrized set (exit 1).
+"""
 
 
 class SquashkitError(Exception):
-    """Base class for all squashkit errors."""
-
-
-class DimensionMismatch(SquashkitError):
-    pass
-
-
-class NotHermitian(SquashkitError):
-    pass
-
-
-class NotUnitary(SquashkitError):
-    pass
-
-
-class InvalidPovm(SquashkitError):
-    pass
-
-
-class InvalidGroup(SquashkitError):
-    pass
-
-
-class InvalidAction(SquashkitError):
-    pass
-
-
-class KNotOne(SquashkitError):
-    pass
-
-
-class InvalidSector(SquashkitError):
-    pass
-
-
-class RankNotTwo(SquashkitError):
-    pass
-
-
-class SpectrumAsymmetric(SquashkitError):
-    pass
-
-
-class DeficiencyNotPsd(SquashkitError):
-    pass
-
-
-class InvalidSquash(SquashkitError):
-    pass
-
-
-class TildeNotVerified(SquashkitError):
-    pass
+    """Malformed or out-of-range input; the base class of the other three."""
 
 
 class SelfCheckFailed(SquashkitError):
@@ -67,3 +25,7 @@ class ConstructionError(SquashkitError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+class TildeNotVerified(SquashkitError):
+    """A map fails verification against the symmetrized set."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg, povm
 from .builder import SquashMap, squash_to_json, trace_defect, verify_squash
-from .errors import NotHermitian, SelfCheckFailed
+from .errors import SelfCheckFailed, SquashkitError
 
 #: Witness levels sit this far above the best value, relative; closer values are ties.
 LEVEL_STEP = 1e-14
@@ -84,7 +84,7 @@ def bloch_witness(m_z: np.ndarray, m_x: np.ndarray) -> BlochWitness:
     gives the witness; a value above one certifies that no squash exists.
     """
     if not (linalg.is_hermitian(m_z) and linalg.is_hermitian(m_x)):
-        raise NotHermitian("the Bloch witness needs Hermitian observables")
+        raise SquashkitError("the Bloch witness needs Hermitian observables")
     thetas, level, seen = 2.0 * np.pi * np.arange(16) / 16, -np.inf, []
     while thetas.size and len(seen) < 32:  # a handful of rounds settle every set tried
         stack = np.cos(thetas)[:, None, None] * m_z + np.sin(thetas)[:, None, None] * m_x
@@ -111,7 +111,7 @@ def bloch_witness(m_z: np.ndarray, m_x: np.ndarray) -> BlochWitness:
 class FeasibilityReport:
     verdict: str  # FEASIBLE | INFEASIBLE | UNDECIDED
     squash: SquashMap | None
-    witness: BlochWitness | None
+    witness: BlochWitness
     gap: float
     iterations: int
 
@@ -185,9 +185,7 @@ def report_to_json(report: FeasibilityReport) -> dict:
         "verdict": report.verdict,
         "gap": float(report.gap),
         "iterations": int(report.iterations),
-        "witness": None
-        if report.witness is None
-        else {
+        "witness": {
             "theta": float(report.witness.theta),
             "value": float(report.witness.value),
             "state": linalg.matrix_to_json(report.witness.state),

@@ -19,14 +19,16 @@ single-click ones cancels in M(r,0) - M(r,1).
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from math import comb, prod, sqrt
+from types import MappingProxyType
 
 import numpy as np
 
 from . import groups, linalg, povm
-from .errors import InvalidPovm, InvalidSector
+from .errors import SquashkitError
 
 
 @dataclass(frozen=True)
@@ -39,19 +41,23 @@ class FockSector:
 
 
 def fock_sector(photons) -> FockSector:
-    n = tuple(int(x) for x in photons)
+    """The sector of the given photon counts, one per mode; numpy integers are accepted."""
+    n = tuple(photons)
+    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in n):
+        raise SquashkitError(f"photon counts must be integers, got {n}")
+    n = tuple(int(x) for x in n)
     if len(n) < 1:
-        raise InvalidSector("need at least one mode")
+        raise SquashkitError("need at least one mode")
     if any(x < 0 for x in n):
-        raise InvalidSector("photon counts must be nonnegative")
+        raise SquashkitError("photon counts must be nonnegative")
     if sum(n) < 1:
-        raise InvalidSector("vacuum sector has no click statistics to model")
+        raise SquashkitError("vacuum sector has no click statistics to model")
     return FockSector(photons=n)
 
 
 def state_nrb(sector: FockSector, r: str, b: int) -> np.ndarray:
     """The n-photon polarization state that fires only detector b of basis r."""
-    povm.label(r, b)  # raises ValueError on a bad outcome label
+    povm.label(r, b)  # refuses a bad outcome label
     v = np.zeros(sector.dim, dtype=complex)
     if r == "z":  # all photons in z0 (the first basis vector) or all in z1 (the last)
         v[-b] = 1.0
@@ -68,7 +74,10 @@ class DetectorModel:
     sector: FockSector
     povm: povm.Bb84Povm
     symmetry: groups.C4Symmetry  # U_N, cycling the outcomes z0 -> x0 -> z1 -> x1
-    states: dict  # label -> state vector
+    states: MappingProxyType  # label -> read-only state vector
+
+    def __reduce__(self):  # rebuilt from the sector, so the states stay read-only
+        return build_detector, (self.sector,)
 
 
 def build_detector(sector: FockSector) -> DetectorModel:
@@ -76,6 +85,8 @@ def build_detector(sector: FockSector) -> DetectorModel:
     states = {
         povm.label(r, b): state_nrb(sector, r, b) for r in ("z", "x") for b in (0, 1)
     }
+    for vec in states.values():
+        vec.flags.writeable = False
     eye = np.eye(sector.dim, dtype=complex)
     elements = {}
     for r in ("z", "x"):
@@ -86,10 +97,9 @@ def build_detector(sector: FockSector) -> DetectorModel:
         elements[f"{r}1"] = p1 + double
     p = povm.make_povm(elements)
     if not povm.validate(p).passed:
-        raise InvalidPovm(f"detector set for sector {sector.photons} fails validation")
-    return DetectorModel(
-        sector=sector, povm=p, symmetry=groups.C4Symmetry(u=build_u_n(sector)), states=states
-    )
+        raise SquashkitError(f"detector set for sector {sector.photons} fails validation")
+    sym = groups.C4Symmetry(u=build_u_n(sector))
+    return DetectorModel(sector=sector, povm=p, symmetry=sym, states=MappingProxyType(states))
 
 
 def _mode_rotation(n: int) -> np.ndarray:

@@ -16,19 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, povm
-from .errors import (
-    DimensionMismatch,
-    InvalidAction,
-    InvalidGroup,
-    NotUnitary,
-)
+from .errors import SquashkitError
 
 
 @dataclass(frozen=True)
 class FiniteGroup:
     order: int
-    cayley: np.ndarray  # cayley[a, b] = index of a*b
+    cayley: np.ndarray  # read-only; cayley[a, b] = index of a*b
     identity: int
+
+    def __reduce__(self):  # rebuilt through make_group, so the table stays read-only
+        return make_group, (self.cayley, self.identity)
 
     def inverse(self, a: int) -> int:
         row = self.cayley[a]
@@ -36,41 +34,42 @@ class FiniteGroup:
         return int(hits[0])
 
 
-def _integer_array(values, error: type, what: str) -> np.ndarray:
-    """``values`` as an integer array; floats, booleans and strings are refused, not truncated."""
-    arr = np.asarray(values)
+def _integer_array(values, what: str) -> np.ndarray:
+    """A read-only integer copy; floats, booleans and strings are refused, not truncated."""
+    arr = np.array(values)
     if arr.dtype == object:  # holds a Python int beyond 64 bits: the cast raises "too large"
         arr = arr.astype(int)
     if arr.dtype.kind not in "iu":
-        raise error(f"{what} must be integers, got {arr.dtype}")
+        raise SquashkitError(f"{what} must be integers, got {arr.dtype}")
+    arr.flags.writeable = False
     return arr
 
 
 def make_group(cayley, identity: int | None = None) -> FiniteGroup:
     """Validate a Cayley table (Latin square, associativity, neutral identity)."""
-    table = _integer_array(cayley, InvalidGroup, "Cayley entries")
+    table = _integer_array(cayley, "Cayley entries")
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise InvalidGroup("Cayley table must be square")
+        raise SquashkitError("Cayley table must be square")
     n = table.shape[0]
     if table.min() < 0 or table.max() >= n:
-        raise InvalidGroup("Cayley entries must be element indices")
+        raise SquashkitError("Cayley entries must be element indices")
     full = np.arange(n)
     rows_ok = (np.sort(table, axis=1) == full).all(axis=1)
     cols_ok = (np.sort(table, axis=0) == full[:, None]).all(axis=0)
     if not (rows_ok.all() and cols_ok.all()):
         i = int(np.argmin(rows_ok & cols_ok))
-        raise InvalidGroup(f"{'row' if not rows_ok[i] else 'column'} {i} is not a permutation")
+        raise SquashkitError(f"{'row' if not rows_ok[i] else 'column'} {i} is not a permutation")
     # associativity (a*b)*c == a*(b*c), one n x n gather per a over all (b, c)
     for a in range(n):
         bad = (table[table[a]] != table[a][table]).any(axis=1)
         if bad.any():
-            raise InvalidGroup(f"associativity fails at pair ({a}, {int(np.argmax(bad))})")
+            raise SquashkitError(f"associativity fails at pair ({a}, {int(np.argmax(bad))})")
     neutral = np.flatnonzero((table == full).all(axis=1))
     if not len(neutral) or not np.array_equal(table[:, neutral[0]], full):
-        raise InvalidGroup("no identity element")
+        raise SquashkitError("no identity element")
     ident = int(neutral[0])
     if identity is not None and identity != ident:
-        raise InvalidGroup(f"declared identity {identity} but found {ident}")
+        raise SquashkitError(f"declared identity {identity} but found {ident}")
     return FiniteGroup(order=n, cayley=table, identity=ident)
 
 
@@ -93,30 +92,33 @@ def symmetric_group_s3() -> FiniteGroup:
 class LabelAction:
     """perms[g][c] = image (cyclic index) of label c under group element g."""
 
-    perms: np.ndarray
+    perms: np.ndarray  # read-only
+
+    def __reduce__(self):  # rebuilt through make_action, so the images stay read-only
+        return make_action, (self.perms,)
 
 
 def make_action(perms) -> LabelAction:
-    arr = _integer_array(perms, InvalidAction, "label images")
+    arr = _integer_array(perms, "label images")
     if arr.ndim != 2 or arr.shape[1] != 4:
-        raise InvalidAction("need one permutation of the four labels per element")
+        raise SquashkitError("need one permutation of the four labels per element")
     for row in arr:
         if not np.array_equal(np.sort(row), np.arange(4)):
-            raise InvalidAction(f"{row.tolist()} is not a permutation of the labels")
+            raise SquashkitError(f"{row.tolist()} is not a permutation of the labels")
     return LabelAction(perms=arr)
 
 
 def validate_action(group: FiniteGroup, action: LabelAction) -> None:
     """Require perm(g*h) = perm(g) o perm(h) and a trivial identity."""
     if action.perms.shape[0] != group.order:
-        raise InvalidAction("action size does not match group order")
+        raise SquashkitError("action size does not match group order")
     if not np.array_equal(action.perms[group.identity], np.arange(4)):
-        raise InvalidAction("identity element must act trivially")
+        raise SquashkitError("identity element must act trivially")
     # [g, h] compares perm(g) o perm(h) with perm(g*h)
     bad = (action.perms[:, action.perms] != action.perms[group.cayley]).any(axis=2)
     if bad.any():
         g, h = np.argwhere(bad)[0]
-        raise InvalidAction(f"homomorphism fails at pair ({g}, {h})")
+        raise SquashkitError(f"homomorphism fails at pair ({g}, {h})")
 
 
 def canonical_c4_action() -> LabelAction:
@@ -133,12 +135,17 @@ def c2_basis_swap_action() -> LabelAction:
 class C4Symmetry:
     """A unitary cycling the four labels; its global phase is free."""
 
-    u: np.ndarray
+    u: np.ndarray  # a read-only complex copy of the matrix passed in
 
     def __post_init__(self):
-        m = linalg.as_matrix(self.u)
+        m = linalg.as_matrix(self.u).copy()
         if linalg.frob(linalg.dagger(m) @ m - np.eye(m.shape[0])) > linalg.TOL:
-            raise NotUnitary(f"U is not unitary within {linalg.TOL}")
+            raise SquashkitError(f"U is not unitary within {linalg.TOL}")
+        m.flags.writeable = False
+        object.__setattr__(self, "u", m)
+
+    def __reduce__(self):  # rebuilt through the constructor, so the copy is read-only too
+        return C4Symmetry, (self.u,)
 
 
 @dataclass(frozen=True)
@@ -155,7 +162,7 @@ def check_definition1(
     """Residuals of the four-cycle conjugation relations on a measurement set."""
     u = sym.u
     if u.shape[0] != p.dim:
-        raise DimensionMismatch(f"unitary dim {u.shape[0]} vs POVM dim {p.dim}")
+        raise SquashkitError(f"unitary dim {u.shape[0]} vs POVM dim {p.dim}")
     u2 = u @ u
     residuals = {}
     for b in (0, 1):
@@ -181,9 +188,9 @@ def check_definition2(rep, action: LabelAction, p: povm.Bb84Povm) -> SymmetryRep
     """
     rep = np.asarray(rep)
     if rep.ndim != 2 or rep.shape[1] != p.dim:
-        raise DimensionMismatch(f"representation of shape {rep.shape} vs POVM dim {p.dim}")
+        raise SquashkitError(f"representation of shape {rep.shape} vs POVM dim {p.dim}")
     if rep.dtype.kind not in "iu" or (np.sort(rep, axis=1) != np.arange(p.dim)).any():
-        raise InvalidAction(f"representation rows must be permutations of range({p.dim})")
+        raise SquashkitError(f"representation rows must be permutations of range({p.dim})")
     residuals = {}
     for g, pi in enumerate(rep):
         for c in range(4):
@@ -209,14 +216,14 @@ def group_to_json(g: FiniteGroup) -> dict:
 def group_from_json(obj: dict) -> FiniteGroup:
     g = make_group(obj["cayley"], identity=linalg.json_int(obj, "identity"))
     if g.order != linalg.json_int(obj, "order"):
-        raise InvalidGroup("declared order disagrees with the Cayley table")
+        raise SquashkitError("declared order disagrees with the Cayley table")
     return g
 
 
 def action_from_json(obj: dict) -> LabelAction:
     labels = obj.get("labels", list(povm.LABELS))
     if list(labels) != list(povm.LABELS):
-        raise InvalidAction(f"labels must be {list(povm.LABELS)}")
+        raise SquashkitError(f"labels must be {list(povm.LABELS)}")
     index = {name: c for c, name in enumerate(povm.LABELS)}
     perms = [[index[name] for name in row] for row in obj["perms"]]
     return make_action(perms)

@@ -7,11 +7,12 @@ numpy's LAPACK ``eigh``, so numpy stays the only dependency.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
+from .errors import SquashkitError
 
 #: Default of every check: Theorem 1 and the no-go rest on exact equalities, held to this.
 TOL = 1e-9
@@ -37,9 +38,9 @@ def as_matrix(a) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        raise SquashkitError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("matrix entries must be finite")
+        raise SquashkitError("matrix entries must be finite")
     return m
 
 
@@ -63,11 +64,12 @@ def hermitian_eig(a: np.ndarray) -> HermitianEig:
 
     Raises
     ------
-    NotHermitian : ``a`` is not Hermitian within ``TOL`` (relative Frobenius).
+    SquashkitError : ``a`` is not a finite square matrix, or not Hermitian
+        within ``TOL`` (relative Frobenius).
     """
     m = as_matrix(a)
     if not is_hermitian(m):
-        raise NotHermitian(f"matrix is not Hermitian within tol={TOL}")
+        raise SquashkitError(f"matrix is not Hermitian within tol={TOL}")
     return HermitianEig(*np.linalg.eigh((m + dagger(m)) / 2.0))
 
 
@@ -96,7 +98,7 @@ def json_int(obj: dict, key: str) -> int:
     """Integer field ``key`` of a decoded JSON object; 2.9, 2.0, "2" and true are refused."""
     value = obj[key]
     if type(value) is not int:
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+        raise SquashkitError(f"{key!r} must be an integer, got {value!r}")
     return value
 
 
@@ -106,10 +108,12 @@ def _encode(values: np.ndarray) -> list:
 
 def _decode(entries: list, rows: int, cols: int, shape_name: str) -> np.ndarray:
     if len(entries) != rows * cols:
-        raise DimensionMismatch(
-            f"expected {rows * cols} entries for {shape_name}, got {len(entries)}"
-        )
-    return np.array([complex(re, im) for re, im in entries], dtype=complex).reshape(rows, cols)
+        raise SquashkitError(f"expected {rows * cols} entries for {shape_name}, got {len(entries)}")
+    values = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    # complex() takes True as 1; a scan at C speed once every entry has parsed
+    if bool in set(map(type, itertools.chain.from_iterable(entries))):
+        raise SquashkitError("matrix entries must be numbers, not booleans")
+    return values.reshape(rows, cols)
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import groups, linalg, povm
 from .builder import SquashMap, verify_squash
-from .errors import DimensionMismatch, InvalidAction, InvalidPovm, SelfCheckFailed, TildeNotVerified
+from .errors import SelfCheckFailed, SquashkitError, TildeNotVerified
 
 
 def _kron_index(i, g, order: int):
@@ -51,9 +51,9 @@ def symmetrize(
     groups.validate_action(group, action)
     # the z pair {0, 2} must go to a basis pair, {0, 2} or {1, 3}; then so does {1, 3}
     if (action.perms[:, 0] % 2 != action.perms[:, 2] % 2).any():
-        raise InvalidAction("the label action must send each basis pair to a basis pair")
+        raise SquashkitError("the label action must send each basis pair to a basis pair")
     if not povm.validate(p, tol).passed:
-        raise InvalidPovm(f"measurement set fails POVM validation at tol={tol}")
+        raise SquashkitError(f"measurement set fails POVM validation at tol={tol}")
     n, d = group.order, p.dim
     block = _kron_index(np.arange(d), np.arange(n)[:, None], n)  # row g: indices at position g
     inverses = [group.inverse(g) for g in range(n)]
@@ -133,7 +133,7 @@ def bbm92_attack(p: povm.Bb84Povm, trials: int, seed: int = 0) -> AttackResult:
     sampled as arrays, one block of ``ATTACK_BLOCK`` at a time.
     """
     if p.dim != 2:
-        raise DimensionMismatch(f"attack needs a qubit POVM, got dim {p.dim}")
+        raise SquashkitError(f"attack needs a qubit POVM, got dim {p.dim}")
     # P(z0 | |b>) is the diagonal entry M_z0[b, b], clamped to [0, 1]
     p_alice0 = np.clip(np.diagonal(povm.ideal_qubit_povm().element("z", 0)).real, 0.0, 1.0)
     p_bob0 = np.clip(np.diagonal(p.element("z", 0)).real, 0.0, 1.0)

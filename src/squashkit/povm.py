@@ -15,7 +15,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidPovm
+from .errors import SquashkitError
 
 #: Cyclic ordering of the four outcome labels (index c in the L_c view).
 LABELS = ("z0", "x0", "z1", "x1")
@@ -23,7 +23,7 @@ LABELS = ("z0", "x0", "z1", "x1")
 
 def label(r: str, b: int) -> str:
     if r not in ("z", "x") or b not in (0, 1):
-        raise ValueError(f"bad outcome label ({r!r}, {b!r})")
+        raise SquashkitError(f"bad outcome label ({r!r}, {b!r})")
     return f"{r}{b}"
 
 
@@ -53,13 +53,13 @@ def make_povm(elements: dict) -> Bb84Povm:
     dim = None
     for key in LABELS:
         if key not in elements:
-            raise InvalidPovm(f"missing element {key!r}")
+            raise SquashkitError(f"missing element {key!r}")
         m = linalg.as_matrix(elements[key]).copy()
         m.flags.writeable = False
         if dim is None:
             dim = m.shape[0]
         elif m.shape[0] != dim:
-            raise DimensionMismatch("POVM elements have inconsistent dimensions")
+            raise SquashkitError("POVM elements have inconsistent dimensions")
         mats[key] = m
     return Bb84Povm(dim=dim, elements=MappingProxyType(mats))
 
@@ -111,5 +111,5 @@ def povm_from_json(obj: dict) -> Bb84Povm:
     elements = {key: linalg.matrix_from_json(obj["elements"][key]) for key in LABELS}
     p = make_povm(elements)
     if p.dim != linalg.json_int(obj, "dim"):
-        raise DimensionMismatch("declared dim disagrees with element matrices")
+        raise SquashkitError("declared dim disagrees with element matrices")
     return p

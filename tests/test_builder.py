@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squashkit import builder, finder, fock, groups, linalg, povm
-from squashkit.errors import (
-    ConstructionError,
-    InvalidSquash,
-    RankNotTwo,
-    SpectrumAsymmetric,
-)
+from squashkit.errors import ConstructionError, SquashkitError
 from squashkit.nogo import counterexample_m0
 
 from helpers import (
@@ -56,7 +51,7 @@ def test_extract_scaled_observable():
 def test_extract_rejects_wrong_rank():
     sym = groups.C4Symmetry(u=np.eye(4, dtype=complex))
     obs = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
-    with pytest.raises(RankNotTwo):
+    with pytest.raises(SquashkitError, match="^observable rank is 4, need 2$"):
         builder.extract_rank2(obs, sym)
 
 
@@ -68,14 +63,14 @@ def test_extract_reads_the_rank_off_one_eigensolve(monkeypatch):
     lam, v = builder.extract_rank2(np.diag([1.0, 1e-12, -1.0]).astype(complex), shift)
     assert lam == pytest.approx(1.0, abs=1e-12) and abs(v[0]) == pytest.approx(1.0)
     assert len(calls) == 1  # an eigenvalue of 1e-12 sits below the rank threshold 1e-9
-    with pytest.raises(RankNotTwo, match="rank is 0"):
+    with pytest.raises(SquashkitError, match="rank is 0"):
         builder.extract_rank2(np.zeros((3, 3), dtype=complex), shift)
 
 
 def test_extract_rejects_unpaired_spectrum():
     sym = groups.C4Symmetry(u=np.eye(2, dtype=complex))
     obs = np.diag([1.0, -0.5]).astype(complex)
-    with pytest.raises(SpectrumAsymmetric):
+    with pytest.raises(SquashkitError, match=r"^eigenvalues -0.5 and 1.0 are not a \+/- pair$"):
         builder.extract_rank2(obs, sym)
 
 
@@ -83,7 +78,7 @@ def test_decompose_rejects_rotation_eigenvector():
     u = np.diag([1.0, 1.0j, -1.0, -1.0j]).astype(complex)
     sym = groups.C4Symmetry(u=u)
     v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    with pytest.raises(SpectrumAsymmetric):
+    with pytest.raises(SquashkitError, match="v is not orthogonal to its double rotation"):
         builder.mu_decompose(v, sym)
 
 
@@ -299,20 +294,20 @@ def test_gauge_phase_invariance():
 
 
 def test_squash_map_validation():
-    with pytest.raises(InvalidSquash):
+    with pytest.raises(SquashkitError, match="^need at least one Kraus operator$"):
         builder.squash_from_kraus(2, ())
-    with pytest.raises(InvalidSquash):
+    with pytest.raises(SquashkitError, match="^Kraus operators do not sum to the identity$"):
         builder.squash_from_kraus(2, (np.eye(2, dtype=complex) * 0.5,))
-    with pytest.raises(InvalidSquash):
+    with pytest.raises(SquashkitError, match=r"shape \(2, 2\) vs expected \(2, 3\)"):
         builder.squash_from_kraus(3, (np.eye(2, dtype=complex),))
-    with pytest.raises(InvalidSquash, match=r"\(2, 2\) and \(1, 2\) are not one \(K, d\) pair"):
+    with pytest.raises(SquashkitError, match=r"\(2, 2\) and \(1, 2\) are not one \(K, d\) pair"):
         builder.SquashMap(g0=np.eye(2), g1=np.zeros((1, 2)))
     # a NaN row has a NaN trace defect, which no comparison with the tolerance admits
-    with pytest.raises(InvalidSquash, match="do not sum to the identity"):
+    with pytest.raises(SquashkitError, match="do not sum to the identity"):
         builder.SquashMap(g0=[[np.nan, 0.0], [0.0, 1.0]], g1=np.zeros((2, 2)))
     blob = builder.squash_to_json(builder.squash_from_kraus(2, (np.eye(2, dtype=complex),)))
     blob["kraus"][0]["entries"][0] = [float("nan"), 0.0]
-    with pytest.raises(InvalidSquash):
+    with pytest.raises(SquashkitError, match="do not sum to the identity"):
         builder.squash_from_json(json.loads(json.dumps(blob)))
 
 
@@ -362,11 +357,11 @@ def test_pickled_squash_map_stays_read_only():
 
 
 def test_squash_map_validation_messages():
-    with pytest.raises(InvalidSquash, match="need at least one Kraus operator"):
+    with pytest.raises(SquashkitError, match="need at least one Kraus operator"):
         builder.squash_from_kraus(2, np.zeros((0, 2, 2)))
-    with pytest.raises(InvalidSquash, match=r"shape \(2, 2\) vs expected \(2, 3\)"):
+    with pytest.raises(SquashkitError, match=r"shape \(2, 2\) vs expected \(2, 3\)"):
         builder.squash_from_kraus(3, [np.eye(2)])
-    with pytest.raises(InvalidSquash, match="do not sum to the identity"):
+    with pytest.raises(SquashkitError, match="do not sum to the identity"):
         builder.squash_from_kraus(2, [np.eye(2), np.eye(2)])
 
 

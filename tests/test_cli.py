@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squashkit
-from squashkit import builder, cli, finder, fock, groups, linalg, nogo, povm
+from squashkit import builder, cli, errors, finder, fock, groups, linalg, nogo, povm
 from squashkit.cli import main
 
 from helpers import qubit_plus_half_block
@@ -382,6 +382,12 @@ def test_public_names():
     ]
 
 
+def test_error_classes():
+    # one class per outcome of the exit-code contract, as the errors module docstring maps them
+    names = sorted(name for name, value in vars(errors).items() if isinstance(value, type))
+    assert names == ["ConstructionError", "SelfCheckFailed", "SquashkitError", "TildeNotVerified"]
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert main(["squash", "find", "--povm", str(tmp_path / "nope.json")]) == 2
 
@@ -405,16 +411,9 @@ def test_attack_byte_identical_with_seed(m0_file, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_global_tolerance_env(ideal_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("SQUASHKIT_TOL", "1e-14")
-    out = tmp_path / "report.json"
-    code = main(["squash", "find", "--povm", str(ideal_file), "--out", str(out)])
-    assert code == 3  # the tightened gap tolerance is below the stationary gap
-
-
-def test_bad_tolerance_env(ideal_file, monkeypatch):
-    monkeypatch.setenv("SQUASHKIT_TOL", "banana")
-    assert main(["squash", "find", "--povm", str(ideal_file)]) == 2
+def test_tolerance_comes_only_from_the_command_line(ideal_file, monkeypatch):
+    monkeypatch.setenv("SQUASHKIT_TOL", "banana")  # no environment variable sets it
+    assert main(["squash", "find", "--povm", str(ideal_file)]) == 0
 
 
 def _reject_constant(name):
@@ -669,6 +668,31 @@ def test_non_integer_integer_fields_are_refused(
     assert run(tmp_path, *argv, "--out", out) == 2
     err = capsys.readouterr().err
     assert err.startswith("squashkit: ") and err.count("\n") == 1 and "integer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["povm", "unitary", "squash"])
+def test_boolean_matrix_entries_are_refused(
+    kind, ideal_file, qubit_unitary_file, ideal_c2_squash_file, tmp_path, capsys
+):
+    # true and false would decode as 1 and 0, which leaves each of these files a valid input
+    path = tmp_path / f"{kind}.json"
+    if kind == "povm":
+        blob = read(ideal_file)
+        blob["elements"]["z0"]["entries"][0] = [True, False]
+        argv = ["squash", "find", "--povm", path]
+    else:
+        source = qubit_unitary_file if kind == "unitary" else ideal_c2_squash_file
+        blob = read(source)
+        entries = blob["entries"] if kind == "unitary" else blob["kraus"][0]["entries"]
+        next(entry for entry in entries if entry[1] == 0.0)[1] = False
+        argv = (["squash", "construct", "--povm", ideal_file, "--unitary", path]
+                if kind == "unitary" else
+                ["nogo", "pullback", "--povm", ideal_file, "--group", "c2", "--squash", path])
+    path.write_text(json.dumps(blob))
+    out = tmp_path / "out.json"
+    assert run(tmp_path, *argv, "--out", out) == 2
+    assert capsys.readouterr().err == "squashkit: matrix entries must be numbers, not booleans\n"
     assert not out.exists()
 
 

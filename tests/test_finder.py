@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squashkit import builder, cli, finder, fock, groups, linalg, nogo, povm
-from squashkit.errors import NotHermitian
+from squashkit.errors import SquashkitError
 from squashkit.nogo import counterexample_m0
 
 from helpers import (
@@ -208,7 +208,7 @@ def test_witness_is_never_below_a_dense_scan():
 
 def test_witness_rejects_a_non_hermitian_set():
     p = povm.ideal_qubit_povm()
-    with pytest.raises(NotHermitian):
+    with pytest.raises(SquashkitError, match="^the Bloch witness needs Hermitian observables$"):
         finder.bloch_witness(p.difference("z"), 1j * p.difference("x"))
 
 

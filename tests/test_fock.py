@@ -1,10 +1,11 @@
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from squashkit import fock, groups, linalg, povm
-from squashkit.errors import InvalidSector
+from squashkit.errors import SquashkitError
 
 from helpers import acceptance_sectors, configurations, ladder_state_oracle, rotation_oracle
 
@@ -13,14 +14,39 @@ D256_SECTORS = ((15, 15), (3, 3, 3, 3), (7, 7, 3))
 
 
 def test_sector_validation():
-    with pytest.raises(InvalidSector):
+    with pytest.raises(SquashkitError, match="^need at least one mode$"):
         fock.fock_sector(())
-    with pytest.raises(InvalidSector):
+    with pytest.raises(SquashkitError, match="^vacuum sector has no click statistics to model$"):
         fock.fock_sector((0,))
-    with pytest.raises(InvalidSector):
+    with pytest.raises(SquashkitError, match="^vacuum sector has no click statistics to model$"):
         fock.fock_sector((0, 0, 0))
-    with pytest.raises(InvalidSector):
+    with pytest.raises(SquashkitError, match="^photon counts must be nonnegative$"):
         fock.fock_sector((2, -1))
+
+
+@pytest.mark.parametrize(
+    "photons", [(2.7, 1), (2, True), (2.0,), ("2",), (np.float64(1.0),), (np.True_,)]
+)
+def test_photon_counts_must_be_integers(photons):
+    # refused, not truncated: int() made (2.7, True) the sector (2, 1)
+    with pytest.raises(SquashkitError, match="^photon counts must be integers, got"):
+        fock.fock_sector(photons)
+    sector = fock.fock_sector((np.int64(2), np.uint8(1)))  # numpy integers are integers
+    assert sector.photons == (2, 1) and all(type(n) is int for n in sector.photons)
+
+
+def test_detector_arrays_are_read_only():
+    model = fock.build_detector(fock.fock_sector((1,)))
+    for array in (model.symmetry.u, *model.states.values()):
+        with pytest.raises(ValueError):
+            array[0] = 7  # would break the unitarity checked at construction, or the states
+    with pytest.raises(TypeError):
+        model.states["z0"] = model.states["z1"]
+    assert groups.check_definition1(model.symmetry, model.povm).max_residual <= 1e-15
+    back = pickle.loads(pickle.dumps(model))  # models still travel to worker processes
+    assert not back.symmetry.u.flags.writeable and np.array_equal(back.symmetry.u, model.symmetry.u)
+    for key, vec in model.states.items():
+        assert not back.states[key].flags.writeable and np.array_equal(back.states[key], vec)
 
 
 def test_basis_ordering_all_z0_first():
@@ -47,7 +73,7 @@ def test_z_states_are_basis_vectors():
     sector = fock.fock_sector((1,))
     assert np.allclose(fock.state_nrb(sector, "z", 0), [1.0, 0.0])
     assert np.allclose(fock.state_nrb(sector, "z", 1), [0.0, 1.0])
-    with pytest.raises(ValueError, match="bad outcome label"):
+    with pytest.raises(SquashkitError, match=r"^bad outcome label \('y', 0\)$"):
         fock.state_nrb(sector, "y", 0)
 
 

@@ -1,8 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from squashkit import builder, fock, groups, linalg, povm
-from squashkit.errors import DimensionMismatch, InvalidAction, InvalidGroup, KNotOne, NotUnitary
+from squashkit.errors import SquashkitError
 
 
 def test_cyclic_group_structure():
@@ -20,18 +22,18 @@ def test_s3_structure():
 
 
 def test_rejects_non_latin_table():
-    with pytest.raises(InvalidGroup, match="^row 0 is not a permutation$"):
+    with pytest.raises(SquashkitError, match="^row 0 is not a permutation$"):
         groups.make_group([[0, 0], [1, 1]])
-    with pytest.raises(InvalidGroup, match="^column 0 is not a permutation$"):
+    with pytest.raises(SquashkitError, match="^column 0 is not a permutation$"):
         groups.make_group([[0, 1], [0, 1]])
-    with pytest.raises(InvalidGroup, match="^column 1 is not a permutation$"):
+    with pytest.raises(SquashkitError, match="^column 1 is not a permutation$"):
         groups.make_group([[0, 1, 2], [2, 1, 0], [1, 2, 0]])
 
 
 def test_rejects_non_associative_quasigroup():
     # subtraction mod 5 is a Latin square but not associative
     table = [[(a - b) % 5 for b in range(5)] for a in range(5)]
-    with pytest.raises(InvalidGroup, match=r"^associativity fails at pair \(0, 0\)$"):
+    with pytest.raises(SquashkitError, match=r"^associativity fails at pair \(0, 0\)$"):
         groups.make_group(table)
 
 
@@ -43,9 +45,9 @@ def test_rejects_non_associative_quasigroup():
 ])
 def test_group_and_action_entries_must_be_integers(table, perms):
     # refused, not truncated or coerced into the C2 table and its basis swap
-    with pytest.raises(InvalidGroup, match="must be integers"):
+    with pytest.raises(SquashkitError, match="^Cayley entries must be integers, got"):
         groups.make_group(table)
-    with pytest.raises(InvalidAction, match="must be integers"):
+    with pytest.raises(SquashkitError, match="^label images must be integers, got"):
         groups.make_action(perms)
 
 
@@ -54,7 +56,7 @@ def test_action_must_be_homomorphism():
     bad = groups.make_action(
         [[0, 1, 2, 3], [1, 2, 3, 0], [0, 1, 2, 3], [1, 2, 3, 0]]
     )
-    with pytest.raises(InvalidAction, match=r"^homomorphism fails at pair \(1, 1\)$"):
+    with pytest.raises(SquashkitError, match=r"^homomorphism fails at pair \(1, 1\)$"):
         groups.validate_action(g, bad)
     groups.validate_action(g, groups.canonical_c4_action())
     groups.validate_action(groups.cyclic_group(2), groups.c2_basis_swap_action())
@@ -102,12 +104,41 @@ def test_regular_representation_s3_homomorphism():
 
 
 def test_c4_symmetry_validation():
-    with pytest.raises(NotUnitary):
+    with pytest.raises(SquashkitError, match="^U is not unitary within 1e-09$"):
         groups.C4Symmetry(u=np.diag([1.0, 2.0]).astype(complex))
     # the global phase is free: an order-eight unitary and a phase-shifted one are accepted
     u = linalg.unitary_from_generator(linalg.PAULI_Y, np.pi / 4)
     groups.C4Symmetry(u=u)
     groups.C4Symmetry(u=np.exp(0.3j) * u)
+
+
+def test_c4_symmetry_holds_a_read_only_complex_copy():
+    u = linalg.unitary_from_generator(linalg.PAULI_Y, -np.pi / 4)
+    sym = groups.C4Symmetry(u=u)
+    u[0, 0] = 2.0  # the symmetry checked and holds its own copy
+    assert sym.u[0, 0] != 2.0 and not sym.u.flags.writeable
+    with pytest.raises(ValueError):
+        sym.u[0, 0] = 2.0
+    assert groups.check_definition1(sym, povm.ideal_qubit_povm()).passed
+    listed = groups.C4Symmetry(u=[[0, 1], [1, 0]])
+    assert listed.u.dtype == complex and not listed.u.flags.writeable
+    back = pickle.loads(pickle.dumps(sym))
+    assert not back.u.flags.writeable and np.array_equal(back.u, sym.u)
+
+
+def test_groups_and_actions_hold_read_only_copies():
+    table, perms = np.array([[0, 1], [1, 0]]), np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
+    group, action = groups.make_group(table), groups.make_action(perms)
+    table[0, 0], perms[0, 0] = 1, 3  # after this the inputs are no group and no action
+    assert group.cayley[0, 0] == 0 and action.perms[0, 0] == 0
+    groups.validate_action(group, action)
+    for array in (group.cayley, action.perms):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
+    back_group, back_action = pickle.loads(pickle.dumps((group, action)))
+    assert not back_group.cayley.flags.writeable and not back_action.perms.flags.writeable
+    assert np.array_equal(back_group.cayley, group.cayley) and back_group.identity == group.identity
+    assert np.array_equal(back_action.perms, action.perms)
 
 
 def uniform_povm():
@@ -206,7 +237,7 @@ def test_eigenprojector_identities_random_unitary():
 def test_eigenprojectors_need_order_four():
     u = np.roll(np.eye(5, dtype=complex), 1, axis=0)  # e_j -> e_j+1 mod 5, order five
     v = np.eye(5, dtype=complex)[0]  # U^2 v = e2 is orthogonal to v, but U^4 v = e4
-    with pytest.raises(KNotOne, match="not a multiple of v"):
+    with pytest.raises(SquashkitError, match="not a multiple of v"):
         builder.mu_decompose(v, groups.C4Symmetry(u=u))
 
 
@@ -249,13 +280,13 @@ def test_definition2_needs_the_regular_permutations():
 def test_definition2_rejects_rows_that_are_not_index_permutations():
     action = groups.canonical_c4_action()
     p = povm.ideal_qubit_povm()
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SquashkitError, match=r"^representation of shape \(4, 3\) vs POVM dim 2$"):
         groups.check_definition2(np.tile(np.arange(3), (4, 1)), action, p)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SquashkitError, match=r"^representation of shape \(\) vs POVM dim 2$"):
         groups.check_definition2({0: np.eye(2)}, action, p)
-    with pytest.raises(InvalidAction, match="permutations of range"):
+    with pytest.raises(SquashkitError, match="permutations of range"):
         groups.check_definition2(np.eye(2), action, p)  # dense matrices are not index rows
-    with pytest.raises(InvalidAction, match="permutations of range"):
+    with pytest.raises(SquashkitError, match="permutations of range"):
         groups.check_definition2([[0, 1], [0, 0], [1, 0], [0, 1]], action, p)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squashkit import linalg
-from squashkit.errors import DimensionMismatch, NotHermitian
+from squashkit.errors import SquashkitError
 
 from helpers import random_density_matrices, random_density_matrix, random_hermitian
 
@@ -38,7 +38,7 @@ def test_eig_zero_matrix():
 
 
 def test_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
+    with pytest.raises(SquashkitError, match="^matrix is not Hermitian within tol=1e-09$"):
         linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
@@ -129,7 +129,7 @@ def test_json_entries_match_the_elementwise_encoding():
 
 
 def test_matrix_json_length_check():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SquashkitError, match="^expected 4 entries for dim 2, got 3$"):
         linalg.matrix_from_json({"dim": 2, "entries": [[1.0, 0.0]] * 3})
 
 

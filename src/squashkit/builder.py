@@ -11,7 +11,7 @@ both sigma_z and sigma_x have zero expectation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ def trace_defect(g0: np.ndarray, g1: np.ndarray) -> float:
     return linalg.frob(gram - np.eye(g0.shape[1]))
 
 
-@dataclass(frozen=True)
-class SquashMap:
+class SquashMap(NamedTuple("SquashMap", [("g0", np.ndarray), ("g1", np.ndarray)])):
     """A trace-preserving map to a qubit, held in the sigma_y output frame.
 
     Its k-th Kraus operator is F_k = |0_y> g0_k + |1_y> g1_k, where g0_k and
@@ -38,21 +37,22 @@ class SquashMap:
     complex copies of shape (K, d).
     """
 
-    g0: np.ndarray
-    g1: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("g0", "g1"):
-            rows = np.array(getattr(self, name), dtype=complex)
-            rows.flags.writeable = False
-            object.__setattr__(self, name, rows)
-        if self.g0.ndim != 2 or self.g0.shape != self.g1.shape:
-            shapes = f"{self.g0.shape} and {self.g1.shape}"
-            raise SquashkitError(f"rows {shapes} are not one (K, d) pair")
-        if not trace_defect(self.g0, self.g1) <= linalg.TOL:  # NaN rows fail too
+    def __new__(cls, g0, g1):
+        g0, g1 = np.array(g0, dtype=complex), np.array(g1, dtype=complex)
+        g0.flags.writeable = g1.flags.writeable = False
+        if g0.ndim != 2 or g0.shape != g1.shape:
+            raise SquashkitError(f"rows {g0.shape} and {g1.shape} are not one (K, d) pair")
+        if not trace_defect(g0, g1) <= linalg.TOL:  # NaN rows fail too
             raise SquashkitError("Kraus operators do not sum to the identity")
+        return super().__new__(cls, g0, g1)
 
-    def __reduce__(self):  # rebuilt through the constructor, so the copy is read-only too
+    @classmethod
+    def _make(cls, rows):  # the inherited _make, which _replace calls, skips __new__
+        return cls(*rows)
+
+    def __reduce__(self):  # pickle protocols 0 and 1 would skip __new__ and its check
         return SquashMap, (self.g0, self.g1)
 
     @property
@@ -78,8 +78,7 @@ def squash_from_kraus(in_dim: int, kraus) -> SquashMap:
     return SquashMap(g0=rows[:, 0], g1=rows[:, 1])
 
 
-@dataclass(frozen=True)
-class MuDecomposition:
+class MuDecomposition(NamedTuple):
     lam: float
     v: np.ndarray
     v_c: tuple  # four vectors; zero vector where the component vanishes
@@ -207,8 +206,7 @@ def construct_theorem1(
     return squash
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     residual_z: float
     residual_x: float
     residual_tp: float

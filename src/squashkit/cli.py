@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import os
-import secrets
 import sys
 
 from . import builder, finder, fock, groups, linalg, nogo, povm
@@ -95,7 +94,7 @@ def _write_json(obj: dict, out: str | None) -> None:
     directory = os.path.dirname(os.path.abspath(out))
     os.makedirs(directory, exist_ok=True)
     # mode 0o666 under O_EXCL lets the umask set the permissions, as open() does
-    tmp = os.path.join(directory, f".squashkit-{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(directory, f".squashkit-{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:

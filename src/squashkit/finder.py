@@ -20,7 +20,7 @@ G0 = L+, G1 = L^-1 A is the squash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ SELF_CHECK_TOL = 1e-6
 # ---------------------------------------------------------------------------
 # Bloch-norm witness
 
-@dataclass(frozen=True)
-class BlochWitness:
+class BlochWitness(NamedTuple):
     theta: float
     state: np.ndarray  # pure state as a density matrix
     value: float
@@ -59,9 +58,12 @@ def _level_crossings(k: np.ndarray, level: float) -> np.ndarray:
     [[0, 1], [-K, 2 level]] - z [[1, 0], [0, K+]]. numpy has no QZ, so it takes
     the eigenvalues mu = 1 / (z - sigma) of (A - sigma B)^-1 B instead.
     """
-    eye, zero = np.eye(len(k)), np.zeros_like(k)
-    a = np.block([[zero, eye], [-k, 2.0 * level * eye]])
-    b = np.block([[eye, zero], [zero, linalg.dagger(k)]])
+    d = len(k)
+    a, b = np.zeros((2, 2 * d, 2 * d), dtype=complex)
+    a[:d, d:] = b[:d, :d] = np.eye(d)
+    a[d:, :d] = -k
+    a[d:, d:] = 2.0 * level * np.eye(d)
+    b[d:, d:] = linalg.dagger(k)
     for sigma in (0.3 + 0.4j, -0.5 + 0.2j, 0.1 - 0.6j):  # shifts off the unit circle
         try:
             mu = np.linalg.eigvals(np.linalg.solve(a - sigma * b, b))
@@ -107,8 +109,7 @@ def bloch_witness(m_z: np.ndarray, m_x: np.ndarray) -> BlochWitness:
 # ---------------------------------------------------------------------------
 # Feasibility search
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     verdict: str  # FEASIBLE | INFEASIBLE | UNDECIDED
     squash: SquashMap | None
     witness: BlochWitness
@@ -154,7 +155,8 @@ def find_squash(p: povm.Bb84Povm, tol: float = linalg.LOOSE_TOL) -> FeasibilityR
         except np.linalg.LinAlgError:
             break
         # with W = L L+, each update is a product of L^-1 E and L^-1 E+
-        l_e, l_ed = np.split(np.linalg.solve(low, np.hstack([e, linalg.dagger(e)])), 2, axis=1)
+        l_both = np.linalg.solve(low, np.hstack([e, linalg.dagger(e)]))
+        l_e, l_ed = l_both[:, :p.dim], l_both[:, p.dim:]
         step = linalg.dagger(l_e) @ l_e  # E+ W^-1 E
         s = s + linalg.dagger(l_ed) @ l_ed
         e = linalg.dagger(l_ed) @ l_e

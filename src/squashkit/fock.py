@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass
 from functools import reduce
 from math import comb, prod, sqrt
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from . import groups, linalg, povm
 from .errors import SquashkitError
 
 
-@dataclass(frozen=True)
-class FockSector:
+class FockSector(NamedTuple):
     photons: tuple  # (n_1, ..., n_m)
 
     @property
@@ -69,8 +68,7 @@ def state_nrb(sector: FockSector, r: str, b: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-@dataclass(frozen=True)
-class DetectorModel:
+class DetectorModel(NamedTuple):
     sector: FockSector
     povm: povm.Bb84Povm
     symmetry: groups.C4Symmetry  # U_N, cycling the outcomes z0 -> x0 -> z1 -> x1

@@ -11,7 +11,7 @@ V(g) given as an index permutation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from . import linalg, povm
 from .errors import SquashkitError
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(NamedTuple):
     order: int
     cayley: np.ndarray  # read-only; cayley[a, b] = index of a*b
     identity: int
@@ -88,8 +87,7 @@ def symmetric_group_s3() -> FiniteGroup:
     return make_group(table)
 
 
-@dataclass(frozen=True)
-class LabelAction:
+class LabelAction(NamedTuple):
     """perms[g][c] = image (cyclic index) of label c under group element g."""
 
     perms: np.ndarray  # read-only
@@ -131,25 +129,30 @@ def c2_basis_swap_action() -> LabelAction:
     return make_action([[0, 1, 2, 3], [1, 0, 3, 2]])
 
 
-@dataclass(frozen=True)
-class C4Symmetry:
-    """A unitary cycling the four labels; its global phase is free."""
+class C4Symmetry(NamedTuple("C4Symmetry", [("u", np.ndarray)])):
+    """A unitary cycling the four labels; its global phase is free.
 
-    u: np.ndarray  # a read-only complex copy of the matrix passed in
+    ``u`` is a read-only complex copy of the matrix passed in.
+    """
 
-    def __post_init__(self):
-        m = linalg.as_matrix(self.u).copy()
+    __slots__ = ()
+
+    def __new__(cls, u):
+        m = linalg.as_matrix(u).copy()
         if linalg.frob(linalg.dagger(m) @ m - np.eye(m.shape[0])) > linalg.TOL:
             raise SquashkitError(f"U is not unitary within {linalg.TOL}")
         m.flags.writeable = False
-        object.__setattr__(self, "u", m)
+        return super().__new__(cls, m)
 
-    def __reduce__(self):  # rebuilt through the constructor, so the copy is read-only too
+    @classmethod
+    def _make(cls, fields):  # the inherited _make, which _replace calls, skips __new__
+        return cls(*fields)
+
+    def __reduce__(self):  # pickle protocols 0 and 1 would skip __new__ and its check
         return C4Symmetry, (self.u,)
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     residuals: dict  # relation name -> Frobenius residual
     max_residual: float
     tol: float

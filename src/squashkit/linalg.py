@@ -8,7 +8,7 @@ numpy's LAPACK ``eigh``, so numpy stays the only dependency.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ def is_hermitian(a: np.ndarray) -> bool:
     return frob(a - dagger(a)) <= TOL * max(1.0, frob(a))
 
 
-@dataclass(frozen=True)
-class HermitianEig:
+class HermitianEig(NamedTuple):
     """Eigenvalues ascending; eigenvectors as the columns of a unitary matrix."""
 
     eigenvalues: np.ndarray

@@ -11,7 +11,7 @@ so a squash for the symmetrized set pulls back to one for the original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ def _kron_index(i, g, order: int):
     return i * order + g
 
 
-@dataclass(frozen=True)
-class SymmetrizedPovm:
+class SymmetrizedPovm(NamedTuple):
     base: povm.Bb84Povm
     group: groups.FiniteGroup
     action: groups.LabelAction
@@ -111,8 +110,7 @@ def counterexample_m0() -> povm.Bb84Povm:
 ATTACK_BLOCK = 1 << 14
 
 
-@dataclass(frozen=True)
-class AttackResult:
+class AttackResult(NamedTuple):
     qber: float
     eve_accuracy: float
     trials: int

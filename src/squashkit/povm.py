@@ -9,8 +9,8 @@ callers that need a valid set run :func:`validate` once themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ def label(r: str, b: int) -> str:
     return f"{r}{b}"
 
 
-@dataclass(frozen=True)
-class Bb84Povm:
+class Bb84Povm(NamedTuple):
     dim: int
     elements: MappingProxyType  # label -> read-only complex matrix
 
@@ -77,8 +76,7 @@ def ideal_qubit_povm() -> Bb84Povm:
     )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     psd_margins: dict  # label -> min eigenvalue
     completeness_residuals: dict  # basis -> Frobenius residual of sum vs identity
     tol: float

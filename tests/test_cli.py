@@ -5,6 +5,8 @@ import os
 import re
 import shlex
 import stat
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
@@ -386,6 +388,21 @@ def test_error_classes():
     # one class per outcome of the exit-code contract, as the errors module docstring maps them
     names = sorted(name for name, value in vars(errors).items() if isinstance(value, type))
     assert names == ["ConstructionError", "SelfCheckFailed", "SquashkitError", "TildeNotVerified"]
+
+
+def test_start_up_imports_stay_light():
+    # each CLI run is a fresh process: records are named tuples, not dataclasses, and the
+    # temp-file name comes from os.urandom, not secrets (which loads hashlib and OpenSSL)
+    path = [str(Path(squashkit.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    probe = (
+        "import sys, squashkit.cli; "
+        "print(sorted({'dataclasses', 'secrets', 'hashlib'} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "[]\n"
 
 
 def test_missing_file_is_input_error(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -107,7 +106,7 @@ def test_trace_identity_two_photon():
         z0 = s.tilde.element("z", 0).copy()
         e = s.group.identity
         z0[e, e] += delta
-        moved = dataclasses.replace(s, tilde=povm.make_povm({**s.tilde.elements, "z0": z0}))
+        moved = s._replace(tilde=povm.make_povm({**s.tilde.elements, "z0": z0}))
         assert nogo.verify_trace_identity(moved) == pytest.approx(delta, abs=1e-15)
 
 

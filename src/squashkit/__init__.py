@@ -8,7 +8,17 @@ machinery (:mod:`squashkit.groups`), photon-number-sector detector models
 by the numerical-radius witness and builds the map by a doubling solve
 (:mod:`squashkit.finder`), and the symmetrization/no-go lab
 (:mod:`squashkit.nogo`).
+
+``import squashkit`` loads only what deciding a measurement set runs:
+``errors``, ``linalg``, ``povm``, ``groups``, ``builder`` and ``finder``.
+``fock`` and ``nogo``, and the names they export here, load on first
+access (PEP 562), so a caller that never builds a detector or symmetrizes
+a set does not compile them. :mod:`squashkit.cli` imports every module at
+its top: one process may run many subcommands, and importing per command
+would only move the compile time into the first of them.
 """
+
+import importlib
 
 from .builder import (
     MuDecomposition,
@@ -28,15 +38,6 @@ from .finder import (
     bloch_witness,
     find_squash,
 )
-from .fock import (
-    DetectorModel,
-    FockSector,
-    build_detector,
-    build_u_n,
-    enumerate_sectors,
-    fock_sector,
-    state_nrb,
-)
 from .groups import (
     C4Symmetry,
     FiniteGroup,
@@ -48,15 +49,33 @@ from .groups import (
     symmetric_group_s3,
 )
 from .linalg import HermitianEig, hermitian_eig, kron, unitary_from_generator
-from .nogo import (
-    AttackResult,
-    SymmetrizedPovm,
-    bbm92_attack,
-    counterexample_m0,
-    pullback_squash,
-    symmetrize,
-    verify_trace_identity,
-)
 from .povm import Bb84Povm, ideal_qubit_povm, make_povm, validate
 
 __version__ = "0.1.0"
+
+#: Public name -> the submodule it is loaded from on first access.
+_LAZY = {
+    **dict.fromkeys(
+        ("DetectorModel", "FockSector", "build_detector", "build_u_n", "enumerate_sectors",
+         "fock_sector", "state_nrb"),
+        "fock",
+    ),
+    **dict.fromkeys(
+        ("AttackResult", "SymmetrizedPovm", "bbm92_attack", "counterexample_m0",
+         "pullback_squash", "symmetrize", "verify_trace_identity"),
+        "nogo",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY.values():  # importing a submodule binds it on the package
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})

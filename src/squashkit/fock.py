@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+from collections.abc import Mapping
 from functools import reduce
 from math import comb, prod, sqrt
 from types import MappingProxyType
@@ -31,8 +32,20 @@ from . import groups, linalg, povm
 from .errors import SquashkitError
 
 
-class FockSector(NamedTuple):
-    photons: tuple  # (n_1, ..., n_m)
+class FockSector(NamedTuple("FockSector", [("photons", tuple)])):
+    """The photon counts (n_1, ..., n_m), one per mode; built only by :func:`fock_sector`."""
+
+    __slots__ = ()
+
+    def __new__(cls, photons):
+        return fock_sector(photons)
+
+    @classmethod
+    def _make(cls, fields):  # the inherited _make, which _replace calls, skips __new__
+        return cls(*fields)
+
+    def __reduce__(self):  # pickle protocols 0 and 1 would skip __new__ and its check
+        return fock_sector, (self.photons,)
 
     @property
     def dim(self) -> int:
@@ -51,7 +64,7 @@ def fock_sector(photons) -> FockSector:
         raise SquashkitError("photon counts must be nonnegative")
     if sum(n) < 1:
         raise SquashkitError("vacuum sector has no click statistics to model")
-    return FockSector(photons=n)
+    return tuple.__new__(FockSector, (n,))  # the class call would check it again
 
 
 def state_nrb(sector: FockSector, r: str, b: int) -> np.ndarray:
@@ -68,11 +81,38 @@ def state_nrb(sector: FockSector, r: str, b: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-class DetectorModel(NamedTuple):
-    sector: FockSector
-    povm: povm.Bb84Povm
-    symmetry: groups.C4Symmetry  # U_N, cycling the outcomes z0 -> x0 -> z1 -> x1
-    states: MappingProxyType  # label -> read-only state vector
+def _same(given, built) -> bool:
+    """Whether ``given`` holds the values of ``built``, array by array and entry by entry."""
+    if isinstance(built, np.ndarray):
+        return np.array_equal(given, built)
+    if isinstance(built, Mapping):
+        return (isinstance(given, Mapping) and given.keys() == built.keys()
+                and all(_same(given[key], built[key]) for key in built))
+    if isinstance(built, tuple):
+        return (isinstance(given, tuple) and len(given) == len(built)
+                and all(map(_same, given, built)))
+    return given == built
+
+
+class DetectorModel(NamedTuple("DetectorModel", [
+    ("sector", FockSector),
+    ("povm", povm.Bb84Povm),
+    ("symmetry", groups.C4Symmetry),  # U_N, cycling the outcomes z0 -> x0 -> z1 -> x1
+    ("states", MappingProxyType),  # label -> read-only state vector
+])):
+    """A sector's detector; every field follows from the sector, through :func:`build_detector`."""
+
+    __slots__ = ()
+
+    def __new__(cls, sector, povm, symmetry, states):
+        model = build_detector(sector)
+        if not _same((povm, symmetry, states), model[1:]):
+            raise SquashkitError(f"fields differ from the detector of {model.sector.photons}")
+        return model
+
+    @classmethod
+    def _make(cls, fields):  # the inherited _make, which _replace calls, skips __new__
+        return cls(*fields)
 
     def __reduce__(self):  # rebuilt from the sector, so the states stay read-only
         return build_detector, (self.sector,)
@@ -80,6 +120,7 @@ class DetectorModel(NamedTuple):
 
 def build_detector(sector: FockSector) -> DetectorModel:
     """Threshold-detector POVM on a sector, double clicks randomized into b."""
+    sector = FockSector(*sector)  # rechecked: a tuple forged past the check is refused too
     states = {
         povm.label(r, b): state_nrb(sector, r, b) for r in ("z", "x") for b in (0, 1)
     }
@@ -97,7 +138,8 @@ def build_detector(sector: FockSector) -> DetectorModel:
     if not povm.validate(p).passed:
         raise SquashkitError(f"detector set for sector {sector.photons} fails validation")
     sym = groups.C4Symmetry(u=build_u_n(sector))
-    return DetectorModel(sector=sector, povm=p, symmetry=sym, states=MappingProxyType(states))
+    # the class call would build it again
+    return tuple.__new__(DetectorModel, (sector, p, sym, MappingProxyType(states)))
 
 
 def _mode_rotation(n: int) -> np.ndarray:

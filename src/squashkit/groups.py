@@ -19,10 +19,24 @@ from . import linalg, povm
 from .errors import SquashkitError
 
 
-class FiniteGroup(NamedTuple):
-    order: int
-    cayley: np.ndarray  # read-only; cayley[a, b] = index of a*b
-    identity: int
+class FiniteGroup(NamedTuple("FiniteGroup", [("order", int), ("cayley", np.ndarray),
+                                              ("identity", int)])):
+    """A group as its Cayley table, held read-only: cayley[a, b] is the index of a*b.
+
+    Every construction path runs :func:`make_group`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, order, cayley, identity):
+        group = make_group(cayley, identity)
+        if order != group.order:
+            raise SquashkitError("declared order disagrees with the Cayley table")
+        return group
+
+    @classmethod
+    def _make(cls, fields):  # the inherited _make, which _replace calls, skips __new__
+        return cls(*fields)
 
     def __reduce__(self):  # rebuilt through make_group, so the table stays read-only
         return make_group, (self.cayley, self.identity)
@@ -69,7 +83,7 @@ def make_group(cayley, identity: int | None = None) -> FiniteGroup:
     ident = int(neutral[0])
     if identity is not None and identity != ident:
         raise SquashkitError(f"declared identity {identity} but found {ident}")
-    return FiniteGroup(order=n, cayley=table, identity=ident)
+    return tuple.__new__(FiniteGroup, (n, table, ident))  # the class call would check it again
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -87,10 +101,20 @@ def symmetric_group_s3() -> FiniteGroup:
     return make_group(table)
 
 
-class LabelAction(NamedTuple):
-    """perms[g][c] = image (cyclic index) of label c under group element g."""
+class LabelAction(NamedTuple("LabelAction", [("perms", np.ndarray)])):
+    """perms[g][c] = image (cyclic index) of label c under group element g, held read-only.
 
-    perms: np.ndarray  # read-only
+    Every construction path runs :func:`make_action`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, perms):
+        return make_action(perms)
+
+    @classmethod
+    def _make(cls, fields):  # the inherited _make, which _replace calls, skips __new__
+        return cls(*fields)
 
     def __reduce__(self):  # rebuilt through make_action, so the images stay read-only
         return make_action, (self.perms,)
@@ -103,7 +127,7 @@ def make_action(perms) -> LabelAction:
     for row in arr:
         if not np.array_equal(np.sort(row), np.arange(4)):
             raise SquashkitError(f"{row.tolist()} is not a permutation of the labels")
-    return LabelAction(perms=arr)
+    return tuple.__new__(LabelAction, (arr,))  # the class call would check it again
 
 
 def validate_action(group: FiniteGroup, action: LabelAction) -> None:

@@ -27,9 +27,20 @@ def label(r: str, b: int) -> str:
     return f"{r}{b}"
 
 
-class Bb84Povm(NamedTuple):
-    dim: int
-    elements: MappingProxyType  # label -> read-only complex matrix
+class Bb84Povm(NamedTuple("Bb84Povm", [("dim", int), ("elements", MappingProxyType)])):
+    """Four elements by label, each a read-only complex matrix; built only by :func:`make_povm`."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim, elements):
+        p = make_povm(elements)
+        if dim != p.dim:
+            raise SquashkitError("declared dim disagrees with element matrices")
+        return p
+
+    @classmethod
+    def _make(cls, fields):  # the inherited _make, which _replace calls, skips __new__
+        return cls(*fields)
 
     def element(self, r: str, b: int) -> np.ndarray:
         return self.elements[label(r, b)]
@@ -60,7 +71,8 @@ def make_povm(elements: dict) -> Bb84Povm:
         elif m.shape[0] != dim:
             raise SquashkitError("POVM elements have inconsistent dimensions")
         mats[key] = m
-    return Bb84Povm(dim=dim, elements=MappingProxyType(mats))
+    # the class call would check it again
+    return tuple.__new__(Bb84Povm, (dim, MappingProxyType(mats)))
 
 
 def ideal_qubit_povm() -> Bb84Povm:
@@ -107,7 +119,4 @@ def povm_to_json(p: Bb84Povm) -> dict:
 
 def povm_from_json(obj: dict) -> Bb84Povm:
     elements = {key: linalg.matrix_from_json(obj["elements"][key]) for key in LABELS}
-    p = make_povm(elements)
-    if p.dim != linalg.json_int(obj, "dim"):
-        raise SquashkitError("declared dim disagrees with element matrices")
-    return p
+    return Bb84Povm(linalg.json_int(obj, "dim"), elements)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import pickle
 import re
 import shlex
 import stat
@@ -151,6 +152,13 @@ def test_detector_sweep(tmp_path):
 
 def test_detector_sweep_bound(tmp_path):
     assert main(["detector", "--sweep-max", "9", "--out", str(tmp_path / "s")]) == 2
+
+
+def test_detector_refuses_n_with_sweep_max(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(tmp_path, "detector", "--N", "1", "--sweep-max", "2", "--out", out) == 2
+    assert "--N builds one sector; it takes no --sweep-max" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_squash_construct_sector(tmp_path):
@@ -315,6 +323,30 @@ def test_nogo_attack_zero_trials(m0_file, tmp_path):
     assert read(out)["degenerate"] is True
 
 
+@pytest.mark.parametrize("flag, message", [
+    (["--trials", "99999999999999999999"], "--trials must be at most 100000000"),
+    (["--trials", "100000001"], "--trials must be at most 100000000"),
+    (["--seed", "-1"], "--seed must be at least 0"),
+])
+def test_attack_trials_and_seed_are_range_checked_before_any_file_is_read(
+    flag, message, monkeypatch, tmp_path, capsys
+):
+    def refuse(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "_load_json", refuse)
+    out = tmp_path / "out.json"
+    argv = ["nogo", "attack", "--povm", tmp_path / "m0.json", *flag, "--out", out]
+    assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err == f"squashkit: {message}\n"
+    assert not out.exists()
+
+
+def test_attack_range_ends_are_accepted():
+    cli._check_ranges(SimpleNamespace(trials=cli.MAX_TRIALS, seed=0, tol=None))
+    cli._check_ranges(SimpleNamespace(trials=0, seed=2**80, tol=None))
+
+
 def test_parser_is_built_once_and_reused(m0_file):
     parser = cli.build_parser()
     misses = cli.build_parser.cache_info().misses
@@ -365,10 +397,11 @@ def test_readme_library_tour_runs():
 
 
 def test_public_names():
-    # a name leaves or joins the library's surface only with this list
+    # a name leaves or joins the library's surface only with this list; dir() also lists
+    # the names that load on first access, and getattr loads them
     names = sorted(
-        name for name, value in vars(squashkit).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
+        name for name in dir(squashkit)
+        if not name.startswith("_") and not isinstance(getattr(squashkit, name), ModuleType)
     )
     assert names == [
         "AttackResult", "Bb84Povm", "BlochWitness", "C4Symmetry", "DetectorModel",
@@ -390,19 +423,71 @@ def test_error_classes():
     assert names == ["ConstructionError", "SelfCheckFailed", "SquashkitError", "TildeNotVerified"]
 
 
+def fresh_python(probe: str) -> str:
+    """Standard output of ``python -c probe`` in a new interpreter that imports this squashkit."""
+    path = [str(Path(squashkit.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
 def test_start_up_imports_stay_light():
     # each CLI run is a fresh process: records are named tuples, not dataclasses, and the
     # temp-file name comes from os.urandom, not secrets (which loads hashlib and OpenSSL)
-    path = [str(Path(squashkit.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     probe = (
         "import sys, squashkit.cli; "
         "print(sorted({'dataclasses', 'secrets', 'hashlib'} & set(sys.modules)))"
     )
-    run = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    assert fresh_python(probe) == "[]\n"
+
+
+def test_fock_and_nogo_load_on_first_use_and_with_the_cli():
+    probe = (
+        "import sys\n"
+        "def loaded(): print(sorted({'squashkit.fock', 'squashkit.nogo'} & set(sys.modules)))\n"
+        "import squashkit; loaded()\n"
+        "from squashkit import build_detector; loaded()\n"
+        "import squashkit.cli; loaded()\n"
     )
-    assert run.stdout == "[]\n"
+    assert fresh_python(probe).splitlines() == [
+        "[]", "['squashkit.fock']", "['squashkit.fock', 'squashkit.nogo']",
+    ]
+
+
+def test_names_that_load_on_first_use_are_the_modules_own():
+    from squashkit import build_detector, symmetrize
+
+    assert squashkit.fock is fock and squashkit.nogo is nogo
+    assert build_detector is fock.build_detector and symmetrize is nogo.symmetrize
+    assert squashkit.DetectorModel is fock.DetectorModel
+    assert squashkit.bbm92_attack is nogo.bbm92_attack
+    assert {"fock", "nogo", "build_detector", "symmetrize"} <= set(dir(squashkit))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'build_detectors'"):
+        squashkit.build_detectors
+    assert not hasattr(squashkit, "cli_main")
+    with pytest.raises(ImportError):
+        from squashkit import no_such_name  # noqa: F401
+
+
+def test_a_detector_pickled_here_loads_in_a_fresh_interpreter(tmp_path):
+    model = fock.build_detector(fock.fock_sector((2, 1)))
+    path = tmp_path / "model.pickle"
+    path.write_bytes(pickle.dumps(model))
+    probe = (  # unpickling alone imports squashkit.fock
+        f"import pickle; model = pickle.loads(open({str(path)!r}, 'rb').read())\n"
+        "import numpy as np, squashkit.fock as fock\n"
+        "again = fock.build_detector(fock.fock_sector((2, 1)))\n"
+        "same = all(np.array_equal(model.povm.elements[k], again.povm.elements[k])\n"
+        "           for k in ('z0', 'z1', 'x0', 'x1'))\n"
+        "writable = any(v.flags.writeable for v in model.states.values())\n"
+        "print(type(model).__name__, model.sector.photons, model.povm.dim, same, writable)\n"
+    )
+    assert fresh_python(probe) == "DetectorModel (2, 1) 6 True False\n"
 
 
 def test_missing_file_is_input_error(tmp_path):
@@ -515,7 +600,10 @@ def test_mismatched_unitary_or_squash_is_refused_before_its_entries_are_decoded(
 ):
     path = tmp_path / f"{kind}.json"
     if kind == "unitary":
-        path.write_text(json.dumps(linalg.matrix_to_json(np.eye(700))))
+        # json.dumps(linalg.matrix_to_json(np.eye(700))), written as text
+        cells = ["[0.0, 0.0]"] * 700**2
+        cells[::701] = ["[1.0, 0.0]"] * 700
+        path.write_text('{"dim": 700, "entries": [' + ", ".join(cells) + "]}")
         argv = ["squash", "construct", "--povm", ideal_file, "--unitary", path]
         message = "unitary dim 700 vs POVM dim 2"
     else:  # the qubit set symmetrized over C2 has dimension 4

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -10,8 +11,18 @@ from squashkit import builder, finder, fock, groups, linalg, nogo, povm
 from squashkit.errors import SquashkitError
 
 QUARTER_TURN = linalg.unitary_from_generator(linalg.PAULI_Y, -np.pi / 4)
+QUBIT = {key: np.array(m) for key, m in povm.ideal_qubit_povm().elements.items()}
+MODEL = fock.build_detector(fock.fock_sector((1,)))
+STATES = {key: np.array(vec) for key, vec in MODEL.states.items()}
 
-#: (class, fields that pass its check, fields that fail it), every array writable
+
+def unchecked(cls, fields):
+    """A record built by tuple.__new__, as if its check had been skipped."""
+    return tuple.__new__(cls, fields)
+
+
+#: (class, fields that pass its check, fields that fail it); the arrays given at the top
+#: level or in a dict are writable, and a made record must hold read-only copies of them
 CHECKED = {
     "SquashMap": (
         builder.SquashMap,
@@ -19,12 +30,21 @@ CHECKED = {
         (np.eye(2, dtype=complex), np.eye(2, dtype=complex)),
     ),
     "C4Symmetry": (groups.C4Symmetry, (QUARTER_TURN,), (2.0 * np.eye(2),)),
+    "FiniteGroup": (
+        groups.FiniteGroup, (2, np.array([[0, 1], [1, 0]]), 0), (2, np.array([[0, 0], [0, 0]]), 0)
+    ),
+    "LabelAction": (
+        groups.LabelAction, (np.array([[0, 1, 2, 3], [1, 0, 3, 2]]),), (np.zeros((4, 4), int),)
+    ),
+    "Bb84Povm": (povm.Bb84Povm, (2, QUBIT), (2, {**QUBIT, "x1": np.eye(3)})),
+    "FockSector": (fock.FockSector, ((2, 1),), ((-1, 2),)),
+    "DetectorModel": (
+        fock.DetectorModel,
+        (MODEL.sector, MODEL.povm, MODEL.symmetry, STATES),
+        # a vacuum sector forged past its check; the other fields are the (1,) detector's
+        (unchecked(fock.FockSector, ((0,),)), MODEL.povm, MODEL.symmetry, STATES),
+    ),
 }
-
-
-def unchecked(cls, fields):
-    """A record built by tuple.__new__, as if its check had been skipped."""
-    return tuple.__new__(cls, fields)
 
 
 def replaced(cls, fields):
@@ -57,9 +77,50 @@ def test_checked_records_are_checked_on_every_path(name, path):
         PATHS[path](cls, bad)
     made = PATHS[path](cls, good)
     assert type(made) is cls
-    for held, given in zip(made, good):
-        assert not held.flags.writeable and held is not given
-        assert held.dtype == complex and np.array_equal(held, given)
+    held, given = list(leaves(made)), list(leaves(good))
+    assert len(held) == len(given)
+    for value, source in zip(held, given):
+        if isinstance(source, np.ndarray):  # a read-only copy of the same values
+            assert not value.flags.writeable and value is not source
+            assert value.dtype == source.dtype and np.array_equal(value, source)
+        else:
+            assert value == source
+
+
+def leaves(value):
+    """The arrays and scalars nested in a record, mappings walked in key order."""
+    if isinstance(value, Mapping):
+        for key in sorted(value):
+            yield key
+            yield from leaves(value[key])
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
+DETECTOR_11 = fock.build_detector(fock.fock_sector((1, 1)))  # dimension 4, as (3,) has
+DETECTOR_3 = fock.build_detector(fock.fock_sector((3,)))
+DERIVED = {
+    "a set's dim": lambda: povm.ideal_qubit_povm()._replace(dim=3),
+    "a group's order": lambda: groups.cyclic_group(2)._replace(order=3),
+    "a detector's set": lambda: DETECTOR_11._replace(povm=DETECTOR_3.povm),
+    "a detector's unitary": lambda: DETECTOR_11._replace(symmetry=DETECTOR_3.symmetry),
+    "a detector's states": lambda: DETECTOR_11._replace(states=DETECTOR_3.states),
+    "a detector's fields": lambda: fock.DetectorModel(DETECTOR_11.sector, *DETECTOR_3[1:]),
+}
+
+
+@pytest.mark.parametrize("field", DERIVED)
+def test_a_field_that_follows_from_the_others_must_agree_with_them(field):
+    with pytest.raises(SquashkitError):
+        DERIVED[field]()
+
+
+def test_a_detector_with_its_own_fields_is_rebuilt_from_its_sector():
+    made = DETECTOR_11._replace(states={k: np.array(v) for k, v in DETECTOR_11.states.items()})
+    assert made.sector == DETECTOR_11.sector and not made.states["z0"].flags.writeable
 
 
 def records() -> dict:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from collections.abc import Mapping
 from functools import reduce
 from math import comb, prod, sqrt
 from types import MappingProxyType
@@ -81,19 +80,6 @@ def state_nrb(sector: FockSector, r: str, b: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _same(given, built) -> bool:
-    """Whether ``given`` holds the values of ``built``, array by array and entry by entry."""
-    if isinstance(built, np.ndarray):
-        return np.array_equal(given, built)
-    if isinstance(built, Mapping):
-        return (isinstance(given, Mapping) and given.keys() == built.keys()
-                and all(_same(given[key], built[key]) for key in built))
-    if isinstance(built, tuple):
-        return (isinstance(given, tuple) and len(given) == len(built)
-                and all(map(_same, given, built)))
-    return given == built
-
-
 class DetectorModel(NamedTuple("DetectorModel", [
     ("sector", FockSector),
     ("povm", povm.Bb84Povm),
@@ -106,7 +92,8 @@ class DetectorModel(NamedTuple("DetectorModel", [
 
     def __new__(cls, sector, povm, symmetry, states):
         model = build_detector(sector)
-        if not _same((povm, symmetry, states), model[1:]):
+        given = tuple.__new__(cls, (model.sector, povm, symmetry, states))
+        if detector_to_json(given) != detector_to_json(model):  # as written, float for float
             raise SquashkitError(f"fields differ from the detector of {model.sector.photons}")
         return model
 

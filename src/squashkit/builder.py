@@ -29,7 +29,7 @@ def trace_defect(g0: np.ndarray, g1: np.ndarray) -> float:
     return linalg.frob(gram - np.eye(g0.shape[1]))
 
 
-class SquashMap(NamedTuple("SquashMap", [("g0", np.ndarray), ("g1", np.ndarray)])):
+class SquashMap(linalg.Checked, NamedTuple("SquashMap", [("g0", np.ndarray), ("g1", np.ndarray)])):
     """A trace-preserving map to a qubit, held in the sigma_y output frame.
 
     Its k-th Kraus operator is F_k = |0_y> g0_k + |1_y> g1_k, where g0_k and
@@ -47,13 +47,6 @@ class SquashMap(NamedTuple("SquashMap", [("g0", np.ndarray), ("g1", np.ndarray)]
         if not trace_defect(g0, g1) <= linalg.TOL:  # NaN rows fail too
             raise SquashkitError("Kraus operators do not sum to the identity")
         return super().__new__(cls, g0, g1)
-
-    @classmethod
-    def _make(cls, rows):  # the inherited _make, which _replace calls, skips __new__
-        return cls(*rows)
-
-    def __reduce__(self):  # pickle protocols 0 and 1 would skip __new__ and its check
-        return SquashMap, (self.g0, self.g1)
 
     @property
     def in_dim(self) -> int:

@@ -19,12 +19,9 @@ from . import linalg, povm
 from .errors import SquashkitError
 
 
-class FiniteGroup(NamedTuple("FiniteGroup", [("order", int), ("cayley", np.ndarray),
-                                              ("identity", int)])):
-    """A group as its Cayley table, held read-only: cayley[a, b] is the index of a*b.
-
-    Every construction path runs :func:`make_group`.
-    """
+class FiniteGroup(linalg.Checked, NamedTuple("FiniteGroup", [
+        ("order", int), ("cayley", np.ndarray), ("identity", int)])):
+    """A group as its read-only Cayley table, a*b = cayley[a, b]; built by :func:`make_group`."""
 
     __slots__ = ()
 
@@ -34,13 +31,6 @@ class FiniteGroup(NamedTuple("FiniteGroup", [("order", int), ("cayley", np.ndarr
             raise SquashkitError("declared order disagrees with the Cayley table")
         return group
 
-    @classmethod
-    def _make(cls, fields):  # the inherited _make, which _replace calls, skips __new__
-        return cls(*fields)
-
-    def __reduce__(self):  # rebuilt through make_group, so the table stays read-only
-        return make_group, (self.cayley, self.identity)
-
     def inverse(self, a: int) -> int:
         row = self.cayley[a]
         hits = np.nonzero(row == self.identity)[0]
@@ -49,7 +39,10 @@ class FiniteGroup(NamedTuple("FiniteGroup", [("order", int), ("cayley", np.ndarr
 
 def _integer_array(values, what: str) -> np.ndarray:
     """A read-only integer copy; floats, booleans and strings are refused, not truncated."""
-    arr = np.array(values)
+    try:
+        arr = np.array(values)
+    except ValueError as exc:  # ragged rows
+        raise SquashkitError(f"{what} must be rows of equal length") from exc
     if arr.dtype == object:  # holds a Python int beyond 64 bits: the cast raises "too large"
         arr = arr.astype(int)
     if arr.dtype.kind not in "iu":
@@ -101,23 +94,13 @@ def symmetric_group_s3() -> FiniteGroup:
     return make_group(table)
 
 
-class LabelAction(NamedTuple("LabelAction", [("perms", np.ndarray)])):
-    """perms[g][c] = image (cyclic index) of label c under group element g, held read-only.
-
-    Every construction path runs :func:`make_action`.
-    """
+class LabelAction(linalg.Checked, NamedTuple("LabelAction", [("perms", np.ndarray)])):
+    """Read-only perms[g, c], label c's image under element g; built only by :func:`make_action`."""
 
     __slots__ = ()
 
     def __new__(cls, perms):
         return make_action(perms)
-
-    @classmethod
-    def _make(cls, fields):  # the inherited _make, which _replace calls, skips __new__
-        return cls(*fields)
-
-    def __reduce__(self):  # rebuilt through make_action, so the images stay read-only
-        return make_action, (self.perms,)
 
 
 def make_action(perms) -> LabelAction:
@@ -153,7 +136,7 @@ def c2_basis_swap_action() -> LabelAction:
     return make_action([[0, 1, 2, 3], [1, 0, 3, 2]])
 
 
-class C4Symmetry(NamedTuple("C4Symmetry", [("u", np.ndarray)])):
+class C4Symmetry(linalg.Checked, NamedTuple("C4Symmetry", [("u", np.ndarray)])):
     """A unitary cycling the four labels; its global phase is free.
 
     ``u`` is a read-only complex copy of the matrix passed in.
@@ -167,13 +150,6 @@ class C4Symmetry(NamedTuple("C4Symmetry", [("u", np.ndarray)])):
             raise SquashkitError(f"U is not unitary within {linalg.TOL}")
         m.flags.writeable = False
         return super().__new__(cls, m)
-
-    @classmethod
-    def _make(cls, fields):  # the inherited _make, which _replace calls, skips __new__
-        return cls(*fields)
-
-    def __reduce__(self):  # pickle protocols 0 and 1 would skip __new__ and its check
-        return C4Symmetry, (self.u,)
 
 
 class SymmetryReport(NamedTuple):
@@ -241,10 +217,8 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 
 def group_from_json(obj: dict) -> FiniteGroup:
-    g = make_group(obj["cayley"], identity=linalg.json_int(obj, "identity"))
-    if g.order != linalg.json_int(obj, "order"):
-        raise SquashkitError("declared order disagrees with the Cayley table")
-    return g
+    order, identity = linalg.json_int(obj, "order"), linalg.json_int(obj, "identity")
+    return FiniteGroup(order, obj["cayley"], identity)
 
 
 def action_from_json(obj: dict) -> LabelAction:

@@ -1,13 +1,14 @@
-"""Dense complex linear algebra kernels.
+"""Dense complex linear algebra kernels, and the base of the records that check themselves.
 
-Matrices are plain ``numpy.ndarray`` of dtype complex128. Everything here is
-a pure function; no routine mutates its arguments. Eigendecompositions use
+Matrices are plain ``numpy.ndarray`` of dtype complex128. Every routine here is
+a pure function; none mutates its arguments. Eigendecompositions use
 numpy's LAPACK ``eigh``, so numpy stays the only dependency.
 """
 
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +37,10 @@ def frob(a: np.ndarray) -> float:
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries."""
-    m = np.asarray(a, dtype=complex)
+    try:
+        m = np.asarray(a, dtype=complex)
+    except ValueError as exc:  # ragged rows, or a string that is no number
+        raise SquashkitError("expected a square matrix of numbers in rows of equal length") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SquashkitError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
@@ -46,6 +50,19 @@ def as_matrix(a) -> np.ndarray:
 
 def is_hermitian(a: np.ndarray) -> bool:
     return frob(a - dagger(a)) <= TOL * max(1.0, frob(a))
+
+
+class Checked:
+    """First base of the records checked in ``__new__``: every other path to one calls the class."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):  # the named tuple's own, which _replace calls, skips __new__
+        return cls(*fields)
+
+    def __reduce__(self):  # protocols 0 and 1 skip __new__; a mapping proxy goes as a dict
+        return type(self), tuple(dict(f) if type(f) is MappingProxyType else f for f in self)
 
 
 class HermitianEig(NamedTuple):

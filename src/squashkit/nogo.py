@@ -132,6 +132,8 @@ def bbm92_attack(p: povm.Bb84Povm, trials: int, seed: int = 0) -> AttackResult:
     """
     if p.dim != 2:
         raise SquashkitError(f"attack needs a qubit POVM, got dim {p.dim}")
+    if trials < 0 or seed < 0:
+        raise SquashkitError(f"trials and seed must be at least 0, got {trials} and {seed}")
     # P(z0 | |b>) is the diagonal entry M_z0[b, b], clamped to [0, 1]
     p_alice0 = np.clip(np.diagonal(povm.ideal_qubit_povm().element("z", 0)).real, 0.0, 1.0)
     p_bob0 = np.clip(np.diagonal(p.element("z", 0)).real, 0.0, 1.0)

@@ -27,7 +27,8 @@ def label(r: str, b: int) -> str:
     return f"{r}{b}"
 
 
-class Bb84Povm(NamedTuple("Bb84Povm", [("dim", int), ("elements", MappingProxyType)])):
+class Bb84Povm(linalg.Checked, NamedTuple("Bb84Povm", [("dim", int),
+                                                        ("elements", MappingProxyType)])):
     """Four elements by label, each a read-only complex matrix; built only by :func:`make_povm`."""
 
     __slots__ = ()
@@ -37,10 +38,6 @@ class Bb84Povm(NamedTuple("Bb84Povm", [("dim", int), ("elements", MappingProxyTy
         if dim != p.dim:
             raise SquashkitError("declared dim disagrees with element matrices")
         return p
-
-    @classmethod
-    def _make(cls, fields):  # the inherited _make, which _replace calls, skips __new__
-        return cls(*fields)
 
     def element(self, r: str, b: int) -> np.ndarray:
         return self.elements[label(r, b)]
@@ -52,9 +49,6 @@ class Bb84Povm(NamedTuple("Bb84Povm", [("dim", int), ("elements", MappingProxyTy
     def l_element(self, c: int) -> np.ndarray:
         """Element at cyclic position c (z0, x0, z1, x1)."""
         return self.elements[LABELS[c % 4]]
-
-    def __reduce__(self):  # a mapping proxy does not pickle; rebuild through make_povm
-        return make_povm, (dict(self.elements),)
 
 
 def make_povm(elements: dict) -> Bb84Povm:

@@ -776,6 +776,37 @@ def test_non_integer_integer_fields_are_refused(
     assert not out.exists()
 
 
+SWAP_PERMS = [["z0", "x0", "z1", "x1"], ["x0", "z0", "x1", "z1"]]
+
+
+@pytest.mark.parametrize("kind, field, value, message", [
+    ("group", "order", 3, "declared order disagrees with the Cayley table"),
+    ("povm", "dim", 3, "declared dim disagrees with element matrices"),
+    ("group", "cayley", [[0, 1], [1]], "Cayley entries must be rows of equal length"),
+    ("action", "perms", [SWAP_PERMS[0], SWAP_PERMS[1][:3]],
+     "label images must be rows of equal length"),
+], ids=["order", "dim", "ragged-cayley", "ragged-perms"])
+def test_a_file_that_disagrees_with_itself_is_refused(
+    kind, field, value, message, ideal_file, tmp_path, capsys
+):
+    # each file is well formed, but a declared size disagrees with its table or matrices,
+    # or one row's length with another's
+    blobs = {
+        "group": groups.group_to_json(groups.cyclic_group(2)),
+        "action": {"labels": ["z0", "x0", "z1", "x1"], "perms": SWAP_PERMS},
+        "povm": read(ideal_file),
+    }
+    blobs[kind][field] = value
+    for name, blob in blobs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(blob))
+    argv = ["nogo", "symmetrize", "--povm", tmp_path / "povm.json",
+            "--group", tmp_path / "group.json", "--action", tmp_path / "action.json"]
+    out = tmp_path / "out.json"
+    assert run(tmp_path, *argv, "--out", out) == 2
+    assert capsys.readouterr().err == f"squashkit: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["povm", "unitary", "squash"])
 def test_boolean_matrix_entries_are_refused(
     kind, ideal_file, qubit_unitary_file, ideal_c2_squash_file, tmp_path, capsys

@@ -22,6 +22,8 @@ def test_sector_validation():
         fock.fock_sector((0, 0, 0))
     with pytest.raises(SquashkitError, match="^photon counts must be nonnegative$"):
         fock.fock_sector((2, -1))
+    with pytest.raises(SquashkitError, match="^photon counts must be a sequence, got 3$"):
+        fock.fock_sector(3)
 
 
 @pytest.mark.parametrize(

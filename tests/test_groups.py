@@ -51,6 +51,13 @@ def test_group_and_action_entries_must_be_integers(table, perms):
         groups.make_action(perms)
 
 
+def test_ragged_tables_are_refused():
+    with pytest.raises(SquashkitError, match="^Cayley entries must be rows of equal length$"):
+        groups.make_group([[0, 1], [1]])
+    with pytest.raises(SquashkitError, match="^label images must be rows of equal length$"):
+        groups.make_action([[0, 1, 2, 3], [1, 0, 3]])
+
+
 def test_action_must_be_homomorphism():
     g = groups.cyclic_group(4)
     bad = groups.make_action(

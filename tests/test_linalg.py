@@ -128,6 +128,11 @@ def test_json_entries_match_the_elementwise_encoding():
     assert json.dumps(entries) == json.dumps(reference)
 
 
+def test_ragged_rows_are_not_a_matrix():
+    with pytest.raises(SquashkitError, match="^expected a square matrix of numbers in rows of equal"):
+        linalg.as_matrix([[1, 2], [3]])
+
+
 def test_matrix_json_length_check():
     with pytest.raises(SquashkitError, match="^expected 4 entries for dim 2, got 3$"):
         linalg.matrix_from_json({"dim": 2, "entries": [[1.0, 0.0]] * 3})

@@ -224,6 +224,13 @@ def test_attack_requires_qubit_povm():
         nogo.bbm92_attack(p, trials=10, seed=0)
 
 
+@pytest.mark.parametrize("trials, seed", [(-5, 0), (10, -1)])
+def test_attack_refuses_negative_trials_and_seed(trials, seed):
+    message = f"^trials and seed must be at least 0, got {trials} and {seed}$"
+    with pytest.raises(SquashkitError, match=message):
+        nogo.bbm92_attack(povm.ideal_qubit_povm(), trials=trials, seed=seed)
+
+
 def noisy_qubit_set():
     return povm.make_povm(
         {

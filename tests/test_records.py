@@ -155,13 +155,24 @@ def records() -> dict:
 RECORDS = records()
 
 
-def test_every_record_type_is_listed():
+def public_classes(base) -> set:
+    """Names of the public classes in squashkit's modules that derive from ``base``."""
     modules = (builder, finder, fock, groups, linalg, nogo, povm)
-    public = {
+    return {
         name for module in modules for name, value in vars(module).items()
-        if isinstance(value, type) and issubclass(value, tuple) and not name.startswith("_")
+        if isinstance(value, type) and base in value.__mro__[1:] and not name.startswith("_")
     }
+
+
+def test_every_record_type_is_listed():
+    public = public_classes(tuple)
     assert sorted(RECORDS) == sorted(public) and len(public) == 16
+
+
+def test_every_checked_record_is_tested_on_every_path():
+    # a record that takes the class-call protocol cannot be left out of CHECKED, nor one in
+    # CHECKED skip the protocol
+    assert sorted(public_classes(linalg.Checked)) == sorted(CHECKED)
 
 
 @pytest.mark.parametrize("name", RECORDS)

@@ -132,7 +132,7 @@ def mu_decompose(
     components = []
     for c in range(4):
         w = sum((-1j) ** ((c * j) % 4) * scaled[j] for j in range(4)) / 4.0
-        weight = float(np.linalg.norm(w))
+        weight = linalg.frob(w)
         if weight > linalg.ZERO:
             mu[c] = weight
             components.append(w / weight)
@@ -241,5 +241,5 @@ def squash_to_json(f: SquashMap) -> dict:
 
 
 def squash_from_json(obj: dict) -> SquashMap:
-    kraus = tuple(linalg.matrix_rect_from_json(k) for k in obj["kraus"])
+    kraus = tuple(linalg.matrix_rect_from_json(k) for k in linalg.json_field(obj, "kraus"))
     return squash_from_kraus(linalg.json_int(obj, "in_dim"), kraus)

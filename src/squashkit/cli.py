@@ -137,7 +137,7 @@ def _load_group(name: str, base_dim: int, what: str) -> groups.FiniteGroup:
         "s3": groups.symmetric_group_s3,
     }
     blob = groups.group_to_json(builtin[name]()) if name in builtin else _load_json(name)
-    _require_dim(base_dim * len(blob["cayley"]), what)
+    _require_dim(base_dim * len(linalg.json_field(blob, "cayley")), what)
     return groups.group_from_json(blob)
 
 
@@ -154,7 +154,8 @@ def _load_action(path: str | None, group_name: str) -> groups.LabelAction:
 def _load_povm(path: str, tol: float) -> povm.Bb84Povm:
     """A measurement-set file, sized by its declared dimensions before its entries are decoded."""
     blob = _load_json(path)
-    for obj in (blob, *(blob["elements"][key] for key in povm.LABELS)):
+    elements = linalg.json_field(blob, "elements")
+    for obj in (blob, *(linalg.json_field(elements, key) for key in povm.LABELS)):
         _require_dim(linalg.json_int(obj, "dim"), path)
     p = povm.povm_from_json(blob)
     if not povm.validate(p, tol).passed:
@@ -178,7 +179,7 @@ def _load_squash(path: str, in_dim: int) -> builder.SquashMap:
             verdict = blob.get("verdict")
             raise SquashkitError(f"{path} holds no squash map (finder verdict {verdict})")
         blob = blob["squash"]
-    kraus = blob["kraus"]
+    kraus = linalg.json_field(blob, "kraus")
     if linalg.json_int(blob, "in_dim") != in_dim:
         raise SquashkitError(f"map dim {blob['in_dim']} vs POVM dim {in_dim}")
     for op in kraus:

@@ -154,12 +154,11 @@ def find_squash(p: povm.Bb84Povm, tol: float = linalg.LOOSE_TOL) -> FeasibilityR
             low = np.linalg.cholesky(q - s)
         except np.linalg.LinAlgError:
             break
-        # with W = L L+, each update is a product of L^-1 E and L^-1 E+
-        l_both = np.linalg.solve(low, np.hstack([e, linalg.dagger(e)]))
-        l_e, l_ed = l_both[:, :p.dim], l_both[:, p.dim:]
-        step = linalg.dagger(l_e) @ l_e  # E+ W^-1 E
-        s = s + linalg.dagger(l_ed) @ l_ed
-        e = linalg.dagger(l_ed) @ l_e
+        # with W = L L+ and B = L^-1 [E, E+], the Gram matrix B+ B holds every update:
+        # [[E+ W^-1 E (the step), E+ W^-1 E+], [E W^-1 E (the new E), E W^-1 E+ (added to P)]]
+        l_both = np.linalg.solve(low, np.concatenate([e, linalg.dagger(e)], axis=1))
+        gram = linalg.dagger(l_both) @ l_both
+        step, e, s = gram[:p.dim, :p.dim], gram[p.dim:, :p.dim], s + gram[p.dim:, p.dim:]
         q = q - step
         steps += 1
         stationary = linalg.frob(step) <= STATIONARY_STEP * linalg.frob(q)

@@ -73,7 +73,7 @@ def state_nrb(sector: FockSector, r: str, b: int) -> np.ndarray:
     modes = [[(-1.0) ** (b * k) * sqrt(comb(n, k) / 2**n) for k in range(n + 1)]
              for n in sector.photons]
     v[:] = np.ravel(reduce(np.multiply.outer, modes))
-    return v / np.linalg.norm(v)
+    return v / linalg.frob(v)
 
 
 class DetectorModel(linalg.Checked, NamedTuple("DetectorModel", [

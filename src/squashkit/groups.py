@@ -43,8 +43,11 @@ def _integer_array(values, what: str) -> np.ndarray:
         arr = np.array(values)
     except ValueError as exc:  # ragged rows
         raise SquashkitError(f"{what} must be rows of equal length") from exc
-    if arr.dtype == object:  # holds a Python int beyond 64 bits: the cast raises "too large"
-        arr = arr.astype(int)
+    if arr.dtype == object:  # None, or a Python int beyond 64 bits: the cast raises "too large"
+        try:
+            arr = arr.astype(int)
+        except (TypeError, ValueError) as exc:
+            raise SquashkitError(f"{what} must be integers") from exc
     if arr.dtype.kind not in "iu":
         raise SquashkitError(f"{what} must be integers, got {arr.dtype}")
     arr.flags.writeable = False
@@ -166,17 +169,16 @@ def check_definition1(
     u = sym.u
     if u.shape[0] != p.dim:
         raise SquashkitError(f"unitary dim {u.shape[0]} vs POVM dim {p.dim}")
-    u2 = u @ u
-    residuals = {}
-    for b in (0, 1):
-        res = linalg.frob(u @ p.element("z", b) @ linalg.dagger(u) - p.element("x", b))
-        residuals[f"U.z{b}->x{b}"] = res
-    for r in ("z", "x"):
-        for b in (0, 1):
-            res = linalg.frob(
-                u2 @ p.element(r, b) @ linalg.dagger(u2) - p.element(r, 1 - b)
-            )
-            residuals[f"U2.{r}{b}->{r}{1 - b}"] = res
+    # stack[c] is L_c, in the order z0, x0, z1, x1: U takes it to L_(c+1), U^2 to L_(c+2)
+    stack = np.stack([p.l_element(c) for c in range(4)])
+    once = u @ stack @ linalg.dagger(u)
+    twice = u @ once @ linalg.dagger(u)
+    names = povm.LABELS
+    residuals = {
+        f"U.{names[c]}->{names[c + 1]}": linalg.frob(once[c] - stack[c + 1]) for c in (0, 2)
+    }
+    for c in (0, 2, 1, 3):  # index c - 2 is c + 2 mod 4
+        residuals[f"U2.{names[c]}->{names[c - 2]}"] = linalg.frob(twice[c] - stack[c - 2])
     worst = max(residuals.values())
     return SymmetryReport(
         residuals=residuals, max_residual=worst, tol=tol, passed=worst <= tol
@@ -218,7 +220,7 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 def group_from_json(obj: dict) -> FiniteGroup:
     order, identity = linalg.json_int(obj, "order"), linalg.json_int(obj, "identity")
-    return FiniteGroup(order, obj["cayley"], identity)
+    return FiniteGroup(order, linalg.json_field(obj, "cayley"), identity)
 
 
 def action_from_json(obj: dict) -> LabelAction:
@@ -226,5 +228,8 @@ def action_from_json(obj: dict) -> LabelAction:
     if list(labels) != list(povm.LABELS):
         raise SquashkitError(f"labels must be {list(povm.LABELS)}")
     index = {name: c for c, name in enumerate(povm.LABELS)}
-    perms = [[index[name] for name in row] for row in obj["perms"]]
-    return make_action(perms)
+    rows = linalg.json_field(obj, "perms")
+    unknown = [name for row in rows for name in row if name not in index]
+    if unknown:
+        raise SquashkitError(f"unknown label {unknown[0]!r}")
+    return make_action([[index[name] for name in row] for row in rows])

@@ -91,13 +91,13 @@ class ValidationReport(NamedTuple):
 
 def validate(p: Bb84Povm, tol: float = linalg.TOL) -> ValidationReport:
     """Check positivity of every element and per-basis completeness."""
-    margins = {}
-    for key in LABELS:
-        m = p.elements[key]
-        hermitian = linalg.is_hermitian(m)
-        margins[key] = np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)[0] if hermitian else -np.inf
+    stack = np.stack([p.elements[key] for key in LABELS])  # basis r's pair sits at c and c + 2
+    lowest = np.linalg.eigvalsh((stack + stack.conj().swapaxes(1, 2)) / 2)[:, 0]
+    margins = {
+        key: lowest[c] if linalg.is_hermitian(stack[c]) else -np.inf for c, key in enumerate(LABELS)
+    }
     eye = np.eye(p.dim, dtype=complex)
-    residuals = {r: linalg.frob(p.element(r, 0) + p.element(r, 1) - eye) for r in ("z", "x")}
+    residuals = {r: linalg.frob(stack[c] + stack[c + 2] - eye) for c, r in enumerate("zx")}
     ok = min(margins.values()) >= -tol and max(residuals.values()) <= tol
     return ValidationReport(
         psd_margins=margins, completeness_residuals=residuals, tol=tol, passed=ok
@@ -112,5 +112,6 @@ def povm_to_json(p: Bb84Povm) -> dict:
 
 
 def povm_from_json(obj: dict) -> Bb84Povm:
-    elements = {key: linalg.matrix_from_json(obj["elements"][key]) for key in LABELS}
+    blobs = linalg.json_field(obj, "elements")
+    elements = {key: linalg.matrix_from_json(linalg.json_field(blobs, key)) for key in LABELS}
     return Bb84Povm(linalg.json_int(obj, "dim"), elements)

@@ -191,3 +191,32 @@ def affine_residual(j: np.ndarray, p) -> float:
     """Distance of a Choi matrix from the constraint set of a measurement set."""
     m_z, m_x = p.difference("z"), p.difference("x")
     return linalg.frob(einsum_project_affine(j, m_z, m_x) - j)
+
+
+def validate_oracle(p, tol: float = linalg.TOL) -> povm.ValidationReport:
+    """povm.validate one element at a time: a Hermitian test and an eigvalsh per element."""
+    margins = {}
+    for key in povm.LABELS:
+        m = p.elements[key]
+        hermitian = linalg.is_hermitian(m)
+        margins[key] = np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)[0] if hermitian else -np.inf
+    eye = np.eye(p.dim, dtype=complex)
+    residuals = {r: linalg.frob(p.element(r, 0) + p.element(r, 1) - eye) for r in ("z", "x")}
+    ok = min(margins.values()) >= -tol and max(residuals.values()) <= tol
+    return povm.ValidationReport(
+        psd_margins=margins, completeness_residuals=residuals, tol=tol, passed=ok
+    )
+
+
+def definition1_oracle(u: np.ndarray, p) -> dict:
+    """Definition 1's residuals one relation at a time, conjugating by U and by U^2 = U U."""
+    u2 = u @ u
+    residuals = {}
+    for b in (0, 1):
+        res = linalg.frob(u @ p.element("z", b) @ linalg.dagger(u) - p.element("x", b))
+        residuals[f"U.z{b}->x{b}"] = res
+    for r in ("z", "x"):
+        for b in (0, 1):
+            res = linalg.frob(u2 @ p.element(r, b) @ linalg.dagger(u2) - p.element(r, 1 - b))
+            residuals[f"U2.{r}{b}->{r}{1 - b}"] = res
+    return residuals

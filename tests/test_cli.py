@@ -807,6 +807,50 @@ def test_a_file_that_disagrees_with_itself_is_refused(
     assert not out.exists()
 
 
+#: Marks a field that a case deletes instead of setting.
+DROP = object()
+
+
+@pytest.mark.parametrize("kind, path, value, message", [
+    ("group", ("order",), DROP, "missing field 'order'"),
+    ("group", ("cayley",), DROP, "missing field 'cayley'"),
+    ("group", ("cayley", 0, 1), None, "Cayley entries must be integers"),
+    ("povm", ("elements",), DROP, "missing field 'elements'"),
+    ("povm", ("elements", "x1"), DROP, "missing field 'x1'"),
+    ("povm", ("elements", "z1", "entries"), DROP, "missing field 'entries'"),
+    ("action", ("perms",), DROP, "missing field 'perms'"),
+    ("action", ("perms", 1, 2), "z2", "unknown label 'z2'"),
+    ("squash", ("kraus",), DROP, "missing field 'kraus'"),
+    ("squash", ("kraus", 0, "cols"), DROP, "missing field 'cols'"),
+], ids=["order", "cayley", "cayley-null", "elements", "x1", "entries", "perms", "label-z2",
+        "kraus", "cols"])
+def test_a_missing_field_or_entry_is_named(
+    kind, path, value, message, ideal_file, ideal_c2_squash_file, tmp_path, capsys
+):
+    blobs = {
+        "group": groups.group_to_json(groups.cyclic_group(2)),
+        "action": {"labels": ["z0", "x0", "z1", "x1"], "perms": [list(r) for r in SWAP_PERMS]},
+        "povm": read(ideal_file),
+        "squash": read(ideal_c2_squash_file),
+    }
+    *parents, last = path
+    target = blobs[kind]
+    for key in parents:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    argv = ["nogo", "pullback"]
+    for name, blob in blobs.items():  # as they are, these four files pull back with exit 0
+        (tmp_path / f"{name}.json").write_text(json.dumps(blob))
+        argv += [f"--{name}", tmp_path / f"{name}.json"]
+    out = tmp_path / "out.json"
+    assert run(tmp_path, *argv, "--out", out) == 2
+    assert capsys.readouterr().err == f"squashkit: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["povm", "unitary", "squash"])
 def test_boolean_matrix_entries_are_refused(
     kind, ideal_file, qubit_unitary_file, ideal_c2_squash_file, tmp_path, capsys

@@ -6,6 +6,8 @@ import pytest
 from squashkit import builder, fock, groups, linalg, povm
 from squashkit.errors import SquashkitError
 
+from helpers import definition1_oracle
+
 
 def test_cyclic_group_structure():
     g = groups.cyclic_group(4)
@@ -49,6 +51,16 @@ def test_group_and_action_entries_must_be_integers(table, perms):
         groups.make_group(table)
     with pytest.raises(SquashkitError, match="^label images must be integers, got"):
         groups.make_action(perms)
+
+
+def test_null_entries_are_refused():
+    # a JSON null makes an object array, which int() cannot cast
+    with pytest.raises(SquashkitError, match="^Cayley entries must be integers$"):
+        groups.make_group([[0, None], [1, 0]])
+    with pytest.raises(SquashkitError, match="^label images must be integers$"):
+        groups.make_action([[0, 1, 2, 3], [1, 0, 3, None]])
+    with pytest.raises(OverflowError, match="too large"):  # a Python int beyond 64 bits
+        groups.make_group([[0, 1], [1, 2**64]])
 
 
 def test_ragged_tables_are_refused():
@@ -201,6 +213,19 @@ def test_definition1_residuals_ignore_global_phase():
             assert abs(before.residuals[key] - after.residuals[key]) <= 1e-12
 
 
+@pytest.mark.parametrize("photons", [s.photons for s in fock.enumerate_sectors(3)])
+def test_definition1_equals_the_per_relation_reference(photons):
+    model = fock.build_detector(fock.fock_sector(photons))
+    u = model.symmetry.u
+    for candidate, passes in ((u, True), (np.exp(0.3j) * u, True), (linalg.dagger(u), False)):
+        report = groups.check_definition1(groups.C4Symmetry(u=candidate), model.povm)
+        reference = definition1_oracle(candidate, model.povm)
+        assert list(report.residuals) == list(reference)
+        assert report.passed == passes == (max(reference.values()) <= linalg.TOL)
+        for key, value in reference.items():
+            assert abs(report.residuals[key] - value) <= 1e-14, key
+
+
 def _eigencomponents(v, u, tol=np.inf):
     """The four parts mu_c v_c that mu_decompose splits v into; ``tol`` gates <v, U^2 v>."""
     dec = builder.mu_decompose(np.asarray(v, dtype=complex), groups.C4Symmetry(u=u), tol=tol)
@@ -301,6 +326,17 @@ def test_group_json_round_trip():
     g = groups.symmetric_group_s3()
     back = groups.group_from_json(groups.group_to_json(g))
     assert np.array_equal(back.cayley, g.cayley)
+
+
+def test_json_readers_name_what_is_missing_or_unknown():
+    group = groups.group_to_json(groups.cyclic_group(2))
+    for key in ("order", "cayley", "identity"):
+        with pytest.raises(SquashkitError, match=f"^missing field '{key}'$"):
+            groups.group_from_json({k: v for k, v in group.items() if k != key})
+    with pytest.raises(SquashkitError, match="^missing field 'perms'$"):
+        groups.action_from_json({"labels": list(povm.LABELS)})
+    with pytest.raises(SquashkitError, match="^unknown label 'z2'$"):
+        groups.action_from_json({"perms": [["z0", "x0", "z2", "x1"]]})
 
 
 def test_action_from_json():

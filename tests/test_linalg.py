@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from squashkit import linalg
 from squashkit.errors import SquashkitError
@@ -73,6 +74,56 @@ def test_unitary_from_generator_eighth_root():
     assert linalg.frob(linalg.dagger(u) @ u - np.eye(2)) <= 1e-10
 
 
+#: Finite entries of each dtype frob is checked on: real, complex and integer.
+_ENTRIES = {
+    np.float64: st.floats(allow_nan=False, allow_infinity=False),
+    np.float32: st.floats(allow_nan=False, allow_infinity=False, width=32),
+    np.complex128: st.complex_numbers(allow_nan=False, allow_infinity=False),
+    np.int64: st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    np.int8: st.integers(min_value=-128, max_value=127),
+    np.bool_: st.booleans(),
+}
+
+#: The memory layouts frob must see through: np.linalg.norm ravels in memory order.
+_LAYOUTS = {
+    "C": lambda a: a,
+    "F": np.asfortranarray,
+    "transposed": lambda a: a.T,
+    "strided": lambda a: a[..., ::2] if a.ndim else a,
+    "reversed": lambda a: a[::-1] if a.ndim else a,
+}
+
+
+@st.composite
+def _norm_inputs(draw):
+    dtype = draw(st.sampled_from(sorted(_ENTRIES, key=str)))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=7))
+    a = draw(hnp.arrays(dtype, shape, elements=_ENTRIES[dtype]))
+    return _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))](a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_norm_inputs())
+def test_frob_equals_numpy_norm_bit_for_bit(a):
+    with np.errstate(over="ignore"):  # squares beyond the float range are inf on both sides
+        value, reference = linalg.frob(a), float(np.linalg.norm(a))
+    assert type(value) is float
+    assert value == reference
+
+
+def test_frob_equals_numpy_norm_on_gaussian_entries_in_every_layout():
+    # summing in any order but memory order changes the last bit about a third of the time
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        real, imag = rng.standard_normal((2, 7, 7))
+        for a in (real, real + 1j * imag, rng.integers(-99, 99, (7, 7))):
+            for layout in _LAYOUTS.values():
+                assert linalg.frob(layout(a)) == float(np.linalg.norm(layout(a)))
+    for a in (np.zeros((0, 3)), np.zeros(0, dtype=complex), np.zeros((2, 0), dtype=int)):
+        assert linalg.frob(a) == 0.0 == float(np.linalg.norm(a))
+    assert linalg.frob([[3, 4j]]) == 5.0
+
+
 def test_kron_identities():
     assert np.allclose(linalg.kron(np.eye(2), np.eye(3)), np.eye(6))
     assert np.allclose(
@@ -131,6 +182,20 @@ def test_json_entries_match_the_elementwise_encoding():
 def test_ragged_rows_are_not_a_matrix():
     with pytest.raises(SquashkitError, match="^expected a square matrix of numbers in rows of equal"):
         linalg.as_matrix([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("obj, key", [({"entries": []}, "dim"), ({"dim": 1}, "entries")])
+def test_matrix_json_names_a_missing_field(obj, key):
+    with pytest.raises(SquashkitError, match=f"^missing field '{key}'$"):
+        linalg.matrix_from_json(obj)
+
+
+def test_a_matrix_in_any_memory_layout_is_a_matrix():
+    a = np.arange(9.0).reshape(3, 3) + 1j
+    for view in (a.T, linalg.dagger(a), np.asfortranarray(a), a[::-1, ::-1]):
+        assert np.array_equal(linalg.as_matrix(view), view)
+    with pytest.raises(SquashkitError, match="^matrix entries must be finite$"):
+        linalg.as_matrix(np.array([[1.0, complex(0.0, np.inf)], [0.0, 1.0]]).T)
 
 
 def test_matrix_json_length_check():

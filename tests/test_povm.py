@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from squashkit import fock, linalg, povm
+from squashkit.errors import SquashkitError
 
-from helpers import configurations, random_density_matrix
+from helpers import configurations, random_density_matrix, validate_oracle
 
 
 def uniform_povm(dim=2):
@@ -38,6 +39,36 @@ def test_negative_element_fails():
     report = povm.validate(p)
     assert not report.passed
     assert report.psd_margins["z1"] < -1e-9
+
+
+def _validation_cases():
+    eye = np.eye(2, dtype=complex)
+    skew = np.array([[0.0, 0.3], [0.0, 0.0]], dtype=complex)
+    rng = np.random.default_rng(23)
+    rho = random_density_matrix(5, rng)
+    return {
+        "ideal": povm.ideal_qubit_povm(),
+        "detector-2-1": fock.build_detector(fock.fock_sector((2, 1))).povm,
+        "random-d5": povm.make_povm({"z0": rho, "z1": np.eye(5) - rho, "x0": np.eye(5) / 2,
+                                     "x1": np.eye(5) / 2}),
+        "non-hermitian": povm.make_povm(
+            {"z0": eye / 2 + skew, "z1": eye / 2 - skew, "x0": eye / 2, "x1": eye / 2}
+        ),
+        "negative": povm.make_povm({"z0": eye + 0.5 * linalg.PAULI_Z, "z1": -0.5 * linalg.PAULI_Z,
+                                    "x0": eye / 2, "x1": eye / 2}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_validation_cases()))
+def test_stacked_validation_equals_the_per_element_reference(name):
+    p = _validation_cases()[name]
+    for tol in (linalg.TOL, 0.6):
+        report = povm.validate(p, tol)
+        assert report == validate_oracle(p, tol)
+        assert list(report.psd_margins) == list(povm.LABELS)
+    margins = povm.validate(p).psd_margins
+    assert (margins["z0"] == -np.inf) == (name == "non-hermitian")
+    assert povm.validate(p).passed == (name in ("ideal", "detector-2-1", "random-d5"))
 
 
 def test_two_photon_detector_set_validates():
@@ -117,6 +148,14 @@ def test_povm_json_round_trip():
     assert back.dim == p.dim
     for key in povm.LABELS:
         assert np.array_equal(back.elements[key], p.elements[key])
+
+
+@pytest.mark.parametrize("drop", ["elements", "x1"])
+def test_json_reader_names_a_missing_field(drop):
+    obj = povm.povm_to_json(povm.ideal_qubit_povm())
+    del (obj if drop == "elements" else obj["elements"])[drop]
+    with pytest.raises(SquashkitError, match=f"^missing field '{drop}'$"):
+        povm.povm_from_json(obj)
 
 
 def test_measurement_set_is_immutable():

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from . import builder, finder, fock, groups, linalg, nogo, povm
+from . import builder, finder, fock, groups, linalg, nogo, povm, squashmap
 from .errors import ConstructionError, SquashkitError, TildeNotVerified
 
 EXIT_OK = 0
@@ -171,7 +171,7 @@ def _load_unitary(path: str, dim: int) -> groups.C4Symmetry:
     return groups.C4Symmetry(u=linalg.matrix_from_json(blob))
 
 
-def _load_squash(path: str, in_dim: int) -> builder.SquashMap:
+def _load_squash(path: str, in_dim: int) -> squashmap.SquashMap:
     """A squash file, or a finder report wrapping one, sized before its entries are decoded."""
     blob = _load_json(path)
     if isinstance(blob, dict) and "kraus" not in blob and "squash" in blob:
@@ -186,7 +186,7 @@ def _load_squash(path: str, in_dim: int) -> builder.SquashMap:
         shape = (linalg.json_int(op, "rows"), linalg.json_int(op, "cols"))
         if shape != (2, in_dim):
             raise SquashkitError(f"Kraus operator shape {shape} vs expected (2, {in_dim})")
-    return builder.squash_from_json(blob)
+    return squashmap.squash_from_json(blob)
 
 
 def cmd_detector(args) -> int:
@@ -233,7 +233,7 @@ def cmd_squash(args) -> int:
         if sym is None:
             raise SquashkitError("construct needs --sector, or --povm with --unitary")
         squash = builder.construct_theorem1(p, sym, tol)
-        _write_json(builder.squash_to_json(squash), args.out)
+        _write_json(squashmap.squash_to_json(squash), args.out)
         return EXIT_OK
     report = finder.find_squash(p, tol=tol)
     _write_json(finder.report_to_json(report), args.out)
@@ -263,7 +263,7 @@ def cmd_nogo(args) -> int:
         return EXIT_OK
     f_tilde = _load_squash(args.squash, symmetrized.tilde.dim)
     pulled = nogo.pullback_squash(symmetrized, f_tilde, tol)
-    _write_json(builder.squash_to_json(pulled), args.out)
+    _write_json(squashmap.squash_to_json(pulled), args.out)
     return EXIT_OK
 
 

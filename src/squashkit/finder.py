@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, povm
-from .builder import SquashMap, squash_to_json, trace_defect, verify_squash
 from .errors import SelfCheckFailed, SquashkitError
+from .squashmap import SquashMap, squash_to_json, trace_defect, verify_squash
 
 #: Witness levels sit this far above the best value, relative; closer values are ties.
 LEVEL_STEP = 1e-14

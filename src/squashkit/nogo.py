@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import groups, linalg, povm
-from .builder import SquashMap, verify_squash
 from .errors import SelfCheckFailed, SquashkitError, TildeNotVerified
+from .squashmap import SquashMap, verify_squash
 
 
 def _kron_index(i, g, order: int):

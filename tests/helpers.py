@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 
+import squashkit
 from squashkit import fock, linalg, povm
 
 
@@ -220,3 +225,13 @@ def definition1_oracle(u: np.ndarray, p) -> dict:
             res = linalg.frob(u2 @ p.element(r, b) @ linalg.dagger(u2) - p.element(r, 1 - b))
             residuals[f"U2.{r}{b}->{r}{1 - b}"] = res
     return residuals
+
+
+def fresh_python(probe: str) -> str:
+    """Standard output of ``python -c probe`` in a new interpreter that imports this squashkit."""
+    path = [str(Path(squashkit.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout

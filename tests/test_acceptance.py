@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from squashkit import builder, finder, fock, groups, linalg, nogo
+from squashkit import builder, finder, fock, groups, linalg, nogo, squashmap
 
 from helpers import acceptance_sectors, affine_residual, column_stacked_choi, random_hermitian
 from test_nogo import blockwise_tilde_squash
@@ -25,7 +25,7 @@ def test_criterion_1_constructive_sweep():
     for sector in acceptance_sectors():
         model = fock.build_detector(sector)
         squash = builder.construct_theorem1(model.povm, model.symmetry)
-        verdict = builder.verify_squash(squash, model.povm, tol=1e-9)
+        verdict = squashmap.verify_squash(squash, model.povm, tol=1e-9)
         worst = max(worst, verdict.residual_z, verdict.residual_x, verdict.residual_tp)
     elapsed = time.monotonic() - started
     report(
@@ -116,7 +116,7 @@ def test_criterion_5_cross_validation():
     for photons in ((1,), (2,)):
         model = fock.build_detector(fock.fock_sector(photons))
         found = finder.find_squash(model.povm)
-        verdict = builder.verify_squash(found.squash, model.povm, tol=1e-6)
+        verdict = squashmap.verify_squash(found.squash, model.povm, tol=1e-6)
         details.append(f"n={sum(photons)}: {found.verdict} in {found.iterations} steps")
         ok = ok and found.verdict == "FEASIBLE" and verdict.passed
     worst_affine = 0.0
@@ -142,7 +142,7 @@ def test_criterion_6_symmetrization_reduction():
     base_squash = builder.construct_theorem1(model.povm, model.symmetry)
     tilde_squash = blockwise_tilde_squash(s, base_squash)
     pulled = nogo.pullback_squash(s, tilde_squash, tol=1e-8)
-    pulled_report = builder.verify_squash(pulled, model.povm, tol=1e-8)
+    pulled_report = squashmap.verify_squash(pulled, model.povm, tol=1e-8)
     ok = (
         sym_report.passed
         and embedding <= 1e-10

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squashkit import builder, finder, fock, groups, linalg, povm
+from squashkit import builder, finder, fock, groups, linalg, povm, squashmap
 from squashkit.errors import ConstructionError, SquashkitError
 from squashkit.nogo import counterexample_m0
 
@@ -131,7 +131,7 @@ def test_core_empty_when_weights_alternate():
     # reproduce a nonzero observable pair
     squash = builder.complete_trace_preserving(core, 4)
     target = fock.build_detector(fock.fock_sector((3,))).povm
-    assert not builder.verify_squash(squash, target).passed
+    assert not squashmap.verify_squash(squash, target).passed
 
 
 def test_completion_leaves_complete_core_alone():
@@ -158,7 +158,7 @@ def test_completion_does_not_move_observables():
     lam, v = builder.extract_rank2(model.povm.difference("z"), sym)
     core = builder.kraus_core(builder.mu_decompose(v, sym, lam))
     completed = builder.complete_trace_preserving(core, 3)
-    core_kraus = builder.Y_FRAME @ np.stack(core, axis=1)  # |0_y> g0_k + |1_y> g1_k
+    core_kraus = squashmap.Y_FRAME @ np.stack(core, axis=1)  # |0_y> g0_k + |1_y> g1_k
     for sigma in (linalg.PAULI_Z, linalg.PAULI_X):
         before = sum(linalg.dagger(f) @ sigma @ f for f in core_kraus)
         after = kraus_adjoint(completed, sigma)
@@ -168,14 +168,14 @@ def test_completion_does_not_move_observables():
 def test_construct_two_photon():
     model, _ = detector_with_symmetry((2,))
     squash = builder.construct_theorem1(model.povm, model.symmetry)
-    report = builder.verify_squash(squash, model.povm)
+    report = squashmap.verify_squash(squash, model.povm)
     assert report.passed and report.max_residual <= 1e-9
 
 
 def test_construct_multi_mode():
     model, _ = detector_with_symmetry((2, 1))
     squash = builder.construct_theorem1(model.povm, model.symmetry)
-    assert builder.verify_squash(squash, model.povm).passed
+    assert squashmap.verify_squash(squash, model.povm).passed
 
 
 def test_construct_when_u4_is_not_scalar():
@@ -183,7 +183,7 @@ def test_construct_when_u4_is_not_scalar():
     u4 = np.linalg.matrix_power(u, 4)
     assert linalg.frob(u4 - u4[0, 0] * np.eye(3)) > 1.0  # -1 on the qubit, e^{1.2i} beside it
     squash = builder.construct_theorem1(p, groups.C4Symmetry(u=u))
-    assert builder.verify_squash(squash, p).max_residual <= 1e-12
+    assert squashmap.verify_squash(squash, p).max_residual <= 1e-12
 
 
 #: Odd photon numbers, where U_N^4 = -1 and the phase read off U^4 v sits at eta = -1.
@@ -231,13 +231,13 @@ def test_sector_construction_validates_the_set_once_per_stage(monkeypatch):
 
 
 def test_verify_identity_map_against_ideal():
-    squash = builder.squash_from_kraus(2, (np.eye(2, dtype=complex),))
-    assert builder.verify_squash(squash, povm.ideal_qubit_povm()).passed
+    squash = squashmap.squash_from_kraus(2, (np.eye(2, dtype=complex),))
+    assert squashmap.verify_squash(squash, povm.ideal_qubit_povm()).passed
 
 
 def test_verify_identity_map_against_m0():
-    squash = builder.squash_from_kraus(2, (np.eye(2, dtype=complex),))
-    report = builder.verify_squash(squash, counterexample_m0())
+    squash = squashmap.squash_from_kraus(2, (np.eye(2, dtype=complex),))
+    report = squashmap.verify_squash(squash, counterexample_m0())
     assert not report.passed
     assert report.residual_x == pytest.approx(
         linalg.frob(linalg.PAULI_X - linalg.PAULI_Z), abs=1e-12
@@ -248,7 +248,7 @@ def test_verify_across_small_sectors():
     for sector in fock.enumerate_sectors(4, max_modes=2):
         model = fock.build_detector(sector)
         squash = builder.construct_theorem1(model.povm, model.symmetry)
-        assert builder.verify_squash(squash, model.povm).passed
+        assert squashmap.verify_squash(squash, model.povm).passed
 
 
 def test_core_reproduces_combined_observables():
@@ -286,7 +286,7 @@ def test_gauge_phase_invariance():
     for phi in rng.uniform(0, 2 * np.pi, size=10):
         dec = builder.mu_decompose(np.exp(1j * phi) * v, sym, lam)
         squash = builder.complete_trace_preserving(builder.kraus_core(dec), 3)
-        report = builder.verify_squash(squash, model.povm)
+        report = squashmap.verify_squash(squash, model.povm)
         residuals = (report.residual_z, report.residual_x, report.residual_tp)
         if reference is None:
             reference = residuals
@@ -295,26 +295,26 @@ def test_gauge_phase_invariance():
 
 def test_squash_map_validation():
     with pytest.raises(SquashkitError, match="^need at least one Kraus operator$"):
-        builder.squash_from_kraus(2, ())
+        squashmap.squash_from_kraus(2, ())
     with pytest.raises(SquashkitError, match="^Kraus operators do not sum to the identity$"):
-        builder.squash_from_kraus(2, (np.eye(2, dtype=complex) * 0.5,))
+        squashmap.squash_from_kraus(2, (np.eye(2, dtype=complex) * 0.5,))
     with pytest.raises(SquashkitError, match=r"shape \(2, 2\) vs expected \(2, 3\)"):
-        builder.squash_from_kraus(3, (np.eye(2, dtype=complex),))
+        squashmap.squash_from_kraus(3, (np.eye(2, dtype=complex),))
     with pytest.raises(SquashkitError, match=r"\(2, 2\) and \(1, 2\) are not one \(K, d\) pair"):
-        builder.SquashMap(g0=np.eye(2), g1=np.zeros((1, 2)))
+        squashmap.SquashMap(g0=np.eye(2), g1=np.zeros((1, 2)))
     # a NaN row has a NaN trace defect, which no comparison with the tolerance admits
     with pytest.raises(SquashkitError, match="do not sum to the identity"):
-        builder.SquashMap(g0=[[np.nan, 0.0], [0.0, 1.0]], g1=np.zeros((2, 2)))
-    blob = builder.squash_to_json(builder.squash_from_kraus(2, (np.eye(2, dtype=complex),)))
+        squashmap.SquashMap(g0=[[np.nan, 0.0], [0.0, 1.0]], g1=np.zeros((2, 2)))
+    blob = squashmap.squash_to_json(squashmap.squash_from_kraus(2, (np.eye(2, dtype=complex),)))
     blob["kraus"][0]["entries"][0] = [float("nan"), 0.0]
     with pytest.raises(SquashkitError, match="do not sum to the identity"):
-        builder.squash_from_json(json.loads(json.dumps(blob)))
+        squashmap.squash_from_json(json.loads(json.dumps(blob)))
 
 
 def test_squash_json_round_trip():
     model, _ = detector_with_symmetry((2,))
     squash = builder.construct_theorem1(model.povm, model.symmetry)
-    back = builder.squash_from_json(builder.squash_to_json(squash))
+    back = squashmap.squash_from_json(squashmap.squash_to_json(squash))
     assert back.in_dim == squash.in_dim
     # the file holds z-frame Kraus operators, so the round trip rounds through the frame change
     assert np.allclose(back.kraus, squash.kraus, rtol=0.0, atol=1e-15)
@@ -324,24 +324,24 @@ def test_squash_json_round_trip():
 
 def test_squash_map_holds_one_row_pair():
     rows = [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])]
-    squash = builder.SquashMap(g0=rows[0], g1=rows[1])
+    squash = squashmap.SquashMap(g0=rows[0], g1=rows[1])
     assert squash.g0.shape == squash.g1.shape == (2, 2) and squash.g0.dtype == complex
     assert squash.in_dim == 2 and squash.kraus.shape == (2, 2, 2)
     assert np.array_equal(squash.g0, rows[0]) and np.array_equal(squash.g1, rows[1])
     rows[0][0, 0] = 5.0  # the map holds a copy
     assert squash.g0[0, 0] == 1.0
-    again = builder.SquashMap(g0=squash.g0, g1=squash.g1)
+    again = squashmap.SquashMap(g0=squash.g0, g1=squash.g1)
     assert np.array_equal(again.kraus, squash.kraus)
 
 
 def test_squash_map_kraus_is_read_only():
-    squash = builder.squash_from_kraus(2, [np.eye(2)])
+    squash = squashmap.squash_from_kraus(2, [np.eye(2)])
     for rows in (squash.g0, squash.g1, squash.kraus):
         with pytest.raises(ValueError):
             rows[0] *= 2  # would break trace preservation after the check
-    assert builder.verify_squash(squash, povm.ideal_qubit_povm()).passed
+    assert squashmap.verify_squash(squash, povm.ideal_qubit_povm()).passed
     # a map built from another map's rows holds its own read-only copies
-    again = builder.SquashMap(g0=squash.g0, g1=squash.g1)
+    again = squashmap.SquashMap(g0=squash.g0, g1=squash.g1)
     assert not again.g0.flags.writeable and again.g0 is not squash.g0
 
 
@@ -353,16 +353,16 @@ def test_pickled_squash_map_stays_read_only():
         with pytest.raises(ValueError):
             rows[0] *= 2
     assert np.array_equal(back.g0, squash.g0) and np.array_equal(back.g1, squash.g1)
-    assert builder.verify_squash(back, model.povm).passed
+    assert squashmap.verify_squash(back, model.povm).passed
 
 
 def test_squash_map_validation_messages():
     with pytest.raises(SquashkitError, match="need at least one Kraus operator"):
-        builder.squash_from_kraus(2, np.zeros((0, 2, 2)))
+        squashmap.squash_from_kraus(2, np.zeros((0, 2, 2)))
     with pytest.raises(SquashkitError, match=r"shape \(2, 2\) vs expected \(2, 3\)"):
-        builder.squash_from_kraus(3, [np.eye(2)])
+        squashmap.squash_from_kraus(3, [np.eye(2)])
     with pytest.raises(SquashkitError, match="do not sum to the identity"):
-        builder.squash_from_kraus(2, [np.eye(2), np.eye(2)])
+        squashmap.squash_from_kraus(2, [np.eye(2), np.eye(2)])
 
 
 def _loop_verify(f, p, tol=1e-9, samples=20, seed=1812):
@@ -386,7 +386,7 @@ def _loop_verify(f, p, tol=1e-9, samples=20, seed=1812):
 
 
 def _assert_matches_loop(f, p, tol=1e-9):
-    report = builder.verify_squash(f, p, tol)
+    report = squashmap.verify_squash(f, p, tol)
     fields, passed, worst = _loop_verify(f, p, tol)
     batched = (report.residual_z, report.residual_x, report.residual_tp)
     assert np.allclose(batched, fields, rtol=0.0, atol=1e-12), (batched, fields)
@@ -399,7 +399,7 @@ def _assert_matches_loop(f, p, tol=1e-9):
 def random_squash(d, k, rng):
     """K = k Kraus operators cut from a random (2k x d) isometry; needs 2k >= d."""
     x = rng.standard_normal((2 * k, d)) + 1j * rng.standard_normal((2 * k, d))
-    return builder.squash_from_kraus(d, np.linalg.qr(x)[0].reshape(k, 2, d))
+    return squashmap.squash_from_kraus(d, np.linalg.qr(x)[0].reshape(k, 2, d))
 
 
 def induced_set(f):
@@ -433,7 +433,7 @@ def test_batched_verify_and_channel_match_loop_on_random_maps(d):
     other = fock.build_detector(fock.fock_sector((d - 1,))).povm
     assert not _assert_matches_loop(squash, other).passed
     rho = random_density_matrix(d, rng)
-    ket_0y, ket_1y = builder.Y_FRAME.T
+    ket_0y, ket_1y = squashmap.Y_FRAME.T
     for k, f in enumerate(squash.kraus):  # F_k = |0_y> g0_k + |1_y> g1_k
         looped = np.outer(ket_0y, squash.g0[k]) + np.outer(ket_1y, squash.g1[k])
         assert np.allclose(f, looped, rtol=0.0, atol=1e-15)
@@ -441,7 +441,7 @@ def test_batched_verify_and_channel_match_loop_on_random_maps(d):
     # sigma_y back to G0+ G0 - G1+ G1
     pair = (squash.g0, squash.g1)
     expected = [[np.trace(rho @ linalg.dagger(g_b) @ g_a) for g_b in pair] for g_a in pair]
-    out = linalg.dagger(builder.Y_FRAME) @ kraus_apply(squash, rho) @ builder.Y_FRAME
+    out = linalg.dagger(squashmap.Y_FRAME) @ kraus_apply(squash, rho) @ squashmap.Y_FRAME
     assert linalg.frob(out - np.array(expected)) <= 1e-14
     pulled = linalg.dagger(squash.g0) @ squash.g0 - linalg.dagger(squash.g1) @ squash.g1
     assert linalg.frob(kraus_adjoint(squash, linalg.PAULI_Y) - pulled) <= 1e-14
@@ -458,13 +458,13 @@ def test_json_round_trip_of_any_kraus_family(d, extra, seed):
     k = (d + 1) // 2 + extra  # 2k >= d rows of a random isometry
     x = rng.standard_normal((2 * k, d)) + 1j * rng.standard_normal((2 * k, d))
     kraus = np.linalg.qr(x)[0].reshape(k, 2, d)
-    squash = builder.squash_from_kraus(d, kraus)
-    text = json.dumps(builder.squash_to_json(squash), allow_nan=False)
-    back = builder.squash_from_json(json.loads(text))
+    squash = squashmap.squash_from_kraus(d, kraus)
+    text = json.dumps(squashmap.squash_to_json(squash), allow_nan=False)
+    back = squashmap.squash_from_json(json.loads(text))
     assert back.in_dim == d and back.kraus.shape == (k, 2, d)
     assert np.allclose(back.kraus, kraus, rtol=0.0, atol=1e-15)
     p = induced_set(squash)
-    mine, theirs = builder.verify_squash(squash, p), builder.verify_squash(back, p)
+    mine, theirs = squashmap.verify_squash(squash, p), squashmap.verify_squash(back, p)
     assert mine.passed and theirs.passed
     for name in ("residual_z", "residual_x", "residual_tp"):
         # residuals of about 1e-15 are themselves rounding, and move by as much (1.1e-15 seen)
@@ -476,7 +476,7 @@ def _verify_peak_bytes(d, k):
     p = induced_set(squash)
     tracemalloc.start()
     try:
-        report = builder.verify_squash(squash, p)
+        report = squashmap.verify_squash(squash, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

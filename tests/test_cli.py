@@ -6,8 +6,6 @@ import pickle
 import re
 import shlex
 import stat
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
@@ -18,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squashkit
-from squashkit import builder, cli, errors, finder, fock, groups, linalg, nogo, povm
+from squashkit import builder, cli, errors, finder, fock, groups, linalg, nogo, povm, squashmap
 from squashkit.cli import main
 
-from helpers import qubit_plus_half_block
+from helpers import fresh_python, qubit_plus_half_block
 
 
 def run(tmp_path, *argv):
@@ -84,7 +82,7 @@ def ideal_c2_squash_file(tmp_path):
     report = finder.find_squash(s.tilde)
     assert report.verdict == "FEASIBLE"
     path = tmp_path / "ideal_c2_squash.json"
-    path.write_text(json.dumps(builder.squash_to_json(report.squash)))
+    path.write_text(json.dumps(squashmap.squash_to_json(report.squash)))
     return path
 
 
@@ -99,7 +97,7 @@ def list_file(tmp_path):
 @pytest.fixture
 def nan_squash_file(tmp_path):
     """A C2-symmetrized-qubit squash whose first entry is the JSON token NaN."""
-    blob = builder.squash_to_json(builder.squash_from_kraus(4, (np.eye(2, 4), np.eye(2, 4, 2))))
+    blob = squashmap.squash_to_json(squashmap.squash_from_kraus(4, (np.eye(2, 4), np.eye(2, 4, 2))))
     blob["kraus"][0]["entries"][0] = [float("nan"), 0.0]
     path = tmp_path / "nan_squash.json"
     path.write_text(json.dumps(blob))
@@ -164,7 +162,7 @@ def test_detector_refuses_n_with_sweep_max(tmp_path, capsys):
 def test_squash_construct_sector(tmp_path):
     out = tmp_path / "squash.json"
     assert main(["squash", "construct", "--sector", "2", "--out", str(out)]) == 0
-    loaded = builder.squash_from_json(read(out))
+    loaded = squashmap.squash_from_json(read(out))
     assert loaded.in_dim == 3
 
 
@@ -196,8 +194,8 @@ def test_squash_construct_accepts_any_global_phase(photons, phase, tmp_path):
     model = fock.build_detector(fock.fock_sector(photons))
     code, out = construct_from_files(tmp_path, model.povm, phase * model.symmetry.u)
     assert code == 0
-    loaded = builder.squash_from_json(read(out))
-    assert builder.verify_squash(loaded, model.povm, tol=1e-9).passed
+    loaded = squashmap.squash_from_json(read(out))
+    assert squashmap.verify_squash(loaded, model.povm, tol=1e-9).passed
 
 
 def test_squash_construct_validates_povm_at_the_tolerance_in_force(tmp_path):
@@ -210,15 +208,15 @@ def test_squash_construct_validates_povm_at_the_tolerance_in_force(tmp_path):
     code = run(tmp_path, "squash", "construct", "--povm", tmp_path / "p.json",
                "--unitary", tmp_path / "u.json", "--tol", "1e-6", "--out", out)
     assert code == 0
-    loaded = builder.squash_from_json(read(out))
-    assert builder.verify_squash(loaded, shrunk, tol=1e-6).passed
+    loaded = squashmap.squash_from_json(read(out))
+    assert squashmap.verify_squash(loaded, shrunk, tol=1e-6).passed
 
 
 def test_squash_construct_accepts_a_non_scalar_fourth_power(tmp_path):
     p, u = qubit_plus_half_block()  # U^4 is -1 on the qubit and e^{1.2i} beside it
     code, out = construct_from_files(tmp_path, p, u)
     assert code == 0
-    assert builder.verify_squash(builder.squash_from_json(read(out)), p).passed
+    assert squashmap.verify_squash(squashmap.squash_from_json(read(out)), p).passed
 
 
 def test_squash_construct_non_scalar_fourth_power_is_negative(tmp_path, capsys):
@@ -262,8 +260,8 @@ def test_squash_find_loose_tolerance_still_extracts_a_verified_map(tmp_path):
     report = read(out)
     assert report["verdict"] == "FEASIBLE"
     model = fock.build_detector(fock.fock_sector((2,)))
-    found = builder.squash_from_json(report["squash"])
-    assert builder.verify_squash(found, model.povm, tol=1e-6).passed
+    found = squashmap.squash_from_json(report["squash"])
+    assert squashmap.verify_squash(found, model.povm, tol=1e-6).passed
 
 
 def test_squash_find_sector_shortcut(tmp_path):
@@ -296,9 +294,9 @@ def test_nogo_pullback_roundtrip(tmp_path):
          "--squash", str(report), "--tol", "1e-6", "--out", str(pulled)]
     )
     assert code == 0
-    loaded = builder.squash_from_json(read(pulled))
+    loaded = squashmap.squash_from_json(read(pulled))
     base_povm = povm.povm_from_json(json.loads(base.read_text()))
-    assert builder.verify_squash(loaded, base_povm, tol=1e-6).passed
+    assert squashmap.verify_squash(loaded, base_povm, tol=1e-6).passed
 
 
 def test_nogo_attack(m0_file, tmp_path):
@@ -423,16 +421,6 @@ def test_error_classes():
     assert names == ["ConstructionError", "SelfCheckFailed", "SquashkitError", "TildeNotVerified"]
 
 
-def fresh_python(probe: str) -> str:
-    """Standard output of ``python -c probe`` in a new interpreter that imports this squashkit."""
-    path = [str(Path(squashkit.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    return done.stdout
-
-
 def test_start_up_imports_stay_light():
     # each CLI run is a fresh process: records are named tuples, not dataclasses, and the
     # temp-file name comes from os.urandom, not secrets (which loads hashlib and OpenSSL)
@@ -444,26 +432,46 @@ def test_start_up_imports_stay_light():
 
 
 def test_fock_and_nogo_load_on_first_use_and_with_the_cli():
+    # deciding a set loads neither the constructor nor the group machinery
     probe = (
         "import sys\n"
-        "def loaded(): print(sorted({'squashkit.fock', 'squashkit.nogo'} & set(sys.modules)))\n"
+        "lazy = {f'squashkit.{name}' for name in ('builder', 'groups', 'fock', 'nogo')}\n"
+        "def loaded(): print(sorted(lazy & set(sys.modules)))\n"
         "import squashkit; loaded()\n"
+        "from squashkit import finder\n"
+        "p = squashkit.make_povm(squashkit.ideal_qubit_povm().elements)\n"
+        "report = squashkit.find_squash(p)\n"
+        "assert squashkit.verify_squash(report.squash, p).passed\n"
+        "assert finder.report_to_json(report)['verdict'] == 'FEASIBLE'; loaded()\n"
+        "from squashkit import construct_theorem1; loaded()\n"
         "from squashkit import build_detector; loaded()\n"
         "import squashkit.cli; loaded()\n"
     )
     assert fresh_python(probe).splitlines() == [
-        "[]", "['squashkit.fock']", "['squashkit.fock', 'squashkit.nogo']",
+        "[]",
+        "[]",
+        "['squashkit.builder', 'squashkit.groups']",
+        "['squashkit.builder', 'squashkit.fock', 'squashkit.groups']",
+        "['squashkit.builder', 'squashkit.fock', 'squashkit.groups', 'squashkit.nogo']",
     ]
 
 
 def test_names_that_load_on_first_use_are_the_modules_own():
-    from squashkit import build_detector, symmetrize
+    from squashkit import build_detector, construct_theorem1, cyclic_group, symmetrize
 
     assert squashkit.fock is fock and squashkit.nogo is nogo
+    assert squashkit.builder is builder and squashkit.groups is groups
     assert build_detector is fock.build_detector and symmetrize is nogo.symmetrize
+    assert construct_theorem1 is builder.construct_theorem1
+    assert cyclic_group is groups.cyclic_group
     assert squashkit.DetectorModel is fock.DetectorModel
     assert squashkit.bbm92_attack is nogo.bbm92_attack
-    assert {"fock", "nogo", "build_detector", "symmetrize"} <= set(dir(squashkit))
+    assert squashkit.MuDecomposition is builder.MuDecomposition
+    assert squashkit.C4Symmetry is groups.C4Symmetry
+    assert squashkit.SquashMap is squashmap.SquashMap is builder.SquashMap
+    assert squashkit.verify_squash is squashmap.verify_squash is builder.verify_squash
+    names = {"builder", "groups", "fock", "nogo", "construct_theorem1", "cyclic_group"}
+    assert names | {"build_detector", "symmetrize"} <= set(dir(squashkit))
 
 
 def test_an_unknown_name_is_an_attribute_error():
@@ -890,7 +898,7 @@ def _library_outputs(m0_file, ideal_file, tmp_path):
         "detector": (["detector", "--N", "2,1"], lambda: fock.detector_to_json(model)),
         "construct": (
             ["squash", "construct", "--sector", "2,1"],
-            lambda: builder.squash_to_json(
+            lambda: squashmap.squash_to_json(
                 builder.construct_theorem1(model.povm, model.symmetry, 1e-9)
             ),
         ),
@@ -914,8 +922,8 @@ def _library_outputs(m0_file, ideal_file, tmp_path):
         "pullback": (
             ["nogo", "pullback", "--povm", base_file, "--group", "c2", "--squash", found_file,
              "--tol", "1e-6"],
-            lambda: builder.squash_to_json(
-                nogo.pullback_squash(symmetrized, builder.squash_from_json(found["squash"]), 1e-6)
+            lambda: squashmap.squash_to_json(
+                nogo.pullback_squash(symmetrized, squashmap.squash_from_json(found["squash"]), 1e-6)
             ),
         ),
     }

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squashkit import builder, cli, finder, fock, groups, linalg, nogo, povm
+from squashkit import builder, cli, finder, fock, groups, linalg, nogo, povm, squashmap
 from squashkit.errors import SquashkitError
 from squashkit.nogo import counterexample_m0
 
@@ -84,7 +84,7 @@ def test_find_squash_iterates_match_reference_loop(photons):
     verdict, j = _alternating_projections(p)
     report = finder.find_squash(p)
     assert report.verdict == verdict == "FEASIBLE"
-    assert builder.verify_squash(report.squash, p, tol=1e-6).passed
+    assert squashmap.verify_squash(report.squash, p, tol=1e-6).passed
     # the reference's J is a Choi matrix of a squash: PSD, and on the constraint set
     assert np.linalg.eigvalsh(j)[0] >= -1e-8
     assert affine_residual(j, p) <= 1e-8
@@ -216,7 +216,7 @@ def test_find_on_ideal_set():
     report = finder.find_squash(povm.ideal_qubit_povm())
     assert report.verdict == "FEASIBLE"
     squash = report.squash
-    assert builder.verify_squash(squash, povm.ideal_qubit_povm(), tol=1e-6).passed
+    assert squashmap.verify_squash(squash, povm.ideal_qubit_povm(), tol=1e-6).passed
 
 
 def test_find_on_m0_is_infeasible():
@@ -236,7 +236,7 @@ def test_find_on_two_photon_sector():
     model = fock.build_detector(fock.fock_sector((2,)))
     report = finder.find_squash(model.povm)
     assert report.verdict == "FEASIBLE"
-    verdict = builder.verify_squash(report.squash, model.povm, tol=1e-6)
+    verdict = squashmap.verify_squash(report.squash, model.povm, tol=1e-6)
     assert verdict.passed
 
 
@@ -265,7 +265,7 @@ def test_verdict_flips_at_inverse_witness(d):
         report = finder.find_squash(p)
         assert report.verdict == verdict
         if verdict == "FEASIBLE":
-            assert builder.verify_squash(report.squash, p, tol=1e-6).passed
+            assert squashmap.verify_squash(report.squash, p, tol=1e-6).passed
         else:
             assert report.witness.value == pytest.approx(1 + margin, abs=1e-9)
 
@@ -284,7 +284,7 @@ def test_verdict_just_above_and_below_one(d):
                 assert report.verdict == "INFEASIBLE", (target, report.gap)
             else:
                 assert report.verdict == "FEASIBLE", (target, report.gap)
-                assert builder.verify_squash(report.squash, p, tol=1e-6).passed
+                assert squashmap.verify_squash(report.squash, p, tol=1e-6).passed
 
 
 @settings(max_examples=20, deadline=None)
@@ -299,7 +299,7 @@ def test_verdict_flips_at_inverse_witness_on_any_set(d, seed, margin):
     report = finder.find_squash(p)
     if margin < 0:
         assert report.verdict == "FEASIBLE"
-        assert builder.verify_squash(report.squash, p, tol=1e-6).passed
+        assert squashmap.verify_squash(report.squash, p, tol=1e-6).passed
     else:
         assert report.verdict == "INFEASIBLE"
         assert report.witness.value == pytest.approx(1 + margin, abs=1e-12)
@@ -415,11 +415,11 @@ def test_both_engines_succeed_on_a_rotated_detector_set(index, seed):
     constructed = builder.construct_theorem1(
         p, groups.C4Symmetry(u=v @ model.symmetry.u @ linalg.dagger(v))
     )
-    assert builder.verify_squash(constructed, p, tol=1e-8).passed
+    assert squashmap.verify_squash(constructed, p, tol=1e-8).passed
     report = finder.find_squash(p)
     assert report.verdict == "FEASIBLE"
     assert report.witness.value <= 1.0 + 1e-9
-    assert builder.verify_squash(report.squash, p, tol=1e-6).passed
+    assert squashmap.verify_squash(report.squash, p, tol=1e-6).passed
 
 
 @settings(max_examples=15, deadline=None)
@@ -448,11 +448,11 @@ def test_both_engines_succeed_on_any_rank_two_four_cycle_set(d, seed, lam):
     m_x = u @ m_z @ linalg.dagger(u)
     p = visibility_set(m_z, m_x, 1.0)
     constructed = builder.construct_theorem1(p, groups.C4Symmetry(u=u))
-    assert builder.verify_squash(constructed, p, tol=1e-8).passed
+    assert squashmap.verify_squash(constructed, p, tol=1e-8).passed
     report = finder.find_squash(p)
     assert report.verdict == "FEASIBLE"
     assert report.witness.value <= 1.0 + 1e-9
-    assert builder.verify_squash(report.squash, p, tol=1e-6).passed
+    assert squashmap.verify_squash(report.squash, p, tol=1e-6).passed
 
 
 def test_report_json_shape():

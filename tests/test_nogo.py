@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from squashkit import builder, cli, finder, fock, groups, linalg, nogo, povm
+from squashkit import builder, cli, finder, fock, groups, linalg, nogo, povm, squashmap
 from squashkit.errors import SelfCheckFailed, SquashkitError, TildeNotVerified
 
 from helpers import kraus_apply, random_density_matrix, random_hermitian, visibility_set
@@ -21,7 +21,9 @@ def qubit_frame_unitary(shift: int) -> np.ndarray:
     return linalg.unitary_from_generator(linalg.PAULI_Y, shift * np.pi / 4.0)
 
 
-def blockwise_tilde_squash(s: nogo.SymmetrizedPovm, base: builder.SquashMap) -> builder.SquashMap:
+def blockwise_tilde_squash(
+    s: nogo.SymmetrizedPovm, base: squashmap.SquashMap
+) -> squashmap.SquashMap:
     """Assemble a squash for the symmetrized set from a base squash, block by
     block: ancilla position g routes through the base map followed by the
     qubit rotation matching the relabeling of g's inverse. Only available
@@ -38,7 +40,7 @@ def blockwise_tilde_squash(s: nogo.SymmetrizedPovm, base: builder.SquashMap) -> 
             k = np.zeros((2, d * n), dtype=complex)
             k[:, [i * n + g for i in range(d)]] = w @ f
             kraus.append(k)
-    return builder.squash_from_kraus(d * n, tuple(kraus))
+    return squashmap.squash_from_kraus(d * n, tuple(kraus))
 
 
 def test_trivial_group_symmetrization_is_identity():
@@ -152,7 +154,7 @@ def test_lifted_witness_state_certifies_the_symmetrized_set(name):
 def test_pullback_through_trivial_group():
     p = povm.ideal_qubit_povm()
     s = nogo.symmetrize(p, groups.cyclic_group(1), groups.make_action([[0, 1, 2, 3]]))
-    f = builder.squash_from_kraus(2, (np.eye(2, dtype=complex),))
+    f = squashmap.squash_from_kraus(2, (np.eye(2, dtype=complex),))
     pulled = nogo.pullback_squash(s, f)
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -165,10 +167,10 @@ def test_pullback_of_blockwise_squash():
     base = builder.construct_theorem1(model.povm, model.symmetry)
     s = c4_setup(model.povm)
     tilde_squash = blockwise_tilde_squash(s, base)
-    tilde_report = builder.verify_squash(tilde_squash, s.tilde, tol=1e-8)
+    tilde_report = squashmap.verify_squash(tilde_squash, s.tilde, tol=1e-8)
     assert tilde_report.passed
     pulled = nogo.pullback_squash(s, tilde_squash, tol=1e-8)
-    report = builder.verify_squash(pulled, model.povm, tol=1e-8)
+    report = squashmap.verify_squash(pulled, model.povm, tol=1e-8)
     assert report.passed
     # pulling back cannot worsen the residuals
     assert report.max_residual <= tilde_report.max_residual + 1e-10
@@ -180,7 +182,7 @@ def test_pullback_of_found_squash():
     found = finder.find_squash(s.tilde)
     assert found.verdict == "FEASIBLE"
     pulled = nogo.pullback_squash(s, found.squash, tol=1e-6)
-    assert builder.verify_squash(pulled, model.povm, tol=1e-6).passed
+    assert squashmap.verify_squash(pulled, model.povm, tol=1e-6).passed
 
 
 def test_pullback_rejects_unverified_map():
@@ -301,7 +303,7 @@ def test_symmetrize_then_find_then_pull_back():
     found = finder.find_squash(s.tilde)
     if found.verdict == "FEASIBLE":
         pulled = nogo.pullback_squash(s, found.squash, tol=1e-6)
-        assert builder.verify_squash(pulled, model.povm, tol=1e-6).passed
+        assert squashmap.verify_squash(pulled, model.povm, tol=1e-6).passed
     else:
         assert found.verdict == "UNDECIDED"
 
@@ -378,4 +380,4 @@ def test_m0_attains_sqrt2_and_is_squashable_at_visibility_one_over_sqrt2():
     p = visibility_set(m_z, m_x, 1.0 / np.sqrt(2.0))
     report = finder.find_squash(p)
     assert report.verdict == "FEASIBLE"
-    assert builder.verify_squash(report.squash, p).passed
+    assert squashmap.verify_squash(report.squash, p).passed

@@ -7,8 +7,10 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
-from squashkit import builder, finder, fock, groups, linalg, nogo, povm
+from squashkit import builder, finder, fock, groups, linalg, nogo, povm, squashmap
 from squashkit.errors import SquashkitError
+
+from helpers import fresh_python
 
 QUARTER_TURN = linalg.unitary_from_generator(linalg.PAULI_Y, -np.pi / 4)
 QUBIT = {key: np.array(m) for key, m in povm.ideal_qubit_povm().elements.items()}
@@ -25,7 +27,7 @@ def unchecked(cls, fields):
 #: level or in a dict are writable, and a made record must hold read-only copies of them
 CHECKED = {
     "SquashMap": (
-        builder.SquashMap,
+        squashmap.SquashMap,
         (np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)),
         (np.eye(2, dtype=complex), np.eye(2, dtype=complex)),
     ),
@@ -143,7 +145,7 @@ def records() -> dict:
         model,
         squash,
         builder.mu_decompose(v, sym, lam),
-        builder.verify_squash(squash, p),
+        squashmap.verify_squash(squash, p),
         report.witness,
         report,
         nogo.symmetrize(p, group, action),
@@ -157,7 +159,7 @@ RECORDS = records()
 
 def public_classes(base) -> set:
     """Names of the public classes in squashkit's modules that derive from ``base``."""
-    modules = (builder, finder, fock, groups, linalg, nogo, povm)
+    modules = (builder, finder, fock, groups, linalg, nogo, povm, squashmap)
     return {
         name for module in modules for name, value in vars(module).items()
         if isinstance(value, type) and base in value.__mro__[1:] and not name.startswith("_")
@@ -183,3 +185,53 @@ def test_records_are_frozen(name):
             setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.note = "a record takes no attribute beyond its fields"
+
+
+#: SquashMap(g0=[[0.6]], g1=[[0.8j]]) as pickled while the class lived in ``builder``; the
+#: bytes name ``squashkit.builder``, which still binds the class it uses
+OLD_MAP_PICKLES = {
+    0: (
+        b'csquashkit.builder\nSquashMap\np0\n(cnumpy._core.multiarray\n_reconstruct\np1\n'
+        b'(cnumpy\nndarray\np2\n(I0\ntp3\nc_codecs\nencode\np4\n(Vb\np5\nVlatin1\np6\n'
+        b'tp7\nRp8\ntp9\nRp10\n(I1\n(I1\nI1\ntp11\ncnumpy\ndtype\np12\n(Vc16\np13\nI00\n'
+        b'I01\ntp14\nRp15\n(I3\nV<\np16\nNNNI-1\nI-1\nI0\ntp17\nbI00\ng4\n'
+        b'(V333333\xe3?\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\np18\n'
+        b'g6\ntp19\nRp20\ntp21\nbg1\n(g2\n(I0\ntp22\ng8\ntp23\nRp24\n(I1\n(I1\nI1\ntp25\n'
+        b'g15\nI00\ng4\n(V\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\x9a'
+        b'\x99\x99\x99\x99\x99\xe9?\np26\ng6\ntp27\nRp28\ntp29\nbtp30\nRp31\n.'
+    ),
+    5: (
+        b'\x80\x05\x95\xca\x00\x00\x00\x00\x00\x00\x00\x8c\x11squashkit.builder\x94\x8c\t'
+        b'SquashMap\x94\x93\x94\x8c\x13numpy._core.numeric\x94\x8c\x0b_frombuffer\x94\x93'
+        b'\x94(C\x10333333\xe3?\x00\x00\x00\x00\x00\x00\x00\x00\x94\x8c\x05numpy\x94\x8c'
+        b'\x05dtype\x94\x93\x94\x8c\x03c16\x94\x89\x88\x87\x94R\x94(K\x03\x8c\x01<\x94NNN'
+        b'J\xff\xff\xff\xffJ\xff\xff\xff\xffK\x00t\x94bK\x01K\x01\x86\x94\x8c\x01C\x94t'
+        b'\x94R\x94h\x05(C\x10\x00\x00\x00\x00\x00\x00\x00\x00\x9a\x99\x99\x99\x99\x99'
+        b'\xe9?\x94h\x0cK\x01K\x01\x86\x94h\x10t\x94R\x94\x86\x94R\x94.'
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", OLD_MAP_PICKLES)
+def test_a_map_pickled_under_its_old_module_still_loads(protocol):
+    made = pickle.loads(OLD_MAP_PICKLES[protocol])
+    expected = squashmap.SquashMap(g0=[[0.6]], g1=[[0.8j]])
+    assert type(made) is squashmap.SquashMap
+    for value, source in zip(made, expected):
+        assert not value.flags.writeable and value.dtype == source.dtype
+        assert np.array_equal(value, source)
+
+
+def test_a_map_pickled_here_loads_without_the_constructor(tmp_path):
+    path = tmp_path / "map.pickle"
+    path.write_bytes(pickle.dumps(squashmap.SquashMap(g0=[[0.6]], g1=[[0.8j]])))
+    probe = (  # unpickling alone imports squashkit and the map's module
+        "import pickle, sys\n"
+        f"squash = pickle.loads(open({str(path)!r}, 'rb').read())\n"
+        "print(type(squash).__module__, squash.g0[0, 0], squash.g1[0, 0])\n"
+        "print(squash.g0.flags.writeable or squash.g1.flags.writeable)\n"
+        "print(sorted({'squashkit.builder', 'squashkit.groups'} & set(sys.modules)))\n"
+    )
+    assert fresh_python(probe).splitlines() == [
+        "squashkit.squashmap (0.6+0j) 0.8j", "False", "[]",
+    ]

@@ -1,23 +1,23 @@
 """Squash operators for BB84 threshold detectors.
 
 Core surfaces: dense complex linear algebra (:mod:`squashkit.linalg`),
-BB84 measurement sets (:mod:`squashkit.povm`), finite-group symmetry
-machinery (:mod:`squashkit.groups`), photon-number-sector detector models
-(:mod:`squashkit.fock`), the squash map record with its verification
-(:mod:`squashkit.squashmap`), the analytic squash constructor
+BB84 measurement sets (:mod:`squashkit.povm`), photon-number-sector
+detector models with their four-cycle unitary (:mod:`squashkit.fock`), the
+squash map record with its verification (:mod:`squashkit.squashmap`), the
+analytic squash constructor with its Definition-1 check
 (:mod:`squashkit.builder`), the feasibility finder, which decides exactly
 by the numerical-radius witness and builds the map by a doubling solve
-(:mod:`squashkit.finder`), and the symmetrization/no-go lab
-(:mod:`squashkit.nogo`).
+(:mod:`squashkit.finder`), and the symmetrization/no-go lab with its finite
+groups, label actions and Definition-2 check (:mod:`squashkit.nogo`).
 
 ``import squashkit`` loads only what deciding a measurement set runs:
 ``errors``, ``linalg``, ``povm``, ``squashmap`` and ``finder``. ``builder``,
-``groups``, ``fock`` and ``nogo``, and the names they export here, load on
-first access (PEP 562), so a caller that only decides sets does not compile
-the constructor, the group machinery, the detector models or the no-go lab
-(each of the other three loads ``groups`` with it). :mod:`squashkit.cli`
-imports every module at its top: one process may run many subcommands, and
-importing per command would only move the compile time into the first of them.
+``fock`` and ``nogo``, and the names they export here, load on first access
+(PEP 562), so a caller that only decides sets does not compile the
+constructor, the detector models or the no-go lab (``nogo`` loads
+``builder`` with it). :mod:`squashkit.cli` imports every module at its top:
+one process may run many subcommands, and importing per command would only
+move the compile time into the first of them.
 """
 
 import importlib
@@ -32,23 +32,19 @@ __version__ = "0.1.0"
 #: Public name -> the submodule it is loaded from on first access.
 _LAZY = {
     **dict.fromkeys(
-        ("MuDecomposition", "complete_trace_preserving", "construct_theorem1", "extract_rank2",
-         "kraus_core", "mu_decompose"),
+        ("MuDecomposition", "check_definition1", "complete_trace_preserving",
+         "construct_theorem1", "extract_rank2", "kraus_core", "mu_decompose"),
         "builder",
     ),
     **dict.fromkeys(
-        ("DetectorModel", "FockSector", "build_detector", "build_u_n", "enumerate_sectors",
-         "fock_sector", "state_nrb"),
+        ("C4Symmetry", "DetectorModel", "FockSector", "build_detector", "build_u_n",
+         "enumerate_sectors", "fock_sector", "state_nrb"),
         "fock",
     ),
     **dict.fromkeys(
-        ("C4Symmetry", "FiniteGroup", "LabelAction", "canonical_c4_action", "check_definition1",
-         "check_definition2", "cyclic_group", "symmetric_group_s3"),
-        "groups",
-    ),
-    **dict.fromkeys(
-        ("AttackResult", "SymmetrizedPovm", "bbm92_attack", "counterexample_m0",
-         "pullback_squash", "symmetrize", "verify_trace_identity"),
+        ("AttackResult", "FiniteGroup", "LabelAction", "SymmetrizedPovm", "bbm92_attack",
+         "canonical_c4_action", "check_definition2", "counterexample_m0", "cyclic_group",
+         "pullback_squash", "symmetric_group_s3", "symmetrize", "verify_trace_identity"),
         "nogo",
     ),
 }

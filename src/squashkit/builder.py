@@ -1,24 +1,58 @@
 """Analytic construction of squash maps for four-cycle-symmetric detectors.
 
 Given a measurement set whose z observable has rank two and a unitary U
-cycling its four elements, the construction runs: extract the +lambda
-eigenvector v of M_z, split v into the four eigencomponents of U, link
-adjacent components into at most four core rows of the sigma_y-frame pair
-(G0, G1), and append completion rows that restore G0+ G0 + G1+ G1 = 1
-without touching G0+ G1 = (M_z + i M_x) / 2 (they route to |0_y>, where
-both sigma_z and sigma_x have zero expectation). The map record, its
-verification and its JSON form live in :mod:`squashkit.squashmap`.
+cycling its four elements (U M(z,b) U+ = M(x,b) and U^2 M(r,b) U+^2 =
+M(r,1-b), checked first by :func:`check_definition1`), the construction
+runs: extract the +lambda eigenvector v of M_z, split v into the four
+eigencomponents of U, link adjacent components into at most four core rows
+of the sigma_y-frame pair (G0, G1), and append completion rows that restore
+G0+ G0 + G1+ G1 = 1 without touching G0+ G1 = (M_z + i M_x) / 2 (they route
+to |0_y>, where both sigma_z and sigma_x have zero expectation). The map
+record, its verification and its JSON form live in :mod:`squashkit.squashmap`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import groups, linalg, povm
+from . import linalg, povm
 from .errors import ConstructionError, SquashkitError
 from .squashmap import SquashMap, verify_squash
+
+if TYPE_CHECKING:  # annotations only: constructing does not build detectors
+    from .fock import C4Symmetry
+
+
+class SymmetryReport(NamedTuple):
+    residuals: dict  # relation name -> Frobenius residual
+    max_residual: float
+    tol: float
+    passed: bool
+
+
+def check_definition1(
+    sym: C4Symmetry, p: povm.Bb84Povm, tol: float = linalg.TOL
+) -> SymmetryReport:
+    """Residuals of the four-cycle conjugation relations on a measurement set."""
+    u = sym.u
+    if u.shape[0] != p.dim:
+        raise SquashkitError(f"unitary dim {u.shape[0]} vs POVM dim {p.dim}")
+    # stack[c] is L_c, in the order z0, x0, z1, x1: U takes it to L_(c+1), U^2 to L_(c+2)
+    stack = np.stack([p.l_element(c) for c in range(4)])
+    once = u @ stack @ linalg.dagger(u)
+    twice = u @ once @ linalg.dagger(u)
+    names = povm.LABELS
+    residuals = {
+        f"U.{names[c]}->{names[c + 1]}": linalg.frob(once[c] - stack[c + 1]) for c in (0, 2)
+    }
+    for c in (0, 2, 1, 3):  # index c - 2 is c + 2 mod 4
+        residuals[f"U2.{names[c]}->{names[c - 2]}"] = linalg.frob(twice[c] - stack[c - 2])
+    worst = max(residuals.values())
+    return SymmetryReport(
+        residuals=residuals, max_residual=worst, tol=tol, passed=worst <= tol
+    )
 
 
 class MuDecomposition(NamedTuple):
@@ -28,7 +62,7 @@ class MuDecomposition(NamedTuple):
     mu: np.ndarray  # four nonnegative weights
 
 
-def extract_rank2(m_z: np.ndarray, sym: groups.C4Symmetry, tol: float = linalg.TOL) -> tuple:
+def extract_rank2(m_z: np.ndarray, sym: C4Symmetry, tol: float = linalg.TOL) -> tuple:
     """Largest eigenvalue and eigenvector of a rank-two +/-lambda observable."""
     eig = linalg.hermitian_eig(m_z)
     rank = np.count_nonzero(np.abs(eig.eigenvalues) > linalg.TOL * max(1.0, linalg.frob(m_z)))
@@ -48,7 +82,7 @@ def extract_rank2(m_z: np.ndarray, sym: groups.C4Symmetry, tol: float = linalg.T
 
 
 def mu_decompose(
-    v: np.ndarray, sym: groups.C4Symmetry, lam: float = 1.0, tol: float = linalg.TOL
+    v: np.ndarray, sym: C4Symmetry, lam: float = 1.0, tol: float = linalg.TOL
 ) -> MuDecomposition:
     """Split the unit vector v into the four U eigencomponents, weights gauged nonnegative.
 
@@ -122,10 +156,10 @@ def complete_trace_preserving(core: tuple, d: int) -> SquashMap:
 
 
 def construct_theorem1(
-    p: povm.Bb84Povm, sym: groups.C4Symmetry, tol: float = linalg.TOL
+    p: povm.Bb84Povm, sym: C4Symmetry, tol: float = linalg.TOL
 ) -> SquashMap:
     """Full analytic pipeline; raises ConstructionError tagged with the stage."""
-    report = groups.check_definition1(sym, p, tol)
+    report = check_definition1(sym, p, tol)
     if not report.passed:
         raise ConstructionError(
             "symmetry", f"four-cycle relations fail, max residual {report.max_residual}"

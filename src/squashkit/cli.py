@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from . import builder, finder, fock, groups, linalg, nogo, povm, squashmap
+from . import builder, finder, fock, linalg, nogo, povm, squashmap
 from .errors import ConstructionError, SquashkitError, TildeNotVerified
 
 EXIT_OK = 0
@@ -116,7 +116,10 @@ def _write_json(obj: dict, out: str | None) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError as exc:  # only here an input's nesting, elsewhere a program bug
+            raise SquashkitError(f"{path} nests its JSON too deeply to read") from exc
 
 
 def _parse_sector(text: str) -> fock.FockSector:
@@ -129,25 +132,25 @@ def _parse_sector(text: str) -> fock.FockSector:
     return fock.fock_sector(photons)
 
 
-def _load_group(name: str, base_dim: int, what: str) -> groups.FiniteGroup:
+def _load_group(name: str, base_dim: int, what: str) -> nogo.FiniteGroup:
     """A built-in or JSON group; a file is sized by its row count before validation."""
     builtin = {
-        "c2": lambda: groups.cyclic_group(2),
-        "c4": lambda: groups.cyclic_group(4),
-        "s3": groups.symmetric_group_s3,
+        "c2": lambda: nogo.cyclic_group(2),
+        "c4": lambda: nogo.cyclic_group(4),
+        "s3": nogo.symmetric_group_s3,
     }
-    blob = groups.group_to_json(builtin[name]()) if name in builtin else _load_json(name)
+    blob = nogo.group_to_json(builtin[name]()) if name in builtin else _load_json(name)
     _require_dim(base_dim * len(linalg.json_field(blob, "cayley")), what)
-    return groups.group_from_json(blob)
+    return nogo.group_from_json(blob)
 
 
-def _load_action(path: str | None, group_name: str) -> groups.LabelAction:
+def _load_action(path: str | None, group_name: str) -> nogo.LabelAction:
     if path is not None:
-        return groups.action_from_json(_load_json(path))
+        return nogo.action_from_json(_load_json(path))
     if group_name == "c4":
-        return groups.canonical_c4_action()
+        return nogo.canonical_c4_action()
     if group_name == "c2":
-        return groups.c2_basis_swap_action()
+        return nogo.c2_basis_swap_action()
     raise SquashkitError(f"no default label action for group {group_name!r}; pass --action")
 
 
@@ -163,12 +166,12 @@ def _load_povm(path: str, tol: float) -> povm.Bb84Povm:
     return p
 
 
-def _load_unitary(path: str, dim: int) -> groups.C4Symmetry:
+def _load_unitary(path: str, dim: int) -> fock.C4Symmetry:
     """A unitary file, sized against the measurement set before its entries are decoded."""
     blob = _load_json(path)
     if linalg.json_int(blob, "dim") != dim:
         raise SquashkitError(f"unitary dim {blob['dim']} vs POVM dim {dim}")
-    return groups.C4Symmetry(u=linalg.matrix_from_json(blob))
+    return fock.C4Symmetry(u=linalg.matrix_from_json(blob))
 
 
 def _load_squash(path: str, in_dim: int) -> squashmap.SquashMap:

@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import groups, linalg, povm
-from .errors import SquashkitError
+from . import linalg, povm
+from .errors import SelfCheckFailed, SquashkitError
 
 
 class FockSector(linalg.Checked, NamedTuple("FockSector", [("photons", tuple)])):
@@ -76,10 +76,26 @@ def state_nrb(sector: FockSector, r: str, b: int) -> np.ndarray:
     return v / linalg.frob(v)
 
 
+class C4Symmetry(linalg.Checked, NamedTuple("C4Symmetry", [("u", np.ndarray)])):
+    """A unitary cycling the four labels; its global phase is free.
+
+    ``u`` is a read-only complex copy of the matrix passed in.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u):
+        m = linalg.as_matrix(u).copy()
+        if linalg.frob(linalg.dagger(m) @ m - np.eye(m.shape[0])) > linalg.TOL:
+            raise SquashkitError(f"U is not unitary within {linalg.TOL}")
+        m.flags.writeable = False
+        return super().__new__(cls, m)
+
+
 class DetectorModel(linalg.Checked, NamedTuple("DetectorModel", [
     ("sector", FockSector),
     ("povm", povm.Bb84Povm),
-    ("symmetry", groups.C4Symmetry),  # U_N, cycling the outcomes z0 -> x0 -> z1 -> x1
+    ("symmetry", C4Symmetry),  # U_N, cycling the outcomes z0 -> x0 -> z1 -> x1
     ("states", MappingProxyType),  # label -> read-only state vector
 ])):
     """A sector's detector; every field follows from the sector, through :func:`build_detector`."""
@@ -115,8 +131,8 @@ def build_detector(sector: FockSector) -> DetectorModel:
         elements[f"{r}1"] = p1 + double
     p = povm.make_povm(elements)
     if not povm.validate(p).passed:
-        raise SquashkitError(f"detector set for sector {sector.photons} fails validation")
-    sym = groups.C4Symmetry(u=build_u_n(sector))
+        raise SelfCheckFailed(f"detector set for sector {sector.photons} fails validation")
+    sym = C4Symmetry(u=build_u_n(sector))
     # the class call would build it again
     return tuple.__new__(DetectorModel, (sector, p, sym, MappingProxyType(states)))
 

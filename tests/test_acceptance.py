@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from squashkit import builder, finder, fock, groups, linalg, nogo, squashmap
+from squashkit import builder, finder, fock, linalg, nogo, squashmap
 
 from helpers import acceptance_sectors, affine_residual, column_stacked_choi, random_hermitian
 from test_nogo import blockwise_tilde_squash
@@ -83,7 +83,7 @@ def test_criterion_3_symmetry_sweep():
         if sum(sector.photons) % 2 == 1:
             u4 = np.linalg.matrix_power(model.symmetry.u, 4)
             worst_parity = max(worst_parity, linalg.frob(u4 + np.eye(sector.dim)))
-        verdict = groups.check_definition1(model.symmetry, model.povm, tol=1e-9)
+        verdict = builder.check_definition1(model.symmetry, model.povm, tol=1e-9)
         worst = max(worst, verdict.max_residual)
     report(
         3,
@@ -136,8 +136,8 @@ def test_criterion_5_cross_validation():
 
 def test_criterion_6_symmetrization_reduction():
     model = fock.build_detector(fock.fock_sector((2,)))
-    s = nogo.symmetrize(model.povm, groups.cyclic_group(4), groups.canonical_c4_action())
-    sym_report = groups.check_definition2(s.rep, s.action, s.tilde)  # at linalg.TOL = 1e-9
+    s = nogo.symmetrize(model.povm, nogo.cyclic_group(4), nogo.canonical_c4_action())
+    sym_report = nogo.check_definition2(s.rep, s.action, s.tilde)  # at linalg.TOL = 1e-9
     embedding = nogo.verify_trace_identity(s)
     base_squash = builder.construct_theorem1(model.povm, model.symmetry)
     tilde_squash = blockwise_tilde_squash(s, base_squash)

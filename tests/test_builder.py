@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squashkit import builder, finder, fock, groups, linalg, povm, squashmap
+from squashkit import builder, finder, fock, linalg, povm, squashmap
 from squashkit.errors import ConstructionError, SquashkitError
 from squashkit.nogo import counterexample_m0
 
@@ -42,14 +42,14 @@ def test_extract_two_photon():
 
 def test_extract_scaled_observable():
     u = linalg.unitary_from_generator(linalg.PAULI_Y, -np.pi / 4)
-    sym = groups.C4Symmetry(u=u)
+    sym = fock.C4Symmetry(u=u)
     obs = 0.7 * linalg.PAULI_Z
     lam, _ = builder.extract_rank2(obs, sym)
     assert lam == pytest.approx(0.7, abs=1e-12)
 
 
 def test_extract_rejects_wrong_rank():
-    sym = groups.C4Symmetry(u=np.eye(4, dtype=complex))
+    sym = fock.C4Symmetry(u=np.eye(4, dtype=complex))
     obs = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
     with pytest.raises(SquashkitError, match="^observable rank is 4, need 2$"):
         builder.extract_rank2(obs, sym)
@@ -59,7 +59,7 @@ def test_extract_reads_the_rank_off_one_eigensolve(monkeypatch):
     calls = []
     eig = linalg.hermitian_eig
     monkeypatch.setattr(linalg, "hermitian_eig", lambda *a: calls.append(a) or eig(*a))
-    shift = groups.C4Symmetry(u=np.roll(np.eye(3), 1, axis=0))  # e_j -> e_j+1, so U^2 e0 = e2
+    shift = fock.C4Symmetry(u=np.roll(np.eye(3), 1, axis=0))  # e_j -> e_j+1, so U^2 e0 = e2
     lam, v = builder.extract_rank2(np.diag([1.0, 1e-12, -1.0]).astype(complex), shift)
     assert lam == pytest.approx(1.0, abs=1e-12) and abs(v[0]) == pytest.approx(1.0)
     assert len(calls) == 1  # an eigenvalue of 1e-12 sits below the rank threshold 1e-9
@@ -68,7 +68,7 @@ def test_extract_reads_the_rank_off_one_eigensolve(monkeypatch):
 
 
 def test_extract_rejects_unpaired_spectrum():
-    sym = groups.C4Symmetry(u=np.eye(2, dtype=complex))
+    sym = fock.C4Symmetry(u=np.eye(2, dtype=complex))
     obs = np.diag([1.0, -0.5]).astype(complex)
     with pytest.raises(SquashkitError, match=r"^eigenvalues -0.5 and 1.0 are not a \+/- pair$"):
         builder.extract_rank2(obs, sym)
@@ -76,7 +76,7 @@ def test_extract_rejects_unpaired_spectrum():
 
 def test_decompose_rejects_rotation_eigenvector():
     u = np.diag([1.0, 1.0j, -1.0, -1.0j]).astype(complex)
-    sym = groups.C4Symmetry(u=u)
+    sym = fock.C4Symmetry(u=u)
     v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     with pytest.raises(SquashkitError, match="v is not orthogonal to its double rotation"):
         builder.mu_decompose(v, sym)
@@ -182,7 +182,7 @@ def test_construct_when_u4_is_not_scalar():
     p, u = qubit_plus_half_block()
     u4 = np.linalg.matrix_power(u, 4)
     assert linalg.frob(u4 - u4[0, 0] * np.eye(3)) > 1.0  # -1 on the qubit, e^{1.2i} beside it
-    squash = builder.construct_theorem1(p, groups.C4Symmetry(u=u))
+    squash = builder.construct_theorem1(p, fock.C4Symmetry(u=u))
     assert squashmap.verify_squash(squash, p).max_residual <= 1e-12
 
 
@@ -198,7 +198,7 @@ def test_odd_sector_core_rows_are_stable_under_a_tiny_phase(photons):
     base = builder.construct_theorem1(model.povm, sym)
     for sign in (1, -1):
         moved = builder.construct_theorem1(
-            model.povm, groups.C4Symmetry(u=np.exp(sign * 1e-15j) * model.symmetry.u)
+            model.povm, fock.C4Symmetry(u=np.exp(sign * 1e-15j) * model.symmetry.u)
         )
         assert np.abs(moved.g0[:links] - base.g0[:links]).max() <= 1e-12
         assert np.abs(moved.g1[:links] - base.g1[:links]).max() <= 1e-12
@@ -207,7 +207,7 @@ def test_odd_sector_core_rows_are_stable_under_a_tiny_phase(photons):
 def test_construct_rejects_m0_at_symmetry_stage():
     m0 = counterexample_m0()
     with pytest.raises(ConstructionError) as err:
-        builder.construct_theorem1(m0, groups.C4Symmetry(u=np.eye(2, dtype=complex)))
+        builder.construct_theorem1(m0, fock.C4Symmetry(u=np.eye(2, dtype=complex)))
     assert err.value.stage == "symmetry"
 
 
@@ -216,7 +216,7 @@ def test_construct_rejects_invalid_set_at_rank_extraction():
     eye = np.eye(2, dtype=complex)
     doubled = povm.make_povm({key: eye for key in povm.LABELS})
     with pytest.raises(ConstructionError, match="fails validation at tol=1e-09") as err:
-        builder.construct_theorem1(doubled, groups.C4Symmetry(u=eye))
+        builder.construct_theorem1(doubled, fock.C4Symmetry(u=eye))
     assert err.value.stage == "rank-extraction"
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squashkit
-from squashkit import builder, cli, errors, finder, fock, groups, linalg, nogo, povm, squashmap
+from squashkit import builder, cli, errors, finder, fock, linalg, nogo, povm, squashmap
 from squashkit.cli import main
 
 from helpers import fresh_python, qubit_plus_half_block
@@ -77,8 +77,8 @@ def qubit_unitary_file(tmp_path):
 @pytest.fixture
 def ideal_c2_squash_file(tmp_path):
     """A squash of the ideal qubit set symmetrized over C2 by the basis swap."""
-    s = nogo.symmetrize(povm.ideal_qubit_povm(), groups.cyclic_group(2),
-                        groups.c2_basis_swap_action())
+    s = nogo.symmetrize(povm.ideal_qubit_povm(), nogo.cyclic_group(2),
+                        nogo.c2_basis_swap_action())
     report = finder.find_squash(s.tilde)
     assert report.verdict == "FEASIBLE"
     path = tmp_path / "ideal_c2_squash.json"
@@ -91,6 +91,30 @@ def list_file(tmp_path):
     """A JSON file whose top level is a list, not an object."""
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
+    return path
+
+
+@pytest.fixture
+def list_action_file(tmp_path):
+    """A label-action file whose top level is a list of index rows, not an object."""
+    path = tmp_path / "list_action.json"
+    path.write_text("[[0, 1, 2, 3]]")
+    return path
+
+
+@pytest.fixture
+def string_action_file(tmp_path):
+    """A label-action file whose top level is one label."""
+    path = tmp_path / "string_action.json"
+    path.write_text('"z0"')
+    return path
+
+
+@pytest.fixture
+def deep_file(tmp_path):
+    """A JSON file nested past the decoder's recursion limit."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
     return path
 
 
@@ -108,7 +132,7 @@ def nan_squash_file(tmp_path):
 def c129_file(tmp_path):
     """The cyclic group of order 129: a qubit set symmetrized by it has dimension 258."""
     path = tmp_path / "c129.json"
-    path.write_text(json.dumps(groups.group_to_json(groups.cyclic_group(129))))
+    path.write_text(json.dumps(nogo.group_to_json(nogo.cyclic_group(129))))
     return path
 
 
@@ -431,46 +455,49 @@ def test_start_up_imports_stay_light():
     assert fresh_python(probe) == "[]\n"
 
 
+#: Entry point -> the lazy modules loaded after it, each in a fresh interpreter so that no
+#: earlier import hides what it loads; deciding a set loads none of them
+ENTRY_POINTS = {
+    "import squashkit\n"
+    "from squashkit import finder\n"
+    "p = squashkit.make_povm(squashkit.ideal_qubit_povm().elements)\n"
+    "report = squashkit.find_squash(p)\n"
+    "assert squashkit.verify_squash(report.squash, p).passed\n"
+    "assert finder.report_to_json(report)['verdict'] == 'FEASIBLE'": [],
+    "from squashkit import build_detector": ["fock"],
+    "from squashkit import construct_theorem1": ["builder"],
+    "from squashkit import symmetrize": ["builder", "nogo"],
+    "import squashkit.cli": ["builder", "fock", "nogo"],
+}
+
+
 def test_fock_and_nogo_load_on_first_use_and_with_the_cli():
-    # deciding a set loads neither the constructor nor the group machinery
-    probe = (
-        "import sys\n"
-        "lazy = {f'squashkit.{name}' for name in ('builder', 'groups', 'fock', 'nogo')}\n"
-        "def loaded(): print(sorted(lazy & set(sys.modules)))\n"
-        "import squashkit; loaded()\n"
-        "from squashkit import finder\n"
-        "p = squashkit.make_povm(squashkit.ideal_qubit_povm().elements)\n"
-        "report = squashkit.find_squash(p)\n"
-        "assert squashkit.verify_squash(report.squash, p).passed\n"
-        "assert finder.report_to_json(report)['verdict'] == 'FEASIBLE'; loaded()\n"
-        "from squashkit import construct_theorem1; loaded()\n"
-        "from squashkit import build_detector; loaded()\n"
-        "import squashkit.cli; loaded()\n"
-    )
-    assert fresh_python(probe).splitlines() == [
-        "[]",
-        "[]",
-        "['squashkit.builder', 'squashkit.groups']",
-        "['squashkit.builder', 'squashkit.fock', 'squashkit.groups']",
-        "['squashkit.builder', 'squashkit.fock', 'squashkit.groups', 'squashkit.nogo']",
-    ]
+    for entry, expected in ENTRY_POINTS.items():
+        probe = (
+            f"import sys\n{entry}\n"
+            "print(sorted(name for name in ('builder', 'fock', 'nogo')"
+            " if f'squashkit.{name}' in sys.modules))\n"
+        )
+        assert (entry, fresh_python(probe)) == (entry, f"{expected}\n")
 
 
 def test_names_that_load_on_first_use_are_the_modules_own():
     from squashkit import build_detector, construct_theorem1, cyclic_group, symmetrize
 
     assert squashkit.fock is fock and squashkit.nogo is nogo
-    assert squashkit.builder is builder and squashkit.groups is groups
+    assert squashkit.builder is builder
     assert build_detector is fock.build_detector and symmetrize is nogo.symmetrize
     assert construct_theorem1 is builder.construct_theorem1
-    assert cyclic_group is groups.cyclic_group
+    assert cyclic_group is nogo.cyclic_group
     assert squashkit.DetectorModel is fock.DetectorModel
     assert squashkit.bbm92_attack is nogo.bbm92_attack
     assert squashkit.MuDecomposition is builder.MuDecomposition
-    assert squashkit.C4Symmetry is groups.C4Symmetry
+    assert squashkit.C4Symmetry is fock.C4Symmetry
+    assert squashkit.check_definition1 is builder.check_definition1
+    assert squashkit.check_definition2 is nogo.check_definition2
     assert squashkit.SquashMap is squashmap.SquashMap is builder.SquashMap
     assert squashkit.verify_squash is squashmap.verify_squash is builder.verify_squash
-    names = {"builder", "groups", "fock", "nogo", "construct_theorem1", "cyclic_group"}
+    names = {"builder", "fock", "nogo", "construct_theorem1", "cyclic_group"}
     assert names | {"build_detector", "symmetrize"} <= set(dir(squashkit))
 
 
@@ -537,12 +564,19 @@ def _reject_constant(name):
         (["detector", "--N", "300"], 2),
         (["detector", "--N", "20,20"], 2),
         (["squash", "find", "--povm", "{big}"], 2),
+        (["squash", "find", "--povm", "{deep}"], 2),
         (["squash", "find", "--povm", "{ideal}", "--tol", "inf"], 2),
         (["squash", "find", "--povm", "{ideal}", "--tol", "-1"], 2),
         (["nogo", "attack", "--povm", "{m0}", "--trials", "-5"], 2),
         (["nogo", "pullback", "--povm", "{ideal}", "--group", "c2", "--squash", "{nan_squash}"], 2),
         (["nogo", "pullback", "--povm", "{ideal}", "--group", "c2", "--squash", "{list}"], 2),
         (["nogo", "symmetrize", "--povm", "{m0}", "--group", "{c129}", "--action", "{trivial129}"], 2),
+        *(
+            (["nogo", submode, "--povm", "{ideal}", "--group", "c2", "--action", action,
+              "--squash", "{ideal_c2_squash}"], 2)
+            for submode in ("symmetrize", "pullback")
+            for action in ("{list_action}", "{string_action}")
+        ),
     ],
 )
 def test_input_range_checks(argv, expected, request, tmp_path, capsys):
@@ -564,7 +598,7 @@ def test_oversized_group_is_refused_before_its_table_is_validated(
     submode, ideal_file, monkeypatch, tmp_path, capsys
 ):
     group = tmp_path / "c200.json"
-    group.write_text(json.dumps(groups.group_to_json(groups.cyclic_group(200))))
+    group.write_text(json.dumps(nogo.group_to_json(nogo.cyclic_group(200))))
     action = tmp_path / "trivial200.json"
     action.write_text(json.dumps({"labels": ["z0", "x0", "z1", "x1"],
                                   "perms": [["z0", "x0", "z1", "x1"]] * 200}))
@@ -572,7 +606,7 @@ def test_oversized_group_is_refused_before_its_table_is_validated(
     def refuse(*args, **kwargs):
         raise AssertionError("the Cayley table was validated")
 
-    monkeypatch.setattr(groups, "make_group", refuse)
+    monkeypatch.setattr(nogo, "make_group", refuse)
     out = tmp_path / "out.json"
     argv = ["nogo", submode, "--povm", str(ideal_file), "--group", str(group),
             "--action", str(action), "--squash", str(tmp_path / "absent.json"), "--out", str(out)]
@@ -728,7 +762,7 @@ def test_huge_integer_in_an_input_file_is_an_input_error(kind, ideal_file, tmp_p
         blob["elements"]["z0"]["entries"][0] = [10**400, 0.0]
         argv = ["squash", "find", "--povm", path]
     else:
-        blob = groups.group_to_json(groups.cyclic_group(2))
+        blob = nogo.group_to_json(nogo.cyclic_group(2))
         blob["cayley"][0][1] = 10**400
         argv = ["nogo", "symmetrize", "--povm", ideal_file, "--group", path]
     path.write_text(json.dumps(blob))
@@ -759,7 +793,7 @@ def test_non_integer_integer_fields_are_refused(
     # each of these decodes as a valid input if the field is truncated or coerced to int
     path = tmp_path / f"{kind}.json"
     if kind == "group":
-        blob = {**groups.group_to_json(groups.cyclic_group(2)), field: value}
+        blob = {**nogo.group_to_json(nogo.cyclic_group(2)), field: value}
         action = tmp_path / "swap.json"
         action.write_text(json.dumps({"labels": ["z0", "x0", "z1", "x1"],
                                       "perms": [["z0", "x0", "z1", "x1"],
@@ -800,7 +834,7 @@ def test_a_file_that_disagrees_with_itself_is_refused(
     # each file is well formed, but a declared size disagrees with its table or matrices,
     # or one row's length with another's
     blobs = {
-        "group": groups.group_to_json(groups.cyclic_group(2)),
+        "group": nogo.group_to_json(nogo.cyclic_group(2)),
         "action": {"labels": ["z0", "x0", "z1", "x1"], "perms": SWAP_PERMS},
         "povm": read(ideal_file),
     }
@@ -836,7 +870,7 @@ def test_a_missing_field_or_entry_is_named(
     kind, path, value, message, ideal_file, ideal_c2_squash_file, tmp_path, capsys
 ):
     blobs = {
-        "group": groups.group_to_json(groups.cyclic_group(2)),
+        "group": nogo.group_to_json(nogo.cyclic_group(2)),
         "action": {"labels": ["z0", "x0", "z1", "x1"], "perms": [list(r) for r in SWAP_PERMS]},
         "povm": read(ideal_file),
         "squash": read(ideal_c2_squash_file),
@@ -889,7 +923,7 @@ def _library_outputs(m0_file, ideal_file, tmp_path):
     m0, ideal = nogo.counterexample_m0(), povm.ideal_qubit_povm()
     model = fock.build_detector(fock.fock_sector((2, 1)))
     base = fock.build_detector(fock.fock_sector((1,))).povm
-    symmetrized = nogo.symmetrize(base, groups.cyclic_group(2), groups.c2_basis_swap_action())
+    symmetrized = nogo.symmetrize(base, nogo.cyclic_group(2), nogo.c2_basis_swap_action())
     found = finder.report_to_json(finder.find_squash(symmetrized.tilde))
     base_file, found_file = tmp_path / "base.json", tmp_path / "found.json"
     base_file.write_text(json.dumps(povm.povm_to_json(base)))

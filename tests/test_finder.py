@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squashkit import builder, cli, finder, fock, groups, linalg, nogo, povm, squashmap
+from squashkit import builder, cli, finder, fock, linalg, nogo, povm, squashmap
 from squashkit.errors import SquashkitError
 from squashkit.nogo import counterexample_m0
 
@@ -72,8 +72,8 @@ def _cross_check_set(name):
         return povm.ideal_qubit_povm()
     if name in ("c2", "c4"):
         base = fock.build_detector(fock.fock_sector((1,))).povm
-        group = groups.cyclic_group(int(name[1]))
-        action = groups.c2_basis_swap_action() if name == "c2" else groups.canonical_c4_action()
+        group = nogo.cyclic_group(int(name[1]))
+        action = nogo.c2_basis_swap_action() if name == "c2" else nogo.canonical_c4_action()
         return nogo.symmetrize(base, group, action).tilde
     return fock.build_detector(fock.fock_sector(name)).povm
 
@@ -413,7 +413,7 @@ def test_both_engines_succeed_on_a_rotated_detector_set(index, seed):
         {key: v @ m @ linalg.dagger(v) for key, m in model.povm.elements.items()}
     )
     constructed = builder.construct_theorem1(
-        p, groups.C4Symmetry(u=v @ model.symmetry.u @ linalg.dagger(v))
+        p, fock.C4Symmetry(u=v @ model.symmetry.u @ linalg.dagger(v))
     )
     assert squashmap.verify_squash(constructed, p, tol=1e-8).passed
     report = finder.find_squash(p)
@@ -447,7 +447,7 @@ def test_both_engines_succeed_on_any_rank_two_four_cycle_set(d, seed, lam):
     m_z = lam * (np.outer(v, v.conj()) - np.outer(flipped, flipped.conj()))
     m_x = u @ m_z @ linalg.dagger(u)
     p = visibility_set(m_z, m_x, 1.0)
-    constructed = builder.construct_theorem1(p, groups.C4Symmetry(u=u))
+    constructed = builder.construct_theorem1(p, fock.C4Symmetry(u=u))
     assert squashmap.verify_squash(constructed, p, tol=1e-8).passed
     report = finder.find_squash(p)
     assert report.verdict == "FEASIBLE"

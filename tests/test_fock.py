@@ -1,11 +1,12 @@
 import pickle
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from squashkit import fock, groups, linalg, povm
-from squashkit.errors import SquashkitError
+from squashkit import builder, fock, linalg, povm
+from squashkit.errors import SelfCheckFailed, SquashkitError
 
 from helpers import acceptance_sectors, configurations, ladder_state_oracle, rotation_oracle
 
@@ -44,11 +45,18 @@ def test_detector_arrays_are_read_only():
             array[0] = 7  # would break the unitarity checked at construction, or the states
     with pytest.raises(TypeError):
         model.states["z0"] = model.states["z1"]
-    assert groups.check_definition1(model.symmetry, model.povm).max_residual <= 1e-15
+    assert builder.check_definition1(model.symmetry, model.povm).max_residual <= 1e-15
     back = pickle.loads(pickle.dumps(model))  # models still travel to worker processes
     assert not back.symmetry.u.flags.writeable and np.array_equal(back.symmetry.u, model.symmetry.u)
     for key, vec in model.states.items():
         assert not back.states[key].flags.writeable and np.array_equal(back.states[key], vec)
+
+
+def test_a_detector_set_that_fails_validation_is_a_self_check_failure(monkeypatch):
+    # the detector's own set, not its input, failed: exit 2 as a program fault
+    monkeypatch.setattr(povm, "validate", lambda *args, **kwargs: SimpleNamespace(passed=False))
+    with pytest.raises(SelfCheckFailed, match=r"^detector set for sector \(1,\) fails validation$"):
+        fock.build_detector(fock.fock_sector((1,)))
 
 
 def test_basis_ordering_all_z0_first():
@@ -187,7 +195,7 @@ def test_single_photon_rotation_conjugates_observables():
 def test_sector_symmetry_report():
     for photons in ((1,), (3,), (2, 1)):
         model = fock.build_detector(fock.fock_sector(photons))
-        report = groups.check_definition1(model.symmetry, model.povm)
+        report = builder.check_definition1(model.symmetry, model.povm)
         assert report.passed, (photons, report.max_residual)
 
 

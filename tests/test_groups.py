@@ -3,21 +3,21 @@ import pickle
 import numpy as np
 import pytest
 
-from squashkit import builder, fock, groups, linalg, povm
+from squashkit import builder, fock, linalg, nogo, povm
 from squashkit.errors import SquashkitError
 
 from helpers import definition1_oracle
 
 
 def test_cyclic_group_structure():
-    g = groups.cyclic_group(4)
+    g = nogo.cyclic_group(4)
     assert g.order == 4 and g.identity == 0
     assert g.cayley[3, 2] == 1
     assert g.inverse(3) == 1
 
 
 def test_s3_structure():
-    g = groups.symmetric_group_s3()
+    g = nogo.symmetric_group_s3()
     assert g.order == 6
     for a in range(6):
         assert g.cayley[a, g.inverse(a)] == g.identity
@@ -25,18 +25,18 @@ def test_s3_structure():
 
 def test_rejects_non_latin_table():
     with pytest.raises(SquashkitError, match="^row 0 is not a permutation$"):
-        groups.make_group([[0, 0], [1, 1]])
+        nogo.make_group([[0, 0], [1, 1]])
     with pytest.raises(SquashkitError, match="^column 0 is not a permutation$"):
-        groups.make_group([[0, 1], [0, 1]])
+        nogo.make_group([[0, 1], [0, 1]])
     with pytest.raises(SquashkitError, match="^column 1 is not a permutation$"):
-        groups.make_group([[0, 1, 2], [2, 1, 0], [1, 2, 0]])
+        nogo.make_group([[0, 1, 2], [2, 1, 0], [1, 2, 0]])
 
 
 def test_rejects_non_associative_quasigroup():
     # subtraction mod 5 is a Latin square but not associative
     table = [[(a - b) % 5 for b in range(5)] for a in range(5)]
     with pytest.raises(SquashkitError, match=r"^associativity fails at pair \(0, 0\)$"):
-        groups.make_group(table)
+        nogo.make_group(table)
 
 
 @pytest.mark.parametrize("table, perms", [
@@ -48,37 +48,37 @@ def test_rejects_non_associative_quasigroup():
 def test_group_and_action_entries_must_be_integers(table, perms):
     # refused, not truncated or coerced into the C2 table and its basis swap
     with pytest.raises(SquashkitError, match="^Cayley entries must be integers, got"):
-        groups.make_group(table)
+        nogo.make_group(table)
     with pytest.raises(SquashkitError, match="^label images must be integers, got"):
-        groups.make_action(perms)
+        nogo.make_action(perms)
 
 
 def test_null_entries_are_refused():
     # a JSON null makes an object array, which int() cannot cast
     with pytest.raises(SquashkitError, match="^Cayley entries must be integers$"):
-        groups.make_group([[0, None], [1, 0]])
+        nogo.make_group([[0, None], [1, 0]])
     with pytest.raises(SquashkitError, match="^label images must be integers$"):
-        groups.make_action([[0, 1, 2, 3], [1, 0, 3, None]])
+        nogo.make_action([[0, 1, 2, 3], [1, 0, 3, None]])
     with pytest.raises(OverflowError, match="too large"):  # a Python int beyond 64 bits
-        groups.make_group([[0, 1], [1, 2**64]])
+        nogo.make_group([[0, 1], [1, 2**64]])
 
 
 def test_ragged_tables_are_refused():
     with pytest.raises(SquashkitError, match="^Cayley entries must be rows of equal length$"):
-        groups.make_group([[0, 1], [1]])
+        nogo.make_group([[0, 1], [1]])
     with pytest.raises(SquashkitError, match="^label images must be rows of equal length$"):
-        groups.make_action([[0, 1, 2, 3], [1, 0, 3]])
+        nogo.make_action([[0, 1, 2, 3], [1, 0, 3]])
 
 
 def test_action_must_be_homomorphism():
-    g = groups.cyclic_group(4)
-    bad = groups.make_action(
+    g = nogo.cyclic_group(4)
+    bad = nogo.make_action(
         [[0, 1, 2, 3], [1, 2, 3, 0], [0, 1, 2, 3], [1, 2, 3, 0]]
     )
     with pytest.raises(SquashkitError, match=r"^homomorphism fails at pair \(1, 1\)$"):
-        groups.validate_action(g, bad)
-    groups.validate_action(g, groups.canonical_c4_action())
-    groups.validate_action(groups.cyclic_group(2), groups.c2_basis_swap_action())
+        nogo.validate_action(g, bad)
+    nogo.validate_action(g, nogo.canonical_c4_action())
+    nogo.validate_action(nogo.cyclic_group(2), nogo.c2_basis_swap_action())
 
 
 # The regular representation R of a symmetrization is held as SymmetrizedPovm.rep:
@@ -88,7 +88,7 @@ def test_action_must_be_homomorphism():
 def test_regular_representation_c2():
     from squashkit.nogo import symmetrize
 
-    s = symmetrize(povm.ideal_qubit_povm(), groups.cyclic_group(2), groups.c2_basis_swap_action())
+    s = symmetrize(povm.ideal_qubit_povm(), nogo.cyclic_group(2), nogo.c2_basis_swap_action())
     assert s.rep.shape == (2, 4) and not s.rep.flags.writeable
     assert np.array_equal(s.rep[0], [0, 1, 2, 3])
     assert np.array_equal(s.rep[1], [1, 0, 3, 2])  # the swap [[0, 1], [1, 0]] on each block
@@ -97,7 +97,7 @@ def test_regular_representation_c2():
 def test_regular_representation_c4_generator():
     from squashkit.nogo import symmetrize
 
-    s = symmetrize(povm.ideal_qubit_povm(), groups.cyclic_group(4), groups.canonical_c4_action())
+    s = symmetrize(povm.ideal_qubit_povm(), nogo.cyclic_group(4), nogo.canonical_c4_action())
     # the generator shifts h -> h + 1 mod 4 inside each kron block
     assert np.array_equal(s.rep[1], [1, 2, 3, 0, 5, 6, 7, 4])
     shift = np.zeros((4, 4))
@@ -111,8 +111,8 @@ def test_regular_representation_c4_generator():
 def test_regular_representation_s3_homomorphism():
     from squashkit.nogo import symmetrize
 
-    g = groups.symmetric_group_s3()
-    s = symmetrize(povm.ideal_qubit_povm(), g, groups.make_action([[0, 1, 2, 3]] * 6))
+    g = nogo.symmetric_group_s3()
+    s = symmetrize(povm.ideal_qubit_povm(), g, nogo.make_action([[0, 1, 2, 3]] * 6))
     assert s.rep.shape == (6, 12) and not s.rep.flags.writeable
     assert np.array_equal(s.rep[g.identity], np.arange(12))
     i, h = np.divmod(np.arange(12), 6)
@@ -124,22 +124,22 @@ def test_regular_representation_s3_homomorphism():
 
 def test_c4_symmetry_validation():
     with pytest.raises(SquashkitError, match="^U is not unitary within 1e-09$"):
-        groups.C4Symmetry(u=np.diag([1.0, 2.0]).astype(complex))
+        fock.C4Symmetry(u=np.diag([1.0, 2.0]).astype(complex))
     # the global phase is free: an order-eight unitary and a phase-shifted one are accepted
     u = linalg.unitary_from_generator(linalg.PAULI_Y, np.pi / 4)
-    groups.C4Symmetry(u=u)
-    groups.C4Symmetry(u=np.exp(0.3j) * u)
+    fock.C4Symmetry(u=u)
+    fock.C4Symmetry(u=np.exp(0.3j) * u)
 
 
 def test_c4_symmetry_holds_a_read_only_complex_copy():
     u = linalg.unitary_from_generator(linalg.PAULI_Y, -np.pi / 4)
-    sym = groups.C4Symmetry(u=u)
+    sym = fock.C4Symmetry(u=u)
     u[0, 0] = 2.0  # the symmetry checked and holds its own copy
     assert sym.u[0, 0] != 2.0 and not sym.u.flags.writeable
     with pytest.raises(ValueError):
         sym.u[0, 0] = 2.0
-    assert groups.check_definition1(sym, povm.ideal_qubit_povm()).passed
-    listed = groups.C4Symmetry(u=[[0, 1], [1, 0]])
+    assert builder.check_definition1(sym, povm.ideal_qubit_povm()).passed
+    listed = fock.C4Symmetry(u=[[0, 1], [1, 0]])
     assert listed.u.dtype == complex and not listed.u.flags.writeable
     back = pickle.loads(pickle.dumps(sym))
     assert not back.u.flags.writeable and np.array_equal(back.u, sym.u)
@@ -147,10 +147,10 @@ def test_c4_symmetry_holds_a_read_only_complex_copy():
 
 def test_groups_and_actions_hold_read_only_copies():
     table, perms = np.array([[0, 1], [1, 0]]), np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
-    group, action = groups.make_group(table), groups.make_action(perms)
+    group, action = nogo.make_group(table), nogo.make_action(perms)
     table[0, 0], perms[0, 0] = 1, 3  # after this the inputs are no group and no action
     assert group.cayley[0, 0] == 0 and action.perms[0, 0] == 0
-    groups.validate_action(group, action)
+    nogo.validate_action(group, action)
     for array in (group.cayley, action.perms):
         with pytest.raises(ValueError):
             array[0, 0] = 1
@@ -166,15 +166,15 @@ def uniform_povm():
 
 
 def test_definition1_uniform_set_trivial_unitary():
-    sym = groups.C4Symmetry(u=np.eye(2, dtype=complex))
-    report = groups.check_definition1(sym, uniform_povm())
+    sym = fock.C4Symmetry(u=np.eye(2, dtype=complex))
+    report = builder.check_definition1(sym, uniform_povm())
     assert report.passed and report.max_residual <= 1e-12
 
 
 def test_definition1_ideal_set_with_quarter_rotation():
     u = linalg.unitary_from_generator(linalg.PAULI_Y, -np.pi / 4)
-    sym = groups.C4Symmetry(u=u)
-    report = groups.check_definition1(sym, povm.ideal_qubit_povm())
+    sym = fock.C4Symmetry(u=u)
+    report = builder.check_definition1(sym, povm.ideal_qubit_povm())
     assert report.passed, report.residuals
 
 
@@ -199,16 +199,16 @@ def test_definition1_m0_fails_for_every_candidate():
     for _ in range(50):
         candidates.append(random_order_eight_unitary(rng))
     for u in candidates:
-        report = groups.check_definition1(groups.C4Symmetry(u=u), m0)
+        report = builder.check_definition1(fock.C4Symmetry(u=u), m0)
         assert not report.passed
         assert report.max_residual >= 0.5
 
 
 def test_definition1_residuals_ignore_global_phase():
     model = fock.build_detector(fock.fock_sector((3,)))
-    before = groups.check_definition1(groups.C4Symmetry(u=model.symmetry.u), model.povm)
+    before = builder.check_definition1(fock.C4Symmetry(u=model.symmetry.u), model.povm)
     for phase in (np.exp(0.25j * np.pi), np.exp(1.7j)):
-        after = groups.check_definition1(groups.C4Symmetry(u=phase * model.symmetry.u), model.povm)
+        after = builder.check_definition1(fock.C4Symmetry(u=phase * model.symmetry.u), model.povm)
         for key in before.residuals:
             assert abs(before.residuals[key] - after.residuals[key]) <= 1e-12
 
@@ -218,7 +218,7 @@ def test_definition1_equals_the_per_relation_reference(photons):
     model = fock.build_detector(fock.fock_sector(photons))
     u = model.symmetry.u
     for candidate, passes in ((u, True), (np.exp(0.3j) * u, True), (linalg.dagger(u), False)):
-        report = groups.check_definition1(groups.C4Symmetry(u=candidate), model.povm)
+        report = builder.check_definition1(fock.C4Symmetry(u=candidate), model.povm)
         reference = definition1_oracle(candidate, model.povm)
         assert list(report.residuals) == list(reference)
         assert report.passed == passes == (max(reference.values()) <= linalg.TOL)
@@ -228,7 +228,7 @@ def test_definition1_equals_the_per_relation_reference(photons):
 
 def _eigencomponents(v, u, tol=np.inf):
     """The four parts mu_c v_c that mu_decompose splits v into; ``tol`` gates <v, U^2 v>."""
-    dec = builder.mu_decompose(np.asarray(v, dtype=complex), groups.C4Symmetry(u=u), tol=tol)
+    dec = builder.mu_decompose(np.asarray(v, dtype=complex), fock.C4Symmetry(u=u), tol=tol)
     return [dec.mu[c] * dec.v_c[c] for c in range(4)]
 
 
@@ -270,7 +270,7 @@ def test_eigenprojectors_need_order_four():
     u = np.roll(np.eye(5, dtype=complex), 1, axis=0)  # e_j -> e_j+1 mod 5, order five
     v = np.eye(5, dtype=complex)[0]  # U^2 v = e2 is orthogonal to v, but U^4 v = e4
     with pytest.raises(SquashkitError, match="not a multiple of v"):
-        builder.mu_decompose(v, groups.C4Symmetry(u=u))
+        builder.mu_decompose(v, fock.C4Symmetry(u=u))
 
 
 @pytest.mark.parametrize("photons", [(1,), (3,), (2, 1), (1, 1, 1)])
@@ -286,15 +286,15 @@ def test_eigencomponents_of_an_odd_sector_carry_its_phase(photons):
 
 
 def test_definition2_trivial_group():
-    action = groups.make_action([[0, 1, 2, 3]])
-    report = groups.check_definition2([np.arange(2)], action, povm.ideal_qubit_povm())
+    action = nogo.make_action([[0, 1, 2, 3]])
+    report = nogo.check_definition2([np.arange(2)], action, povm.ideal_qubit_povm())
     assert report.passed
 
 
 def test_definition2_identity_rep_cannot_permute():
-    action = groups.canonical_c4_action()
+    action = nogo.canonical_c4_action()
     rep = np.tile(np.arange(2), (4, 1))
-    report = groups.check_definition2(rep, action, povm.ideal_qubit_povm())
+    report = nogo.check_definition2(rep, action, povm.ideal_qubit_povm())
     assert not report.passed
 
 
@@ -302,46 +302,46 @@ def test_definition2_needs_the_regular_permutations():
     # the symmetrized set is symmetric under its own rep, but not under identity rows
     from squashkit.nogo import counterexample_m0, symmetrize
 
-    s = symmetrize(counterexample_m0(), groups.cyclic_group(4), groups.canonical_c4_action())
-    assert groups.check_definition2(s.rep, s.action, s.tilde).max_residual == 0.0
-    report = groups.check_definition2(np.tile(np.arange(8), (4, 1)), s.action, s.tilde)
+    s = symmetrize(counterexample_m0(), nogo.cyclic_group(4), nogo.canonical_c4_action())
+    assert nogo.check_definition2(s.rep, s.action, s.tilde).max_residual == 0.0
+    report = nogo.check_definition2(np.tile(np.arange(8), (4, 1)), s.action, s.tilde)
     assert not report.passed and report.residuals["g0.z0"] == 0.0
     assert report.max_residual >= 1.0
 
 
 def test_definition2_rejects_rows_that_are_not_index_permutations():
-    action = groups.canonical_c4_action()
+    action = nogo.canonical_c4_action()
     p = povm.ideal_qubit_povm()
     with pytest.raises(SquashkitError, match=r"^representation of shape \(4, 3\) vs POVM dim 2$"):
-        groups.check_definition2(np.tile(np.arange(3), (4, 1)), action, p)
+        nogo.check_definition2(np.tile(np.arange(3), (4, 1)), action, p)
     with pytest.raises(SquashkitError, match=r"^representation of shape \(\) vs POVM dim 2$"):
-        groups.check_definition2({0: np.eye(2)}, action, p)
+        nogo.check_definition2({0: np.eye(2)}, action, p)
     with pytest.raises(SquashkitError, match="permutations of range"):
-        groups.check_definition2(np.eye(2), action, p)  # dense matrices are not index rows
+        nogo.check_definition2(np.eye(2), action, p)  # dense matrices are not index rows
     with pytest.raises(SquashkitError, match="permutations of range"):
-        groups.check_definition2([[0, 1], [0, 0], [1, 0], [0, 1]], action, p)
+        nogo.check_definition2([[0, 1], [0, 0], [1, 0], [0, 1]], action, p)
 
 
 def test_group_json_round_trip():
-    g = groups.symmetric_group_s3()
-    back = groups.group_from_json(groups.group_to_json(g))
+    g = nogo.symmetric_group_s3()
+    back = nogo.group_from_json(nogo.group_to_json(g))
     assert np.array_equal(back.cayley, g.cayley)
 
 
 def test_json_readers_name_what_is_missing_or_unknown():
-    group = groups.group_to_json(groups.cyclic_group(2))
+    group = nogo.group_to_json(nogo.cyclic_group(2))
     for key in ("order", "cayley", "identity"):
         with pytest.raises(SquashkitError, match=f"^missing field '{key}'$"):
-            groups.group_from_json({k: v for k, v in group.items() if k != key})
+            nogo.group_from_json({k: v for k, v in group.items() if k != key})
     with pytest.raises(SquashkitError, match="^missing field 'perms'$"):
-        groups.action_from_json({"labels": list(povm.LABELS)})
+        nogo.action_from_json({"labels": list(povm.LABELS)})
     with pytest.raises(SquashkitError, match="^unknown label 'z2'$"):
-        groups.action_from_json({"perms": [["z0", "x0", "z2", "x1"]]})
+        nogo.action_from_json({"perms": [["z0", "x0", "z2", "x1"]]})
 
 
 def test_action_from_json():
     blob = {"labels": ["z0", "x0", "z1", "x1"],
             "perms": [["z0", "x0", "z1", "x1"], ["x0", "z1", "x1", "z0"],
                       ["z1", "x1", "z0", "x0"], ["x1", "z0", "x0", "z1"]]}
-    back = groups.action_from_json(blob)
-    assert np.array_equal(back.perms, groups.canonical_c4_action().perms)
+    back = nogo.action_from_json(blob)
+    assert np.array_equal(back.perms, nogo.canonical_c4_action().perms)

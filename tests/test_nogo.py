@@ -6,14 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from squashkit import builder, cli, finder, fock, groups, linalg, nogo, povm, squashmap
+from squashkit import builder, cli, finder, fock, linalg, nogo, povm, squashmap
 from squashkit.errors import SelfCheckFailed, SquashkitError, TildeNotVerified
 
 from helpers import kraus_apply, random_density_matrix, random_hermitian, visibility_set
 
 
 def c4_setup(p):
-    return nogo.symmetrize(p, groups.cyclic_group(4), groups.canonical_c4_action())
+    return nogo.symmetrize(p, nogo.cyclic_group(4), nogo.canonical_c4_action())
 
 
 def qubit_frame_unitary(shift: int) -> np.ndarray:
@@ -45,7 +45,7 @@ def blockwise_tilde_squash(
 
 def test_trivial_group_symmetrization_is_identity():
     p = povm.ideal_qubit_povm()
-    s = nogo.symmetrize(p, groups.cyclic_group(1), groups.make_action([[0, 1, 2, 3]]))
+    s = nogo.symmetrize(p, nogo.cyclic_group(1), nogo.make_action([[0, 1, 2, 3]]))
     assert s.tilde.dim == p.dim
     for key in povm.LABELS:
         assert np.array_equal(s.tilde.elements[key], p.elements[key])
@@ -55,15 +55,15 @@ def test_m0_symmetrization():
     s = c4_setup(nogo.counterexample_m0())
     assert s.tilde.dim == 8
     assert povm.validate(s.tilde).passed
-    report = groups.check_definition2(s.rep, s.action, s.tilde)
+    report = nogo.check_definition2(s.rep, s.action, s.tilde)
     assert report.passed and report.max_residual <= 1e-9
 
 
 def test_ideal_with_basis_swap():
     p = povm.ideal_qubit_povm()
-    s = nogo.symmetrize(p, groups.cyclic_group(2), groups.c2_basis_swap_action())
+    s = nogo.symmetrize(p, nogo.cyclic_group(2), nogo.c2_basis_swap_action())
     assert s.tilde.dim == 4
-    report = groups.check_definition2(s.rep, s.action, s.tilde)
+    report = nogo.check_definition2(s.rep, s.action, s.tilde)
     assert report.passed
 
 
@@ -80,7 +80,7 @@ def test_blocks_are_bit_exact_copies():
 
 
 #: Order-two S3 action through the sign: odd permutations swap the z and x outcomes.
-S3_SIGN_ACTION = groups.make_action(
+S3_SIGN_ACTION = nogo.make_action(
     [[0, 1, 2, 3] if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0
      else [1, 0, 3, 2] for p in itertools.permutations(range(3))]
 )
@@ -89,9 +89,9 @@ S3_SIGN_ACTION = groups.make_action(
 def symmetrizations(p):
     """C2, C4 and S3 (where g^-1 != g) symmetrizations of one set."""
     return [
-        nogo.symmetrize(p, groups.cyclic_group(2), groups.c2_basis_swap_action()),
+        nogo.symmetrize(p, nogo.cyclic_group(2), nogo.c2_basis_swap_action()),
         c4_setup(p),
-        nogo.symmetrize(p, groups.symmetric_group_s3(), S3_SIGN_ACTION),
+        nogo.symmetrize(p, nogo.symmetric_group_s3(), S3_SIGN_ACTION),
     ]
 
 
@@ -116,10 +116,10 @@ def test_symmetrize_at_the_cli_limit():
     # a qubit set over the cyclic group of order 128 is the largest symmetrization the CLI admits
     p = povm.ideal_qubit_povm()
     n = cli.MAX_INPUT_DIM // p.dim
-    four_cycle_powers = groups.make_action([[(c + g) % 4 for c in range(4)] for g in range(n)])
-    s = nogo.symmetrize(p, groups.cyclic_group(n), four_cycle_powers)
+    four_cycle_powers = nogo.make_action([[(c + g) % 4 for c in range(4)] for g in range(n)])
+    s = nogo.symmetrize(p, nogo.cyclic_group(n), four_cycle_powers)
     assert s.tilde.dim == cli.MAX_INPUT_DIM
-    assert groups.check_definition2(s.rep, s.action, s.tilde).max_residual == 0.0
+    assert nogo.check_definition2(s.rep, s.action, s.tilde).max_residual == 0.0
     assert nogo.verify_trace_identity(s) == 0.0
     base = finder.bloch_witness(p.difference("z"), p.difference("x")).value
     tilde = finder.bloch_witness(s.tilde.difference("z"), s.tilde.difference("x")).value
@@ -153,7 +153,7 @@ def test_lifted_witness_state_certifies_the_symmetrized_set(name):
 
 def test_pullback_through_trivial_group():
     p = povm.ideal_qubit_povm()
-    s = nogo.symmetrize(p, groups.cyclic_group(1), groups.make_action([[0, 1, 2, 3]]))
+    s = nogo.symmetrize(p, nogo.cyclic_group(1), nogo.make_action([[0, 1, 2, 3]]))
     f = squashmap.squash_from_kraus(2, (np.eye(2, dtype=complex),))
     pulled = nogo.pullback_squash(s, f)
     rng = np.random.default_rng(3)
@@ -273,7 +273,7 @@ def test_symmetrize_validates_the_base_at_the_tolerance_given():
     near = povm.make_povm(elements)
     with pytest.raises(SquashkitError, match="fails POVM validation at tol=1e-09"):
         c4_setup(near)
-    s = nogo.symmetrize(near, groups.cyclic_group(4), groups.canonical_c4_action(), tol=1e-8)
+    s = nogo.symmetrize(near, nogo.cyclic_group(4), nogo.canonical_c4_action(), tol=1e-8)
     # the symmetrized residual is sqrt(2) times the base's: two blocks of each basis carry it
     assert max(povm.validate(s.tilde, 1e-8).completeness_residuals.values()) == pytest.approx(
         np.sqrt(2.0) * 5e-9, rel=1e-6
@@ -281,14 +281,14 @@ def test_symmetrize_validates_the_base_at_the_tolerance_given():
 
 
 def test_symmetrize_refuses_an_action_that_splits_a_basis_pair():
-    split = groups.make_action([[0, 1, 2, 3], [0, 2, 1, 3]])  # a homomorphism, swapping x0 and z1
+    split = nogo.make_action([[0, 1, 2, 3], [0, 2, 1, 3]])  # a homomorphism, swapping x0 and z1
     with pytest.raises(SquashkitError, match="must send each basis pair to a basis pair"):
-        nogo.symmetrize(povm.ideal_qubit_povm(), groups.cyclic_group(2), split)
+        nogo.symmetrize(povm.ideal_qubit_povm(), nogo.cyclic_group(2), split)
 
 
 def test_symmetrize_reports_failed_symmetry_check(monkeypatch):
     monkeypatch.setattr(
-        nogo.groups,
+        nogo,
         "check_definition2",
         lambda *args, **kwargs: SimpleNamespace(passed=False, max_residual=1.0),
     )
@@ -299,7 +299,7 @@ def test_symmetrize_reports_failed_symmetry_check(monkeypatch):
 def test_symmetrize_then_find_then_pull_back():
     # the reduction: a squash for the symmetrized set yields one for the base
     model = fock.build_detector(fock.fock_sector((1,)))
-    s = nogo.symmetrize(model.povm, groups.cyclic_group(2), groups.c2_basis_swap_action())
+    s = nogo.symmetrize(model.povm, nogo.cyclic_group(2), nogo.c2_basis_swap_action())
     found = finder.find_squash(s.tilde)
     if found.verdict == "FEASIBLE":
         pulled = nogo.pullback_squash(s, found.squash, tol=1e-6)
@@ -338,8 +338,8 @@ def test_symmetrization_keeps_witness_and_verdict(d, seed, value):
     verdict = finder.find_squash(base).verdict
     assert verdict == ("FEASIBLE" if value < 1.0 else "INFEASIBLE")
     for group, action in (
-        (groups.cyclic_group(2), groups.c2_basis_swap_action()),
-        (groups.cyclic_group(4), groups.canonical_c4_action()),
+        (nogo.cyclic_group(2), nogo.c2_basis_swap_action()),
+        (nogo.cyclic_group(4), nogo.canonical_c4_action()),
     ):
         tilde = nogo.symmetrize(base, group, action).tilde
         mz, mx = tilde.difference("z"), tilde.difference("x")

@@ -1,13 +1,16 @@
 """squashkit's values are named tuples: frozen, and checked on every path where one is checked."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
-from squashkit import builder, finder, fock, groups, linalg, nogo, povm, squashmap
+import squashkit
+from squashkit import builder, finder, fock, linalg, nogo, povm, squashmap
 from squashkit.errors import SquashkitError
 
 from helpers import fresh_python
@@ -31,12 +34,12 @@ CHECKED = {
         (np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)),
         (np.eye(2, dtype=complex), np.eye(2, dtype=complex)),
     ),
-    "C4Symmetry": (groups.C4Symmetry, (QUARTER_TURN,), (2.0 * np.eye(2),)),
+    "C4Symmetry": (fock.C4Symmetry, (QUARTER_TURN,), (2.0 * np.eye(2),)),
     "FiniteGroup": (
-        groups.FiniteGroup, (2, np.array([[0, 1], [1, 0]]), 0), (2, np.array([[0, 0], [0, 0]]), 0)
+        nogo.FiniteGroup, (2, np.array([[0, 1], [1, 0]]), 0), (2, np.array([[0, 0], [0, 0]]), 0)
     ),
     "LabelAction": (
-        groups.LabelAction, (np.array([[0, 1, 2, 3], [1, 0, 3, 2]]),), (np.zeros((4, 4), int),)
+        nogo.LabelAction, (np.array([[0, 1, 2, 3], [1, 0, 3, 2]]),), (np.zeros((4, 4), int),)
     ),
     "Bb84Povm": (povm.Bb84Povm, (2, QUBIT), (2, {**QUBIT, "x1": np.eye(3)})),
     "FockSector": (fock.FockSector, ((2, 1),), ((-1, 2),)),
@@ -106,7 +109,7 @@ DETECTOR_11 = fock.build_detector(fock.fock_sector((1, 1)))  # dimension 4, as (
 DETECTOR_3 = fock.build_detector(fock.fock_sector((3,)))
 DERIVED = {
     "a set's dim": lambda: povm.ideal_qubit_povm()._replace(dim=3),
-    "a group's order": lambda: groups.cyclic_group(2)._replace(order=3),
+    "a group's order": lambda: nogo.cyclic_group(2)._replace(order=3),
     "a detector's set": lambda: DETECTOR_11._replace(povm=DETECTOR_3.povm),
     "a detector's unitary": lambda: DETECTOR_11._replace(symmetry=DETECTOR_3.symmetry),
     "a detector's states": lambda: DETECTOR_11._replace(states=DETECTOR_3.states),
@@ -132,7 +135,7 @@ def records() -> dict:
     lam, v = builder.extract_rank2(p.difference("z"), sym)
     squash = builder.construct_theorem1(p, sym)
     report = finder.find_squash(p)
-    group, action = groups.cyclic_group(2), groups.c2_basis_swap_action()
+    group, action = nogo.cyclic_group(2), nogo.c2_basis_swap_action()
     values = [
         linalg.hermitian_eig(np.eye(2)),
         p,
@@ -140,7 +143,7 @@ def records() -> dict:
         group,
         action,
         sym,
-        groups.check_definition1(sym, p),
+        builder.check_definition1(sym, p),
         model.sector,
         model,
         squash,
@@ -159,7 +162,10 @@ RECORDS = records()
 
 def public_classes(base) -> set:
     """Names of the public classes in squashkit's modules that derive from ``base``."""
-    modules = (builder, finder, fock, groups, linalg, nogo, povm, squashmap)
+    modules = [
+        importlib.import_module(f"squashkit.{info.name}")
+        for info in pkgutil.iter_modules(squashkit.__path__)
+    ]
     return {
         name for module in modules for name, value in vars(module).items()
         if isinstance(value, type) and base in value.__mro__[1:] and not name.startswith("_")
@@ -230,8 +236,69 @@ def test_a_map_pickled_here_loads_without_the_constructor(tmp_path):
         f"squash = pickle.loads(open({str(path)!r}, 'rb').read())\n"
         "print(type(squash).__module__, squash.g0[0, 0], squash.g1[0, 0])\n"
         "print(squash.g0.flags.writeable or squash.g1.flags.writeable)\n"
-        "print(sorted({'squashkit.builder', 'squashkit.groups'} & set(sys.modules)))\n"
+        "print(sorted({'squashkit.builder'} & set(sys.modules)))\n"
     )
     assert fresh_python(probe).splitlines() == [
         "squashkit.squashmap (0.6+0j) 0.8j", "False", "[]",
     ]
+
+
+
+#: A DetectorModel of sector (1,) and the one-dimensional set z0 = 0.6, z1 = 0.4, x0 = x1 = 0.5,
+#: as pickled while squashkit had a ``groups`` module; neither pickle names it
+OLD_PICKLES = {
+    ("DetectorModel", 0): (
+        b'csquashkit.fock\nbuild_detector\np0\n(csquashkit.fock\nFockSector\np1\n((I1\ntp2'
+        b'\ntp3\nRp4\ntp5\nRp6\n.'
+    ),
+    ("DetectorModel", 5): (
+        b'\x80\x05\x95B\x00\x00\x00\x00\x00\x00\x00\x8c\x0esquashkit.fock\x94\x8c\x0ebuild_'
+        b'detector\x94\x93\x94h\x00\x8c\nFockSector\x94\x93\x94K\x01\x85\x94\x85\x94R\x94'
+        b'\x85\x94R\x94.'
+    ),
+    ("Bb84Povm", 0): (
+        b'csquashkit.povm\nBb84Povm\np0\n(I1\n(dp1\nVz0\np2\ncnumpy._core.multiarray\n_reco'
+        b'nstruct\np3\n(cnumpy\nndarray\np4\n(I0\ntp5\nc_codecs\nencode\np6\n(Vb\np7\nVlati'
+        b'n1\np8\ntp9\nRp10\ntp11\nRp12\n(I1\n(I1\nI1\ntp13\ncnumpy\ndtype\np14\n(Vc16\np15'
+        b'\nI00\nI01\ntp16\nRp17\n(I3\nV<\np18\nNNNI-1\nI-1\nI0\ntp19\nbI00\ng6\n(V333333'
+        b'\xe3?\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\np20\ng8\ntp21\nRp2'
+        b'2\ntp23\nbsVx0\np24\ng3\n(g4\n(I0\ntp25\ng10\ntp26\nRp27\n(I1\n(I1\nI1\ntp28\ng17'
+        b'\nI00\ng6\n(V\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\xe0?\\u0000\\u0000\\u0000'
+        b'\\u0000\\u0000\\u0000\\u0000\\u0000\np29\ng8\ntp30\nRp31\ntp32\nbsVz1\np33\ng3\n('
+        b'g4\n(I0\ntp34\ng10\ntp35\nRp36\n(I1\n(I1\nI1\ntp37\ng17\nI00\ng6\n(V\x9a\x99\x99'
+        b'\x99\x99\x99\xd9?\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\np38\ng'
+        b'8\ntp39\nRp40\ntp41\nbsVx1\np42\ng3\n(g4\n(I0\ntp43\ng10\ntp44\nRp45\n(I1\n(I1\nI'
+        b'1\ntp46\ng17\nI00\ng6\n(V\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\xe0?\\u0000\\'
+        b'u0000\\u0000\\u0000\\u0000\\u0000\\u0000\\u0000\np47\ng8\ntp48\nRp49\ntp50\nbstp5'
+        b'1\nRp52\n.'
+    ),
+    ("Bb84Povm", 5): (
+        b'\x80\x05\x95(\x01\x00\x00\x00\x00\x00\x00\x8c\x0esquashkit.povm\x94\x8c\x08Bb84Po'
+        b'vm\x94\x93\x94K\x01}\x94(\x8c\x02z0\x94\x8c\x13numpy._core.numeric\x94\x8c\x0b_fr'
+        b'ombuffer\x94\x93\x94(C\x10333333\xe3?\x00\x00\x00\x00\x00\x00\x00\x00\x94\x8c\x05'
+        b'numpy\x94\x8c\x05dtype\x94\x93\x94\x8c\x03c16\x94\x89\x88\x87\x94R\x94(K\x03\x8c'
+        b'\x01<\x94NNNJ\xff\xff\xff\xffJ\xff\xff\xff\xffK\x00t\x94bK\x01K\x01\x86\x94\x8c'
+        b'\x01C\x94t\x94R\x94\x8c\x02x0\x94h\x07(C\x10\x00\x00\x00\x00\x00\x00\xe0?\x00\x00'
+        b'\x00\x00\x00\x00\x00\x00\x94h\x0eK\x01K\x01\x86\x94h\x12t\x94R\x94\x8c\x02z1\x94h'
+        b'\x07(C\x10\x9a\x99\x99\x99\x99\x99\xd9?\x00\x00\x00\x00\x00\x00\x00\x00\x94h\x0eK'
+        b'\x01K\x01\x86\x94h\x12t\x94R\x94\x8c\x02x1\x94h\x07(C\x10\x00\x00\x00\x00\x00\x00'
+        b'\xe0?\x00\x00\x00\x00\x00\x00\x00\x00\x94h\x0eK\x01K\x01\x86\x94h\x12t\x94R\x94u'
+        b'\x86\x94R\x94.'
+    ),
+}
+
+
+@pytest.mark.parametrize("name, protocol", OLD_PICKLES)
+def test_a_detector_or_set_pickled_before_the_groups_module_went_still_loads(name, protocol):
+    made = pickle.loads(OLD_PICKLES[name, protocol])
+    if name == "DetectorModel":
+        expected = fock.build_detector(fock.fock_sector((1,)))
+        assert type(made) is fock.DetectorModel
+        assert fock.detector_to_json(made) == fock.detector_to_json(expected)
+    else:
+        expected = povm.make_povm({"z0": [[0.6]], "z1": [[0.4]], "x0": [[0.5]], "x1": [[0.5]]})
+        assert type(made) is povm.Bb84Povm and made.dim == expected.dim == 1
+        assert list(made.elements) == list(expected.elements)
+        for key, value in made.elements.items():
+            assert not value.flags.writeable and value.dtype == expected.elements[key].dtype
+            assert np.array_equal(value, expected.elements[key])

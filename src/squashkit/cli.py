@@ -1,8 +1,8 @@
 """Command-line surface: batch workflows over JSON files.
 
-Exit codes: 0 success, 1 negative scientific verdict (no squash, or a map
-failed verification), 2 malformed input or a failed internal self-check,
-3 feasibility undecided. Each class of :mod:`squashkit.errors` maps to one.
+Exit codes: 0 success, 1 negative verdict (no squash, or a map failed verification),
+2 malformed input, an unreadable file or a failed self-check, 3 undecided. Each class
+of :mod:`squashkit.errors` maps to one; any other exception is a program fault.
 """
 
 from __future__ import annotations
@@ -115,11 +115,13 @@ def _write_json(obj: dict, out: str | None) -> None:
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except RecursionError as exc:  # only here an input's nesting, elsewhere a program bug
-            raise SquashkitError(f"{path} nests its JSON too deeply to read") from exc
+        except json.JSONDecodeError:
+            raise
+        except (RecursionError, ValueError) as exc:  # nested too deep, not UTF-8, 4300+ digits
+            raise SquashkitError(f"{path} is not JSON text that can be read: {exc}") from exc
 
 
 def _parse_sector(text: str) -> fock.FockSector:
@@ -140,7 +142,7 @@ def _load_group(name: str, base_dim: int, what: str) -> nogo.FiniteGroup:
         "s3": nogo.symmetric_group_s3,
     }
     blob = nogo.group_to_json(builtin[name]()) if name in builtin else _load_json(name)
-    _require_dim(base_dim * len(linalg.json_field(blob, "cayley")), what)
+    _require_dim(base_dim * len(linalg.json_field(blob, "cayley", list)), what)
     return nogo.group_from_json(blob)
 
 
@@ -157,9 +159,9 @@ def _load_action(path: str | None, group_name: str) -> nogo.LabelAction:
 def _load_povm(path: str, tol: float) -> povm.Bb84Povm:
     """A measurement-set file, sized by its declared dimensions before its entries are decoded."""
     blob = _load_json(path)
-    elements = linalg.json_field(blob, "elements")
+    elements = linalg.json_field(blob, "elements", dict)
     for obj in (blob, *(linalg.json_field(elements, key) for key in povm.LABELS)):
-        _require_dim(linalg.json_int(obj, "dim"), path)
+        _require_dim(linalg.json_field(obj, "dim", int), path)
     p = povm.povm_from_json(blob)
     if not povm.validate(p, tol).passed:
         raise SquashkitError(f"{path} is not a valid measurement set at tol={tol}")
@@ -169,7 +171,7 @@ def _load_povm(path: str, tol: float) -> povm.Bb84Povm:
 def _load_unitary(path: str, dim: int) -> fock.C4Symmetry:
     """A unitary file, sized against the measurement set before its entries are decoded."""
     blob = _load_json(path)
-    if linalg.json_int(blob, "dim") != dim:
+    if linalg.json_field(blob, "dim", int) != dim:
         raise SquashkitError(f"unitary dim {blob['dim']} vs POVM dim {dim}")
     return fock.C4Symmetry(u=linalg.matrix_from_json(blob))
 
@@ -182,11 +184,11 @@ def _load_squash(path: str, in_dim: int) -> squashmap.SquashMap:
             verdict = blob.get("verdict")
             raise SquashkitError(f"{path} holds no squash map (finder verdict {verdict})")
         blob = blob["squash"]
-    kraus = linalg.json_field(blob, "kraus")
-    if linalg.json_int(blob, "in_dim") != in_dim:
+    kraus = linalg.json_field(blob, "kraus", list)
+    if linalg.json_field(blob, "in_dim", int) != in_dim:
         raise SquashkitError(f"map dim {blob['in_dim']} vs POVM dim {in_dim}")
     for op in kraus:
-        shape = (linalg.json_int(op, "rows"), linalg.json_int(op, "cols"))
+        shape = (linalg.json_field(op, "rows", int), linalg.json_field(op, "cols", int))
         if shape != (2, in_dim):
             raise SquashkitError(f"Kraus operator shape {shape} vs expected (2, {in_dim})")
     return squashmap.squash_from_json(blob)
@@ -315,14 +317,10 @@ def main(argv=None) -> int:
     try:
         _check_ranges(args)
         return args.func(args)
-    except (ConstructionError, TildeNotVerified) as exc:
+    except (SquashkitError, OSError, json.JSONDecodeError) as exc:
         print(f"squashkit: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    # OverflowError: an input integer too large for a float or a C long
-    except (SquashkitError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            OverflowError) as exc:
-        print(f"squashkit: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        negative = isinstance(exc, (ConstructionError, TildeNotVerified))
+        return EXIT_NEGATIVE if negative else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -84,9 +84,10 @@ class C4Symmetry(linalg.Checked, NamedTuple("C4Symmetry", [("u", np.ndarray)])):
 
     __slots__ = ()
 
+    @np.errstate(all="ignore")  # an entry near the float limit gives an inf or NaN, refused below
     def __new__(cls, u):
         m = linalg.as_matrix(u).copy()
-        if linalg.frob(linalg.dagger(m) @ m - np.eye(m.shape[0])) > linalg.TOL:
+        if not linalg.frob(linalg.dagger(m) @ m - np.eye(m.shape[0])) <= linalg.TOL:
             raise SquashkitError(f"U is not unitary within {linalg.TOL}")
         m.flags.writeable = False
         return super().__new__(cls, m)

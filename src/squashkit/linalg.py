@@ -8,6 +8,7 @@ numpy's LAPACK ``eigh``, so numpy stays the only dependency.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -120,19 +121,16 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON wire format: {"dim": d, "entries": [[re, im], ...]} row-major.
 
-def json_field(obj: dict, key: str):
-    """Field ``key`` of a decoded JSON object; a missing one is named, not a bare KeyError."""
+def json_field(obj: dict, key: str, kind: type | None = None):
+    """Field ``key`` of a JSON object, of exact type ``kind`` (int, list or dict) if given."""
+    if type(obj) is not dict:
+        raise SquashkitError(f"expected an object holding {key!r}, got {reprlib.repr(obj)}")
     if key not in obj:
         raise SquashkitError(f"missing field {key!r}")
+    if kind is not None and type(obj[key]) is not kind:
+        name = {int: "an integer", list: "a list", dict: "an object"}[kind]
+        raise SquashkitError(f"{key!r} must be {name}, got {reprlib.repr(obj[key])}")
     return obj[key]
-
-
-def json_int(obj: dict, key: str) -> int:
-    """Integer field ``key`` of a decoded JSON object; 2.9, 2.0, "2" and true are refused."""
-    value = json_field(obj, key)
-    if type(value) is not int:
-        raise SquashkitError(f"{key!r} must be an integer, got {value!r}")
-    return value
 
 
 def _encode(values: np.ndarray) -> list:
@@ -140,9 +138,14 @@ def _encode(values: np.ndarray) -> list:
 
 
 def _decode(entries: list, rows: int, cols: int, shape_name: str) -> np.ndarray:
+    if rows < 1 or cols < 1:
+        raise SquashkitError(f"{shape_name} is not a positive size")
     if len(entries) != rows * cols:
         raise SquashkitError(f"expected {rows * cols} entries for {shape_name}, got {len(entries)}")
-    values = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    try:
+        values = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past any float
+        raise SquashkitError("entries must be [re, im] pairs of numbers, none too large") from exc
     # complex() takes True as 1; a scan at C speed once every entry has parsed
     if bool in set(map(type, itertools.chain.from_iterable(entries))):
         raise SquashkitError("matrix entries must be numbers, not booleans")
@@ -155,8 +158,8 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    dim = json_int(obj, "dim")
-    return as_matrix(_decode(json_field(obj, "entries"), dim, dim, f"dim {dim}"))
+    dim = json_field(obj, "dim", int)
+    return as_matrix(_decode(json_field(obj, "entries", list), dim, dim, f"dim {dim}"))
 
 
 def matrix_rect_to_json(a: np.ndarray) -> dict:
@@ -165,8 +168,8 @@ def matrix_rect_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_rect_from_json(obj: dict) -> np.ndarray:
-    rows, cols = json_int(obj, "rows"), json_int(obj, "cols")
-    return _decode(json_field(obj, "entries"), rows, cols, f"{rows}x{cols}")
+    rows, cols = json_field(obj, "rows", int), json_field(obj, "cols", int)
+    return _decode(json_field(obj, "entries", list), rows, cols, f"{rows}x{cols}")
 
 
 def vector_to_json(v: np.ndarray) -> list:

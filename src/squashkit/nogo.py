@@ -52,11 +52,13 @@ def _integer_array(values, what: str) -> np.ndarray:
         arr = np.array(values)
     except ValueError as exc:  # ragged rows
         raise SquashkitError(f"{what} must be rows of equal length") from exc
-    if arr.dtype == object:  # None, or a Python int beyond 64 bits: the cast raises "too large"
+    if arr.dtype == object:  # None, a list or a Python int beyond 64 bits
         try:
             arr = arr.astype(int)
         except (TypeError, ValueError) as exc:
             raise SquashkitError(f"{what} must be integers") from exc
+        except OverflowError as exc:
+            raise SquashkitError(f"{what} are too large for 64 bits") from exc
     if arr.dtype.kind not in "iu":
         raise SquashkitError(f"{what} must be integers, got {arr.dtype}")
     arr.flags.writeable = False
@@ -336,19 +338,16 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 
 def group_from_json(obj: dict) -> FiniteGroup:
-    order, identity = linalg.json_int(obj, "order"), linalg.json_int(obj, "identity")
-    return FiniteGroup(order, linalg.json_field(obj, "cayley"), identity)
+    order, identity = linalg.json_field(obj, "order", int), linalg.json_field(obj, "identity", int)
+    return FiniteGroup(order, linalg.json_field(obj, "cayley", list), identity)
 
 
 def action_from_json(obj: dict) -> LabelAction:
-    if not isinstance(obj, dict):
-        raise SquashkitError(f"a label action must be a JSON object, got {type(obj).__name__}")
-    labels = obj.get("labels", list(povm.LABELS))
-    if list(labels) != list(povm.LABELS):
+    # a bare label in place of a row makes a ragged table
+    rows = [row if type(row) is list else [row] for row in linalg.json_field(obj, "perms", list)]
+    if obj.get("labels", list(povm.LABELS)) != list(povm.LABELS):
         raise SquashkitError(f"labels must be {list(povm.LABELS)}")
-    index = {name: c for c, name in enumerate(povm.LABELS)}
-    rows = linalg.json_field(obj, "perms")
-    unknown = [name for row in rows for name in row if name not in index]
+    unknown = [name for row in rows for name in row if name not in povm.LABELS]
     if unknown:
         raise SquashkitError(f"unknown label {unknown[0]!r}")
-    return make_action([[index[name] for name in row] for row in rows])
+    return make_action([[povm.LABELS.index(name) for name in row] for row in rows])

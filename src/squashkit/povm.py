@@ -89,6 +89,7 @@ class ValidationReport(NamedTuple):
     passed: bool
 
 
+@np.errstate(all="ignore")  # an entry near the float limit gives an inf or NaN, refused below
 def validate(p: Bb84Povm, tol: float = linalg.TOL) -> ValidationReport:
     """Check positivity of every element and per-basis completeness."""
     stack = np.stack([p.elements[key] for key in LABELS])  # basis r's pair sits at c and c + 2
@@ -98,7 +99,7 @@ def validate(p: Bb84Povm, tol: float = linalg.TOL) -> ValidationReport:
     }
     eye = np.eye(p.dim, dtype=complex)
     residuals = {r: linalg.frob(stack[c] + stack[c + 2] - eye) for c, r in enumerate("zx")}
-    ok = min(margins.values()) >= -tol and max(residuals.values()) <= tol
+    ok = all(m >= -tol for m in margins.values()) and all(r <= tol for r in residuals.values())
     return ValidationReport(
         psd_margins=margins, completeness_residuals=residuals, tol=tol, passed=ok
     )
@@ -112,6 +113,6 @@ def povm_to_json(p: Bb84Povm) -> dict:
 
 
 def povm_from_json(obj: dict) -> Bb84Povm:
-    blobs = linalg.json_field(obj, "elements")
+    blobs = linalg.json_field(obj, "elements", dict)
     elements = {key: linalg.matrix_from_json(linalg.json_field(blobs, key)) for key in LABELS}
-    return Bb84Povm(linalg.json_int(obj, "dim"), elements)
+    return Bb84Povm(linalg.json_field(obj, "dim", int), elements)

@@ -37,6 +37,7 @@ class SquashMap(linalg.Checked, NamedTuple("SquashMap", [("g0", np.ndarray), ("g
 
     __slots__ = ()
 
+    @np.errstate(all="ignore")  # an entry near the float limit gives an inf or NaN, refused below
     def __new__(cls, g0, g1):
         g0, g1 = np.array(g0, dtype=complex), np.array(g1, dtype=complex)
         g0.flags.writeable = g1.flags.writeable = False
@@ -111,5 +112,5 @@ def squash_to_json(f: SquashMap) -> dict:
 
 
 def squash_from_json(obj: dict) -> SquashMap:
-    kraus = tuple(linalg.matrix_rect_from_json(k) for k in linalg.json_field(obj, "kraus"))
-    return squash_from_kraus(linalg.json_int(obj, "in_dim"), kraus)
+    kraus = tuple(linalg.matrix_rect_from_json(k) for k in linalg.json_field(obj, "kraus", list))
+    return squash_from_kraus(linalg.json_field(obj, "in_dim", int), kraus)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -235,3 +237,36 @@ def fresh_python(probe: str) -> str:
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     return done.stdout
+
+
+#: What a single-field mutation puts in place of one value; DELETE removes the value instead.
+DELETE = object()
+MUTATIONS = (None, True, False, 0, 2, -2, 0.5, "z0", "", [], {}, 1e308, 10**30, DELETE)
+
+
+def json_paths(tree, path=()) -> list:
+    """The path of every value in a decoded JSON tree, the whole tree's () first."""
+    if isinstance(tree, dict):
+        children = tree.items()
+    else:
+        children = enumerate(tree) if isinstance(tree, list) else ()
+    return [path, *(sub for key, value in children for sub in json_paths(value, (*path, key)))]
+
+
+def mutation_text(tree, path: tuple, value) -> str:
+    """JSON text of ``tree`` with the value at ``path`` replaced by ``value``, or deleted by DELETE.
+
+    Deleting the whole tree leaves an empty file.
+    """
+    if not path:
+        return "" if value is DELETE else json.dumps(value)
+    tree = copy.deepcopy(tree)
+    *parents, last = path
+    target = tree
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return json.dumps(tree)

@@ -302,9 +302,11 @@ def test_squash_map_validation():
         squashmap.squash_from_kraus(3, (np.eye(2, dtype=complex),))
     with pytest.raises(SquashkitError, match=r"\(2, 2\) and \(1, 2\) are not one \(K, d\) pair"):
         squashmap.SquashMap(g0=np.eye(2), g1=np.zeros((1, 2)))
-    # a NaN row has a NaN trace defect, which no comparison with the tolerance admits
-    with pytest.raises(SquashkitError, match="do not sum to the identity"):
-        squashmap.SquashMap(g0=[[np.nan, 0.0], [0.0, 1.0]], g1=np.zeros((2, 2)))
+    # a NaN row has a NaN trace defect, which no comparison with the tolerance admits; rows
+    # near the float limit overflow to one, and are refused without a numpy warning
+    for g0 in ([[np.nan, 0.0], [0.0, 1.0]], [[1e200, 1e200], [1e200, -1e200]]):
+        with pytest.raises(SquashkitError, match="do not sum to the identity"):
+            squashmap.SquashMap(g0=g0, g1=np.zeros((2, 2)))
     blob = squashmap.squash_to_json(squashmap.squash_from_kraus(2, (np.eye(2, dtype=complex),)))
     blob["kraus"][0]["entries"][0] = [float("nan"), 0.0]
     with pytest.raises(SquashkitError, match="do not sum to the identity"):

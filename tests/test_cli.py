@@ -19,7 +19,7 @@ import squashkit
 from squashkit import builder, cli, errors, finder, fock, linalg, nogo, povm, squashmap
 from squashkit.cli import main
 
-from helpers import fresh_python, qubit_plus_half_block
+from helpers import MUTATIONS, fresh_python, json_paths, mutation_text, qubit_plus_half_block
 
 
 def run(tmp_path, *argv):
@@ -891,6 +891,89 @@ def test_a_missing_field_or_entry_is_named(
     assert run(tmp_path, *argv, "--out", out) == 2
     assert capsys.readouterr().err == f"squashkit: {message}\n"
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def mutation_inputs(tmp_path_factory):
+    """A directory, and for each file kind a valid file's JSON and the command that reads it."""
+    root = tmp_path_factory.mktemp("mutations")
+    ideal, swap = root / "ideal.json", root / "swap.json"
+    ideal.write_text(json.dumps(povm.povm_to_json(povm.ideal_qubit_povm())))
+    swap.write_text(json.dumps({"labels": list(povm.LABELS), "perms": SWAP_PERMS}))
+    s = nogo.symmetrize(povm.ideal_qubit_povm(), nogo.cyclic_group(2),
+                        nogo.c2_basis_swap_action())
+    quarter_turn = linalg.unitary_from_generator(linalg.PAULI_Y, -np.pi / 4)
+    return root, {
+        "povm": (povm.povm_to_json(povm.ideal_qubit_povm()), ["squash", "find"]),
+        "unitary": (linalg.matrix_to_json(quarter_turn), ["squash", "construct", "--povm", ideal]),
+        "group": (nogo.group_to_json(nogo.cyclic_group(2)),
+                  ["nogo", "symmetrize", "--povm", ideal, "--action", swap]),
+        "action": ({"labels": list(povm.LABELS), "perms": SWAP_PERMS},
+                   ["nogo", "symmetrize", "--povm", ideal, "--group", "c2"]),
+        "squash": (squashmap.squash_to_json(finder.find_squash(s.tilde).squash),
+                   ["nogo", "pullback", "--povm", ideal, "--group", "c2"]),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_single_field_mutation_keeps_the_exit_code_contract(data, mutation_inputs):
+    # one value of a valid file, the whole file included, replaced or deleted
+    root, inputs = mutation_inputs
+    kind = data.draw(st.sampled_from(sorted(inputs)))
+    blob, argv = inputs[kind]
+    path = data.draw(st.sampled_from(json_paths(blob)))
+    source, out = root / f"{kind}.json", root / "out.json"
+    source.write_text(mutation_text(blob, path, data.draw(st.sampled_from(MUTATIONS))))
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([str(a) for a in (*argv, f"--{kind}", source, "--out", out)])
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("squashkit: ") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue() and not out.exists()
+
+
+def test_a_program_fault_in_an_engine_is_not_an_input_error(ideal_file, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a fault in the finder")
+
+    monkeypatch.setattr(finder, "find_squash", broken)
+    with pytest.raises(TypeError, match="a fault in the finder"):
+        main(["squash", "find", "--povm", str(ideal_file)])
+
+
+@pytest.mark.parametrize("text", [b"\xff\xfe{}", b'{"dim": 1' + b"0" * 5000 + b"}"],
+                         ids=["not-utf-8", "int-of-5001-digits"])
+def test_a_file_that_is_no_readable_json_text_is_named(text, tmp_path, capsys):
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_bytes(text)
+    assert run(tmp_path, "squash", "find", "--povm", path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"squashkit: {path} is not JSON text that can be read: ")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["nogo", "symmetrize", "--povm", "{huge_x}", "--group", "c2"], "not a valid measurement set"),
+    (["nogo", "attack", "--povm", "{huge_x}"], "not a valid measurement set"),
+    (["squash", "find", "--povm", "{huge_x}"], "not a valid measurement set"),
+    (["squash", "construct", "--povm", "{ideal}", "--unitary", "{huge_u}"], "U is not unitary"),
+], ids=["symmetrize", "attack", "find", "construct"])
+def test_entries_near_the_float_limit_are_refused(argv, message, ideal_file, tmp_path, capsys):
+    # the x elements' Hermitian part, and U+ U, overflow; both files were accepted before
+    z0, z1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    x0, x1 = np.array([[0.5, 1e308], [1e308, 0.5]]), np.array([[0.5, -1e308], [-1e308, 0.5]])
+    files = {"ideal": ideal_file, "huge_x": tmp_path / "huge_x.json",
+             "huge_u": tmp_path / "huge_u.json"}
+    files["huge_x"].write_text(json.dumps(povm.povm_to_json(
+        povm.make_povm({"z0": z0, "z1": z1, "x0": x0, "x1": x1}))))
+    files["huge_u"].write_text(json.dumps(linalg.matrix_to_json([[1e200, 1e200],
+                                                                 [1e200, -1e200]])))
+    out = tmp_path / "out.json"
+    assert run(tmp_path, *(a.format(**files) for a in argv), "--out", out) == 2
+    assert message in capsys.readouterr().err and not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["povm", "unitary", "squash"])

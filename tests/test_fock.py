@@ -214,3 +214,11 @@ def test_detector_json_shape():
     assert set(blob["states"]) == {"z0", "z1", "x0", "x1"}
     back = povm.povm_from_json(blob["povm"])
     assert povm.validate(back).passed
+
+
+@pytest.mark.parametrize("u", [[[1e200, 1e200], [1e200, -1e200]], np.diag([1e308, 1.0])],
+                         ids=["overflow", "huge-diagonal"])
+def test_a_matrix_whose_gram_overflows_is_not_unitary(u):
+    # U+ U overflows to inf and NaN entries; a NaN defect passed the check `defect > TOL`
+    with pytest.raises(SquashkitError, match="^U is not unitary within 1e-09$"):
+        fock.C4Symmetry(u=u)

@@ -59,7 +59,7 @@ def test_null_entries_are_refused():
         nogo.make_group([[0, None], [1, 0]])
     with pytest.raises(SquashkitError, match="^label images must be integers$"):
         nogo.make_action([[0, 1, 2, 3], [1, 0, 3, None]])
-    with pytest.raises(OverflowError, match="too large"):  # a Python int beyond 64 bits
+    with pytest.raises(SquashkitError, match="too large"):  # a Python int beyond 64 bits
         nogo.make_group([[0, 1], [1, 2**64]])
 
 

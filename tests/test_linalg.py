@@ -203,6 +203,52 @@ def test_matrix_json_length_check():
         linalg.matrix_from_json({"dim": 2, "entries": [[1.0, 0.0]] * 3})
 
 
+def test_json_field_checks_the_container_and_the_type():
+    assert linalg.json_field({"dim": 2}, "dim", int) == 2
+    assert linalg.json_field({"dim": True}, "dim") is True
+    for obj, kind, message in [
+        (5, None, "^expected an object holding 'dim', got 5$"),
+        (None, int, "^expected an object holding 'dim', got None$"),
+        ([["dim", 2]], int, r"^expected an object holding 'dim', got \[\['dim', 2\]\]$"),
+        ({"dim": True}, int, "^'dim' must be an integer, got True$"),  # bool is no int
+        ({"dim": 2.0}, int, "^'dim' must be an integer, got 2.0$"),
+        ({"dim": 2}, list, "^'dim' must be a list, got 2$"),
+        ({"dim": []}, dict, r"^'dim' must be an object, got \[\]$"),
+    ]:
+        with pytest.raises(SquashkitError, match=message):
+            linalg.json_field(obj, "dim", kind)
+    long = {"entries": list(range(10**4))}  # a long value is shown cut short
+    with pytest.raises(SquashkitError, match=r"^'entries' must be an object, got \[0, 1, .*\.\]$"):
+        linalg.json_field(long, "entries", dict)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"dim": -2, "entries": [[1.0, 0.0]] * 4}, "^dim -2 is not a positive size$"),
+    ({"dim": 0, "entries": []}, "^dim 0 is not a positive size$"),
+    ({"dim": 1, "entries": [1.0]}, "pairs of numbers"),
+    ({"dim": 1, "entries": [[1.0]]}, "pairs of numbers"),
+    ({"dim": 1, "entries": [["1", 0.0]]}, "pairs of numbers"),
+    ({"dim": 1, "entries": [[None, 0.0]]}, "pairs of numbers"),
+    ({"dim": 1, "entries": [[10**400, 0.0]]}, "too large"),
+    ({"rows": 2, "cols": 0, "entries": []}, "^2x0 is not a positive size$"),
+])
+def test_matrix_json_refuses_sizes_and_entries_that_are_no_matrix(obj, message):
+    read = linalg.matrix_from_json if "dim" in obj else linalg.matrix_rect_from_json
+    with pytest.raises(SquashkitError, match=message):
+        read(obj)
+
+
+def test_negative_zero_parts_survive_a_json_round_trip():
+    a = np.array([[complex(-0.0, -0.0), complex(1.0, -0.0)], [complex(-0.0, 1.0), 0.0]])
+    for write, read in ((linalg.matrix_to_json, linalg.matrix_from_json),
+                        (linalg.matrix_rect_to_json, linalg.matrix_rect_from_json)):
+        text = json.dumps(write(a))
+        back = read(json.loads(text))
+        assert json.dumps(write(back)) == text
+        assert np.array_equal(np.signbit(back.real), np.signbit(a.real))
+        assert np.array_equal(np.signbit(back.imag), np.signbit(a.imag))
+
+
 # the suite's state sampler (helpers.random_density_matrices), checked against a plain loop
 
 def _single_draw(dim, rng):

@@ -41,6 +41,16 @@ def test_negative_element_fails():
     assert report.psd_margins["z1"] < -1e-9
 
 
+def test_a_set_whose_hermitian_part_overflows_fails():
+    # (M + M+)/2 overflows on the x elements, so eigvalsh gives NaN margins for x0 and x1;
+    # the builtin min skips a NaN that is not the first item, and this set passed
+    z0, z1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    x0, x1 = np.array([[0.5, 1e308], [1e308, 0.5]]), np.array([[0.5, -1e308], [-1e308, 0.5]])
+    report = povm.validate(povm.make_povm({"z0": z0, "z1": z1, "x0": x0, "x1": x1}))
+    assert not report.passed
+    assert report.psd_margins["z0"] == 0.0 and np.isnan(report.psd_margins["x0"])
+
+
 def _validation_cases():
     eye = np.eye(2, dtype=complex)
     skew = np.array([[0.0, 0.3], [0.0, 0.0]], dtype=complex)

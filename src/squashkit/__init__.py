@@ -14,18 +14,20 @@ groups, label actions and Definition-2 check (:mod:`squashkit.nogo`).
 ``errors``, ``linalg``, ``povm``, ``squashmap`` and ``finder``. ``builder``,
 ``fock`` and ``nogo``, and the names they export here, load on first access
 (PEP 562), so a caller that only decides sets does not compile the
-constructor, the detector models or the no-go lab (``nogo`` loads
-``builder`` with it). :mod:`squashkit.cli` imports every module at its top:
-one process may run many subcommands, and importing per command would only
-move the compile time into the first of them.
+constructor, the detector models or the no-go lab. Validation, both
+Definition checks and squash verification return one record,
+:class:`~squashkit.linalg.CheckReport`, so ``nogo`` does not load
+``builder``. :mod:`squashkit.cli` imports every module at its top: one
+process may run many subcommands, and importing per command would only move
+the compile time into the first of them.
 """
 
 import importlib
 
 from .finder import BlochWitness, FeasibilityReport, bloch_witness, find_squash
-from .linalg import HermitianEig, hermitian_eig, kron, unitary_from_generator
+from .linalg import CheckReport, HermitianEig, hermitian_eig, kron, unitary_from_generator
 from .povm import Bb84Povm, ideal_qubit_povm, make_povm, validate
-from .squashmap import SquashMap, VerificationReport, squash_from_kraus, verify_squash
+from .squashmap import SquashMap, squash_from_kraus, verify_squash
 
 __version__ = "0.1.0"
 

@@ -25,16 +25,9 @@ if TYPE_CHECKING:  # annotations only: constructing does not build detectors
     from .fock import C4Symmetry
 
 
-class SymmetryReport(NamedTuple):
-    residuals: dict  # relation name -> Frobenius residual
-    max_residual: float
-    tol: float
-    passed: bool
-
-
 def check_definition1(
     sym: C4Symmetry, p: povm.Bb84Povm, tol: float = linalg.TOL
-) -> SymmetryReport:
+) -> linalg.CheckReport:
     """Residuals of the four-cycle conjugation relations on a measurement set."""
     u = sym.u
     if u.shape[0] != p.dim:
@@ -49,10 +42,7 @@ def check_definition1(
     }
     for c in (0, 2, 1, 3):  # index c - 2 is c + 2 mod 4
         residuals[f"U2.{names[c]}->{names[c - 2]}"] = linalg.frob(twice[c] - stack[c - 2])
-    worst = max(residuals.values())
-    return SymmetryReport(
-        residuals=residuals, max_residual=worst, tol=tol, passed=worst <= tol
-    )
+    return linalg.CheckReport(residuals, tol)
 
 
 class MuDecomposition(NamedTuple):

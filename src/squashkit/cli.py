@@ -182,7 +182,7 @@ def _load_squash(path: str, in_dim: int) -> squashmap.SquashMap:
     if isinstance(blob, dict) and "kraus" not in blob and "squash" in blob:
         if blob["squash"] is None:
             verdict = blob.get("verdict")
-            raise SquashkitError(f"{path} holds no squash map (finder verdict {verdict})")
+            raise SquashkitError(f"{path} holds no squash map (finder verdict {verdict!r})")
         blob = blob["squash"]
     kraus = linalg.json_field(blob, "kraus", list)
     if linalg.json_field(blob, "in_dim", int) != in_dim:

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra kernels, and the base of the records that check themselves.
+"""Dense complex linear algebra, the tolerances and report of every check, and checked records.
 
 Matrices are plain ``numpy.ndarray`` of dtype complex128. Every routine here is
 a pure function; none mutates its arguments. Eigendecompositions use
@@ -22,6 +22,22 @@ TOL = 1e-9
 LOOSE_TOL = 1e-8
 #: A mu weight or a trace-deficiency eigenvalue this small is dropped as zero.
 ZERO = 1e-12
+
+
+class CheckReport(NamedTuple):
+    """The residual of each relation of one check, by name, and the tolerance they are held to."""
+
+    residuals: dict
+    tol: float
+
+    @property
+    def max_residual(self) -> float:
+        return float(np.max(list(self.residuals.values())))  # NaN wins
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tol
+
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -47,13 +63,13 @@ def frob(a: np.ndarray) -> float:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
+    """Coerce to a nonempty square complex matrix with finite entries."""
     try:
         m = np.asarray(a, dtype=complex)
     except ValueError as exc:  # ragged rows, or a string that is no number
         raise SquashkitError("expected a square matrix of numbers in rows of equal length") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise SquashkitError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise SquashkitError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise SquashkitError("matrix entries must be finite")
     return m

@@ -23,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, povm
-from .builder import SymmetryReport
 from .errors import SelfCheckFailed, SquashkitError, TildeNotVerified
 from .squashmap import SquashMap, verify_squash
 
@@ -61,6 +60,9 @@ def _integer_array(values, what: str) -> np.ndarray:
             raise SquashkitError(f"{what} are too large for 64 bits") from exc
     if arr.dtype.kind not in "iu":
         raise SquashkitError(f"{what} must be integers, got {arr.dtype}")
+    # np.array and astype take True among integers as 1; a scan of the Python entries refuses it
+    if not isinstance(values, np.ndarray) and bool in set(map(type, np.array(values, object).flat)):
+        raise SquashkitError(f"{what} must be integers, not booleans")
     arr.flags.writeable = False
     return arr
 
@@ -150,7 +152,7 @@ def c2_basis_swap_action() -> LabelAction:
     return make_action([[0, 1, 2, 3], [1, 0, 3, 2]])
 
 
-def check_definition2(rep, action: LabelAction, p: povm.Bb84Povm) -> SymmetryReport:
+def check_definition2(rep, action: LabelAction, p: povm.Bb84Povm) -> linalg.CheckReport:
     """Residuals of V(g) M_c V(g)+ = M_{g(c)} for every element and label.
 
     Row g of ``rep`` is the index permutation of V(g)|k> = |pi_g(k)>, so (V M V+)[pi_g, pi_g]
@@ -166,10 +168,7 @@ def check_definition2(rep, action: LabelAction, p: povm.Bb84Povm) -> SymmetryRep
         for c in range(4):
             target = p.l_element(action.perms[g, c])[np.ix_(pi, pi)]
             residuals[f"g{g}.{povm.LABELS[c]}"] = linalg.frob(target - p.l_element(c))
-    worst = max(residuals.values())
-    return SymmetryReport(
-        residuals=residuals, max_residual=worst, tol=linalg.TOL, passed=worst <= linalg.TOL
-    )
+    return linalg.CheckReport(residuals, linalg.TOL)
 
 
 def _kron_index(i, g, order: int):

@@ -82,27 +82,23 @@ def ideal_qubit_povm() -> Bb84Povm:
     )
 
 
-class ValidationReport(NamedTuple):
-    psd_margins: dict  # label -> min eigenvalue
-    completeness_residuals: dict  # basis -> Frobenius residual of sum vs identity
-    tol: float
-    passed: bool
+@np.errstate(all="ignore")  # an entry near the float limit gives an inf or NaN, which fails
+def validate(p: Bb84Povm, tol: float = linalg.TOL) -> linalg.CheckReport:
+    """Check positivity of every element and per-basis completeness.
 
-
-@np.errstate(all="ignore")  # an entry near the float limit gives an inf or NaN, refused below
-def validate(p: Bb84Povm, tol: float = linalg.TOL) -> ValidationReport:
-    """Check positivity of every element and per-basis completeness."""
+    Residual ``psd.<label>`` is minus the element's least eigenvalue, or inf when it is not
+    Hermitian; ``sum.<basis>`` is the Frobenius norm of the basis pair's sum minus the identity.
+    """
     stack = np.stack([p.elements[key] for key in LABELS])  # basis r's pair sits at c and c + 2
-    lowest = np.linalg.eigvalsh((stack + stack.conj().swapaxes(1, 2)) / 2)[:, 0]
-    margins = {
-        key: lowest[c] if linalg.is_hermitian(stack[c]) else -np.inf for c, key in enumerate(LABELS)
+    psd = (-np.linalg.eigvalsh((stack + stack.conj().swapaxes(1, 2)) / 2)[:, 0]).tolist()
+    residuals = {
+        f"psd.{key}": psd[c] if linalg.is_hermitian(stack[c]) else np.inf
+        for c, key in enumerate(LABELS)
     }
     eye = np.eye(p.dim, dtype=complex)
-    residuals = {r: linalg.frob(stack[c] + stack[c + 2] - eye) for c, r in enumerate("zx")}
-    ok = all(m >= -tol for m in margins.values()) and all(r <= tol for r in residuals.values())
-    return ValidationReport(
-        psd_margins=margins, completeness_residuals=residuals, tol=tol, passed=ok
-    )
+    for c, r in enumerate("zx"):
+        residuals[f"sum.{r}"] = linalg.frob(stack[c] + stack[c + 2] - eye)
+    return linalg.CheckReport(residuals, tol)
 
 
 def povm_to_json(p: Bb84Povm) -> dict:

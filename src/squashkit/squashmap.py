@@ -70,22 +70,7 @@ def squash_from_kraus(in_dim: int, kraus) -> SquashMap:
     return SquashMap(g0=rows[:, 0], g1=rows[:, 1])
 
 
-class VerificationReport(NamedTuple):
-    residual_z: float
-    residual_x: float
-    residual_tp: float
-    tol: float
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max([self.residual_z, self.residual_x, self.residual_tp]))  # NaN wins
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tol
-
-
-def verify_squash(f: SquashMap, p: povm.Bb84Povm, tol: float = linalg.TOL) -> VerificationReport:
+def verify_squash(f: SquashMap, p: povm.Bb84Povm, tol: float = linalg.TOL) -> linalg.CheckReport:
     """Check that the map reproduces both observables and preserves trace.
 
     With A = G0+ G1 the map pulls sigma_z back to A + A+ and sigma_x to
@@ -96,12 +81,12 @@ def verify_squash(f: SquashMap, p: povm.Bb84Povm, tol: float = linalg.TOL) -> Ve
     if f.in_dim != p.dim:
         raise SquashkitError(f"map dim {f.in_dim} vs POVM dim {p.dim}")
     a_f = linalg.dagger(f.g0) @ f.g1
-    return VerificationReport(
-        residual_z=linalg.frob(a_f + linalg.dagger(a_f) - p.difference("z")),
-        residual_x=linalg.frob(1j * (linalg.dagger(a_f) - a_f) - p.difference("x")),
-        residual_tp=trace_defect(f.g0, f.g1),
-        tol=tol,
-    )
+    residuals = {
+        "z": linalg.frob(a_f + linalg.dagger(a_f) - p.difference("z")),
+        "x": linalg.frob(1j * (linalg.dagger(a_f) - a_f) - p.difference("x")),
+        "tp": trace_defect(f.g0, f.g1),
+    }
+    return linalg.CheckReport(residuals, tol)
 
 
 def squash_to_json(f: SquashMap) -> dict:

@@ -200,19 +200,18 @@ def affine_residual(j: np.ndarray, p) -> float:
     return linalg.frob(einsum_project_affine(j, m_z, m_x) - j)
 
 
-def validate_oracle(p, tol: float = linalg.TOL) -> povm.ValidationReport:
+def validate_oracle(p, tol: float = linalg.TOL) -> linalg.CheckReport:
     """povm.validate one element at a time: a Hermitian test and an eigvalsh per element."""
-    margins = {}
+    residuals = {}
     for key in povm.LABELS:
         m = p.elements[key]
         hermitian = linalg.is_hermitian(m)
-        margins[key] = np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)[0] if hermitian else -np.inf
+        least = np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)[0] if hermitian else -np.inf
+        residuals[f"psd.{key}"] = -least
     eye = np.eye(p.dim, dtype=complex)
-    residuals = {r: linalg.frob(p.element(r, 0) + p.element(r, 1) - eye) for r in ("z", "x")}
-    ok = min(margins.values()) >= -tol and max(residuals.values()) <= tol
-    return povm.ValidationReport(
-        psd_margins=margins, completeness_residuals=residuals, tol=tol, passed=ok
-    )
+    for r in ("z", "x"):
+        residuals[f"sum.{r}"] = linalg.frob(p.element(r, 0) + p.element(r, 1) - eye)
+    return linalg.CheckReport(residuals, tol)
 
 
 def definition1_oracle(u: np.ndarray, p) -> dict:

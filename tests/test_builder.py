@@ -239,7 +239,7 @@ def test_verify_identity_map_against_m0():
     squash = squashmap.squash_from_kraus(2, (np.eye(2, dtype=complex),))
     report = squashmap.verify_squash(squash, counterexample_m0())
     assert not report.passed
-    assert report.residual_x == pytest.approx(
+    assert report.residuals["x"] == pytest.approx(
         linalg.frob(linalg.PAULI_X - linalg.PAULI_Z), abs=1e-12
     )
 
@@ -287,7 +287,7 @@ def test_gauge_phase_invariance():
         dec = builder.mu_decompose(np.exp(1j * phi) * v, sym, lam)
         squash = builder.complete_trace_preserving(builder.kraus_core(dec), 3)
         report = squashmap.verify_squash(squash, model.povm)
-        residuals = (report.residual_z, report.residual_x, report.residual_tp)
+        residuals = list(report.residuals.values())
         if reference is None:
             reference = residuals
         assert np.allclose(residuals, reference, atol=1e-12)
@@ -390,11 +390,11 @@ def _loop_verify(f, p, tol=1e-9, samples=20, seed=1812):
 def _assert_matches_loop(f, p, tol=1e-9):
     report = squashmap.verify_squash(f, p, tol)
     fields, passed, worst = _loop_verify(f, p, tol)
-    batched = (report.residual_z, report.residual_x, report.residual_tp)
+    batched = tuple(report.residuals.values())
     assert np.allclose(batched, fields, rtol=0.0, atol=1e-12), (batched, fields)
     assert report.passed == passed
     # |Tr(rho D)| <= ||D||_F on every state, so no sampled state can beat the residuals
-    assert worst <= max(report.residual_z, report.residual_x) + 1e-12
+    assert worst <= max(report.residuals["z"], report.residuals["x"]) + 1e-12
     return report
 
 
@@ -468,9 +468,10 @@ def test_json_round_trip_of_any_kraus_family(d, extra, seed):
     p = induced_set(squash)
     mine, theirs = squashmap.verify_squash(squash, p), squashmap.verify_squash(back, p)
     assert mine.passed and theirs.passed
-    for name in ("residual_z", "residual_x", "residual_tp"):
+    assert list(theirs.residuals) == list(mine.residuals) == ["z", "x", "tp"]
+    for name, value in mine.residuals.items():
         # residuals of about 1e-15 are themselves rounding, and move by as much (1.1e-15 seen)
-        assert getattr(theirs, name) == pytest.approx(getattr(mine, name), abs=1e-14), name
+        assert theirs.residuals[name] == pytest.approx(value, abs=1e-14), name
 
 
 def _verify_peak_bytes(d, k):

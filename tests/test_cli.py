@@ -426,9 +426,9 @@ def test_public_names():
         if not name.startswith("_") and not isinstance(getattr(squashkit, name), ModuleType)
     )
     assert names == [
-        "AttackResult", "Bb84Povm", "BlochWitness", "C4Symmetry", "DetectorModel",
+        "AttackResult", "Bb84Povm", "BlochWitness", "C4Symmetry", "CheckReport", "DetectorModel",
         "FeasibilityReport", "FiniteGroup", "FockSector", "HermitianEig", "LabelAction",
-        "MuDecomposition", "SquashMap", "SymmetrizedPovm", "VerificationReport",
+        "MuDecomposition", "SquashMap", "SymmetrizedPovm",
         "bbm92_attack", "bloch_witness", "build_detector", "build_u_n", "canonical_c4_action",
         "check_definition1", "check_definition2", "complete_trace_preserving",
         "construct_theorem1", "counterexample_m0", "cyclic_group", "enumerate_sectors",
@@ -466,7 +466,8 @@ ENTRY_POINTS = {
     "assert finder.report_to_json(report)['verdict'] == 'FEASIBLE'": [],
     "from squashkit import build_detector": ["fock"],
     "from squashkit import construct_theorem1": ["builder"],
-    "from squashkit import symmetrize": ["builder", "nogo"],
+    "from squashkit import symmetrize": ["nogo"],
+    "import squashkit.nogo": ["nogo"],  # its Definition 2 check needs nothing of builder
     "import squashkit.cli": ["builder", "fock", "nogo"],
 }
 
@@ -691,7 +692,7 @@ def test_squash_find_refuses_unitary_before_reading_any_file(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("verdict", ["INFEASIBLE", "UNDECIDED"])
+@pytest.mark.parametrize("verdict", ["INFEASIBLE", "UNDECIDED", "FEASIBLE\nsquashkit: done"])
 def test_pullback_of_a_report_without_a_map_says_so(verdict, m0_file, tmp_path, capsys):
     tilde, report, out = tmp_path / "tilde.json", tmp_path / "report.json", tmp_path / "out.json"
     assert run(tmp_path, "nogo", "symmetrize", "--povm", m0_file, "--group", "c2",
@@ -703,7 +704,9 @@ def test_pullback_of_a_report_without_a_map_says_so(verdict, m0_file, tmp_path, 
     report.write_text(json.dumps(blob))
     argv = ["nogo", "pullback", "--povm", m0_file, "--group", "c2", "--squash", report]
     assert run(tmp_path, *argv, "--out", out) == 2
-    assert f"holds no squash map (finder verdict {verdict})" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the verdict is quoted, so a newline in it cannot start a second line of the message
+    assert f"holds no squash map (finder verdict {verdict!r})" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -776,6 +779,7 @@ def test_huge_integer_in_an_input_file_is_an_input_error(kind, ideal_file, tmp_p
 @pytest.mark.parametrize("kind, field, value", [
     ("group", "cayley", [[0.4, 1.6], [1.2, 0.3]]),
     ("group", "cayley", [[False, True], [True, False]]),
+    ("group", "cayley", [[0, True], [True, 0]]),
     ("group", "identity", 0.9),
     ("group", "identity", False),
     ("group", "order", "2"),

@@ -63,6 +63,14 @@ def test_null_entries_are_refused():
         nogo.make_group([[0, 1], [1, 2**64]])
 
 
+def test_booleans_among_integers_are_refused():
+    # np.array reads [[0, True], [True, 0]] as the C2 table
+    with pytest.raises(SquashkitError, match="^Cayley entries must be integers, not booleans$"):
+        nogo.make_group([[0, True], [True, 0]])
+    with pytest.raises(SquashkitError, match="^label images must be integers, not booleans$"):
+        nogo.make_action([[0, 1, 2, 3], [True, 0, 3, 2]])
+
+
 def test_ragged_tables_are_refused():
     with pytest.raises(SquashkitError, match="^Cayley entries must be rows of equal length$"):
         nogo.make_group([[0, 1], [1]])

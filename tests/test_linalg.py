@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from squashkit import linalg
+from squashkit import fock, linalg, povm
 from squashkit.errors import SquashkitError
 
 from helpers import random_density_matrices, random_density_matrix, random_hermitian
@@ -177,6 +177,17 @@ def test_json_entries_match_the_elementwise_encoding():
     reference = [[float(z.real), float(z.imag)] for z in values]
     assert all(type(x) is float for entry in entries for x in entry)
     assert json.dumps(entries) == json.dumps(reference)
+
+
+def test_an_empty_matrix_is_refused():
+    message = r"^expected a nonempty square matrix, got shape \(0, 0\)$"
+    with pytest.raises(SquashkitError, match=message):
+        linalg.as_matrix(np.zeros((0, 0)))
+    # so a measurement set or a cycling unitary of dimension 0 is refused as it is built
+    with pytest.raises(SquashkitError, match="nonempty square matrix"):
+        povm.make_povm({key: np.zeros((0, 0)) for key in povm.LABELS})
+    with pytest.raises(SquashkitError, match="nonempty square matrix"):
+        fock.C4Symmetry(np.zeros((0, 0)))
 
 
 def test_ragged_rows_are_not_a_matrix():

@@ -23,7 +23,7 @@ def test_incomplete_set_fails():
     p = povm.make_povm({"z0": eye, "z1": eye, "x0": eye / 2, "x1": eye / 2})
     report = povm.validate(p)
     assert not report.passed
-    assert report.completeness_residuals["z"] == pytest.approx(np.sqrt(2.0))
+    assert report.residuals["sum.z"] == pytest.approx(np.sqrt(2.0))
 
 
 def test_negative_element_fails():
@@ -38,7 +38,7 @@ def test_negative_element_fails():
     )
     report = povm.validate(p)
     assert not report.passed
-    assert report.psd_margins["z1"] < -1e-9
+    assert report.residuals["psd.z1"] > 1e-9
 
 
 def test_a_set_whose_hermitian_part_overflows_fails():
@@ -48,7 +48,7 @@ def test_a_set_whose_hermitian_part_overflows_fails():
     x0, x1 = np.array([[0.5, 1e308], [1e308, 0.5]]), np.array([[0.5, -1e308], [-1e308, 0.5]])
     report = povm.validate(povm.make_povm({"z0": z0, "z1": z1, "x0": x0, "x1": x1}))
     assert not report.passed
-    assert report.psd_margins["z0"] == 0.0 and np.isnan(report.psd_margins["x0"])
+    assert report.residuals["psd.z0"] == 0.0 and np.isnan(report.residuals["psd.x0"])
 
 
 def _validation_cases():
@@ -75,9 +75,9 @@ def test_stacked_validation_equals_the_per_element_reference(name):
     for tol in (linalg.TOL, 0.6):
         report = povm.validate(p, tol)
         assert report == validate_oracle(p, tol)
-        assert list(report.psd_margins) == list(povm.LABELS)
-    margins = povm.validate(p).psd_margins
-    assert (margins["z0"] == -np.inf) == (name == "non-hermitian")
+        assert list(report.residuals) == [f"psd.{key}" for key in povm.LABELS] + ["sum.z", "sum.x"]
+    residuals = povm.validate(p).residuals
+    assert (residuals["psd.z0"] == np.inf) == (name == "non-hermitian")
     assert povm.validate(p).passed == (name in ("ideal", "detector-2-1", "random-d5"))
 
 
@@ -106,7 +106,7 @@ def test_observable_rejects_invalid_set():
     assert np.allclose(bad.difference("z"), 0.0)
     report = povm.validate(bad)
     assert not report.passed
-    assert report.completeness_residuals["z"] == pytest.approx(np.sqrt(2.0))
+    assert report.residuals["sum.z"] == pytest.approx(np.sqrt(2.0))
 
 
 def test_observable_matches_completeness_consequence():

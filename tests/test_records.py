@@ -5,6 +5,7 @@ import importlib
 import pickle
 import pkgutil
 from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -174,7 +175,7 @@ def public_classes(base) -> set:
 
 def test_every_record_type_is_listed():
     public = public_classes(tuple)
-    assert sorted(RECORDS) == sorted(public) and len(public) == 16
+    assert sorted(RECORDS) == sorted(public) and len(public) == 14
 
 
 def test_every_checked_record_is_tested_on_every_path():
@@ -302,3 +303,50 @@ def test_a_detector_or_set_pickled_before_the_groups_module_went_still_loads(nam
         for key, value in made.elements.items():
             assert not value.flags.writeable and value.dtype == expected.elements[key].dtype
             assert np.array_equal(value, expected.elements[key])
+
+
+def with_nan(p):
+    """The set ``p`` with one entry of x0 made NaN, built past the set's check."""
+    elements = {key: np.array(m) for key, m in p.elements.items()}
+    elements["x0"][0, 0] = np.nan
+    return unchecked(povm.Bb84Povm, (p.dim, MappingProxyType(elements)))
+
+
+SYMMETRIZED = nogo.symmetrize(
+    povm.ideal_qubit_povm(), nogo.cyclic_group(4), nogo.canonical_c4_action()
+)
+IDENTITY_MAP = squashmap.squash_from_kraus(2, (np.eye(2, dtype=complex),))
+
+#: check -> (its call on a measurement set, a set it passes, a set it fails)
+CHECKS = {
+    "validate": (
+        povm.validate,
+        povm.ideal_qubit_povm(),
+        povm.make_povm({key: np.eye(2) for key in povm.LABELS}),  # each pair sums to 2
+    ),
+    "definition1": (
+        lambda p: builder.check_definition1(MODEL.symmetry, p), MODEL.povm, nogo.counterexample_m0()
+    ),
+    "definition2": (
+        lambda p: nogo.check_definition2(SYMMETRIZED.rep, SYMMETRIZED.action, p),
+        SYMMETRIZED.tilde,
+        # the qubit set times an idle register: V(g) fixes every element the action moves
+        povm.make_povm({key: np.kron(m, np.eye(4)) for key, m in QUBIT.items()}),
+    ),
+    "verify_squash": (
+        lambda p: squashmap.verify_squash(IDENTITY_MAP, p),
+        povm.ideal_qubit_povm(),
+        nogo.counterexample_m0(),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ["passing", "failing", "nan"])
+@pytest.mark.parametrize("check", CHECKS)
+def test_every_check_returns_one_report(check, case):
+    run, passing, failing = CHECKS[check]
+    report = run({"passing": passing, "failing": failing, "nan": with_nan(passing)}[case])
+    assert type(report) is linalg.CheckReport
+    assert report.passed == (report.max_residual <= report.tol) == (case == "passing")
+    assert np.isnan(report.max_residual) == (case == "nan")
+

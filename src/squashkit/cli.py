@@ -36,16 +36,19 @@ def _require_dim(dim: int, what: str) -> None:
 MAX_TRIALS = 10**8
 
 
-def _check_ranges(args) -> None:
-    """Reject out-of-range numeric flags before any work starts."""
-    if getattr(args, "trials", None) is not None and args.trials < 0:
-        raise SquashkitError("--trials must be at least 0")
-    if getattr(args, "trials", None) is not None and args.trials > MAX_TRIALS:
-        raise SquashkitError(f"--trials must be at most {MAX_TRIALS}")
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        raise SquashkitError("--seed must be at least 0")
-    if getattr(args, "tol", None) is not None and not 0 < args.tol < math.inf:
-        raise SquashkitError("--tol must be positive and finite")
+def _ranged(kind, test, rule: str):
+    """An argparse ``type=`` that converts with ``kind`` and refuses a value failing ``test``."""
+    def convert(text: str):
+        if not test(value := kind(text)):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+    convert.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
+    return convert
+
+
+_trials = _ranged(int, lambda n: 0 <= n <= MAX_TRIALS, f"must be between 0 and {MAX_TRIALS}")
+_seed = _ranged(int, lambda n: n >= 0, "must be at least 0")
+_tolerance = _ranged(float, lambda t: 0 < t < math.inf, "must be positive and finite")
 
 
 #: Compact and strict; with no indent, ``encode`` runs CPython's C encoder.
@@ -194,17 +197,10 @@ def _load_squash(path: str, in_dim: int) -> squashmap.SquashMap:
     return squashmap.squash_from_json(blob)
 
 
-def cmd_detector(args) -> int:
-    if args.N is None and args.sweep_max is None:
-        raise SquashkitError("pass --N or --sweep-max")
-    if args.N is not None and args.sweep_max is not None:
-        raise SquashkitError("--N builds one sector; it takes no --sweep-max")
+def cmd_detector(args) -> None:
     if args.N is not None:
-        model = fock.build_detector(_parse_sector(args.N))
-        _write_json(fock.detector_to_json(model), args.out)
-        return EXIT_OK
-    if not 1 <= args.sweep_max <= 8:
-        raise SquashkitError("--sweep-max must be between 1 and 8")
+        _write_json(fock.detector_to_json(fock.build_detector(_parse_sector(args.N))), args.out)
+        return
     if args.out is None:
         raise SquashkitError("a sweep needs --out pointing at a directory")
     os.makedirs(args.out, exist_ok=True)
@@ -212,111 +208,113 @@ def cmd_detector(args) -> int:
         model = fock.build_detector(sector)
         name = "detector_N" + "-".join(str(n) for n in sector.photons) + ".json"
         _write_json(fock.detector_to_json(model), os.path.join(args.out, name))
-    return EXIT_OK
 
 
-def _squash_inputs(args, tol: float):
+def cmd_construct(args) -> None:
+    if (args.unitary is None) != (args.povm is None):
+        raise SquashkitError("construct takes --unitary with --povm, and none with --sector")
     if args.sector is not None:
         model = fock.build_detector(_parse_sector(args.sector))
-        return model.povm, model.symmetry
-    if args.povm is None:
-        raise SquashkitError("pass --sector or --povm")
-    p = _load_povm(args.povm, tol)
-    return p, None if args.unitary is None else _load_unitary(args.unitary, p.dim)
+        p, sym = model.povm, model.symmetry
+    else:
+        p = _load_povm(args.povm, args.tol)
+        sym = _load_unitary(args.unitary, p.dim)
+    _write_json(squashmap.squash_to_json(builder.construct_theorem1(p, sym, args.tol)), args.out)
 
 
-def cmd_squash(args) -> int:
-    if args.mode == "find" and args.unitary is not None:
-        raise SquashkitError("--unitary is used only by squash construct; find takes none")
-    if args.sector is not None and (args.povm is not None or args.unitary is not None):
-        raise SquashkitError(
-            "--sector builds its own set and unitary; it takes no --povm or --unitary"
-        )
-    tol = args.tol or (linalg.TOL if args.mode == "construct" else linalg.LOOSE_TOL)
-    p, sym = _squash_inputs(args, tol)
-    if args.mode == "construct":
-        if sym is None:
-            raise SquashkitError("construct needs --sector, or --povm with --unitary")
-        squash = builder.construct_theorem1(p, sym, tol)
-        _write_json(squashmap.squash_to_json(squash), args.out)
-        return EXIT_OK
-    report = finder.find_squash(p, tol=tol)
+def cmd_find(args) -> int:
+    if args.sector is not None:
+        p = fock.build_detector(_parse_sector(args.sector)).povm
+    else:
+        p = _load_povm(args.povm, args.tol)
+    report = finder.find_squash(p, tol=args.tol)
     _write_json(finder.report_to_json(report), args.out)
-    if report.verdict == "FEASIBLE":
-        return EXIT_OK
-    if report.verdict == "INFEASIBLE":
-        return EXIT_NEGATIVE
-    return EXIT_UNDECIDED
+    return {"FEASIBLE": EXIT_OK, "INFEASIBLE": EXIT_NEGATIVE}.get(report.verdict, EXIT_UNDECIDED)
 
 
-def cmd_nogo(args) -> int:
-    if args.submode == "m0":
-        _write_json(povm.povm_to_json(nogo.counterexample_m0()), args.out)
-        return EXIT_OK
-    tol = args.tol or (linalg.LOOSE_TOL if args.submode == "pullback" else linalg.TOL)
-    if args.submode == "attack":
-        p = _load_povm(args.povm, tol)
-        result = nogo.bbm92_attack(p, trials=args.trials, seed=args.seed)
-        _write_json(nogo.attack_to_json(result), args.out)
-        return EXIT_OK
-    base = _load_povm(args.povm, tol)
+def cmd_m0(args) -> None:
+    _write_json(povm.povm_to_json(nogo.counterexample_m0()), args.out)
+
+
+def cmd_attack(args) -> None:
+    result = nogo.bbm92_attack(_load_povm(args.povm, args.tol), args.trials, args.seed)
+    _write_json(nogo.attack_to_json(result), args.out)
+
+
+def _symmetrized(args) -> nogo.SymmetrizedPovm:
+    base = _load_povm(args.povm, args.tol)
     group = _load_group(args.group, base.dim, f"the symmetrization of {args.povm} by {args.group}")
-    action = _load_action(args.action, args.group)
-    symmetrized = nogo.symmetrize(base, group, action, tol)
-    if args.submode == "symmetrize":
-        _write_json(povm.povm_to_json(symmetrized.tilde), args.out)
-        return EXIT_OK
+    return nogo.symmetrize(base, group, _load_action(args.action, args.group), args.tol)
+
+
+def cmd_symmetrize(args) -> None:
+    _write_json(povm.povm_to_json(_symmetrized(args).tilde), args.out)
+
+
+def cmd_pullback(args) -> None:
+    symmetrized = _symmetrized(args)
     f_tilde = _load_squash(args.squash, symmetrized.tilde.dim)
-    pulled = nogo.pullback_squash(symmetrized, f_tilde, tol)
+    pulled = nogo.pullback_squash(symmetrized, f_tilde, args.tol)
     _write_json(squashmap.squash_to_json(pulled), args.out)
-    return EXIT_OK
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is one line and exit 2, as any input error
+        raise SquashkitError(" ".join(message.splitlines()))  # an argument may hold a newline
+
+
+def _mode(modes, name: str, func, text: str, tol: float | None = None) -> _Parser:
+    """A mode's parser with its dispatch, its --out and, given a default, its --tol."""
+    mode = modes.add_parser(name, help=text, description=text)
+    mode.set_defaults(func=func)
+    mode.add_argument("--out", help="output path (stdout when omitted)")
+    if tol is not None:
+        mode.add_argument("--tol", type=_tolerance, default=tol, help="default %(default)g")
+    return mode
 
 
 @functools.cache  # built on the first call, not at import, and reused after
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="squashkit",
-        description="Squash operators for BB84 threshold detectors",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = _Parser(prog="squashkit", description="Squash operators for BB84 threshold detectors")
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    det = sub.add_parser("detector", help="build threshold-detector models")
-    det.add_argument("--N", help="photon numbers per mode, e.g. 2 or 2,1")
-    det.add_argument("--sweep-max", type=int, help="build all sectors with total <= bound")
-    det.add_argument("--out", help="output file (or directory for a sweep)")
-    det.set_defaults(func=cmd_detector)
+    det = _mode(commands, "detector", cmd_detector, "build threshold-detector models")
+    size = det.add_mutually_exclusive_group(required=True)
+    size.add_argument("--N", help="photon numbers per mode, e.g. 2 or 2,1")
+    size.add_argument("--sweep-max", type=int, choices=range(1, 9),
+                      help="write every sector with total <= bound into the --out directory")
 
-    squ = sub.add_parser("squash", help="construct or search for a squash map")
-    squ.add_argument("mode", choices=["construct", "find"])
-    squ.add_argument("--sector", help="photon numbers per mode, e.g. 2 or 2,1")
-    squ.add_argument("--povm", help="measurement-set JSON file")
-    squ.add_argument(
-        "--unitary", help="cycling-unitary JSON file, any global phase (construct mode)"
-    )
-    squ.add_argument("--tol", type=float)
-    squ.add_argument("--out")
-    squ.set_defaults(func=cmd_squash)
+    command = commands.add_parser("squash", help="construct or search for a squash map")
+    modes = command.add_subparsers(dest="mode", required=True)
+    construct = _mode(modes, "construct", cmd_construct, "Theorem 1's squash", linalg.TOL)
+    find = _mode(modes, "find", cmd_find, "feasibility search", linalg.LOOSE_TOL)
+    for mode in (construct, find):
+        source = mode.add_mutually_exclusive_group(required=True)
+        source.add_argument("--sector", help="photon numbers per mode, e.g. 2 or 2,1")
+        source.add_argument("--povm", help="measurement-set JSON file")
+    construct.add_argument("--unitary", help="cycling-unitary JSON file, any global phase")
 
-    ngo = sub.add_parser("nogo", help="symmetrization, pullback, attack demo")
-    ngo.add_argument("submode", choices=["symmetrize", "pullback", "attack", "m0"])
-    ngo.add_argument("--povm", help="measurement-set JSON file")
-    ngo.add_argument("--group", default="c4", help="c2, c4, s3, or a JSON file")
-    ngo.add_argument("--action", help="label-action JSON file")
-    ngo.add_argument("--squash", help="squash JSON for the symmetrized set (pullback)")
-    ngo.add_argument("--trials", type=int, default=10000)
-    ngo.add_argument("--seed", type=int, default=0)
-    ngo.add_argument("--tol", type=float)
-    ngo.add_argument("--out")
-    ngo.set_defaults(func=cmd_nogo)
-
+    command = commands.add_parser("nogo", help="symmetrization, pullback, attack demo")
+    modes = command.add_subparsers(dest="mode", required=True)
+    _mode(modes, "m0", cmd_m0, "write the counterexample set M0")
+    attack = _mode(modes, "attack", cmd_attack, "zero-error attack statistics", linalg.TOL)
+    symmetrize = _mode(modes, "symmetrize", cmd_symmetrize, "symmetrize a set", linalg.TOL)
+    pullback = _mode(modes, "pullback", cmd_pullback, "pull a squash back", linalg.LOOSE_TOL)
+    for mode in (attack, symmetrize, pullback):
+        mode.add_argument("--povm", required=True, help="measurement-set JSON file")
+    attack.add_argument("--trials", type=_trials, default=10000)
+    attack.add_argument("--seed", type=_seed, default=0)
+    for mode in (symmetrize, pullback):
+        mode.add_argument("--group", default="c4", help="c2, c4, s3, or a JSON file")
+        mode.add_argument("--action", help="label-action JSON file")
+    pullback.add_argument("--squash", required=True, help="squash or finder-report JSON file")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _check_ranges(args)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return args.func(args) or EXIT_OK  # a command that returns nothing succeeded
     except (SquashkitError, OSError, json.JSONDecodeError) as exc:
         print(f"squashkit: {exc}", file=sys.stderr)
         negative = isinstance(exc, (ConstructionError, TildeNotVerified))

@@ -70,8 +70,8 @@ def _integer_array(values, what: str) -> np.ndarray:
 def make_group(cayley, identity: int | None = None) -> FiniteGroup:
     """Validate a Cayley table (Latin square, associativity, neutral identity)."""
     table = _integer_array(cayley, "Cayley entries")
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise SquashkitError("Cayley table must be square")
+    if table.ndim != 2 or table.shape[0] != table.shape[1] or not len(table):
+        raise SquashkitError("Cayley table must be square, with at least one row")
     n = table.shape[0]
     if table.min() < 0 or table.max() >= n:
         raise SquashkitError("Cayley entries must be element indices")
@@ -163,6 +163,8 @@ def check_definition2(rep, action: LabelAction, p: povm.Bb84Povm) -> linalg.Chec
         raise SquashkitError(f"representation of shape {rep.shape} vs POVM dim {p.dim}")
     if rep.dtype.kind not in "iu" or (np.sort(rep, axis=1) != np.arange(p.dim)).any():
         raise SquashkitError(f"representation rows must be permutations of range({p.dim})")
+    if not 0 < len(rep) == len(action.perms):
+        raise SquashkitError(f"need one row per element, got {len(rep)} for {len(action.perms)}")
     residuals = {}
     for g, pi in enumerate(rep):
         for c in range(4):

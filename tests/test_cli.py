@@ -179,7 +179,9 @@ def test_detector_sweep_bound(tmp_path):
 def test_detector_refuses_n_with_sweep_max(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(tmp_path, "detector", "--N", "1", "--sweep-max", "2", "--out", out) == 2
-    assert "--N builds one sector; it takes no --sweep-max" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "squashkit: argument --sweep-max: not allowed with argument --N\n"
+    )
     assert not out.exists()
 
 
@@ -346,8 +348,8 @@ def test_nogo_attack_zero_trials(m0_file, tmp_path):
 
 
 @pytest.mark.parametrize("flag, message", [
-    (["--trials", "99999999999999999999"], "--trials must be at most 100000000"),
-    (["--trials", "100000001"], "--trials must be at most 100000000"),
+    (["--trials", "99999999999999999999"], "--trials must be between 0 and 100000000"),
+    (["--trials", "100000001"], "--trials must be between 0 and 100000000"),
     (["--seed", "-1"], "--seed must be at least 0"),
 ])
 def test_attack_trials_and_seed_are_range_checked_before_any_file_is_read(
@@ -360,13 +362,17 @@ def test_attack_trials_and_seed_are_range_checked_before_any_file_is_read(
     out = tmp_path / "out.json"
     argv = ["nogo", "attack", "--povm", tmp_path / "m0.json", *flag, "--out", out]
     assert run(tmp_path, *argv) == 2
-    assert capsys.readouterr().err == f"squashkit: {message}\n"
+    name, rule = message.split(" ", 1)  # argparse prints "argument --seed: must be ..."
+    assert capsys.readouterr().err == f"squashkit: argument {name}: {rule}\n"
     assert not out.exists()
 
 
 def test_attack_range_ends_are_accepted():
-    cli._check_ranges(SimpleNamespace(trials=cli.MAX_TRIALS, seed=0, tol=None))
-    cli._check_ranges(SimpleNamespace(trials=0, seed=2**80, tol=None))
+    parse = cli.build_parser().parse_args
+    for trials, seed in ((cli.MAX_TRIALS, 0), (0, 2**80)):
+        args = parse(["nogo", "attack", "--povm", "p.json", "--trials", str(trials),
+                      "--seed", str(seed)])
+        assert (args.trials, args.seed) == (trials, seed)
 
 
 def test_parser_is_built_once_and_reused(m0_file):
@@ -379,8 +385,8 @@ def test_parser_is_built_once_and_reused(m0_file):
 
 def test_parser_defaults_do_not_leak_between_calls(m0_file, tmp_path):
     parser = cli.build_parser()
-    assert parser.parse_args(["nogo", "attack", "--trials", "5"]).trials == 5
-    assert parser.parse_args(["nogo", "attack"]).trials == 10000
+    assert parser.parse_args(["nogo", "attack", "--povm", "p.json", "--trials", "5"]).trials == 5
+    assert parser.parse_args(["nogo", "attack", "--povm", "p.json"]).trials == 10000
     out = tmp_path / "attack.json"
     for argv, trials in ((["--trials", "5"], 5), ([], 10000)):
         assert main(["nogo", "attack", "--povm", str(m0_file), *argv, "--out", str(out)]) == 0
@@ -399,11 +405,10 @@ def test_readme_command_lines_parse():
     assert lines
     parser = cli.build_parser()
     for line in lines:
-        with contextlib.redirect_stderr(io.StringIO()):
-            try:
-                parser.parse_args(shlex.split(line, comments=True)[1:])
-            except SystemExit:
-                pytest.fail(f"README command line does not parse: {line}")
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except errors.SquashkitError as exc:
+            pytest.fail(f"README command line does not parse: {line}: {exc}")
 
 
 def test_readme_library_tour_runs():
@@ -573,9 +578,10 @@ def _reject_constant(name):
         (["nogo", "pullback", "--povm", "{ideal}", "--group", "c2", "--squash", "{list}"], 2),
         (["nogo", "symmetrize", "--povm", "{m0}", "--group", "{c129}", "--action", "{trivial129}"], 2),
         *(
-            (["nogo", submode, "--povm", "{ideal}", "--group", "c2", "--action", action,
-              "--squash", "{ideal_c2_squash}"], 2)
-            for submode in ("symmetrize", "pullback")
+            (["nogo", submode, "--povm", "{ideal}", "--group", "c2", "--action", action, *squash], 2)
+            for submode, squash in (
+                ("symmetrize", []), ("pullback", ["--squash", "{ideal_c2_squash}"])
+            )
             for action in ("{list_action}", "{string_action}")
         ),
     ],
@@ -610,7 +616,9 @@ def test_oversized_group_is_refused_before_its_table_is_validated(
     monkeypatch.setattr(nogo, "make_group", refuse)
     out = tmp_path / "out.json"
     argv = ["nogo", submode, "--povm", str(ideal_file), "--group", str(group),
-            "--action", str(action), "--squash", str(tmp_path / "absent.json"), "--out", str(out)]
+            "--action", str(action), "--out", str(out)]
+    if submode == "pullback":
+        argv += ["--squash", str(tmp_path / "absent.json")]
     assert main(argv) == 2
     assert "dimension 400, above the supported 256" in capsys.readouterr().err
     assert not out.exists()
@@ -670,25 +678,42 @@ def test_mismatched_unitary_or_squash_is_refused_before_its_entries_are_decoded(
 
 
 @pytest.mark.parametrize("source", [
-    ("find --sector 2 --unitary {u}", "only by squash construct"),
-    ("find --povm {povm} --unitary {u}", "only by squash construct"),
-    ("construct --sector 1 --povm {povm}", "takes no --povm or --unitary"),
-    ("construct --sector 1 --unitary {u}", "takes no --povm or --unitary"),
-    ("find --sector 1 --povm {povm}", "takes no --povm or --unitary"),
+    ("squash find --sector 2 --unitary {u}", "unrecognized arguments: --unitary "),
+    ("squash find --povm {povm} --unitary {u}", "unrecognized arguments: --unitary "),
+    ("squash construct --sector 1 --povm {povm}", "--povm: not allowed with argument --sector"),
+    ("squash construct --sector 1 --unitary {u}", "construct takes --unitary with --povm, and none"),
+    ("squash find --sector 1 --povm {povm}", "--povm: not allowed with argument --sector"),
+    ("squash construct --povm {povm}", "construct takes --unitary with --povm, and none"),
+    ("squash find", "one of the arguments --sector --povm is required"),
+    ("nogo m0 --povm {povm}", "unrecognized arguments: --povm "),
+    ("nogo attack --povm {povm} --group c2", "unrecognized arguments: --group c2"),
+    ("nogo symmetrize --povm {povm} --squash {squash}", "unrecognized arguments: --squash "),
+    ("nogo symmetrize --povm {povm} --trials 5", "unrecognized arguments: --trials 5"),
+    ("detector --N 1 --tol 1e-9", "unrecognized arguments: --tol 1e-9"),
+    ("detector --sweep-max 2", "a sweep needs --out"),
+    ("nogo attack", "the following arguments are required: --povm"),
+    ("nogo symmetrize --group c2", "the following arguments are required: --povm"),
+    ("nogo pullback --squash {squash}", "the following arguments are required: --povm"),
+    ("nogo pullback --povm {povm}", "the following arguments are required: --squash"),
 ])
 def test_squash_find_refuses_unitary_before_reading_any_file(
     source, monkeypatch, tmp_path, capsys
 ):
-    # also --sector with a --povm or --unitary file, which the sector would ignore
+    # every mode: a flag it does not take, a missing file flag, or a pair of flags that
+    # contradict each other is refused in one line before any file is read
     def refuse(path):
         raise AssertionError(f"{path} was read")
 
     monkeypatch.setattr(cli, "_load_json", refuse)
     args, message = source
-    args = [a.format(povm=tmp_path / "p.json", u=tmp_path / "u.json") for a in args.split()]
+    files = {name: tmp_path / f"{name}.json" for name in ("povm", "u", "squash")}
+    argv = [a.format(**files) for a in args.split()]
     out = tmp_path / "out.json"
-    assert run(tmp_path, "squash", *args, "--out", out) == 2
-    assert message in capsys.readouterr().err
+    if argv[0] != "detector":  # a sweep's --out is what the case leaves out
+        argv += ["--out", out]
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("squashkit: ") and message in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -1156,8 +1181,19 @@ def test_self_check_failure_is_a_one_line_error(monkeypatch, tmp_path, capsys):
 
 
 def _argv(*parts):
-    """Argument-vector strategy: plain strings are fixed, strategies are drawn."""
-    return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts))
+    """Argument-vector strategy: a str is one fixed argument, a strategy draws a list of them."""
+    drawn = st.tuples(*(st.just([p]) if isinstance(p, str) else p for p in parts))
+    return drawn.map(lambda lists: [a for part in lists for a in part])
+
+
+def _flag(flag, values):
+    """``flag`` with a drawn value."""
+    return values.map(lambda value: [flag, value])
+
+
+def _maybe(*choices):
+    """Nothing, or one of the given argument lists."""
+    return st.sampled_from([[], *choices])
 
 
 def _ints(low, high):
@@ -1168,17 +1204,51 @@ SECTORS = st.one_of(
     st.lists(st.sampled_from(["-1", "0", "1", "2", "300"]), min_size=1, max_size=3).map(",".join),
     st.sampled_from(["two", "", "1,,2", "20,20"]),
 )
-TOLS = st.sampled_from(["1e-9", "1e-6", "1e-14", "1", "0", "-1", "nan", "inf", "abc"])
-ARGVS = st.one_of(
-    _argv("detector", "--N", SECTORS),
-    # in-range bounds 3..8 write up to 216 files each and are left out for time
-    _argv("detector", "--sweep-max", st.sampled_from(["-1", "0", "1", "2", "9", "10"])),
-    _argv("squash", "construct", "--sector", SECTORS, "--tol", TOLS),
-    _argv("squash", "find", "--sector", SECTORS, "--tol", TOLS),
-    _argv(
-        "nogo", "attack", "--povm", "{m0}", "--trials", _ints(-5, 3000), "--seed", _ints(-2, 9)
-    ),
+TOL = st.one_of(
+    st.just([]),
+    _flag("--tol", st.sampled_from(["1e-9", "1e-6", "1e-14", "1", "0", "-1", "nan", "inf", "abc"])),
 )
+POVM = _maybe(["--povm", "{m0}"], ["--povm", "{ideal}"])
+SYMMETRIZATION = (
+    POVM, _maybe(*(["--group", g] for g in ("c2", "c4", "s3"))), _maybe(["--action", "{action}"])
+)
+MODES = st.one_of(
+    # in-range bounds 3..8 write up to 216 files each and are left out for time
+    _argv("detector", st.one_of(_flag("--N", SECTORS),
+                                _flag("--sweep-max", st.sampled_from(["-1", "0", "1", "2", "9"])))),
+    _argv("squash", "construct", st.one_of(_flag("--sector", SECTORS), POVM),
+          _maybe(["--unitary", "{unitary}"]), TOL),
+    _argv("squash", "find", st.one_of(_flag("--sector", SECTORS), POVM), TOL),
+    _argv("nogo", "m0"),
+    _argv("nogo", "attack", POVM, _flag("--trials", _ints(-5, 3000)), _flag("--seed", _ints(-2, 9)),
+          TOL),
+    _argv("nogo", "symmetrize", *SYMMETRIZATION, TOL),
+    _argv("nogo", "pullback", *SYMMETRIZATION, _maybe(["--squash", "{squash}"]), TOL),
+)
+# one flag any mode takes, which the drawn mode may not
+FOREIGN = _maybe(
+    ["--N", "1"], ["--sweep-max", "2"], ["--sector", "1"], ["--povm", "{ideal}"],
+    ["--unitary", "{unitary}"], ["--tol", "1e-9"], ["--trials", "5"], ["--seed", "1"],
+    ["--group", "c2"], ["--action", "{action}"], ["--squash", "{squash}"],
+)
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """A file for each placeholder of the drawn argument vectors."""
+    root = tmp_path_factory.mktemp("contract")
+    ideal = povm.ideal_qubit_povm()
+    s = nogo.symmetrize(ideal, nogo.cyclic_group(2), nogo.c2_basis_swap_action())
+    blobs = {
+        "m0": povm.povm_to_json(nogo.counterexample_m0()),
+        "ideal": povm.povm_to_json(ideal),
+        "unitary": linalg.matrix_to_json(linalg.unitary_from_generator(linalg.PAULI_Y, -np.pi / 4)),
+        "action": {"labels": list(povm.LABELS), "perms": SWAP_PERMS},
+        "squash": squashmap.squash_to_json(finder.find_squash(s.tilde).squash),
+    }
+    for name, blob in blobs.items():
+        (root / f"{name}.json").write_text(json.dumps(blob))
+    return {name: str(root / f"{name}.json") for name in blobs}
 
 
 def _strict_json_files(path):
@@ -1190,21 +1260,18 @@ def _strict_json_files(path):
     return paths
 
 
-@settings(max_examples=40, deadline=None)
-@given(argv=ARGVS)
-def test_cli_exit_contract_holds_for_drawn_arguments(argv):
+@settings(max_examples=80, deadline=None)
+@given(mode=MODES, foreign=FOREIGN)
+def test_cli_exit_contract_holds_for_drawn_arguments(mode, foreign, contract_files):
     with tempfile.TemporaryDirectory() as tmp:
-        m0 = os.path.join(tmp, "m0.json")
         out = os.path.join(tmp, "out")
-        argv = [a.replace("{m0}", m0) for a in argv] + ["--out", out]
+        argv = [a.format(**contract_files) for a in mode + foreign] + ["--out", out]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            assert main(["nogo", "m0", "--out", m0]) == 0
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects a flag value
-                code = exc.code
+            code = main(argv)
         assert code in (0, 1, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("squashkit: ") and err.getvalue().count("\n") == 1
         if code == 0:
             assert _strict_json_files(out)

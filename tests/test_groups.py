@@ -328,6 +328,19 @@ def test_definition2_rejects_rows_that_are_not_index_permutations():
         nogo.check_definition2(np.eye(2), action, p)  # dense matrices are not index rows
     with pytest.raises(SquashkitError, match="permutations of range"):
         nogo.check_definition2([[0, 1], [0, 0], [1, 0], [0, 1]], action, p)
+    # one row for each element the action names: more rows have no label images, fewer
+    # would check only part of the group
+    for rows in (0, 1, 5):
+        with pytest.raises(SquashkitError, match=f"^need one row per element, got {rows} for 4$"):
+            nogo.check_definition2(np.tile(np.arange(2), (rows, 1)), action, p)
+
+
+def test_a_table_with_no_rows_is_refused():
+    message = "^Cayley table must be square, with at least one row$"
+    with pytest.raises(SquashkitError, match=message):
+        nogo.make_group(np.zeros((0, 0), int))
+    with pytest.raises(SquashkitError, match=message):
+        nogo.cyclic_group(0)
 
 
 def test_group_json_round_trip():

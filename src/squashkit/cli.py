@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 from . import builder, finder, fock, linalg, nogo, povm, squashmap
@@ -259,6 +260,11 @@ def cmd_pullback(args) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a sector such as -1,2 is a value, not a flag, so its negative count is what is refused
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
+
     def error(self, message):  # a usage error is one line and exit 2, as any input error
         raise SquashkitError(" ".join(message.splitlines()))  # an argument may hold a newline
 

@@ -34,7 +34,8 @@ LEVEL_STEP = 1e-14
 INFEASIBLE_SLACK = 1e-11
 #: A is shrunk by this relative amount, so that w(2A) < 1 on the boundary w(2A) = 1.
 DOUBLING_SHRINK = 1e-12
-#: The doubling iterate is stationary once a step moves it by this much, relative.
+#: The doubling iterate is stationary once a step moves it by this much, relative: tested
+#: squared, as |step|^2 <= STATIONARY_STEP^2 |Q|^2 in the Frobenius norm.
 STATIONARY_STEP = 64 * np.finfo(float).eps
 #: Doubling steps before the solve gives up; it takes at most 24 on the boundary w(2A) = 1.
 MAX_DOUBLING_STEPS = 64
@@ -123,8 +124,10 @@ def find_squash(p: povm.Bb84Povm, tol: float = linalg.LOOSE_TOL) -> FeasibilityR
     Runs the Bloch-norm witness (the level-set maximum of :func:`bloch_witness`)
     first; a value above 1 + INFEASIBLE_SLACK settles the question as INFEASIBLE.
     At or below one a squash exists by Ando's theorem, and the doubling solves
-    for X until a step no longer moves the iterate. Its Cholesky factor gives
-    the row pair (G0, G1), one row per input dimension, which reproduces both
+    for X, one Cholesky, one solve and one Gram product per step, until a step
+    no longer moves the iterate: |step|^2 <= STATIONARY_STEP^2 |Q|^2 in squared
+    Frobenius norms. Its Cholesky factor gives the row pair (G0, G1), one row
+    per input dimension, which reproduces both
     observables by construction; ``gap`` is its trace defect. At most ``tol``
     and the ``linalg.TOL`` a SquashMap accepts gives FEASIBLE, with the map
     verified at SELF_CHECK_TOL. A larger gap, or a breakdown of the doubling (no
@@ -144,10 +147,14 @@ def find_squash(p: povm.Bb84Povm, tol: float = linalg.LOOSE_TOL) -> FeasibilityR
         )
 
     # doubling (Lin & Xu): Q converges to the maximal solution X of X + A+ X^-1 A = 1
+    d = p.dim
     a = (m_z + 1j * m_x) / 2.0
-    e = (1.0 - DOUBLING_SHRINK) * a
-    q = np.eye(p.dim, dtype=complex)
+    e_both = np.empty((d, 2 * d), dtype=complex)  # [E, E+]: E on the left, its adjoint beside it
+    e_both[:, :d] = (1.0 - DOUBLING_SHRINK) * a
+    e_both[:, d:] = linalg.dagger(e_both[:, :d])
+    q = np.eye(d, dtype=complex)
     s = np.zeros_like(q)
+    bound = STATIONARY_STEP**2
     steps, stationary = 0, False
     while steps < MAX_DOUBLING_STEPS and not stationary:
         try:  # W = Q - P stays positive definite unless the doubling disagrees with the witness
@@ -155,13 +162,16 @@ def find_squash(p: povm.Bb84Povm, tol: float = linalg.LOOSE_TOL) -> FeasibilityR
         except np.linalg.LinAlgError:
             break
         # with W = L L+ and B = L^-1 [E, E+], the Gram matrix B+ B holds every update:
-        # [[E+ W^-1 E (the step), E+ W^-1 E+], [E W^-1 E (the new E), E W^-1 E+ (added to P)]]
-        l_both = np.linalg.solve(low, np.concatenate([e, linalg.dagger(e)], axis=1))
+        # [[E+ W^-1 E (the step), E+ W^-1 E+ (the new E+)],
+        #  [E W^-1 E (the new E), E W^-1 E+ (added to P)]]
+        l_both = np.linalg.solve(low, e_both)
         gram = linalg.dagger(l_both) @ l_both
-        step, e, s = gram[:p.dim, :p.dim], gram[p.dim:, :p.dim], s + gram[p.dim:, p.dim:]
-        q = q - step
+        step = gram[:d, :d]
+        q -= step
+        s += gram[d:, d:]
+        e_both[:, :d], e_both[:, d:] = gram[d:, :d], gram[:d, d:]
         steps += 1
-        stationary = linalg.frob(step) <= STATIONARY_STEP * linalg.frob(q)
+        stationary = np.vdot(step, step).real <= bound * np.vdot(q, q).real
 
     try:  # X = L L+ gives G0 = L+ and G1 = L^-1 A, so that G0+ G1 = A and G0+ G0 = X
         low = np.linalg.cholesky(q)

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 import squashkit
-from squashkit import fock, linalg, povm
+from squashkit import finder, fock, linalg, povm
+from squashkit.squashmap import SquashMap, trace_defect
 
 
 def configurations(photons) -> list:
@@ -212,6 +213,81 @@ def validate_oracle(p, tol: float = linalg.TOL) -> linalg.CheckReport:
     for r in ("z", "x"):
         residuals[f"sum.{r}"] = linalg.frob(p.element(r, 0) + p.element(r, 1) - eye)
     return linalg.CheckReport(residuals, tol)
+
+
+def doubling_oracle(p, tol: float = linalg.LOOSE_TOL) -> finder.FeasibilityReport:
+    """find_squash with a doubling loop that builds every iterate out of place.
+
+    Each step concatenates [E, E+] afresh from a dagger of E, replaces E, P
+    and Q with new arrays and tests stationarity on Frobenius norms. The
+    witness, the final factor X = L L+ and the verdict rules are find_squash's,
+    except that the FEASIBLE map is not self-checked.
+    """
+    m_z, m_x = p.difference("z"), p.difference("x")
+    witness = finder.bloch_witness(m_z, m_x)
+    if witness.value > 1.0 + finder.INFEASIBLE_SLACK:
+        return finder.FeasibilityReport("INFEASIBLE", None, witness, 0.0, 0)
+
+    # doubling (Lin & Xu): Q converges to the maximal solution X of X + A+ X^-1 A = 1
+    a = (m_z + 1j * m_x) / 2.0
+    e = (1.0 - finder.DOUBLING_SHRINK) * a
+    q = np.eye(p.dim, dtype=complex)
+    s = np.zeros_like(q)
+    steps, stationary = 0, False
+    while steps < finder.MAX_DOUBLING_STEPS and not stationary:
+        try:  # W = Q - P stays positive definite unless the doubling disagrees with the witness
+            low = np.linalg.cholesky(q - s)
+        except np.linalg.LinAlgError:
+            break
+        # with W = L L+ and B = L^-1 [E, E+], the Gram matrix B+ B holds every update:
+        # [[E+ W^-1 E (the step), E+ W^-1 E+], [E W^-1 E (the new E), E W^-1 E+ (added to P)]]
+        l_both = np.linalg.solve(low, np.concatenate([e, linalg.dagger(e)], axis=1))
+        gram = linalg.dagger(l_both) @ l_both
+        step, e, s = gram[:p.dim, :p.dim], gram[p.dim:, :p.dim], s + gram[p.dim:, p.dim:]
+        q = q - step
+        steps += 1
+        stationary = linalg.frob(step) <= finder.STATIONARY_STEP * linalg.frob(q)
+
+    try:  # X = L L+ gives G0 = L+ and G1 = L^-1 A, so that G0+ G1 = A and G0+ G0 = X
+        low = np.linalg.cholesky(q)
+        g0, g1 = linalg.dagger(low), np.linalg.solve(low, a)
+    except np.linalg.LinAlgError:  # the empty family, whose trace defect sqrt(d) is UNDECIDED
+        g0 = g1 = np.zeros((0, p.dim))
+    gap = trace_defect(g0, g1)
+    if not (stationary and gap <= min(tol, linalg.TOL)):
+        return finder.FeasibilityReport("UNDECIDED", None, witness, gap, steps)
+    return finder.FeasibilityReport("FEASIBLE", SquashMap(g0=g0, g1=g1), witness, gap, steps)
+
+
+def haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A Haar-random isometry C^cols -> C^rows, the real parts drawn before the imaginary."""
+    x = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    q, r = np.linalg.qr(x)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def isometry_set(rng: np.random.Generator, d: int, visibility: float = 0.8):
+    """The ideal qubit set at a visibility after a random isometry C^d -> C^2 (x) C^d.
+
+    The isometry followed by the partial trace is a squash, so the set is feasible
+    with a witness below one: the doubling's quadratically convergent regime.
+    """
+    v = haar_isometry(rng, 2 * d, d)
+    return povm.make_povm({
+        f"{r}{b}": linalg.dagger(v) @ np.kron((np.eye(2) + (1 - 2 * b) * visibility * sigma) / 2,
+                                              np.eye(d)) @ v
+        for r, sigma in (("z", linalg.PAULI_Z), ("x", linalg.PAULI_X)) for b in (0, 1)
+    })
+
+
+def projective_set(rng: np.random.Generator, d: int):
+    """Two random rank-floor(d/2) projective bases, one per basis z and x."""
+    elements = {}
+    for r in ("z", "x"):
+        u = haar_isometry(rng, d, d)[:, :d // 2]
+        elements[f"{r}0"] = u @ linalg.dagger(u)
+        elements[f"{r}1"] = np.eye(d) - elements[f"{r}0"]
+    return povm.make_povm(elements)
 
 
 def definition1_oracle(u: np.ndarray, p) -> dict:

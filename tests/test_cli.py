@@ -1275,3 +1275,16 @@ def test_cli_exit_contract_holds_for_drawn_arguments(mode, foreign, contract_fil
             assert err.getvalue().startswith("squashkit: ") and err.getvalue().count("\n") == 1
         if code == 0:
             assert _strict_json_files(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["detector", "--N", "-1,2"], ["detector", "--N=-1,2"], ["detector", "--N", "-3"],
+    ["squash", "find", "--sector", "-1,2"], ["squash", "find", "--sector=-1,2"],
+    ["squash", "construct", "--sector", "2,-1"],
+])
+def test_negative_photon_counts_are_refused_in_either_spelling(argv, tmp_path, capsys):
+    # a leading minus must not read the sector as a flag: "-1,2" is a value, refused as negative
+    out = tmp_path / "out.json"
+    assert run(tmp_path, *argv, "--out", out) == 2
+    assert capsys.readouterr().err == "squashkit: photon counts must be nonnegative\n"
+    assert not out.exists()

@@ -13,8 +13,12 @@ from squashkit.nogo import counterexample_m0
 from helpers import (
     affine_residual,
     column_stacked_choi,
+    doubling_oracle,
     einsum_project_affine,
+    haar_isometry,
+    isometry_set,
     kraus_adjoint,
+    projective_set,
     random_hermitian,
     visibility_set,
 )
@@ -316,6 +320,14 @@ def test_doubling_steps_stay_few_on_every_small_sector():
         assert report.iterations == expected, (sector.photons, report.iterations)
 
 
+def test_doubling_steps_stay_few_off_the_boundary():
+    # isometry sets have a witness near 0.8, where the doubling converges
+    # quadratically; the counts are pinned for sets drawn in this order
+    rng = np.random.default_rng(2009)
+    steps = [finder.find_squash(isometry_set(rng, d)).iterations for d in (3, 4, 5, 6, 8)]
+    assert steps == [6, 6, 6, 5, 5]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_doubling_steps_on_phase_rotated_detector_sets(seed):
     # a random diagonal-phase basis change, as the benchmark applies to these
@@ -394,11 +406,6 @@ def test_undecided_when_the_doubling_solution_has_no_cholesky_factor(monkeypatch
     assert json.loads(out.read_text())["verdict"] == "UNDECIDED"
 
 
-def _haar_unitary(d, rng):
-    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 @settings(max_examples=12, deadline=None)
 @given(
     index=st.integers(min_value=0, max_value=len(fock.enumerate_sectors(3)) - 1),
@@ -408,7 +415,7 @@ def test_both_engines_succeed_on_a_rotated_detector_set(index, seed):
     # Theorem 1 holds in every basis: a Haar rotation V keeps the four-cycle
     # V U_N V+ and the rank-two observables, and with them the squash
     model = fock.build_detector(fock.enumerate_sectors(3)[index])
-    v = _haar_unitary(model.povm.dim, np.random.default_rng(seed))
+    v = haar_isometry(np.random.default_rng(seed), model.povm.dim, model.povm.dim)
     p = povm.make_povm(
         {key: v @ m @ linalg.dagger(v) for key, m in model.povm.elements.items()}
     )
@@ -435,7 +442,7 @@ def test_both_engines_succeed_on_any_rank_two_four_cycle_set(d, seed, lam):
     rng = np.random.default_rng(seed)
     powers = rng.integers(0, 4, size=d)
     powers[0], powers[1] = 2 * rng.integers(0, 2), 2 * rng.integers(0, 2) + 1
-    basis = _haar_unitary(d, rng)
+    basis = haar_isometry(rng, d, d)
     u = (basis * np.array([1, 1j, -1, -1j])[powers]) @ linalg.dagger(basis)
     halves = []
     for parity in (0, 1):  # U^2 = +1 on even powers, -1 on odd ones
@@ -461,3 +468,58 @@ def test_report_json_shape():
     assert blob["verdict"] == "INFEASIBLE"
     assert blob["squash"] is None
     assert blob["witness"]["value"] > 1.4
+
+
+#: Every sector up to four photons, two large ones, seeded isometry (feasible) and
+#: projective (infeasible) sets, and the (2,1) set symmetrized over C2 and C4.
+ORACLE_SWEEP = [
+    *(("sector", s.photons) for s in fock.enumerate_sectors(4)),
+    ("sector", (4, 4, 4)), ("sector", (15, 15)),
+    *((kind, d) for kind in ("isometry", "projective") for d in (3, 4, 5, 8, 12)),
+    ("c2", (2, 1)), ("c4", (2, 1)),
+]
+
+
+def _oracle_sweep_set(kind, arg):
+    if kind == "isometry":
+        return isometry_set(np.random.default_rng(arg), arg)
+    if kind == "projective":
+        return projective_set(np.random.default_rng(arg), arg)
+    base = fock.build_detector(fock.fock_sector(arg)).povm
+    if kind == "sector":
+        return base
+    action = nogo.c2_basis_swap_action() if kind == "c2" else nogo.canonical_c4_action()
+    return nogo.symmetrize(base, nogo.cyclic_group(int(kind[1])), action).tilde
+
+
+@pytest.mark.parametrize("kind, arg", ORACLE_SWEEP,
+                         ids=[f"{k}-{a}".replace(" ", "") for k, a in ORACLE_SWEEP])
+def test_find_squash_matches_the_doubling_oracle(kind, arg):
+    # the in-place loop takes E+ from its Gram block rather than from a dagger of
+    # E, so the map may move by rounding; verdict, steps and witness may not
+    p = _oracle_sweep_set(kind, arg)
+    report, oracle = finder.find_squash(p), doubling_oracle(p)
+    assert (report.verdict, report.iterations) == (oracle.verdict, oracle.iterations)
+    assert report.witness.value == oracle.witness.value
+    assert report.gap == pytest.approx(oracle.gap, abs=1e-12)
+    assert (report.squash is None) == (oracle.squash is None)
+    if report.squash is not None:
+        assert np.abs(report.squash.kraus - oracle.squash.kraus).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["detector", "isometry"])
+def test_find_squash_leaves_its_input_and_earlier_maps_alone(name):
+    # the doubling updates its buffers in place: none of them may be the input or a map
+    if name == "detector":
+        p = fock.build_detector(fock.fock_sector((2, 1))).povm
+    else:
+        p = isometry_set(np.random.default_rng(7), 5)
+    before = {key: m.copy() for key, m in p.elements.items()}
+    first, second = finder.find_squash(p).squash, finder.find_squash(p).squash
+    for key, m in p.elements.items():
+        assert m.tobytes() == before[key].tobytes() and not m.flags.writeable
+    assert np.array_equal(first.g0, second.g0) and np.array_equal(first.g1, second.g1)
+    rows = (first.g0, first.g1, second.g0, second.g1)
+    assert not any(r.flags.writeable for r in rows)
+    for i, r in enumerate(rows):
+        assert not any(np.shares_memory(r, other) for other in rows[i + 1:])

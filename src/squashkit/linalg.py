@@ -22,6 +22,9 @@ TOL = 1e-9
 LOOSE_TOL = 1e-8
 #: A mu weight or a trace-deficiency eigenvalue this small is dropped as zero.
 ZERO = 1e-12
+#: Largest side of a matrix read from JSON, and largest dimension the command line accepts:
+#: a sector's prod(n_i + 1), or the d * |G| of a symmetrization.
+MAX_INPUT_DIM = 256
 
 
 class CheckReport(NamedTuple):
@@ -156,6 +159,8 @@ def _encode(values: np.ndarray) -> list:
 def _decode(entries: list, rows: int, cols: int, shape_name: str) -> np.ndarray:
     if rows < 1 or cols < 1:
         raise SquashkitError(f"{shape_name} is not a positive size")
+    if max(rows, cols) > MAX_INPUT_DIM:  # refused before any entry is counted or decoded
+        raise SquashkitError(f"{shape_name} has a side above the supported {MAX_INPUT_DIM}")
     if len(entries) != rows * cols:
         raise SquashkitError(f"expected {rows * cols} entries for {shape_name}, got {len(entries)}")
     try:

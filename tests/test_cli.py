@@ -624,6 +624,19 @@ def test_oversized_group_is_refused_before_its_table_is_validated(
     assert not out.exists()
 
 
+def _record_decoded(monkeypatch) -> list:
+    """The (rows, cols) of every block whose entries ``linalg._decode`` went on to return."""
+    decoded, decode = [], linalg._decode
+
+    def record(entries, rows, cols, shape_name):
+        values = decode(entries, rows, cols, shape_name)
+        decoded.append((rows, cols))
+        return values
+
+    monkeypatch.setattr(linalg, "_decode", record)
+    return decoded
+
+
 @pytest.mark.parametrize("declared", ["set", "element"])
 def test_oversized_povm_is_refused_before_its_entries_are_decoded(
     declared, request, monkeypatch, tmp_path, capsys
@@ -634,21 +647,18 @@ def test_oversized_povm_is_refused_before_its_entries_are_decoded(
         element = {"dim": 257, "entries": [[0.0, 0.0]]}
         path = tmp_path / "big_elements.json"
         path.write_text(json.dumps({"dim": 2, "elements": dict.fromkeys(povm.LABELS, element)}))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the entries were decoded")
-
-    monkeypatch.setattr(linalg, "_decode", refuse)
+    decoded = _record_decoded(monkeypatch)
     out = tmp_path / "out.json"
     assert main(["squash", "find", "--povm", str(path), "--out", str(out)]) == 2
-    assert "dimension 257, above the supported 256" in capsys.readouterr().err
-    assert not out.exists()
+    assert capsys.readouterr().err == "squashkit: dim 257 has a side above the supported 256\n"
+    assert decoded == [] and not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["unitary", "in_dim", "kraus"])
 def test_mismatched_unitary_or_squash_is_refused_before_its_entries_are_decoded(
     kind, ideal_file, monkeypatch, tmp_path, capsys
 ):
+    # a side above the bound is refused where the file is decoded, before its fit to the set
     path = tmp_path / f"{kind}.json"
     if kind == "unitary":
         # json.dumps(linalg.matrix_to_json(np.eye(700))), written as text
@@ -656,25 +666,60 @@ def test_mismatched_unitary_or_squash_is_refused_before_its_entries_are_decoded(
         cells[::701] = ["[1.0, 0.0]"] * 700
         path.write_text('{"dim": 700, "entries": [' + ", ".join(cells) + "]}")
         argv = ["squash", "construct", "--povm", ideal_file, "--unitary", path]
-        message = "unitary dim 700 vs POVM dim 2"
+        shape = "dim 700"
     else:  # the qubit set symmetrized over C2 has dimension 4
-        in_dim, shape = (700, (2, 700)) if kind == "in_dim" else (4, (700, 4))
-        op = {"rows": shape[0], "cols": shape[1], "entries": [[0.0, 0.0]] * (shape[0] * shape[1])}
+        in_dim, rows_cols = (700, (2, 700)) if kind == "in_dim" else (4, (700, 4))
+        op = {"rows": rows_cols[0], "cols": rows_cols[1],
+              "entries": [[0.0, 0.0]] * (rows_cols[0] * rows_cols[1])}
         path.write_text(json.dumps({"in_dim": in_dim, "kraus": [op]}))
         argv = ["nogo", "pullback", "--povm", ideal_file, "--group", "c2", "--squash", path]
-        message = {"in_dim": "map dim 700 vs POVM dim 4",
-                   "kraus": "Kraus operator shape (700, 4) vs expected (2, 4)"}[kind]
-    decoded, decode = [], linalg._decode
-
-    def record(entries, rows, cols, shape_name):
-        decoded.append((rows, cols))
-        return decode(entries, rows, cols, shape_name)
-
-    monkeypatch.setattr(linalg, "_decode", record)
+        shape = "%dx%d" % rows_cols
+    decoded = _record_decoded(monkeypatch)
     out = tmp_path / "out.json"
     assert run(tmp_path, *argv, "--out", out) == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"squashkit: {shape} has a side above the supported 256\n"
     assert set(decoded) == {(2, 2)} and not out.exists()  # only the qubit set's elements
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("unitary", "unitary dim 3 vs POVM dim 2"),
+    ("in_dim", "map dim 5 vs POVM dim 4"),
+    ("kraus", "Kraus operator shape (3, 4) vs expected (2, 4)"),
+])
+def test_a_unitary_or_map_that_does_not_fit_the_set_is_refused_by_its_engine(
+    kind, message, ideal_file, tmp_path, capsys
+):
+    path = tmp_path / f"{kind}.json"
+    if kind == "unitary":
+        path.write_text(json.dumps(linalg.matrix_to_json(np.eye(3))))
+        argv = ["squash", "construct", "--povm", ideal_file, "--unitary", path]
+    else:  # the qubit set symmetrized over C2 has dimension 4
+        if kind == "in_dim":  # |0><k| for k < 5: a trace-preserving map from dimension 5
+            kraus = [np.outer([1.0, 0.0], e) for e in np.eye(5)]
+        else:
+            kraus = [np.zeros((3, 4))]
+        blob = {"in_dim": 5 if kind == "in_dim" else 4,
+                "kraus": [linalg.matrix_rect_to_json(k) for k in kraus]}
+        path.write_text(json.dumps(blob))
+        argv = ["nogo", "pullback", "--povm", ideal_file, "--group", "c2", "--squash", path]
+    out = tmp_path / "out.json"
+    assert run(tmp_path, *argv, "--out", out) == 2
+    assert capsys.readouterr().err == f"squashkit: {message}\n"
+    assert not out.exists()
+
+
+def test_a_builtin_group_is_validated_once(ideal_file, monkeypatch, tmp_path):
+    tables, make_group = [], nogo.make_group
+
+    def count(cayley, identity=None):
+        tables.append(cayley)
+        return make_group(cayley, identity)
+
+    monkeypatch.setattr(nogo, "make_group", count)
+    out = tmp_path / "tilde.json"
+    assert run(tmp_path, "nogo", "symmetrize", "--povm", ideal_file, "--group", "c4",
+               "--out", out) == 0
+    assert len(tables) == 1 and read(out)["dim"] == 8
 
 
 @pytest.mark.parametrize("source", [
@@ -1277,14 +1322,29 @@ def test_cli_exit_contract_holds_for_drawn_arguments(mode, foreign, contract_fil
             assert _strict_json_files(out)
 
 
+#: The one-line refusal of a negative value, by the flag that takes it.
+NEGATIVE_VALUE_REFUSALS = {
+    "--N": "photon counts must be nonnegative",
+    "--sector": "photon counts must be nonnegative",
+    "--tol": "argument --tol: must be positive and finite",
+    "--seed": "argument --seed: invalid int value: '-1e3'",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["detector", "--N", "-1,2"], ["detector", "--N=-1,2"], ["detector", "--N", "-3"],
     ["squash", "find", "--sector", "-1,2"], ["squash", "find", "--sector=-1,2"],
     ["squash", "construct", "--sector", "2,-1"],
+    *(["squash", "find", "--sector", "1", *tol]
+      for value in ("-1e-3", "-inf", "-NaN") for tol in (["--tol", value], [f"--tol={value}"])),
+    ["nogo", "attack", "--povm", "p.json", "--seed", "-1e3"],
+    ["nogo", "attack", "--povm", "p.json", "--seed=-1e3"],
 ])
 def test_negative_photon_counts_are_refused_in_either_spelling(argv, tmp_path, capsys):
-    # a leading minus must not read the sector as a flag: "-1,2" is a value, refused as negative
+    # a leading minus must not read a value as a flag: "-1,2", "-1e-3" and "-inf" are values,
+    # refused by the sector parser or the range check whichever way they are spelled
     out = tmp_path / "out.json"
     assert run(tmp_path, *argv, "--out", out) == 2
-    assert capsys.readouterr().err == "squashkit: photon counts must be nonnegative\n"
+    flag = [a for a in argv if a.startswith("--")][-1].split("=")[0]
+    assert capsys.readouterr().err == f"squashkit: {NEGATIVE_VALUE_REFUSALS[flag]}\n"
     assert not out.exists()

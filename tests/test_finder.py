@@ -492,6 +492,12 @@ def _oracle_sweep_set(kind, arg):
     return nogo.symmetrize(base, nogo.cyclic_group(int(kind[1])), action).tilde
 
 
+#: Bound on the Kraus rows' distance from the oracle, 1e-12 unless listed. On the (4,4,4)
+#: boundary set each loop's own map moves by 1.5e-11 to 1.7e-11 between one and two BLAS
+#: threads, so the two loops may differ by their sum, 3.2e-11.
+ORACLE_ROW_BOUND = {("sector", (4, 4, 4)): 5e-11}
+
+
 @pytest.mark.parametrize("kind, arg", ORACLE_SWEEP,
                          ids=[f"{k}-{a}".replace(" ", "") for k, a in ORACLE_SWEEP])
 def test_find_squash_matches_the_doubling_oracle(kind, arg):
@@ -504,7 +510,8 @@ def test_find_squash_matches_the_doubling_oracle(kind, arg):
     assert report.gap == pytest.approx(oracle.gap, abs=1e-12)
     assert (report.squash is None) == (oracle.squash is None)
     if report.squash is not None:
-        assert np.abs(report.squash.kraus - oracle.squash.kraus).max() <= 1e-12
+        bound = ORACLE_ROW_BOUND.get((kind, arg), 1e-12)
+        assert np.abs(report.squash.kraus - oracle.squash.kraus).max() <= bound
 
 
 @pytest.mark.parametrize("name", ["detector", "isometry"])

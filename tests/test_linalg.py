@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from squashkit import fock, linalg, povm
+from squashkit import fock, linalg, povm, squashmap
 from squashkit.errors import SquashkitError
 
 from helpers import random_density_matrices, random_density_matrix, random_hermitian
@@ -247,6 +247,31 @@ def test_matrix_json_refuses_sizes_and_entries_that_are_no_matrix(obj, message):
     read = linalg.matrix_from_json if "dim" in obj else linalg.matrix_rect_from_json
     with pytest.raises(SquashkitError, match=message):
         read(obj)
+
+
+@pytest.mark.parametrize("read, obj, shape", [
+    (linalg.matrix_from_json, {"dim": 257, "entries": []}, "dim 257"),
+    (linalg.matrix_rect_from_json, {"rows": 700, "cols": 4, "entries": []}, "700x4"),
+    (linalg.matrix_rect_from_json, {"rows": 2, "cols": 257, "entries": []}, "2x257"),
+    (povm.povm_from_json,
+     {"dim": 2, "elements": dict.fromkeys(povm.LABELS, {"dim": 257, "entries": []})}, "dim 257"),
+    (squashmap.squash_from_json,
+     {"in_dim": 4, "kraus": [{"rows": 700, "cols": 4, "entries": []}]}, "700x4"),
+])
+def test_every_json_reader_refuses_a_side_above_the_bound_before_counting_entries(
+    read, obj, shape
+):
+    # no entries at all: a reader that counted them first would report the count instead
+    with pytest.raises(SquashkitError, match=f"^{shape} has a side above the supported 256$"):
+        read(obj)
+
+
+def test_a_side_at_the_bound_is_read():
+    assert linalg.MAX_INPUT_DIM == 256
+    with pytest.raises(SquashkitError, match="^expected 65536 entries for dim 256, got 0$"):
+        linalg.matrix_from_json({"dim": 256, "entries": []})
+    a = np.arange(512.0).reshape(2, 256) * 1j
+    assert np.array_equal(linalg.matrix_rect_from_json(linalg.matrix_rect_to_json(a)), a)
 
 
 def test_negative_zero_parts_survive_a_json_round_trip():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from squashkit import builder, cli, finder, fock, linalg, nogo, povm, squashmap
+from squashkit import builder, finder, fock, linalg, nogo, povm, squashmap
 from squashkit.errors import SelfCheckFailed, SquashkitError, TildeNotVerified
 
 from helpers import kraus_apply, random_density_matrix, random_hermitian, visibility_set
@@ -115,10 +115,10 @@ def test_trace_identity_two_photon():
 def test_symmetrize_at_the_cli_limit():
     # a qubit set over the cyclic group of order 128 is the largest symmetrization the CLI admits
     p = povm.ideal_qubit_povm()
-    n = cli.MAX_INPUT_DIM // p.dim
+    n = linalg.MAX_INPUT_DIM // p.dim
     four_cycle_powers = nogo.make_action([[(c + g) % 4 for c in range(4)] for g in range(n)])
     s = nogo.symmetrize(p, nogo.cyclic_group(n), four_cycle_powers)
-    assert s.tilde.dim == cli.MAX_INPUT_DIM
+    assert s.tilde.dim == linalg.MAX_INPUT_DIM
     assert nogo.check_definition2(s.rep, s.action, s.tilde).max_residual == 0.0
     assert nogo.verify_trace_identity(s) == 0.0
     base = finder.bloch_witness(p.difference("z"), p.difference("x")).value

@@ -54,16 +54,19 @@ class MuDecomposition(NamedTuple):
 
 def extract_rank2(m_z: np.ndarray, sym: C4Symmetry, tol: float = linalg.TOL) -> tuple:
     """Largest eigenvalue and eigenvector of a rank-two +/-lambda observable."""
-    eig = linalg.hermitian_eig(m_z)
-    rank = np.count_nonzero(np.abs(eig.eigenvalues) > linalg.TOL * max(1.0, linalg.frob(m_z)))
+    m_z = linalg.as_matrix(m_z)
+    if not linalg.is_hermitian(m_z):
+        raise SquashkitError(f"matrix is not Hermitian within tol={linalg.TOL}")
+    values, vectors = np.linalg.eigh(m_z)
+    rank = np.count_nonzero(np.abs(values) > linalg.TOL * max(1.0, linalg.frob(m_z)))
     if rank != 2:
         raise SquashkitError(f"observable rank is {rank}, need 2")
-    lam = float(eig.eigenvalues[-1])
+    lam = float(values[-1])
     if not 0.0 < lam <= 1.0 + tol:
         raise SquashkitError(f"leading eigenvalue {lam} outside (0, 1]")
-    if abs(eig.eigenvalues[0] + lam) > tol * max(1.0, lam):
-        raise SquashkitError(f"eigenvalues {eig.eigenvalues[0]} and {lam} are not a +/- pair")
-    v = eig.eigenvectors[:, -1]
+    if abs(values[0] + lam) > tol * max(1.0, lam):
+        raise SquashkitError(f"eigenvalues {values[0]} and {lam} are not a +/- pair")
+    v = vectors[:, -1]
     w = sym.u @ (sym.u @ v)  # U^2 v, the -lambda eigenvector
     residual = linalg.frob(m_z - lam * (np.outer(v, v.conj()) - np.outer(w, w.conj())))
     if residual > tol:
@@ -137,11 +140,11 @@ def complete_trace_preserving(core: tuple, d: int) -> SquashMap:
     """
     g0, g1 = core
     deficiency = np.eye(d, dtype=complex) - linalg.dagger(g0) @ g0 - linalg.dagger(g1) @ g1
-    eig = linalg.hermitian_eig(deficiency)
-    if eig.eigenvalues[0] < -linalg.TOL:
-        raise SquashkitError(f"trace deficiency has negative eigenvalue {eig.eigenvalues[0]}")
-    keep = eig.eigenvalues >= linalg.ZERO
-    fill = np.sqrt(eig.eigenvalues[keep])[:, None] * linalg.dagger(eig.eigenvectors[:, keep])
+    values, vectors = np.linalg.eigh((deficiency + linalg.dagger(deficiency)) / 2)
+    if values[0] < -linalg.TOL:
+        raise SquashkitError(f"trace deficiency has negative eigenvalue {values[0]}")
+    keep = values >= linalg.ZERO
+    fill = np.sqrt(values[keep])[:, None] * linalg.dagger(vectors[:, keep])
     return SquashMap(g0=np.vstack([g0, fill]), g1=np.vstack([g1, np.zeros_like(fill)]))
 
 

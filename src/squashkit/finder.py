@@ -100,10 +100,10 @@ def bloch_witness(m_z: np.ndarray, m_x: np.ndarray) -> BlochWitness:
         thetas = (crossings + np.append(crossings[1:], crossings[:1] + 2.0 * np.pi)) / 2.0
     thetas, values = np.concatenate(seen, axis=1)
     theta = thetas[values >= values.max() - LEVEL_STEP * max(1.0, abs(values.max()))].min()
-    eig = linalg.hermitian_eig(np.cos(theta) * m_z + np.sin(theta) * m_x)
-    value, vector = float(eig.eigenvalues[-1]), eig.eigenvectors[:, -1]
+    spectrum, vectors = np.linalg.eigh(np.cos(theta) * m_z + np.sin(theta) * m_x)
+    vector = vectors[:, -1]
     return BlochWitness(
-        theta=float(theta), state=np.outer(vector, vector.conj()), value=value
+        theta=float(theta), state=np.outer(vector, vector.conj()), value=float(spectrum[-1])
     )
 
 

@@ -1,8 +1,8 @@
 """Dense complex linear algebra, the tolerances and report of every check, and checked records.
 
 Matrices are plain ``numpy.ndarray`` of dtype complex128. Every routine here is
-a pure function; none mutates its arguments. Eigendecompositions use
-numpy's LAPACK ``eigh``, so numpy stays the only dependency.
+a pure function; none mutates its arguments. Eigensolves call numpy's
+LAPACK ``eigh`` directly, so numpy stays the only dependency.
 """
 
 from __future__ import annotations
@@ -95,35 +95,13 @@ class Checked:
         return type(self), tuple(dict(f) if type(f) is MappingProxyType else f for f in self)
 
 
-class HermitianEig(NamedTuple):
-    """Eigenvalues ascending; eigenvectors as the columns of a unitary matrix."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(a: np.ndarray) -> HermitianEig:
-    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
-
-    The exactly-Hermitian part (A + A+)/2 is what gets diagonalized, so the
-    eigenvalues are real and ascending.
-
-    Raises
-    ------
-    SquashkitError : ``a`` is not a finite square matrix, or not Hermitian
-        within ``TOL`` (relative Frobenius).
-    """
+def unitary_from_generator(a: np.ndarray, angle: float) -> np.ndarray:
+    """exp(1j * angle * A) for Hermitian A, via the spectral decomposition."""
     m = as_matrix(a)
     if not is_hermitian(m):
         raise SquashkitError(f"matrix is not Hermitian within tol={TOL}")
-    return HermitianEig(*np.linalg.eigh((m + dagger(m)) / 2.0))
-
-
-def unitary_from_generator(a: np.ndarray, angle: float) -> np.ndarray:
-    """exp(1j * angle * A) for Hermitian A, via the spectral decomposition."""
-    eig = hermitian_eig(a)
-    phases = np.exp(1j * angle * eig.eigenvalues)
-    return (eig.eigenvectors * phases) @ dagger(eig.eigenvectors)
+    values, vectors = np.linalg.eigh(m)
+    return (vectors * np.exp(1j * angle * values)) @ dagger(vectors)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

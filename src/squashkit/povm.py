@@ -2,9 +2,14 @@
 
 A measurement set has four elements indexed by basis r in {z, x} and bit
 b in {0, 1}, each basis pair summing to the identity. The cyclic view
-L_0..L_3 orders them as z0, x0, z1, x1. The observable of basis r is the
-plain matrix ``Bb84Povm.difference(r)``; it is not validated on access, so
-callers that need a valid set run :func:`validate` once themselves.
+L_0..L_3 orders them as z0, x0, z1, x1. The observable M_r of basis r,
+``Bb84Povm.difference(r)``, is the Hermitian part (D + D+)/2 of the
+difference D = M(r,0) - M(r,1), so the witness, the constructor and
+verification all read one exactly Hermitian matrix. Only :func:`validate`
+judges whether the elements are Hermitian; on a set it passes, M_r differs
+from D by an anti-Hermitian part it has already bounded. Nothing is
+validated on access, so callers that need a valid set run :func:`validate`
+once themselves.
 """
 
 from __future__ import annotations
@@ -43,8 +48,9 @@ class Bb84Povm(linalg.Checked, NamedTuple("Bb84Povm", [("dim", int),
         return self.elements[label(r, b)]
 
     def difference(self, r: str) -> np.ndarray:
-        """Observable matrix M_r = M_(r,0) - M_(r,1) of basis r."""
-        return self.element(r, 0) - self.element(r, 1)
+        """Observable M_r of basis r: the Hermitian part of M_(r,0) - M_(r,1)."""
+        diff = self.element(r, 0) - self.element(r, 1)
+        return (diff + linalg.dagger(diff)) / 2
 
     def l_element(self, c: int) -> np.ndarray:
         """Element at cyclic position c (z0, x0, z1, x1)."""

@@ -12,7 +12,6 @@ from squashkit.errors import ConstructionError, SquashkitError
 from squashkit.nogo import counterexample_m0
 
 from helpers import (
-    acceptance_sectors,
     kraus_adjoint,
     kraus_apply,
     qubit_plus_half_block,
@@ -57,8 +56,8 @@ def test_extract_rejects_wrong_rank():
 
 def test_extract_reads_the_rank_off_one_eigensolve(monkeypatch):
     calls = []
-    eig = linalg.hermitian_eig
-    monkeypatch.setattr(linalg, "hermitian_eig", lambda *a: calls.append(a) or eig(*a))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a) or eigh(*a))
     shift = fock.C4Symmetry(u=np.roll(np.eye(3), 1, axis=0))  # e_j -> e_j+1, so U^2 e0 = e2
     lam, v = builder.extract_rank2(np.diag([1.0, 1e-12, -1.0]).astype(complex), shift)
     assert lam == pytest.approx(1.0, abs=1e-12) and abs(v[0]) == pytest.approx(1.0)

@@ -19,7 +19,14 @@ import squashkit
 from squashkit import builder, cli, errors, finder, fock, linalg, nogo, povm, squashmap
 from squashkit.cli import main
 
-from helpers import MUTATIONS, fresh_python, json_paths, mutation_text, qubit_plus_half_block
+from helpers import (
+    MUTATIONS,
+    SKEW,
+    fresh_python,
+    json_paths,
+    mutation_text,
+    qubit_plus_half_block,
+)
 
 
 def run(tmp_path, *argv):
@@ -83,6 +90,36 @@ def ideal_c2_squash_file(tmp_path):
     assert report.verdict == "FEASIBLE"
     path = tmp_path / "ideal_c2_squash.json"
     path.write_text(json.dumps(squashmap.squash_to_json(report.squash)))
+    return path
+
+
+@pytest.fixture
+def skew_qubit_file(tmp_path):
+    """The ideal qubit set with z0 and z1 carrying opposite parts SKEW."""
+    elements = dict(povm.ideal_qubit_povm().elements)
+    elements["z0"], elements["z1"] = elements["z0"] + SKEW, elements["z1"] - SKEW
+    path = tmp_path / "skew_qubit.json"
+    path.write_text(json.dumps(povm.povm_to_json(povm.make_povm(elements))))
+    return path
+
+
+@pytest.fixture
+def skew_detector_file(tmp_path):
+    """The (1,) detector set with its z pair shifted by +-SKEW and its x pair U_N z U_N+."""
+    model = fock.build_detector(fock.fock_sector((1,)))
+    u = model.symmetry.u
+    z0, z1 = model.povm.element("z", 0) + SKEW, model.povm.element("z", 1) - SKEW
+    elements = {"z0": z0, "z1": z1, "x0": u @ z0 @ u.conj().T, "x1": u @ z1 @ u.conj().T}
+    path = tmp_path / "skew_detector.json"
+    path.write_text(json.dumps(povm.povm_to_json(povm.make_povm(elements))))
+    return path
+
+
+@pytest.fixture
+def detector_unitary_file(tmp_path):
+    path = tmp_path / "detector_unitary.json"
+    u = fock.build_detector(fock.fock_sector((1,))).symmetry.u
+    path.write_text(json.dumps(linalg.matrix_to_json(u)))
     return path
 
 
@@ -432,12 +469,12 @@ def test_public_names():
     )
     assert names == [
         "AttackResult", "Bb84Povm", "BlochWitness", "C4Symmetry", "CheckReport", "DetectorModel",
-        "FeasibilityReport", "FiniteGroup", "FockSector", "HermitianEig", "LabelAction",
+        "FeasibilityReport", "FiniteGroup", "FockSector", "LabelAction",
         "MuDecomposition", "SquashMap", "SymmetrizedPovm",
         "bbm92_attack", "bloch_witness", "build_detector", "build_u_n", "canonical_c4_action",
         "check_definition1", "check_definition2", "complete_trace_preserving",
         "construct_theorem1", "counterexample_m0", "cyclic_group", "enumerate_sectors",
-        "extract_rank2", "find_squash", "fock_sector", "hermitian_eig", "ideal_qubit_povm",
+        "extract_rank2", "find_squash", "fock_sector", "ideal_qubit_povm",
         "kraus_core", "kron", "make_povm", "mu_decompose", "pullback_squash",
         "squash_from_kraus", "state_nrb", "symmetric_group_s3", "symmetrize",
         "unitary_from_generator", "validate", "verify_squash", "verify_trace_identity",
@@ -812,6 +849,11 @@ def test_nogo_symmetrize_refuses_an_action_that_splits_a_basis_pair(ideal_file, 
         (["squash", "construct", "--povm", "{near}", "--unitary", "{qubit_unitary}"], 2),
         (["nogo", "symmetrize", "--povm", "{near}", "--group", "c2"], 2),
         (["nogo", "attack", "--povm", "{near}"], 2),
+        # sets valid at 1e-9 whose z pair carries opposite anti-Hermitian parts SKEW: the
+        # engines read only the Hermitian part of each difference, so both squash them
+        (["squash", "find", "--povm", "{skew_qubit}"], 0),
+        (["squash", "construct", "--povm", "{skew_detector}", "--unitary", "{detector_unitary}"],
+         0),
     ],
 )
 def test_default_tolerance_of_each_command(argv, expected, request, tmp_path, capsys):

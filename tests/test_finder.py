@@ -50,10 +50,9 @@ def test_projections_idempotent():
 
 
 def _checked_project_psd(j):
-    """PSD projection through the checked eigensolver on the symmetrized iterate."""
-    eig = linalg.hermitian_eig((j + linalg.dagger(j)) / 2.0)
-    clipped = np.clip(eig.eigenvalues, 0.0, None)
-    return (eig.eigenvectors * clipped) @ linalg.dagger(eig.eigenvectors)
+    """PSD projection of the Hermitian part of the iterate, by numpy's eigh."""
+    values, vectors = np.linalg.eigh((j + linalg.dagger(j)) / 2.0)
+    return (vectors * np.clip(values, 0.0, None)) @ linalg.dagger(vectors)
 
 
 def _alternating_projections(p, max_iter=20000, tol=1e-8):

@@ -6,53 +6,63 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from squashkit import fock, linalg, povm, squashmap
+from squashkit import builder, finder, fock, linalg, povm, squashmap
 from squashkit.errors import SquashkitError
 
 from helpers import random_density_matrices, random_density_matrix, random_hermitian
 
 
 def test_eig_diagonal_input():
-    eig = linalg.hermitian_eig(np.diag([3.0, 1.0]).astype(complex))
-    assert np.allclose(eig.eigenvalues, [1.0, 3.0])
-    # columns are a permutation of the identity
-    assert np.allclose(np.abs(eig.eigenvectors), [[0, 1], [1, 0]])
+    u = linalg.unitary_from_generator(np.diag([3.0, 1.0]).astype(complex), 0.5)
+    assert np.allclose(u, np.diag(np.exp([1.5j, 0.5j])), atol=1e-15)
 
 
 def test_eig_pauli_x():
-    eig = linalg.hermitian_eig(linalg.PAULI_X)
-    assert np.allclose(eig.eigenvalues, [-1.0, 1.0], atol=1e-12)
+    u = linalg.unitary_from_generator(linalg.PAULI_X, 0.3)
+    assert np.allclose(u, np.cos(0.3) * np.eye(2) + 1j * np.sin(0.3) * linalg.PAULI_X, atol=1e-15)
 
 
 def test_eig_reconstruction_8x8():
-    rng = np.random.default_rng(42)
-    a = random_hermitian(8, rng)
-    eig = linalg.hermitian_eig(a)
-    rebuilt = (eig.eigenvectors * eig.eigenvalues) @ linalg.dagger(eig.eigenvectors)
-    assert linalg.frob(a - rebuilt) <= 1e-11 * max(1.0, linalg.frob(a))
+    # against the Taylor series of exp(i t A), at a t that keeps its terms small
+    a = random_hermitian(8, np.random.default_rng(42))
+    t = 0.5 / linalg.frob(a)
+    term, series = np.eye(8, dtype=complex), np.eye(8, dtype=complex)
+    for k in range(1, 30):
+        term = term @ (1j * t * a) / k
+        series = series + term
+    assert linalg.frob(linalg.unitary_from_generator(a, t) - series) <= 1e-14
 
 
 def test_eig_zero_matrix():
-    eig = linalg.hermitian_eig(np.zeros((4, 4), dtype=complex))
-    assert np.allclose(eig.eigenvalues, 0.0)
-    assert np.allclose(eig.eigenvectors, np.eye(4))
+    # a fully degenerate spectrum: the witness state is still one pure state
+    zero = np.zeros((4, 4), dtype=complex)
+    witness = finder.bloch_witness(zero, zero)
+    assert witness.value == 0.0
+    assert np.trace(witness.state).real == pytest.approx(1.0, abs=1e-15)
+    assert linalg.frob(witness.state @ witness.state - witness.state) <= 1e-15
 
 
 def test_eig_rejects_non_hermitian():
+    # each function that takes a raw matrix refuses a non-Hermitian one once, before eigh
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(SquashkitError, match="^matrix is not Hermitian within tol=1e-09$"):
-        linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        linalg.unitary_from_generator(jordan, 1.0)
+    with pytest.raises(SquashkitError, match="^matrix is not Hermitian within tol=1e-09$"):
+        builder.extract_rank2(jordan, fock.C4Symmetry(u=np.eye(2, dtype=complex)))
+    with pytest.raises(SquashkitError, match="^the Bloch witness needs Hermitian observables$"):
+        finder.bloch_witness(jordan, linalg.PAULI_X)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=10**6))
 def test_eig_properties(dim, seed):
-    a = random_hermitian(dim, np.random.default_rng(seed))
-    eig = linalg.hermitian_eig(a)
-    assert np.all(np.diff(eig.eigenvalues) >= -1e-12)  # ascending
-    v = eig.eigenvectors
-    assert linalg.frob(linalg.dagger(v) @ v - np.eye(dim)) <= 1e-11
-    rebuilt = (v * eig.eigenvalues) @ linalg.dagger(v)
-    assert linalg.frob(a - rebuilt) <= 1e-11 * max(1.0, linalg.frob(a))
+    rng = np.random.default_rng(seed)
+    a, t = random_hermitian(dim, rng), rng.uniform(-np.pi, np.pi)
+    u = linalg.unitary_from_generator(a, t)
+    assert linalg.frob(linalg.dagger(u) @ u - np.eye(dim)) <= 1e-11
+    assert linalg.frob(u @ a - a @ u) <= 1e-11 * max(1.0, linalg.frob(a))
+    inverse = linalg.unitary_from_generator(a, -t)
+    assert linalg.frob(u @ inverse - np.eye(dim)) <= 1e-11
 
 
 def test_unitary_from_generator_pauli_z():

@@ -6,7 +6,7 @@ import pytest
 from squashkit import fock, linalg, povm
 from squashkit.errors import SquashkitError
 
-from helpers import configurations, random_density_matrix, validate_oracle
+from helpers import SKEW, WIDE_SECTORS, configurations, random_density_matrix, validate_oracle
 
 
 def uniform_povm(dim=2):
@@ -116,6 +116,28 @@ def test_observable_matches_completeness_consequence():
             assert povm.validate(p).passed
             expected = 2 * p.element(r, 0) - np.eye(p.dim)
             assert linalg.frob(p.difference(r) - expected) <= 1e-9
+
+
+def test_observable_is_the_hermitian_part_of_the_difference():
+    # an anti-Hermitian part, opposite in z0 and z1, leaves the observable and validate alone
+    elements = dict(povm.ideal_qubit_povm().elements)
+    elements["z0"], elements["z1"] = elements["z0"] + SKEW, elements["z1"] - SKEW
+    p = povm.make_povm(elements)
+    assert povm.validate(p).passed
+    m_z = p.difference("z")
+    assert np.array_equal(m_z, linalg.PAULI_Z) and np.array_equal(m_z, m_z.conj().T)
+
+
+@pytest.mark.parametrize("sector", [
+    *fock.enumerate_sectors(4), *map(fock.fock_sector, WIDE_SECTORS),
+], ids=lambda s: ",".join(map(str, s.photons)))
+def test_detector_sets_are_bitwise_hermitian(sector):
+    # so each observable equals its Hermitian part exactly and sector outputs keep their bytes
+    p = fock.build_detector(sector).povm
+    for m in (*p.elements.values(), p.difference("z"), p.difference("x")):
+        assert np.array_equal(m, m.conj().T)
+    for r in ("z", "x"):
+        assert np.array_equal(p.difference(r), p.element(r, 0) - p.element(r, 1))
 
 
 def test_outcome_probability_z_eigenstate():

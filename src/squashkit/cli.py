@@ -130,9 +130,9 @@ def _parse_sector(text: str) -> fock.FockSector:
         photons = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise SquashkitError(f"cannot parse sector {text!r}") from exc
-    if min(photons) >= 0:  # negative counts are rejected by fock_sector
-        _require_dim(math.prod(n + 1 for n in photons), f"sector {text!r}")
-    return fock.fock_sector(photons)
+    sector = fock.fock_sector(photons)
+    _require_dim(sector.dim, f"sector {text!r}")
+    return sector
 
 
 def _load_povm(path: str, tol: float) -> povm.Bb84Povm:
@@ -222,7 +222,7 @@ def _symmetrized(args) -> nogo.SymmetrizedPovm:
         action = default()
     else:
         raise SquashkitError(f"no default label action for group {args.group!r}; pass --action")
-    return nogo.symmetrize(base, group, action, args.tol)
+    return nogo.symmetrize(base, group, action)
 
 
 def cmd_symmetrize(args) -> None:

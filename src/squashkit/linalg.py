@@ -152,13 +152,13 @@ def _decode(entries: list, rows: int, cols: int, shape_name: str) -> np.ndarray:
 
 
 def matrix_to_json(a: np.ndarray) -> dict:
-    m = as_matrix(a)
+    m = np.asarray(a, dtype=complex)
     return {"dim": int(m.shape[0]), "entries": _encode(m.ravel())}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     dim = json_field(obj, "dim", int)
-    return as_matrix(_decode(json_field(obj, "entries", list), dim, dim, f"dim {dim}"))
+    return _decode(json_field(obj, "entries", list), dim, dim, f"dim {dim}")
 
 
 def matrix_rect_to_json(a: np.ndarray) -> dict:

@@ -191,21 +191,16 @@ class SymmetrizedPovm(NamedTuple):
         return _kron_index(np.arange(self.base.dim), self.group.identity, self.group.order)
 
 
-def symmetrize(
-    p: povm.Bb84Povm, group: FiniteGroup, action: LabelAction, tol: float = linalg.TOL
-) -> SymmetrizedPovm:
+def symmetrize(p: povm.Bb84Povm, group: FiniteGroup, action: LabelAction) -> SymmetrizedPovm:
     """Adjoin a group register so that the action becomes an exact symmetry.
 
-    Only ``p`` is validated, at ``tol``. The result holds its elements as blocks, and the
-    action keeps basis pairs together, so its completeness residuals are at most sqrt(|G|)
-    times those of ``p``.
+    The result holds its elements as blocks, and the action keeps basis pairs together, so
+    its completeness residuals are at most sqrt(|G|) times those of ``p``.
     """
     validate_action(group, action)
     # the z pair {0, 2} must go to a basis pair, {0, 2} or {1, 3}; then so does {1, 3}
     if (action.perms[:, 0] % 2 != action.perms[:, 2] % 2).any():
         raise SquashkitError("the label action must send each basis pair to a basis pair")
-    if not povm.validate(p, tol).passed:
-        raise SquashkitError(f"measurement set fails POVM validation at tol={tol}")
     n, d = group.order, p.dim
     block = _kron_index(np.arange(d), np.arange(n)[:, None], n)  # row g: indices at position g
     inverses = [group.inverse(g) for g in range(n)]

@@ -7,9 +7,8 @@ L_0..L_3 orders them as z0, x0, z1, x1. The observable M_r of basis r,
 difference D = M(r,0) - M(r,1), so the witness, the constructor and
 verification all read one exactly Hermitian matrix. Only :func:`validate`
 judges whether the elements are Hermitian; on a set it passes, M_r differs
-from D by an anti-Hermitian part it has already bounded. Nothing is
-validated on access, so callers that need a valid set run :func:`validate`
-once themselves.
+from D by an anti-Hermitian part it has already bounded. A set is validated
+once, by the code that reads or builds it; the engines take it as given.
 """
 
 from __future__ import annotations

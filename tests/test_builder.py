@@ -211,10 +211,10 @@ def test_construct_rejects_m0_at_symmetry_stage():
 
 
 def test_construct_rejects_invalid_set_at_rank_extraction():
-    # four identities are symmetric under U = 1 but each basis sums to 2
+    # four identities are symmetric under U = 1, but each basis sums to 2 and M_z is 0
     eye = np.eye(2, dtype=complex)
     doubled = povm.make_povm({key: eye for key in povm.LABELS})
-    with pytest.raises(ConstructionError, match="fails validation at tol=1e-09") as err:
+    with pytest.raises(ConstructionError, match="observable rank is 0, need 2") as err:
         builder.construct_theorem1(doubled, fock.C4Symmetry(u=eye))
     assert err.value.stage == "rank-extraction"
 
@@ -226,7 +226,7 @@ def test_sector_construction_validates_the_set_once_per_stage(monkeypatch):
     model = fock.build_detector(fock.fock_sector((2, 1)))
     assert len(calls) == 1  # the detector's self-check
     builder.construct_theorem1(model.povm, model.symmetry)
-    assert len(calls) == 2  # plus the constructor's rank-extraction stage
+    assert len(calls) == 1  # the constructor takes the set as given
 
 
 def test_verify_identity_map_against_ideal():

@@ -759,6 +759,28 @@ def test_a_builtin_group_is_validated_once(ideal_file, monkeypatch, tmp_path):
     assert len(tables) == 1 and read(out)["dim"] == 8
 
 
+@pytest.mark.parametrize("command, calls", [
+    ("detector --N 2,1", 1),  # the detector's self-check
+    ("squash construct --sector 2,1", 1),
+    ("squash construct --povm {ideal} --unitary {qubit_unitary}", 1),  # the loader, at --tol
+    ("squash find --sector 2,1", 1),
+    ("squash find --povm {ideal}", 1),
+    ("nogo m0", 0),
+    ("nogo attack --povm {ideal} --trials 10", 1),
+    ("nogo symmetrize --povm {ideal} --group c4", 1),
+    ("nogo pullback --povm {ideal} --group c2 --squash {ideal_c2_squash}", 1),
+])
+def test_each_set_is_validated_once_where_it_is_read_or_built(
+    command, calls, request, monkeypatch, tmp_path
+):
+    files = {name: request.getfixturevalue(f"{name}_file")
+             for name in ("ideal", "qubit_unitary", "ideal_c2_squash")}
+    seen, validate = [], povm.validate
+    monkeypatch.setattr(povm, "validate", lambda *a: seen.append(a) or validate(*a))
+    assert run(tmp_path, *command.format(**files).split(), "--out", tmp_path / "out.json") == 0
+    assert len(seen) == calls
+
+
 @pytest.mark.parametrize("source", [
     ("squash find --sector 2 --unitary {u}", "unrecognized arguments: --unitary "),
     ("squash find --povm {povm} --unitary {u}", "unrecognized arguments: --unitary "),

@@ -251,7 +251,8 @@ def _mode(modes, name: str, func, text: str, tol: float | None = None) -> _Parse
     """A mode's parser with its dispatch, its --out and, given a default, its --tol."""
     mode = modes.add_parser(name, help=text, description=text)
     mode.set_defaults(func=func)
-    mode.add_argument("--out", help="output path (stdout when omitted)")
+    mode.add_argument("--out", type=_ranged(str, len, "must not be empty"),
+                      help="output path (stdout when omitted)")
     if tol is not None:
         mode.add_argument("--tol", type=_tolerance, default=tol, help="default %(default)g")
     return mode

@@ -52,17 +52,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def frob(a: np.ndarray) -> float:
-    """Frobenius norm computed as np.linalg.norm's fast path does, so equal to it bit for bit.
-
-    The same float cast, ravel in memory order, dot products and sqrt, without the ord and
-    axis dispatch that costs as much as the arithmetic on a small matrix.
-    """
-    x = np.asarray(a)
-    x = (x if x.dtype.kind in "fcO" else x.astype(float)).ravel(order="K")
-    if x.dtype.kind != "c":
-        return float(np.sqrt(x.dot(x)))
-    re, im = x.real, x.imag
-    return float(np.sqrt(re.dot(re) + im.dot(im)))
+    return float(np.linalg.norm(a))
 
 
 def as_matrix(a) -> np.ndarray:
@@ -108,7 +98,9 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices; composite row index of rows (i, j) is i*rows(b) + j.
 
     One broadcast product and a reshape: on few-photon factors np.kron's own
-    overhead dominates.
+    overhead dominates. With np.kron in its place, a perfbench cli_sweep pass took
+    1.6 % longer in the median and was faster in 2 of 8 alternating pairs (2-core
+    x86-64 Xeon, one BLAS thread).
     """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])

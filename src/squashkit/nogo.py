@@ -3,14 +3,14 @@
 Groups are explicit Cayley tables over element indices 0..order-1. A label
 action assigns to every group element a permutation of the four outcome
 labels, and must be a homomorphism. The symmetry a symmetrization produces
-is checked as V(g) M(r,b) V(g)+ = M at the permuted label, V(g) given as an
-index permutation.
+is checked as V(g) M(r,b) V(g)+ = M at the permuted label, with V(g) an index
+permutation read from the Cayley table.
 
 Any measurement set can be made symmetric under a finite group by adjoining
 an ancilla register that remembers which group element acted: the block at
 ancilla position g carries the elements relabeled by g^-1, and identity x R(g)
 (R the regular representation) permutes the blocks by relabelling the kron
-indices i*|G| + h, so it is held as an index permutation. Measuring the
+indices i*|G| + h to i*|G| + g*h, an index permutation. Measuring the
 symmetrized set on rho x |e><e| reproduces the original statistics exactly,
 so a squash for the symmetrized set pulls back to one for the original.
 """
@@ -152,21 +152,23 @@ def c2_basis_swap_action() -> LabelAction:
     return make_action([[0, 1, 2, 3], [1, 0, 3, 2]])
 
 
-def check_definition2(rep, action: LabelAction, p: povm.Bb84Povm) -> linalg.CheckReport:
+def check_definition2(
+    group: FiniteGroup, action: LabelAction, p: povm.Bb84Povm
+) -> linalg.CheckReport:
     """Residuals of V(g) M_c V(g)+ = M_{g(c)} for every element and label.
 
-    Row g of ``rep`` is the index permutation of V(g)|k> = |pi_g(k)>, so (V M V+)[pi_g, pi_g]
-    = M and the residual, permuted, is ||M_{g(c)}[pi_g, pi_g] - M_c||_F.
+    V(g) = 1 x R(g) acts on the register of |G| positions that ``symmetrize`` adjoins, with R
+    read from the Cayley table: V(g)|i*|G| + h> = |i*|G| + g*h>, the index permutation pi_g.
+    So (V M V+)[pi_g, pi_g] = M and the residual, permuted, is ||M_{g(c)}[pi_g, pi_g] - M_c||_F.
     """
-    rep = np.asarray(rep)
-    if rep.ndim != 2 or rep.shape[1] != p.dim:
-        raise SquashkitError(f"representation of shape {rep.shape} vs POVM dim {p.dim}")
-    if rep.dtype.kind not in "iu" or (np.sort(rep, axis=1) != np.arange(p.dim)).any():
-        raise SquashkitError(f"representation rows must be permutations of range({p.dim})")
-    if not 0 < len(rep) == len(action.perms):
-        raise SquashkitError(f"need one row per element, got {len(rep)} for {len(action.perms)}")
+    n = group.order
+    if p.dim % n:
+        raise SquashkitError(f"POVM dim {p.dim} is not a multiple of the group order {n}")
+    if len(action.perms) != n:
+        raise SquashkitError(f"action has {len(action.perms)} rows for a group of order {n}")
     residuals = {}
-    for g, pi in enumerate(rep):
+    for g in range(n):
+        pi = _kron_index(np.arange(p.dim // n)[:, None], group.cayley[g], n).ravel()
         for c in range(4):
             target = p.l_element(action.perms[g, c])[np.ix_(pi, pi)]
             residuals[f"g{g}.{povm.LABELS[c]}"] = linalg.frob(target - p.l_element(c))
@@ -183,7 +185,6 @@ class SymmetrizedPovm(NamedTuple):
     group: FiniteGroup
     action: LabelAction
     tilde: povm.Bb84Povm
-    rep: np.ndarray  # read-only (|G|, d*|G|); row g sends i*|G| + h to i*|G| + g*h
 
     @property
     def identity_block(self) -> np.ndarray:
@@ -209,14 +210,12 @@ def symmetrize(p: povm.Bb84Povm, group: FiniteGroup, action: LabelAction) -> Sym
     total = np.zeros((4, d * n, d * n), dtype=complex)
     total[:, block[:, :, None], block[:, None, :]] = sources
     tilde = povm.make_povm(dict(zip(povm.LABELS, total)))
-    rep = _kron_index(np.arange(d)[None, :, None], group.cayley[:, None, :], n).reshape(n, d * n)
-    rep.flags.writeable = False
-    report = check_definition2(rep, action, tilde)
+    report = check_definition2(group, action, tilde)
     if not report.passed:
         raise SelfCheckFailed(
             f"symmetrized set is not group-symmetric, residual {report.max_residual}"
         )
-    return SymmetrizedPovm(base=p, group=group, action=action, tilde=tilde, rep=rep)
+    return SymmetrizedPovm(base=p, group=group, action=action, tilde=tilde)
 
 
 def verify_trace_identity(s: SymmetrizedPovm) -> float:
@@ -274,41 +273,33 @@ def bbm92_attack(p: povm.Bb84Povm, trials: int, seed: int = 0) -> AttackResult:
     """Entangled-pair protocol with Eve as the source, sending |b>|b> pairs.
 
     Alice measures the ideal qubit set, Bob measures ``p``; only z-basis
-    rounds are kept. Eve picks each round's bit, so her accuracy is the
-    fraction of rounds where the sifted key equals her choice. Rounds are
-    sampled as arrays, one block of ``ATTACK_BLOCK`` at a time.
+    rounds are kept. Alice's ideal z outcome on |b> is b, so the sifted key
+    is Eve's bit and her accuracy is 1; an error is a round where Bob's
+    outcome differs from b. Rounds are sampled as arrays, one block of
+    ``ATTACK_BLOCK`` at a time, drawing Eve's bits and Bob's outcomes.
     """
     if p.dim != 2:
         raise SquashkitError(f"attack needs a qubit POVM, got dim {p.dim}")
     if trials < 0 or seed < 0:
         raise SquashkitError(f"trials and seed must be at least 0, got {trials} and {seed}")
     # P(z0 | |b>) is the diagonal entry M_z0[b, b], clamped to [0, 1]
-    p_alice0 = np.clip(np.diagonal(povm.ideal_qubit_povm().element("z", 0)).real, 0.0, 1.0)
     p_bob0 = np.clip(np.diagonal(p.element("z", 0)).real, 0.0, 1.0)
-
-    analytic_qber = 0.5 * sum(
-        p_alice0[b] * (1.0 - p_bob0[b]) + (1.0 - p_alice0[b]) * p_bob0[b]
-        for b in (0, 1)
-    )
-    analytic_eve = 0.5 * (p_alice0[0] + (1.0 - p_alice0[1]))
+    analytic_qber = 0.5 * ((1.0 - p_bob0[0]) + p_bob0[1])
 
     rng = np.random.default_rng(seed)
     errors = 0
-    eve_hits = 0
     for start in range(0, trials, ATTACK_BLOCK):
         n = min(ATTACK_BLOCK, trials - start)
         bits = rng.integers(0, 2, size=n)
         # an outcome is 1 (True) where the uniform draw lands at or above P(0)
-        a_out = rng.random(n) >= p_alice0[bits]
         b_out = rng.random(n) >= p_bob0[bits]
-        errors += int(np.count_nonzero(a_out != b_out))
-        eve_hits += int(np.count_nonzero(a_out == bits))
+        errors += int(np.count_nonzero(b_out != bits))
     return AttackResult(
         qber=errors / trials if trials else 0.0,
-        eve_accuracy=eve_hits / trials if trials else 1.0,
+        eve_accuracy=1.0,
         trials=trials,
         analytic_qber=float(analytic_qber),
-        analytic_eve_accuracy=float(analytic_eve),
+        analytic_eve_accuracy=1.0,
     )
 
 

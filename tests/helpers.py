@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 import squashkit
-from squashkit import finder, fock, linalg, povm
+from squashkit import finder, fock, linalg, nogo, povm
+from squashkit.errors import SquashkitError
 from squashkit.squashmap import SquashMap, trace_defect
 
 
@@ -314,6 +315,85 @@ def definition1_oracle(u: np.ndarray, p) -> dict:
             res = linalg.frob(u2 @ p.element(r, b) @ linalg.dagger(u2) - p.element(r, 1 - b))
             residuals[f"U2.{r}{b}->{r}{1 - b}"] = res
     return residuals
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """The permutation a o b: first b, then a."""
+    return tuple(a[k] for k in b)
+
+
+def _quaternion_product(p: tuple, q: tuple) -> tuple:
+    """Hamilton product of quaternions a + bi + cj + dk held as (a, b, c, d)."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def _abelian(*orders):
+    """Generators and product of C_n1 x C_n2 x ..., elements as tuples of residues."""
+    units = [tuple(int(i == j) % n for j, n in enumerate(orders)) for i in range(len(orders))]
+    return units, lambda a, b: tuple((x + y) % n for x, y, n in zip(a, b, orders))
+
+
+#: The label permutations that keep the basis pairs {z0, z1} and {x0, x1}, labels in
+#: povm.LABELS order: the dihedral group D4, generated by the four-cycle and a z <-> x swap.
+D4_GENERATORS = ((1, 2, 3, 0), (1, 0, 3, 2))
+
+#: Every group of order at most 8, up to isomorphism: name -> (generators, product).
+SMALL_GROUPS = {
+    **{f"C{n}": _abelian(n) for n in range(1, 9)},
+    "C2xC2": _abelian(2, 2),
+    "C4xC2": _abelian(4, 2),
+    "C2xC2xC2": _abelian(2, 2, 2),
+    "S3": (((1, 0, 2), (1, 2, 0)), _compose),
+    "D4": (D4_GENERATORS, _compose),
+    "Q8": (((0, 1, 0, 0), (0, 0, 1, 0)), _quaternion_product),
+}
+
+
+def _closure(generators, product) -> list:
+    """Every product of the generators, the generators first."""
+    elements = list(generators)
+    for a in elements:  # the list grows while it is walked, until it is closed
+        for g in generators:
+            if (c := product(a, g)) not in elements:
+                elements.append(c)
+    return elements
+
+
+def generated_group(generators, product) -> tuple:
+    """(the checked Cayley table, the generators' element indices) of the group they generate."""
+    elements = _closure(generators, product)
+    index = {e: i for i, e in enumerate(elements)}
+    table = [[index[product(a, b)] for b in elements] for a in elements]
+    return nogo.make_group(table), [index[g] for g in generators]
+
+
+def label_actions(group, generators) -> list:
+    """Every homomorphism of ``group`` into D4, by brute force over the generators' images.
+
+    Each assignment of D4 elements to the generators is spread over the group along
+    products x*g, and kept when it sends each generator to its image and
+    ``nogo.validate_action`` accepts it.
+    """
+    actions = []
+    for images in itertools.product(_closure(D4_GENERATORS, _compose), repeat=len(generators)):
+        walk, perms = [group.identity], {group.identity: tuple(range(4))}
+        for x in walk:  # grows while walked: every element is some x*g
+            for g, image in zip(generators, images):
+                if (y := int(group.cayley[x, g])) not in perms:
+                    perms[y] = _compose(perms[x], image)
+                    walk.append(y)
+        if any(perms[g] != image for g, image in zip(generators, images)):
+            continue  # a generator that is the identity, sent elsewhere
+        action = nogo.make_action([perms[k] for k in range(group.order)])
+        try:
+            nogo.validate_action(group, action)
+        except SquashkitError:
+            continue
+        actions.append(action)
+    return actions
 
 
 def fresh_python(probe: str) -> str:

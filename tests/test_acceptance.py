@@ -144,7 +144,7 @@ def test_criterion_5_cross_validation():
 def test_criterion_6_symmetrization_reduction():
     model = fock.build_detector(fock.fock_sector((2,)))
     s = nogo.symmetrize(model.povm, nogo.cyclic_group(4), nogo.canonical_c4_action())
-    sym_report = nogo.check_definition2(s.rep, s.action, s.tilde)  # at linalg.TOL = 1e-9
+    sym_report = nogo.check_definition2(s.group, s.action, s.tilde)  # at linalg.TOL = 1e-9
     embedding = nogo.verify_trace_identity(s)
     base_squash = builder.construct_theorem1(model.povm, model.symmetry)
     tilde_squash = blockwise_tilde_squash(s, base_squash)

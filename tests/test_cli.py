@@ -821,6 +821,30 @@ def test_squash_find_refuses_unitary_before_reading_any_file(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["detector", "--N", "1"],
+    ["detector", "--sweep-max", "1"],
+    ["squash", "construct", "--sector", "1"],
+    ["squash", "find", "--sector", "1"],
+    ["nogo", "m0"],
+    ["nogo", "attack", "--povm", "{ideal}"],
+    ["nogo", "symmetrize", "--povm", "{ideal}", "--group", "c2"],
+    ["nogo", "pullback", "--povm", "{ideal}", "--group", "c2", "--squash", "{ideal_c2_squash}"],
+])
+def test_an_empty_out_path_is_a_usage_error(argv, ideal_file, ideal_c2_squash_file,
+                                            monkeypatch, tmp_path, capsys):
+    # "" names no file: it is refused before any work, and nothing is written beside
+    # the working directory, where the parent of "" would put the temporary file
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    before = sorted(tmp_path.iterdir())
+    files = {"ideal": ideal_file, "ideal_c2_squash": ideal_c2_squash_file}
+    assert run(tmp_path, *[a.format(**files) for a in argv], "--out", "") == 2
+    assert capsys.readouterr().err == "squashkit: argument --out: must not be empty\n"
+    assert sorted(tmp_path.iterdir()) == before and not any(work.iterdir())
+
+
 @pytest.mark.parametrize("verdict", ["INFEASIBLE", "UNDECIDED", "FEASIBLE\nsquashkit: done"])
 def test_pullback_of_a_report_without_a_map_says_so(verdict, m0_file, tmp_path, capsys):
     tilde, report, out = tmp_path / "tilde.json", tmp_path / "report.json", tmp_path / "out.json"

@@ -89,45 +89,66 @@ def test_action_must_be_homomorphism():
     nogo.validate_action(nogo.cyclic_group(2), nogo.c2_basis_swap_action())
 
 
-# The regular representation R of a symmetrization is held as SymmetrizedPovm.rep:
-# row g is the index permutation of identity x R(g), i*|G| + h -> i*|G| + g*h.
+# check_definition2 reads V(g) = 1 x R(g), R the regular representation, from the Cayley
+# table as the index permutation i*|G| + h -> i*|G| + g*h. These tests build V(g) as dense
+# matrices and compare ||V M_c V+ - M_{g(c)}||_F with the residuals the check reports.
+
+
+def regular_v(group, d: int) -> list:
+    """V(g) = 1_d x R(g) for each element g, with R(g)|h> = |g*h>."""
+    n = group.order
+    r = np.zeros((n, n, n))
+    for g in range(n):
+        r[g, group.cayley[g], np.arange(n)] = 1.0
+    return [np.kron(np.eye(d), r[g]) for g in range(n)]
+
+
+def assert_check_conjugates_by(v, group, action):
+    """On a random set and on a symmetrized one, the residuals are those of conjugation by v."""
+    n, d = group.order, len(v[0]) // group.order
+    rng = np.random.default_rng(n)
+    shape = (d * n, d * n)
+    random_set = povm.make_povm(
+        {key: rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for key in povm.LABELS}
+    )
+    report = nogo.check_definition2(group, action, random_set)
+    for g in range(n):
+        for c in range(4):
+            conjugated = v[g] @ random_set.l_element(c) @ v[g].T
+            dense = np.linalg.norm(conjugated - random_set.l_element(action.perms[g, c]))
+            assert report.residuals[f"g{g}.{povm.LABELS[c]}"] == pytest.approx(dense, rel=1e-12)
+    base = povm.make_povm({key: m[:d, :d] for key, m in random_set.elements.items()})
+    tilde = nogo.symmetrize(base, group, action).tilde
+    assert nogo.check_definition2(group, action, tilde).max_residual == 0.0
 
 
 def test_regular_representation_c2():
-    from squashkit.nogo import symmetrize
-
-    s = symmetrize(povm.ideal_qubit_povm(), nogo.cyclic_group(2), nogo.c2_basis_swap_action())
-    assert s.rep.shape == (2, 4) and not s.rep.flags.writeable
-    assert np.array_equal(s.rep[0], [0, 1, 2, 3])
-    assert np.array_equal(s.rep[1], [1, 0, 3, 2])  # the swap [[0, 1], [1, 0]] on each block
+    g = nogo.cyclic_group(2)
+    v = regular_v(g, 2)
+    assert np.array_equal(v[1], np.kron(np.eye(2), [[0, 1], [1, 0]]))  # the swap on each block
+    assert_check_conjugates_by(v, g, nogo.c2_basis_swap_action())
 
 
 def test_regular_representation_c4_generator():
-    from squashkit.nogo import symmetrize
-
-    s = symmetrize(povm.ideal_qubit_povm(), nogo.cyclic_group(4), nogo.canonical_c4_action())
+    g = nogo.cyclic_group(4)
     # the generator shifts h -> h + 1 mod 4 inside each kron block
-    assert np.array_equal(s.rep[1], [1, 2, 3, 0, 5, 6, 7, 4])
     shift = np.zeros((4, 4))
     for h in range(4):
         shift[(h + 1) % 4, h] = 1.0
-    dense = np.zeros((8, 8))
-    dense[s.rep[1], np.arange(8)] = 1.0
-    assert np.array_equal(dense, np.kron(np.eye(2), shift))
+    v = regular_v(g, 2)
+    assert np.array_equal(v[1], np.kron(np.eye(2), shift))
+    assert_check_conjugates_by(v, g, nogo.canonical_c4_action())
 
 
 def test_regular_representation_s3_homomorphism():
-    from squashkit.nogo import symmetrize
-
     g = nogo.symmetric_group_s3()
-    s = symmetrize(povm.ideal_qubit_povm(), g, nogo.make_action([[0, 1, 2, 3]] * 6))
-    assert s.rep.shape == (6, 12) and not s.rep.flags.writeable
-    assert np.array_equal(s.rep[g.identity], np.arange(12))
-    i, h = np.divmod(np.arange(12), 6)
+    v = regular_v(g, 2)
+    assert np.array_equal(v[g.identity], np.eye(12))
     for a in range(6):
-        assert np.array_equal(s.rep[a], i * 6 + g.cayley[a, h])
         for b in range(6):
-            assert np.array_equal(s.rep[a][s.rep[b]], s.rep[g.cayley[a, b]])
+            assert np.array_equal(v[a] @ v[b], v[g.cayley[a, b]])
+    sign = [[0, 1, 2, 3] if a in (0, 3, 4) else [1, 0, 3, 2] for a in range(6)]  # odd ones swap
+    assert_check_conjugates_by(v, g, nogo.make_action(sign))
 
 
 def test_c4_symmetry_validation():
@@ -295,44 +316,43 @@ def test_eigencomponents_of_an_odd_sector_carry_its_phase(photons):
 
 def test_definition2_trivial_group():
     action = nogo.make_action([[0, 1, 2, 3]])
-    report = nogo.check_definition2([np.arange(2)], action, povm.ideal_qubit_povm())
+    report = nogo.check_definition2(nogo.cyclic_group(1), action, povm.ideal_qubit_povm())
     assert report.passed
 
 
 def test_definition2_identity_rep_cannot_permute():
-    action = nogo.canonical_c4_action()
-    rep = np.tile(np.arange(2), (4, 1))
-    report = nogo.check_definition2(rep, action, povm.ideal_qubit_povm())
+    # the qubit set times an idle register: every V(g) fixes it, so no label can move
+    qubit = povm.ideal_qubit_povm().elements
+    p = povm.make_povm({key: np.kron(m, np.eye(4)) for key, m in qubit.items()})
+    report = nogo.check_definition2(nogo.cyclic_group(4), nogo.canonical_c4_action(), p)
     assert not report.passed
 
 
 def test_definition2_needs_the_regular_permutations():
-    # the symmetrized set is symmetric under its own rep, but not under identity rows
+    # the C4-symmetrized set is symmetric under C4's regular representation, not under
+    # that of the other group of order four, C2 x C2, with the same label images
     from squashkit.nogo import counterexample_m0, symmetrize
 
     s = symmetrize(counterexample_m0(), nogo.cyclic_group(4), nogo.canonical_c4_action())
-    assert nogo.check_definition2(s.rep, s.action, s.tilde).max_residual == 0.0
-    report = nogo.check_definition2(np.tile(np.arange(8), (4, 1)), s.action, s.tilde)
+    assert nogo.check_definition2(s.group, s.action, s.tilde).max_residual == 0.0
+    klein = nogo.make_group([[a ^ b for b in range(4)] for a in range(4)])
+    report = nogo.check_definition2(klein, s.action, s.tilde)
     assert not report.passed and report.residuals["g0.z0"] == 0.0
     assert report.max_residual >= 1.0
 
 
-def test_definition2_rejects_rows_that_are_not_index_permutations():
-    action = nogo.canonical_c4_action()
+def test_definition2_refuses_a_set_or_action_that_does_not_fit_the_group():
+    c4, action = nogo.cyclic_group(4), nogo.canonical_c4_action()
     p = povm.ideal_qubit_povm()
-    with pytest.raises(SquashkitError, match=r"^representation of shape \(4, 3\) vs POVM dim 2$"):
-        nogo.check_definition2(np.tile(np.arange(3), (4, 1)), action, p)
-    with pytest.raises(SquashkitError, match=r"^representation of shape \(\) vs POVM dim 2$"):
-        nogo.check_definition2({0: np.eye(2)}, action, p)
-    with pytest.raises(SquashkitError, match="permutations of range"):
-        nogo.check_definition2(np.eye(2), action, p)  # dense matrices are not index rows
-    with pytest.raises(SquashkitError, match="permutations of range"):
-        nogo.check_definition2([[0, 1], [0, 0], [1, 0], [0, 1]], action, p)
-    # one row for each element the action names: more rows have no label images, fewer
-    # would check only part of the group
-    for rows in (0, 1, 5):
-        with pytest.raises(SquashkitError, match=f"^need one row per element, got {rows} for 4$"):
-            nogo.check_definition2(np.tile(np.arange(2), (rows, 1)), action, p)
+    with pytest.raises(SquashkitError, match="^POVM dim 2 is not a multiple of the group order 4$"):
+        nogo.check_definition2(c4, action, p)
+    tilde = nogo.symmetrize(p, c4, action).tilde
+    # one row for each element: more rows have no group element, fewer would check only
+    # part of the group
+    for rows in (1, 5):
+        message = f"^action has {rows} rows for a group of order 4$"
+        with pytest.raises(SquashkitError, match=message):
+            nogo.check_definition2(c4, nogo.make_action([[0, 1, 2, 3]] * rows), tilde)
 
 
 def test_a_table_with_no_rows_is_refused():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from squashkit import builder, finder, fock, linalg, povm, squashmap
 from squashkit.errors import SquashkitError
@@ -84,16 +83,6 @@ def test_unitary_from_generator_eighth_root():
     assert linalg.frob(linalg.dagger(u) @ u - np.eye(2)) <= 1e-10
 
 
-#: Finite entries of each dtype frob is checked on: real, complex and integer.
-_ENTRIES = {
-    np.float64: st.floats(allow_nan=False, allow_infinity=False),
-    np.float32: st.floats(allow_nan=False, allow_infinity=False, width=32),
-    np.complex128: st.complex_numbers(allow_nan=False, allow_infinity=False),
-    np.int64: st.integers(min_value=-(2**63), max_value=2**63 - 1),
-    np.int8: st.integers(min_value=-128, max_value=127),
-    np.bool_: st.booleans(),
-}
-
 #: The memory layouts frob must see through: np.linalg.norm ravels in memory order.
 _LAYOUTS = {
     "C": lambda a: a,
@@ -102,23 +91,6 @@ _LAYOUTS = {
     "strided": lambda a: a[..., ::2] if a.ndim else a,
     "reversed": lambda a: a[::-1] if a.ndim else a,
 }
-
-
-@st.composite
-def _norm_inputs(draw):
-    dtype = draw(st.sampled_from(sorted(_ENTRIES, key=str)))
-    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=7))
-    a = draw(hnp.arrays(dtype, shape, elements=_ENTRIES[dtype]))
-    return _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))](a)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_norm_inputs())
-def test_frob_equals_numpy_norm_bit_for_bit(a):
-    with np.errstate(over="ignore"):  # squares beyond the float range are inf on both sides
-        value, reference = linalg.frob(a), float(np.linalg.norm(a))
-    assert type(value) is float
-    assert value == reference
 
 
 def test_frob_equals_numpy_norm_on_gaussian_entries_in_every_layout():

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from squashkit import builder, finder, fock, linalg, nogo, povm, squashmap
 from squashkit.errors import SelfCheckFailed, SquashkitError, TildeNotVerified
 
-from helpers import kraus_apply, random_density_matrix, random_hermitian, visibility_set
+from helpers import (
+    SMALL_GROUPS,
+    generated_group,
+    kraus_apply,
+    label_actions,
+    random_density_matrix,
+    random_hermitian,
+    visibility_set,
+)
 
 
 def c4_setup(p):
@@ -55,7 +63,7 @@ def test_m0_symmetrization():
     s = c4_setup(nogo.counterexample_m0())
     assert s.tilde.dim == 8
     assert povm.validate(s.tilde).passed
-    report = nogo.check_definition2(s.rep, s.action, s.tilde)
+    report = nogo.check_definition2(s.group, s.action, s.tilde)
     assert report.passed and report.max_residual <= 1e-9
 
 
@@ -63,7 +71,7 @@ def test_ideal_with_basis_swap():
     p = povm.ideal_qubit_povm()
     s = nogo.symmetrize(p, nogo.cyclic_group(2), nogo.c2_basis_swap_action())
     assert s.tilde.dim == 4
-    report = nogo.check_definition2(s.rep, s.action, s.tilde)
+    report = nogo.check_definition2(s.group, s.action, s.tilde)
     assert report.passed
 
 
@@ -119,11 +127,19 @@ def test_symmetrize_at_the_cli_limit():
     four_cycle_powers = nogo.make_action([[(c + g) % 4 for c in range(4)] for g in range(n)])
     s = nogo.symmetrize(p, nogo.cyclic_group(n), four_cycle_powers)
     assert s.tilde.dim == linalg.MAX_INPUT_DIM
-    assert nogo.check_definition2(s.rep, s.action, s.tilde).max_residual == 0.0
+    assert nogo.check_definition2(s.group, s.action, s.tilde).max_residual == 0.0
     assert nogo.verify_trace_identity(s) == 0.0
     base = finder.bloch_witness(p.difference("z"), p.difference("x")).value
     tilde = finder.bloch_witness(s.tilde.difference("z"), s.tilde.difference("x")).value
     assert tilde == pytest.approx(base, abs=1e-12)
+
+
+def lifted_witness_value(s: nogo.SymmetrizedPovm, w: finder.BlochWitness) -> float:
+    """The base witness (theta, rho) evaluated on the symmetrized set at rho x |e><e|."""
+    lifted = np.zeros((s.tilde.dim, s.tilde.dim), dtype=complex)
+    lifted[np.ix_(s.identity_block, s.identity_block)] = w.state
+    m_z, m_x = s.tilde.difference("z"), s.tilde.difference("x")
+    return np.trace(lifted @ (np.cos(w.theta) * m_z + np.sin(w.theta) * m_x)).real
 
 
 @pytest.mark.parametrize("name", ["m0", "projective"])
@@ -143,12 +159,27 @@ def test_lifted_witness_state_certifies_the_symmetrized_set(name):
     assert w.value > 1.0 + 1e-3
     assert finder.find_squash(base).verdict == "INFEASIBLE"
     for s in symmetrizations(base):
-        lifted = np.zeros((s.tilde.dim, s.tilde.dim), dtype=complex)
-        lifted[np.ix_(s.identity_block, s.identity_block)] = w.state
-        m_z, m_x = s.tilde.difference("z"), s.tilde.difference("x")
-        observable = np.cos(w.theta) * m_z + np.sin(w.theta) * m_x
-        assert np.trace(lifted @ observable).real == pytest.approx(w.value, abs=1e-12)
+        assert lifted_witness_value(s, w) == pytest.approx(w.value, abs=1e-12)
         assert finder.find_squash(s.tilde).verdict == "INFEASIBLE"
+
+
+def test_no_symmetry_of_order_at_most_eight_squashes_m0():
+    # every group of order <= 8 with every label action it has: the 282 symmetrizations of
+    # M0 keep witness sqrt(2), the lifted base certificate, and an exact Definition 2
+    m0 = nogo.counterexample_m0()
+    w = finder.find_squash(m0).witness
+    cases = 0
+    for generators, product in SMALL_GROUPS.values():
+        group, gens = generated_group(generators, product)
+        for action in label_actions(group, gens):
+            s = nogo.symmetrize(m0, group, action)
+            report = finder.find_squash(s.tilde)
+            assert report.verdict == "INFEASIBLE"
+            assert report.witness.value == pytest.approx(np.sqrt(2.0), abs=1e-12)
+            assert lifted_witness_value(s, w) > 1.0 + finder.INFEASIBLE_SLACK
+            assert nogo.check_definition2(group, action, s.tilde).passed
+            cases += 1
+    assert cases == 282
 
 
 def test_pullback_through_trivial_group():

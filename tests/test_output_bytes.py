@@ -10,6 +10,7 @@ x86-64 host.
 import hashlib
 import json
 
+from squashkit import povm
 from squashkit.cli import main
 
 #: Sectors for ``squash construct``, as the command line spells them.
@@ -17,6 +18,10 @@ CONSTRUCT_SECTORS = ("4", "2,2", "2,1,1")
 
 #: File, relative to the output directory -> SHA-256 of its bytes.
 DIGESTS = {
+    "attack_ideal.json":
+        "71846507b3385b1ad03b3500e4e97872e15161b38319550fe17aec4f1808d7e6",
+    "attack_m0.json":
+        "71846507b3385b1ad03b3500e4e97872e15161b38319550fe17aec4f1808d7e6",
     "construct_2,1,1.json":
         "78749646e4990e9258e4cf4789e072fa5afa7b66100ab5cd3332ede211163500",
     "construct_2,2.json":
@@ -117,6 +122,11 @@ def run_workflow(tmp_path) -> dict:
         _run(["squash", "construct", "--sector", sector, "--out", construct], 0)
     _run(["nogo", "m0", "--out", out / "m0.json"], 0)
     _run(["squash", "find", "--povm", out / "m0.json", "--out", out / "m0_report.json"], 1)
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps(povm.povm_to_json(povm.ideal_qubit_povm())))
+    for name, source in (("m0", out / "m0.json"), ("ideal", ideal)):
+        _run(["nogo", "attack", "--povm", source, "--trials", "20000", "--seed", "5",
+              "--out", out / f"attack_{name}.json"], 0)
     base = tmp_path / "base.json"  # the (1,) set, written as README writes it
     base.write_text(json.dumps(json.loads((out / "models/detector_N1.json").read_text())["povm"]))
     for group in ("c2", "c4"):

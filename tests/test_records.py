@@ -346,7 +346,7 @@ CHECKS = {
         lambda p: builder.check_definition1(MODEL.symmetry, p), MODEL.povm, nogo.counterexample_m0()
     ),
     "definition2": (
-        lambda p: nogo.check_definition2(SYMMETRIZED.rep, SYMMETRIZED.action, p),
+        lambda p: nogo.check_definition2(SYMMETRIZED.group, SYMMETRIZED.action, p),
         SYMMETRIZED.tilde,
         # the qubit set times an idle register: V(g) fixes every element the action moves
         povm.make_povm({key: np.kron(m, np.eye(4)) for key, m in QUBIT.items()}),

@@ -15,6 +15,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import builder, finder, fock, linalg, nogo, povm, squashmap
 from .errors import ConstructionError, SquashkitError, TildeNotVerified
 
@@ -54,13 +56,6 @@ _ENCODE = json.JSONEncoder(allow_nan=False).encode
 _NUMBER = (int, float)
 
 
-def _is_pair_list(rows: list) -> bool:
-    return all(
-        type(row) is list and len(row) == 2 and type(row[0]) in _NUMBER and type(row[1]) in _NUMBER
-        for row in rows
-    )
-
-
 def _key_text(key) -> str:
     """A dict key as json writes it: a string, or 1 -> "1", None -> "null"."""
     if isinstance(key, str):
@@ -73,21 +68,21 @@ def _key_text(key) -> str:
 def _json_text(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, byte for byte.
 
-    Dicts and lists are walked here; a list of [number, number] rows, the
-    entries of a matrix or vector, is C-encoded in one call and then broken
-    into lines. A JSON number holds no bracket, comma or space, so the
-    compact separators "], [" and ", " mark exactly the places to break.
+    The one renderer of the ``*_to_json`` trees. Their matrix and vector entries are
+    nonempty 1-D complex arrays, each written as json.dumps writes its list of [re, im]
+    pairs, in one %-format of all its rows: ``%r`` is the shortest repr, which json
+    writes for a float. Dicts and lists are walked here.
     """
     inner = indent + "  "
+    if isinstance(obj, np.ndarray) and obj.size:
+        if not np.isfinite(obj).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        rows = f",\n{inner}".join([f"[\n{inner}  %r,\n{inner}  %r\n{inner}]"] * obj.size)
+        return f"[\n{inner}{rows}\n{indent}]" % tuple(obj.view(float).tolist())
     if isinstance(obj, dict) and obj:
         items = [f"{_key_text(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)) and obj:
-        if _is_pair_list(obj):
-            deeper = inner + "  "
-            body = _ENCODE(obj)[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{deeper}")
-            body = body.replace(", ", ",\n" + deeper)
-            return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{indent}]"
         items = [_json_text(item, inner) for item in obj]
         brackets = "[]"
     else:  # a scalar, {} or []
@@ -109,9 +104,11 @@ def _write_json(obj: dict, out: str | None) -> None:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, out)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # e.g. out is a directory: name it, not the temporary file
+            raise SquashkitError(f"argument --out: cannot write {out!r}: {exc.strerror}") from exc
         raise
 
 

@@ -106,12 +106,19 @@ class DetectorModel(linalg.Checked, NamedTuple("DetectorModel", [
     def __new__(cls, sector, povm, symmetry, states):
         model = build_detector(sector)
         given = tuple.__new__(cls, (model.sector, povm, symmetry, states))
-        if detector_to_json(given) != detector_to_json(model):  # as written, float for float
+        if _bits(detector_to_json(given)) != _bits(detector_to_json(model)):  # as written
             raise SquashkitError(f"fields differ from the detector of {model.sector.photons}")
         return model
 
     def __reduce__(self):  # not the class call, which also compares JSON: 8x slower at (200,)
         return build_detector, (self.sector,)
+
+
+def _bits(tree):
+    """A tree with each array as its bytes, so that -0.0 and 0.0 differ, as they do when written."""
+    if isinstance(tree, dict):
+        return {key: _bits(value) for key, value in tree.items()}
+    return tree.tobytes() if isinstance(tree, np.ndarray) else tree
 
 
 def build_detector(sector: FockSector) -> DetectorModel:

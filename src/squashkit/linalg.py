@@ -108,7 +108,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format: {"dim": d, "entries": [[re, im], ...]} row-major.
+# JSON wire format: {"dim": d, "entries": [[re, im], ...]} row-major. The *_to_json trees
+# hold each entries list as one complex array, which cli._json_text, the one renderer, writes.
 
 def json_field(obj: dict, key: str, kind: type | None = None):
     """Field ``key`` of a JSON object, of exact type ``kind`` (int, list or dict) if given."""
@@ -122,8 +123,8 @@ def json_field(obj: dict, key: str, kind: type | None = None):
     return obj[key]
 
 
-def _encode(values: np.ndarray) -> list:
-    return np.stack([values.real, values.imag], axis=-1).tolist()
+def _encode(values: np.ndarray) -> np.ndarray:
+    return values.copy()  # contiguous, and apart from the caller's matrix
 
 
 def _decode(entries: list, rows: int, cols: int, shape_name: str) -> np.ndarray:
@@ -163,5 +164,5 @@ def matrix_rect_from_json(obj: dict) -> np.ndarray:
     return _decode(json_field(obj, "entries", list), rows, cols, f"{rows}x{cols}")
 
 
-def vector_to_json(v: np.ndarray) -> list:
+def vector_to_json(v: np.ndarray) -> np.ndarray:
     return _encode(np.asarray(v, dtype=complex))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import squashkit
-from squashkit import finder, fock, linalg, nogo, povm
+from squashkit import cli, finder, fock, linalg, nogo, povm
 from squashkit.errors import SquashkitError
 from squashkit.squashmap import SquashMap, trace_defect
 
@@ -404,6 +404,11 @@ def fresh_python(probe: str) -> str:
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     return done.stdout
+
+
+def written(tree):
+    """A ``*_to_json`` tree as the command line writes it and a reader loads it back."""
+    return json.loads(cli._json_text(tree))
 
 
 #: What a single-field mutation puts in place of one value; DELETE removes the value instead.

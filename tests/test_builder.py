@@ -17,6 +17,7 @@ from helpers import (
     qubit_plus_half_block,
     random_density_matrices,
     random_density_matrix,
+    written,
 )
 
 
@@ -306,7 +307,8 @@ def test_squash_map_validation():
     for g0 in ([[np.nan, 0.0], [0.0, 1.0]], [[1e200, 1e200], [1e200, -1e200]]):
         with pytest.raises(SquashkitError, match="do not sum to the identity"):
             squashmap.SquashMap(g0=g0, g1=np.zeros((2, 2)))
-    blob = squashmap.squash_to_json(squashmap.squash_from_kraus(2, (np.eye(2, dtype=complex),)))
+    squash = squashmap.squash_from_kraus(2, (np.eye(2, dtype=complex),))
+    blob = written(squashmap.squash_to_json(squash))
     blob["kraus"][0]["entries"][0] = [float("nan"), 0.0]
     with pytest.raises(SquashkitError, match="do not sum to the identity"):
         squashmap.squash_from_json(json.loads(json.dumps(blob)))
@@ -315,7 +317,7 @@ def test_squash_map_validation():
 def test_squash_json_round_trip():
     model, _ = detector_with_symmetry((2,))
     squash = builder.construct_theorem1(model.povm, model.symmetry)
-    back = squashmap.squash_from_json(squashmap.squash_to_json(squash))
+    back = squashmap.squash_from_json(written(squashmap.squash_to_json(squash)))
     assert back.in_dim == squash.in_dim
     # the file holds z-frame Kraus operators, so the round trip rounds through the frame change
     assert np.allclose(back.kraus, squash.kraus, rtol=0.0, atol=1e-15)
@@ -460,8 +462,7 @@ def test_json_round_trip_of_any_kraus_family(d, extra, seed):
     x = rng.standard_normal((2 * k, d)) + 1j * rng.standard_normal((2 * k, d))
     kraus = np.linalg.qr(x)[0].reshape(k, 2, d)
     squash = squashmap.squash_from_kraus(d, kraus)
-    text = json.dumps(squashmap.squash_to_json(squash), allow_nan=False)
-    back = squashmap.squash_from_json(json.loads(text))
+    back = squashmap.squash_from_json(written(squashmap.squash_to_json(squash)))
     assert back.in_dim == d and back.kraus.shape == (k, 2, d)
     assert np.allclose(back.kraus, kraus, rtol=0.0, atol=1e-15)
     p = induced_set(squash)

@@ -26,6 +26,7 @@ from helpers import (
     json_paths,
     mutation_text,
     qubit_plus_half_block,
+    written,
 )
 
 
@@ -51,14 +52,14 @@ def big_file(tmp_path):
     eye, zero = np.eye(257), np.zeros((257, 257))
     big = povm.make_povm({"z0": eye, "z1": zero, "x0": eye, "x1": zero})
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(povm.povm_to_json(big)))
+    path.write_text(json.dumps(written(povm.povm_to_json(big))))
     return path
 
 
 @pytest.fixture
 def ideal_file(tmp_path):
     path = tmp_path / "ideal.json"
-    path.write_text(json.dumps(povm.povm_to_json(povm.ideal_qubit_povm())))
+    path.write_text(json.dumps(written(povm.povm_to_json(povm.ideal_qubit_povm()))))
     return path
 
 
@@ -68,16 +69,16 @@ def near_file(tmp_path):
     elements = dict(povm.ideal_qubit_povm().elements)
     elements["z0"] = (1 + 5e-9) * elements["z0"]
     path = tmp_path / "near.json"
-    path.write_text(json.dumps(povm.povm_to_json(povm.make_povm(elements))))
+    path.write_text(json.dumps(written(povm.povm_to_json(povm.make_povm(elements)))))
     return path
 
 
 @pytest.fixture
 def qubit_unitary_file(tmp_path):
     path = tmp_path / "qubit_unitary.json"
-    path.write_text(json.dumps(linalg.matrix_to_json(
+    path.write_text(json.dumps(written(linalg.matrix_to_json(
         linalg.unitary_from_generator(linalg.PAULI_Y, -np.pi / 4)
-    )))
+    ))))
     return path
 
 
@@ -89,7 +90,7 @@ def ideal_c2_squash_file(tmp_path):
     report = finder.find_squash(s.tilde)
     assert report.verdict == "FEASIBLE"
     path = tmp_path / "ideal_c2_squash.json"
-    path.write_text(json.dumps(squashmap.squash_to_json(report.squash)))
+    path.write_text(json.dumps(written(squashmap.squash_to_json(report.squash))))
     return path
 
 
@@ -99,7 +100,7 @@ def skew_qubit_file(tmp_path):
     elements = dict(povm.ideal_qubit_povm().elements)
     elements["z0"], elements["z1"] = elements["z0"] + SKEW, elements["z1"] - SKEW
     path = tmp_path / "skew_qubit.json"
-    path.write_text(json.dumps(povm.povm_to_json(povm.make_povm(elements))))
+    path.write_text(json.dumps(written(povm.povm_to_json(povm.make_povm(elements)))))
     return path
 
 
@@ -111,7 +112,7 @@ def skew_detector_file(tmp_path):
     z0, z1 = model.povm.element("z", 0) + SKEW, model.povm.element("z", 1) - SKEW
     elements = {"z0": z0, "z1": z1, "x0": u @ z0 @ u.conj().T, "x1": u @ z1 @ u.conj().T}
     path = tmp_path / "skew_detector.json"
-    path.write_text(json.dumps(povm.povm_to_json(povm.make_povm(elements))))
+    path.write_text(json.dumps(written(povm.povm_to_json(povm.make_povm(elements)))))
     return path
 
 
@@ -119,7 +120,7 @@ def skew_detector_file(tmp_path):
 def detector_unitary_file(tmp_path):
     path = tmp_path / "detector_unitary.json"
     u = fock.build_detector(fock.fock_sector((1,))).symmetry.u
-    path.write_text(json.dumps(linalg.matrix_to_json(u)))
+    path.write_text(json.dumps(written(linalg.matrix_to_json(u))))
     return path
 
 
@@ -158,7 +159,9 @@ def deep_file(tmp_path):
 @pytest.fixture
 def nan_squash_file(tmp_path):
     """A C2-symmetrized-qubit squash whose first entry is the JSON token NaN."""
-    blob = squashmap.squash_to_json(squashmap.squash_from_kraus(4, (np.eye(2, 4), np.eye(2, 4, 2))))
+    blob = written(squashmap.squash_to_json(
+        squashmap.squash_from_kraus(4, (np.eye(2, 4), np.eye(2, 4, 2)))
+    ))
     blob["kraus"][0]["entries"][0] = [float("nan"), 0.0]
     path = tmp_path / "nan_squash.json"
     path.write_text(json.dumps(blob))
@@ -244,8 +247,8 @@ def test_squash_construct_m0_fails_scientifically(m0_file, tmp_path):
 def construct_from_files(tmp_path, p, u):
     """Run ``squash construct --povm --unitary`` on in-memory inputs."""
     povm_file, unitary_file = tmp_path / "p.json", tmp_path / "u.json"
-    povm_file.write_text(json.dumps(povm.povm_to_json(p)))
-    unitary_file.write_text(json.dumps(linalg.matrix_to_json(u)))
+    povm_file.write_text(json.dumps(written(povm.povm_to_json(p))))
+    unitary_file.write_text(json.dumps(written(linalg.matrix_to_json(u))))
     out = tmp_path / "s.json"
     argv = ["squash", "construct", "--povm", povm_file, "--unitary", unitary_file, "--out", out]
     return main([str(a) for a in argv]), out
@@ -698,7 +701,7 @@ def test_mismatched_unitary_or_squash_is_refused_before_its_entries_are_decoded(
     # a side above the bound is refused where the file is decoded, before its fit to the set
     path = tmp_path / f"{kind}.json"
     if kind == "unitary":
-        # json.dumps(linalg.matrix_to_json(np.eye(700))), written as text
+        # json.dumps of the entries of np.eye(700) as [re, im] pairs, written as text
         cells = ["[0.0, 0.0]"] * 700**2
         cells[::701] = ["[1.0, 0.0]"] * 700
         path.write_text('{"dim": 700, "entries": [' + ", ".join(cells) + "]}")
@@ -728,7 +731,7 @@ def test_a_unitary_or_map_that_does_not_fit_the_set_is_refused_by_its_engine(
 ):
     path = tmp_path / f"{kind}.json"
     if kind == "unitary":
-        path.write_text(json.dumps(linalg.matrix_to_json(np.eye(3))))
+        path.write_text(json.dumps(written(linalg.matrix_to_json(np.eye(3)))))
         argv = ["squash", "construct", "--povm", ideal_file, "--unitary", path]
     else:  # the qubit set symmetrized over C2 has dimension 4
         if kind == "in_dim":  # |0><k| for k < 5: a trace-preserving map from dimension 5
@@ -736,7 +739,7 @@ def test_a_unitary_or_map_that_does_not_fit_the_set_is_refused_by_its_engine(
         else:
             kraus = [np.zeros((3, 4))]
         blob = {"in_dim": 5 if kind == "in_dim" else 4,
-                "kraus": [linalg.matrix_rect_to_json(k) for k in kraus]}
+                "kraus": [written(linalg.matrix_rect_to_json(k)) for k in kraus]}
         path.write_text(json.dumps(blob))
         argv = ["nogo", "pullback", "--povm", ideal_file, "--group", "c2", "--squash", path]
     out = tmp_path / "out.json"
@@ -821,7 +824,8 @@ def test_squash_find_refuses_unitary_before_reading_any_file(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
+#: One command line of each mode, without --out.
+EACH_MODE = [
     ["detector", "--N", "1"],
     ["detector", "--sweep-max", "1"],
     ["squash", "construct", "--sector", "1"],
@@ -830,7 +834,10 @@ def test_squash_find_refuses_unitary_before_reading_any_file(
     ["nogo", "attack", "--povm", "{ideal}"],
     ["nogo", "symmetrize", "--povm", "{ideal}", "--group", "c2"],
     ["nogo", "pullback", "--povm", "{ideal}", "--group", "c2", "--squash", "{ideal_c2_squash}"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", EACH_MODE)
 def test_an_empty_out_path_is_a_usage_error(argv, ideal_file, ideal_c2_squash_file,
                                             monkeypatch, tmp_path, capsys):
     # "" names no file: it is refused before any work, and nothing is written beside
@@ -843,6 +850,28 @@ def test_an_empty_out_path_is_a_usage_error(argv, ideal_file, ideal_c2_squash_fi
     assert run(tmp_path, *[a.format(**files) for a in argv], "--out", "") == 2
     assert capsys.readouterr().err == "squashkit: argument --out: must not be empty\n"
     assert sorted(tmp_path.iterdir()) == before and not any(work.iterdir())
+
+
+@pytest.mark.parametrize("spelling", ["sub", "sub/"])
+@pytest.mark.parametrize("argv", EACH_MODE)
+def test_an_out_path_that_is_a_directory_is_refused_by_its_name(
+    argv, spelling, ideal_file, ideal_c2_squash_file, monkeypatch, tmp_path, capsys
+):
+    # a single output cannot replace the directory sub, nor be written as sub/; a sweep
+    # writes into sub, and is refused where its first file is a directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    target = spelling
+    if "--sweep-max" in argv:
+        target = os.path.join(spelling, "detector_N1.json")
+        (tmp_path / target).mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    files = {"ideal": ideal_file, "ideal_c2_squash": ideal_c2_squash_file}
+    assert run(tmp_path, *[a.format(**files) for a in argv], "--out", spelling) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"squashkit: argument --out: cannot write {target!r}: ")
+    assert err.count("\n") == 1 and ".tmp" not in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("verdict", ["INFEASIBLE", "UNDECIDED", "FEASIBLE\nsquashkit: done"])
@@ -919,7 +948,7 @@ def test_huge_integer_in_an_input_file_is_an_input_error(kind, ideal_file, tmp_p
     # 10**400 fits neither a float nor a C long
     path = tmp_path / f"huge_{kind}.json"
     if kind == "povm":
-        blob = povm.povm_to_json(povm.ideal_qubit_povm())
+        blob = written(povm.povm_to_json(povm.ideal_qubit_povm()))
         blob["elements"]["z0"]["entries"][0] = [10**400, 0.0]
         argv = ["squash", "find", "--povm", path]
     else:
@@ -962,7 +991,7 @@ def test_non_integer_integer_fields_are_refused(
                                                 ["x0", "z0", "x1", "z1"]]}))
         argv = ["nogo", "symmetrize", "--povm", ideal_file, "--group", path, "--action", action]
     elif kind in ("povm", "element"):
-        blob = povm.povm_to_json(povm.ideal_qubit_povm())
+        blob = written(povm.povm_to_json(povm.ideal_qubit_povm()))
         (blob if kind == "povm" else blob["elements"]["x1"])[field] = value
         argv = ["squash", "find", "--povm", path]
     elif kind == "unitary":
@@ -1060,19 +1089,20 @@ def mutation_inputs(tmp_path_factory):
     """A directory, and for each file kind a valid file's JSON and the command that reads it."""
     root = tmp_path_factory.mktemp("mutations")
     ideal, swap = root / "ideal.json", root / "swap.json"
-    ideal.write_text(json.dumps(povm.povm_to_json(povm.ideal_qubit_povm())))
+    ideal.write_text(json.dumps(written(povm.povm_to_json(povm.ideal_qubit_povm()))))
     swap.write_text(json.dumps({"labels": list(povm.LABELS), "perms": SWAP_PERMS}))
     s = nogo.symmetrize(povm.ideal_qubit_povm(), nogo.cyclic_group(2),
                         nogo.c2_basis_swap_action())
     quarter_turn = linalg.unitary_from_generator(linalg.PAULI_Y, -np.pi / 4)
     return root, {
-        "povm": (povm.povm_to_json(povm.ideal_qubit_povm()), ["squash", "find"]),
-        "unitary": (linalg.matrix_to_json(quarter_turn), ["squash", "construct", "--povm", ideal]),
+        "povm": (written(povm.povm_to_json(povm.ideal_qubit_povm())), ["squash", "find"]),
+        "unitary": (written(linalg.matrix_to_json(quarter_turn)),
+                    ["squash", "construct", "--povm", ideal]),
         "group": (nogo.group_to_json(nogo.cyclic_group(2)),
                   ["nogo", "symmetrize", "--povm", ideal, "--action", swap]),
         "action": ({"labels": list(povm.LABELS), "perms": SWAP_PERMS},
                    ["nogo", "symmetrize", "--povm", ideal, "--group", "c2"]),
-        "squash": (squashmap.squash_to_json(finder.find_squash(s.tilde).squash),
+        "squash": (written(squashmap.squash_to_json(finder.find_squash(s.tilde).squash)),
                    ["nogo", "pullback", "--povm", ideal, "--group", "c2"]),
     }
 
@@ -1129,10 +1159,10 @@ def test_entries_near_the_float_limit_are_refused(argv, message, ideal_file, tmp
     x0, x1 = np.array([[0.5, 1e308], [1e308, 0.5]]), np.array([[0.5, -1e308], [-1e308, 0.5]])
     files = {"ideal": ideal_file, "huge_x": tmp_path / "huge_x.json",
              "huge_u": tmp_path / "huge_u.json"}
-    files["huge_x"].write_text(json.dumps(povm.povm_to_json(
-        povm.make_povm({"z0": z0, "z1": z1, "x0": x0, "x1": x1}))))
-    files["huge_u"].write_text(json.dumps(linalg.matrix_to_json([[1e200, 1e200],
-                                                                 [1e200, -1e200]])))
+    files["huge_x"].write_text(json.dumps(written(povm.povm_to_json(
+        povm.make_povm({"z0": z0, "z1": z1, "x0": x0, "x1": x1})))))
+    files["huge_u"].write_text(json.dumps(written(linalg.matrix_to_json([[1e200, 1e200],
+                                                                         [1e200, -1e200]]))))
     out = tmp_path / "out.json"
     assert run(tmp_path, *(a.format(**files) for a in argv), "--out", out) == 2
     assert message in capsys.readouterr().err and not out.exists()
@@ -1169,9 +1199,9 @@ def _library_outputs(m0_file, ideal_file, tmp_path):
     model = fock.build_detector(fock.fock_sector((2, 1)))
     base = fock.build_detector(fock.fock_sector((1,))).povm
     symmetrized = nogo.symmetrize(base, nogo.cyclic_group(2), nogo.c2_basis_swap_action())
-    found = finder.report_to_json(finder.find_squash(symmetrized.tilde))
+    found = written(finder.report_to_json(finder.find_squash(symmetrized.tilde)))
     base_file, found_file = tmp_path / "base.json", tmp_path / "found.json"
-    base_file.write_text(json.dumps(povm.povm_to_json(base)))
+    base_file.write_text(json.dumps(written(povm.povm_to_json(base))))
     found_file.write_text(json.dumps(found))
     return {
         "detector": (["detector", "--N", "2,1"], lambda: fock.detector_to_json(model)),
@@ -1217,7 +1247,7 @@ def test_output_bytes_are_json_dumps_of_the_library_object(
     case, m0_file, ideal_file, tmp_path, capsys
 ):
     argv, library_object = _library_outputs(m0_file, ideal_file, tmp_path)[case]
-    expected = json.dumps(library_object(), indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(plain(library_object()), indent=2, sort_keys=True) + "\n"
     out = tmp_path / "out.json"
     code = run(tmp_path, *argv, "--out", out)
     assert code == (1 if case == "infeasible" else 0)
@@ -1239,7 +1269,7 @@ FINITE = st.one_of(
 )
 NUMBERS = st.one_of(FINITE, st.integers())
 PAIRS = st.lists(st.lists(NUMBERS, min_size=2, max_size=2), min_size=1, max_size=4)
-# rows that keep a list off the C-encoded path: wrong length, or a non-number inside
+# rows that are no [number, number] pair: wrong length, or a non-number inside
 ODD_ROWS = st.one_of(
     st.lists(NUMBERS, max_size=1),
     st.lists(NUMBERS, min_size=3, max_size=3),
@@ -1269,8 +1299,50 @@ def test_json_writer_matches_json_dumps(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
+def plain(tree):
+    """``tree`` with each complex array as the list of its [re, im] pairs, as json.dumps takes it."""
+    if isinstance(tree, np.ndarray):
+        return [[float(z.real), float(z.imag)] for z in tree]
+    if isinstance(tree, dict):
+        return {key: plain(value) for key, value in tree.items()}
+    return [plain(item) for item in tree] if isinstance(tree, (list, tuple)) else tree
+
+
+PARTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-307, max_value=1e-307),  # subnormals and the zeros
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e22, 1.0, -3.0, 2.0**53, 1e15]),
+)
+ARRAYS = st.lists(st.builds(complex, PARTS, PARTS), min_size=1, max_size=9).map(np.array)
+# leaves and nesting as the *_to_json functions build them: a vector, a square or rectangular
+# matrix record, and objects and lists of these
+RECORDS = st.recursive(
+    st.one_of(
+        ARRAYS,
+        ARRAYS.map(lambda a: {"dim": len(a), "entries": a}),
+        st.builds(lambda a, rows: {"rows": rows, "cols": len(a), "entries": a},
+                  ARRAYS, st.integers(1, 4)),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, min_size=1, max_size=3),
+        st.dictionaries(st.sampled_from(["elements", "kraus", "povm", "states", "U_N", "x1"]),
+                        st.one_of(children, SCALARS), min_size=1, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=RECORDS)
+def test_json_writer_writes_arrays_as_json_dumps_of_their_pairs(tree):
+    text = json.dumps(plain(tree), indent=2, sort_keys=True, allow_nan=False)
+    assert cli._json_text(tree) == text
+
+
 NON_FINITE_HOMES = {
     "pair list": lambda bad, rows: {"entries": rows + [[0.0, bad]]},
+    "array, real part": lambda bad, rows: {"entries": np.array([0j] * len(rows) + [bad])},
+    "array, imaginary part": lambda bad, rows: [np.array([complex(0.0, bad)] + [1j] * len(rows))],
     "near miss": lambda bad, rows: [rows, [[bad, 0.0, 1.0]]],
     "scalar": lambda bad, rows: {"rows": rows, "value": [bad]},
     "key": lambda bad, rows: {bad: rows},
@@ -1380,7 +1452,7 @@ def contract_files(tmp_path_factory):
         "squash": squashmap.squash_to_json(finder.find_squash(s.tilde).squash),
     }
     for name, blob in blobs.items():
-        (root / f"{name}.json").write_text(json.dumps(blob))
+        (root / f"{name}.json").write_text(json.dumps(written(blob)))
     return {name: str(root / f"{name}.json") for name in blobs}
 
 

@@ -8,7 +8,13 @@ import pytest
 from squashkit import builder, fock, linalg, povm
 from squashkit.errors import SelfCheckFailed, SquashkitError
 
-from helpers import acceptance_sectors, configurations, ladder_state_oracle, rotation_oracle
+from helpers import (
+    acceptance_sectors,
+    configurations,
+    ladder_state_oracle,
+    rotation_oracle,
+    written,
+)
 
 #: Multi-mode sectors at the command line's largest dimension, 256.
 D256_SECTORS = ((15, 15), (3, 3, 3, 3), (7, 7, 3))
@@ -208,7 +214,7 @@ def test_enumerate_sectors_counts():
 
 def test_detector_json_shape():
     model = fock.build_detector(fock.fock_sector((2, 1)))
-    blob = fock.detector_to_json(model)
+    blob = written(fock.detector_to_json(model))
     assert blob["N"] == [2, 1]
     assert blob["dim"] == 6
     assert set(blob["states"]) == {"z0", "z1", "x0", "x1"}

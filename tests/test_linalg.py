@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from squashkit import builder, finder, fock, linalg, povm, squashmap
 from squashkit.errors import SquashkitError
 
-from helpers import random_density_matrices, random_density_matrix, random_hermitian
+from helpers import random_density_matrices, random_density_matrix, random_hermitian, written
 
 
 def test_eig_diagonal_input():
@@ -140,14 +140,14 @@ def test_kron_associativity():
 def test_matrix_json_round_trip():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    back = linalg.matrix_from_json(linalg.matrix_to_json(a))
+    back = linalg.matrix_from_json(written(linalg.matrix_to_json(a)))
     assert np.array_equal(a, back)
 
 
 def test_rect_json_round_trip():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
-    back = linalg.matrix_rect_from_json(linalg.matrix_rect_to_json(a))
+    back = linalg.matrix_rect_from_json(written(linalg.matrix_rect_to_json(a)))
     assert np.array_equal(a, back)
 
 
@@ -155,7 +155,7 @@ def test_json_entries_match_the_elementwise_encoding():
     rng = np.random.default_rng(5)
     values = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     values[:4] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]
-    entries = linalg.vector_to_json(values)
+    entries = written(linalg.vector_to_json(values))
     reference = [[float(z.real), float(z.imag)] for z in values]
     assert all(type(x) is float for entry in entries for x in entry)
     assert json.dumps(entries) == json.dumps(reference)
@@ -253,16 +253,16 @@ def test_a_side_at_the_bound_is_read():
     with pytest.raises(SquashkitError, match="^expected 65536 entries for dim 256, got 0$"):
         linalg.matrix_from_json({"dim": 256, "entries": []})
     a = np.arange(512.0).reshape(2, 256) * 1j
-    assert np.array_equal(linalg.matrix_rect_from_json(linalg.matrix_rect_to_json(a)), a)
+    assert np.array_equal(linalg.matrix_rect_from_json(written(linalg.matrix_rect_to_json(a))), a)
 
 
 def test_negative_zero_parts_survive_a_json_round_trip():
     a = np.array([[complex(-0.0, -0.0), complex(1.0, -0.0)], [complex(-0.0, 1.0), 0.0]])
     for write, read in ((linalg.matrix_to_json, linalg.matrix_from_json),
                         (linalg.matrix_rect_to_json, linalg.matrix_rect_from_json)):
-        text = json.dumps(write(a))
+        text = json.dumps(written(write(a)))
         back = read(json.loads(text))
-        assert json.dumps(write(back)) == text
+        assert json.dumps(written(write(back))) == text
         assert np.array_equal(np.signbit(back.real), np.signbit(a.real))
         assert np.array_equal(np.signbit(back.imag), np.signbit(a.imag))
 

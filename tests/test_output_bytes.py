@@ -3,8 +3,8 @@
 A change meant to leave outputs alone shows it here: any moved byte fails
 the test and names the file. Only sets whose bytes do not depend on the
 BLAS thread count are pinned; each digest below is the same under
-OPENBLAS_NUM_THREADS=1 and =2. The workflow takes 0.05-0.08 s on a 2-core
-x86-64 host.
+OPENBLAS_NUM_THREADS=1 and =2. The workflow takes about 0.11 s on a 2-core
+x86-64 host, 0.03-0.04 s of it the d = 64 detector.
 """
 
 import hashlib
@@ -12,6 +12,8 @@ import json
 
 from squashkit import povm
 from squashkit.cli import main
+
+from helpers import written
 
 #: Sectors for ``squash construct``, as the command line spells them.
 CONSTRUCT_SECTORS = ("4", "2,2", "2,1,1")
@@ -28,6 +30,8 @@ DIGESTS = {
         "6de9cd4d2ebc0e164e794f588eae8f3aed183f985949a7b4137ee29b25c7790a",
     "construct_4.json":
         "432b7b4fd2a8e41501a964d357cf2d0bbf973ea19f3767cdd1021e4553564c29",
+    "detector_N63.json":
+        "9ed4868d0ec73cf724d87f7957ce472af17a61336bf73261d2e30b72800a8e45",
     "found_c2.json":
         "dda9aed15cd2acfa543177e7cd57b55f97e6eee9a13ae710b48d853359ab13ad",
     "found_c4.json":
@@ -117,13 +121,14 @@ def run_workflow(tmp_path) -> dict:
     """Run the workflow into ``tmp_path / "out"`` and return the digest of each file it wrote."""
     out = tmp_path / "out"
     _run(["detector", "--sweep-max", "3", "--out", out / "models"], 0)
+    _run(["detector", "--N", "63", "--out", out / "detector_N63.json"], 0)  # d = 64, 1.36 MB
     for sector in CONSTRUCT_SECTORS:
         construct = out / f"construct_{sector}.json"
         _run(["squash", "construct", "--sector", sector, "--out", construct], 0)
     _run(["nogo", "m0", "--out", out / "m0.json"], 0)
     _run(["squash", "find", "--povm", out / "m0.json", "--out", out / "m0_report.json"], 1)
     ideal = tmp_path / "ideal.json"
-    ideal.write_text(json.dumps(povm.povm_to_json(povm.ideal_qubit_povm())))
+    ideal.write_text(json.dumps(written(povm.povm_to_json(povm.ideal_qubit_povm()))))
     for name, source in (("m0", out / "m0.json"), ("ideal", ideal)):
         _run(["nogo", "attack", "--povm", source, "--trials", "20000", "--seed", "5",
               "--out", out / f"attack_{name}.json"], 0)

@@ -6,7 +6,14 @@ import pytest
 from squashkit import fock, linalg, povm
 from squashkit.errors import SquashkitError
 
-from helpers import SKEW, WIDE_SECTORS, configurations, random_density_matrix, validate_oracle
+from helpers import (
+    SKEW,
+    WIDE_SECTORS,
+    configurations,
+    random_density_matrix,
+    validate_oracle,
+    written,
+)
 
 
 def uniform_povm(dim=2):
@@ -176,7 +183,7 @@ def test_cyclic_label_view():
 
 def test_povm_json_round_trip():
     p = fock.build_detector(fock.fock_sector((2,))).povm
-    back = povm.povm_from_json(povm.povm_to_json(p))
+    back = povm.povm_from_json(written(povm.povm_to_json(p)))
     assert back.dim == p.dim
     for key in povm.LABELS:
         assert np.array_equal(back.elements[key], p.elements[key])
@@ -184,7 +191,7 @@ def test_povm_json_round_trip():
 
 @pytest.mark.parametrize("drop", ["elements", "x1"])
 def test_json_reader_names_a_missing_field(drop):
-    obj = povm.povm_to_json(povm.ideal_qubit_povm())
+    obj = written(povm.povm_to_json(povm.ideal_qubit_povm()))
     del (obj if drop == "elements" else obj["elements"])[drop]
     with pytest.raises(SquashkitError, match=f"^missing field '{drop}'$"):
         povm.povm_from_json(obj)

@@ -25,7 +25,7 @@ the compile time into the first of them.
 import importlib
 
 from .finder import BlochWitness, FeasibilityReport, bloch_witness, find_squash
-from .linalg import CheckReport, kron, unitary_from_generator
+from .linalg import CheckReport, unitary_from_generator
 from .povm import Bb84Povm, ideal_qubit_povm, make_povm, validate
 from .squashmap import SquashMap, squash_from_kraus, verify_squash
 

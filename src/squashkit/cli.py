@@ -32,7 +32,7 @@ def _require_dim(dim: int, what: str) -> None:
         raise SquashkitError(f"{what} has dimension {dim}, above the supported {limit}")
 
 
-#: Most attack rounds one run draws: about 4 s at 10**6 rounds per 0.04 s.
+#: Largest --trials, the documented range; the attack draws two counts, so its time is flat in it.
 MAX_TRIALS = 10**8
 
 
@@ -53,25 +53,18 @@ _tolerance = _ranged(float, lambda t: 0 < t < math.inf, "must be positive and fi
 
 #: Compact and strict; with no indent, ``encode`` runs CPython's C encoder.
 _ENCODE = json.JSONEncoder(allow_nan=False).encode
-_NUMBER = (int, float)
-
-
-def _key_text(key) -> str:
-    """A dict key as json writes it: a string, or 1 -> "1", None -> "null"."""
-    if isinstance(key, str):
-        return _ENCODE(key)
-    if key is None or isinstance(key, _NUMBER):
-        return _ENCODE(_ENCODE(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+#: A dict key as json.dumps writes a string key; any other key raises TypeError.
+_KEY = json.encoder.encode_basestring_ascii
 
 
 def _json_text(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, byte for byte.
 
-    The one renderer of the ``*_to_json`` trees. Their matrix and vector entries are
-    nonempty 1-D complex arrays, each written as json.dumps writes its list of [re, im]
-    pairs, in one %-format of all its rows: ``%r`` is the shortest repr, which json
-    writes for a float. Dicts and lists are walked here.
+    The one renderer of the ``*_to_json`` trees: dicts with string keys, lists, scalars,
+    and nonempty 1-D complex arrays for matrix and vector entries. Each array is written
+    as json.dumps writes its list of [re, im] pairs, in one %-format of all its rows:
+    ``%r`` is the shortest repr, which json writes for a float. A key that is not a string
+    raises TypeError before anything is written.
     """
     inner = indent + "  "
     if isinstance(obj, np.ndarray) and obj.size:
@@ -80,9 +73,9 @@ def _json_text(obj, indent: str = "") -> str:
         rows = f",\n{inner}".join([f"[\n{inner}  %r,\n{inner}  %r\n{inner}]"] * obj.size)
         return f"[\n{inner}{rows}\n{indent}]" % tuple(obj.view(float).tolist())
     if isinstance(obj, dict) and obj:
-        items = [f"{_key_text(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
+        items = [f"{_KEY(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
         brackets = "{}"
-    elif isinstance(obj, (list, tuple)) and obj:
+    elif isinstance(obj, list) and obj:
         items = [_json_text(item, inner) for item in obj]
         brackets = "[]"
     else:  # a scalar, {} or []

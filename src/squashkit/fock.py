@@ -171,7 +171,7 @@ def build_u_n(sector: FockSector) -> np.ndarray:
     U^4 v.
     """
     rotations = {n: _mode_rotation(n) for n in set(sector.photons) if n}
-    return reduce(linalg.kron, [rotations[n] for n in sector.photons if n])
+    return reduce(np.kron, [rotations[n] for n in sector.photons if n])
 
 
 def enumerate_sectors(max_total: int, max_modes: int = 3) -> list:

@@ -94,19 +94,6 @@ def unitary_from_generator(a: np.ndarray, angle: float) -> np.ndarray:
     return (vectors * np.exp(1j * angle * values)) @ dagger(vectors)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices; composite row index of rows (i, j) is i*rows(b) + j.
-
-    One broadcast product and a reshape: on few-photon factors np.kron's own
-    overhead dominates. With np.kron in its place, a perfbench cli_sweep pass took
-    1.6 % longer in the median and was faster in 2 of 8 alternating pairs (2-core
-    x86-64 Xeon, one BLAS thread).
-    """
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format: {"dim": d, "entries": [[re, im], ...]} row-major. The *_to_json trees
 # hold each entries list as one complex array, which cli._json_text, the one renderer, writes.
@@ -121,10 +108,6 @@ def json_field(obj: dict, key: str, kind: type | None = None):
         name = {int: "an integer", list: "a list", dict: "an object"}[kind]
         raise SquashkitError(f"{key!r} must be {name}, got {reprlib.repr(obj[key])}")
     return obj[key]
-
-
-def _encode(values: np.ndarray) -> np.ndarray:
-    return values.copy()  # contiguous, and apart from the caller's matrix
 
 
 def _decode(entries: list, rows: int, cols: int, shape_name: str) -> np.ndarray:
@@ -146,7 +129,7 @@ def _decode(entries: list, rows: int, cols: int, shape_name: str) -> np.ndarray:
 
 def matrix_to_json(a: np.ndarray) -> dict:
     m = np.asarray(a, dtype=complex)
-    return {"dim": int(m.shape[0]), "entries": _encode(m.ravel())}
+    return {"dim": int(m.shape[0]), "entries": m.flatten()}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -156,7 +139,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 def matrix_rect_to_json(a: np.ndarray) -> dict:
     m = np.asarray(a, dtype=complex)
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": _encode(m.ravel())}
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": m.flatten()}
 
 
 def matrix_rect_from_json(obj: dict) -> np.ndarray:
@@ -165,4 +148,4 @@ def matrix_rect_from_json(obj: dict) -> np.ndarray:
 
 
 def vector_to_json(v: np.ndarray) -> np.ndarray:
-    return _encode(np.asarray(v, dtype=complex))
+    return np.asarray(v, dtype=complex).flatten()

@@ -68,7 +68,7 @@ def _integer_array(values, what: str) -> np.ndarray:
 
 
 def make_group(cayley, identity: int | None = None) -> FiniteGroup:
-    """Validate a Cayley table (Latin square, associativity, neutral identity)."""
+    """Validate a Cayley table (Latin square, associativity) and find its identity."""
     table = _integer_array(cayley, "Cayley entries")
     if table.ndim != 2 or table.shape[0] != table.shape[1] or not len(table):
         raise SquashkitError("Cayley table must be square, with at least one row")
@@ -86,10 +86,7 @@ def make_group(cayley, identity: int | None = None) -> FiniteGroup:
         bad = (table[table[a]] != table[a][table]).any(axis=1)
         if bad.any():
             raise SquashkitError(f"associativity fails at pair ({a}, {int(np.argmax(bad))})")
-    neutral = np.flatnonzero((table == full).all(axis=1))
-    if not len(neutral) or not np.array_equal(table[:, neutral[0]], full):
-        raise SquashkitError("no identity element")
-    ident = int(neutral[0])
+    ident = int(np.argmax((table == full).all(axis=1)))  # an associative Latin square is a group
     if identity is not None and identity != ident:
         raise SquashkitError(f"declared identity {identity} but found {ident}")
     return tuple.__new__(FiniteGroup, (n, table, ident))  # the class call would check it again
@@ -130,11 +127,9 @@ def make_action(perms) -> LabelAction:
 
 
 def validate_action(group: FiniteGroup, action: LabelAction) -> None:
-    """Require perm(g*h) = perm(g) o perm(h) and a trivial identity."""
+    """Require perm(g*h) = perm(g) o perm(h); at (e, e) this makes the identity act trivially."""
     if action.perms.shape[0] != group.order:
         raise SquashkitError("action size does not match group order")
-    if not np.array_equal(action.perms[group.identity], np.arange(4)):
-        raise SquashkitError("identity element must act trivially")
     # [g, h] compares perm(g) o perm(h) with perm(g*h)
     bad = (action.perms[:, action.perms] != action.perms[group.cayley]).any(axis=2)
     if bad.any():
@@ -253,10 +248,6 @@ def counterexample_m0() -> povm.Bb84Povm:
     return povm.make_povm({"z0": plus, "z1": minus, "x0": plus, "x1": minus})
 
 
-#: Attack rounds drawn per block; a fixed block keeps memory flat in ``trials``.
-ATTACK_BLOCK = 1 << 14
-
-
 class AttackResult(NamedTuple):
     qber: float
     eve_accuracy: float
@@ -275,8 +266,9 @@ def bbm92_attack(p: povm.Bb84Povm, trials: int, seed: int = 0) -> AttackResult:
     Alice measures the ideal qubit set, Bob measures ``p``; only z-basis
     rounds are kept. Alice's ideal z outcome on |b> is b, so the sifted key
     is Eve's bit and her accuracy is 1; an error is a round where Bob's
-    outcome differs from b. Rounds are sampled as arrays, one block of
-    ``ATTACK_BLOCK`` at a time, drawing Eve's bits and Bob's outcomes.
+    outcome differs from b. The error count is drawn, not each round: the
+    |1>|1> rounds are binomial(trials, 1/2), and the errors in each half are
+    binomial in that half's error probability, which is the same law.
     """
     if p.dim != 2:
         raise SquashkitError(f"attack needs a qubit POVM, got dim {p.dim}")
@@ -287,13 +279,8 @@ def bbm92_attack(p: povm.Bb84Povm, trials: int, seed: int = 0) -> AttackResult:
     analytic_qber = 0.5 * ((1.0 - p_bob0[0]) + p_bob0[1])
 
     rng = np.random.default_rng(seed)
-    errors = 0
-    for start in range(0, trials, ATTACK_BLOCK):
-        n = min(ATTACK_BLOCK, trials - start)
-        bits = rng.integers(0, 2, size=n)
-        # an outcome is 1 (True) where the uniform draw lands at or above P(0)
-        b_out = rng.random(n) >= p_bob0[bits]
-        errors += int(np.count_nonzero(b_out != bits))
+    ones = int(rng.binomial(trials, 0.5))
+    errors = int(rng.binomial([trials - ones, ones], [1.0 - p_bob0[0], p_bob0[1]]).sum())
     return AttackResult(
         qber=errors / trials if trials else 0.0,
         eve_accuracy=1.0,

@@ -202,9 +202,9 @@ def einsum_project_affine(j: np.ndarray, m_z: np.ndarray, m_x: np.ndarray) -> np
     y_t = np.einsum("apbq,qp->ab", j.reshape(d, 2, d, 2), linalg.PAULI_Y)
     return 0.5 * (
         np.eye(2 * d, dtype=complex)
-        + linalg.kron(m_z.T, linalg.PAULI_Z)
-        + linalg.kron(m_x.T, linalg.PAULI_X)
-        + linalg.kron(y_t, linalg.PAULI_Y)
+        + np.kron(m_z.T, linalg.PAULI_Z)
+        + np.kron(m_x.T, linalg.PAULI_X)
+        + np.kron(y_t, linalg.PAULI_Y)
     )
 
 

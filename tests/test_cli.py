@@ -478,7 +478,7 @@ def test_public_names():
         "check_definition1", "check_definition2", "complete_trace_preserving",
         "construct_theorem1", "counterexample_m0", "cyclic_group", "enumerate_sectors",
         "extract_rank2", "find_squash", "fock_sector", "ideal_qubit_povm",
-        "kraus_core", "kron", "make_povm", "mu_decompose", "pullback_squash",
+        "kraus_core", "make_povm", "mu_decompose", "pullback_squash",
         "squash_from_kraus", "state_nrb", "symmetric_group_s3", "symmetrize",
         "unitary_from_generator", "validate", "verify_squash", "verify_trace_identity",
     ]
@@ -913,6 +913,16 @@ def test_nogo_symmetrize_refuses_an_action_that_splits_a_basis_pair(ideal_file, 
     assert "basis pair" in capsys.readouterr().err and not out.exists()
 
 
+def test_nogo_symmetrize_by_s3_needs_an_action(ideal_file, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    argv = ["nogo", "symmetrize", "--povm", ideal_file, "--group", "s3", "--out", out]
+    assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err == (
+        "squashkit: no default label action for group 's3'; pass --action\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -1285,9 +1295,6 @@ TREES = st.recursive(
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.dictionaries(_awkward_text(), children, max_size=4),
-        st.dictionaries(st.one_of(st.integers(), FINITE), children, max_size=3),
-        st.dictionaries(st.booleans(), children, max_size=2),
-        st.dictionaries(st.none(), children, max_size=1),
     ),
     max_leaves=24,
 )
@@ -1345,7 +1352,6 @@ NON_FINITE_HOMES = {
     "array, imaginary part": lambda bad, rows: [np.array([complex(0.0, bad)] + [1j] * len(rows))],
     "near miss": lambda bad, rows: [rows, [[bad, 0.0, 1.0]]],
     "scalar": lambda bad, rows: {"rows": rows, "value": [bad]},
-    "key": lambda bad, rows: {bad: rows},
 }
 
 
@@ -1363,6 +1369,16 @@ def test_json_writer_rejects_non_finite_numbers(home, bad, rows):
         with pytest.raises(ValueError):
             cli._write_json(obj, os.path.join(tmp, "out.json"))
         assert os.listdir(tmp) == []
+
+
+@pytest.mark.parametrize("key", [1, 1.5, float("nan"), float("inf"), True, None])
+def test_json_writer_refuses_a_key_that_is_not_a_string(key, tmp_path):
+    # no *_to_json tree has one; json.dumps would write the key 1 as "1"
+    with pytest.raises(TypeError):
+        cli._json_text({key: 0})
+    with pytest.raises(TypeError):
+        cli._write_json({"rows": [{key: 0}]}, str(tmp_path / "out.json"))
+    assert os.listdir(tmp_path) == []
 
 
 def test_out_file_mode_follows_umask(tmp_path):

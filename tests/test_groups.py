@@ -1,3 +1,4 @@
+import itertools
 import pickle
 
 import numpy as np
@@ -37,6 +38,36 @@ def test_rejects_non_associative_quasigroup():
     table = [[(a - b) % 5 for b in range(5)] for a in range(5)]
     with pytest.raises(SquashkitError, match=r"^associativity fails at pair \(0, 0\)$"):
         nogo.make_group(table)
+
+
+def latin_squares(n: int):
+    """Every Latin square on 0..n-1, one row permutation at a time."""
+    rows = list(itertools.permutations(range(n)))
+
+    def extend(square):
+        if len(square) == n:
+            yield square
+            return
+        for row in rows:
+            if all(row[j] != above[j] for above in square for j in range(n)):
+                yield from extend(square + [row])
+
+    return extend([])
+
+
+def test_every_associative_latin_square_up_to_order_4_has_a_neutral_identity():
+    # make_group does not search for a neutral element: an associative Latin square is a group
+    squares = [s for n in range(1, 5) for s in latin_squares(n)]
+    assert len(squares) == 1 + 2 + 12 + 576
+    for square in squares:
+        n = len(square)
+        if any(square[square[a][b]][c] != square[a][square[b][c]]
+               for a in range(n) for b in range(n) for c in range(n)):
+            with pytest.raises(SquashkitError, match="^associativity fails"):
+                nogo.make_group(square)
+            continue
+        g = nogo.make_group(square)
+        assert all(g.cayley[g.identity, a] == a == g.cayley[a, g.identity] for a in range(n))
 
 
 @pytest.mark.parametrize("table, perms", [
@@ -87,6 +118,18 @@ def test_action_must_be_homomorphism():
         nogo.validate_action(g, bad)
     nogo.validate_action(g, nogo.canonical_c4_action())
     nogo.validate_action(nogo.cyclic_group(2), nogo.c2_basis_swap_action())
+
+
+def test_an_action_that_does_not_fit_its_group_is_refused():
+    with pytest.raises(SquashkitError, match="^need one permutation of the four labels"):
+        nogo.make_action([[0, 1, 2]])
+    c2 = nogo.cyclic_group(2)
+    with pytest.raises(SquashkitError, match="^action size does not match group order$"):
+        nogo.validate_action(c2, nogo.canonical_c4_action())
+    # an identity that swaps labels fails the homomorphism test at (e, e): perm(e) o perm(e)
+    # is the identity permutation, not perm(e)
+    with pytest.raises(SquashkitError):
+        nogo.validate_action(c2, nogo.make_action([[1, 0, 3, 2], [0, 1, 2, 3]]))
 
 
 # check_definition2 reads V(g) = 1 x R(g), R the regular representation, from the Cayley

@@ -197,6 +197,13 @@ def test_json_reader_names_a_missing_field(drop):
         povm.povm_from_json(obj)
 
 
+def test_a_set_without_one_of_its_four_elements_is_refused():
+    elements = dict(povm.ideal_qubit_povm().elements)
+    del elements["x1"]
+    with pytest.raises(SquashkitError, match="^missing element 'x1'$"):
+        povm.make_povm(elements)
+
+
 def test_measurement_set_is_immutable():
     source = {key: m.copy() for key, m in povm.ideal_qubit_povm().elements.items()}
     p = povm.make_povm(source)
